@@ -109,6 +109,11 @@ HOT_PATH_MODULES = (
     # or per-storm scans here compound across every chaos iteration
     "repro/cluster/faults.py",
     "repro/fleet/chaos.py",
+    # every back-end bootstrap is a handful of ICCL collectives whose
+    # messages are all sized here: a per-hop walk or scan multiplies by
+    # the daemon count on every launch
+    "repro/be/iccl.py",
+    "repro/cluster/network.py",
 )
 
 #: modules the hybrid tier runs through: anywhere here that iterates the

@@ -24,10 +24,17 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.simx import SeededRNG, Simulator, Store
 from repro.cluster.costs import CostModel
-from repro.cluster.network import Network, PipeEnd, Sized
+from repro.cluster.network import (SEQ_FRAMING, Network, PipeEnd, Sized,
+                                   message_size)
 from repro.cluster.node import Node
 
 __all__ = ["ICCLEndpoint", "ICCLError", "ICCLFabric", "TreeTopology"]
+
+#: barrier tokens carry nothing but their arrival: one shared envelope per
+#: direction, sized as the ``("bar", rank)`` / ``("rel", rank)`` tuples
+#: they stand for (a rank is an opaque 64-byte word, whatever its value)
+_BAR_TOKEN = Sized("bar", message_size(("bar", 0)))
+_REL_TOKEN = Sized("rel", message_size(("rel", 0)))
 
 
 class ICCLError(RuntimeError):
@@ -36,10 +43,19 @@ class ICCLError(RuntimeError):
 
 @dataclass(frozen=True)
 class TreeTopology:
-    """A rooted spanning tree over daemon ranks 0..n-1 (root = 0)."""
+    """A rooted spanning tree over daemon ranks 0..n-1 (root = 0).
+
+    ``children`` is normalized to ascending tuples at construction, so
+    the collectives walk each rank's children in rank order without
+    sorting per call.
+    """
 
     parent: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "children",
+                           tuple(tuple(sorted(c)) for c in self.children))
 
     @property
     def size(self) -> int:
@@ -88,8 +104,7 @@ class TreeTopology:
             p = rank & (rank - 1)
             parent[rank] = p
             children[p].append(rank)
-        return cls(tuple(parent),
-                   tuple(tuple(sorted(c)) for c in children))
+        return cls(tuple(parent), tuple(map(tuple, children)))
 
     @classmethod
     def kary(cls, n: int, k: int) -> "TreeTopology":
@@ -102,8 +117,7 @@ class TreeTopology:
             p = (rank - 1) // k
             parent[rank] = p
             children[p].append(rank)
-        return cls(tuple(parent),
-                   tuple(tuple(sorted(c)) for c in children))
+        return cls(tuple(parent), tuple(map(tuple, children)))
 
     @classmethod
     def make(cls, n: int, kind: str = "binomial", k: int = 16) -> "TreeTopology":
@@ -195,20 +209,18 @@ class ICCLEndpoint:
         if not self.wired:
             raise ICCLError(f"rank {self.rank}: fabric not wired")
 
-    def _ordered_children(self) -> list[int]:
-        return sorted(self._child_ends)
-
     # -- collectives --------------------------------------------------------
     def barrier(self) -> Generator[Any, Any, None]:
         """Tree barrier: reduce a token to the root, then release downward."""
         start = self.fabric.sim.now
-        for child in sorted(self.fabric.topology.children[self.rank]):
+        children = self.fabric.topology.children[self.rank]
+        for child in children:
             yield self._child_ends[child].recv()
         if self._parent_end is not None:
-            yield self._parent_end.send(("bar", self.rank))
+            yield self._parent_end.send(_BAR_TOKEN)
             yield self._parent_end.recv()
-        for child in sorted(self.fabric.topology.children[self.rank]):
-            yield self._child_ends[child].send(("rel", self.rank))
+        for child in children:
+            yield self._child_ends[child].send(_REL_TOKEN)
         self.collective_time += self.fabric.sim.now - start
 
     def gather(self, obj: Any) -> Generator[Any, Any, Optional[list]]:
@@ -216,14 +228,21 @@ class ICCLEndpoint:
 
         Returns the full list at rank 0, None elsewhere. Root-side
         per-record processing cost models the RM fabric service.
+
+        Each hop sends its subtree's ``(rank, obj)`` records in a
+        :class:`~repro.cluster.network.Sized` envelope carrying a running
+        byte count -- its own record plus each child envelope's records --
+        so no hop re-walks the growing record list (same wire size).
         """
         self._require_wired()
         fab = self.fabric
         start = fab.sim.now
         records: list[tuple[int, Any]] = [(self.rank, obj)]
-        for child in self._ordered_children():
+        nbytes = message_size(records[0])
+        for child in fab.topology.children[self.rank]:
             batch = yield self._child_ends[child].recv()
-            records.extend(batch)
+            records.extend(batch.payload)
+            nbytes += batch.wire_size() - SEQ_FRAMING
         # the RM fabric's per-record relay service is charged at the master
         # (rank 0), which is what makes T(collective) linear in daemon count
         if fab.per_rec_cost and self._parent_end is None and len(records) > 1:
@@ -231,7 +250,7 @@ class ICCLEndpoint:
                 fab.rng.jitter(fab.per_rec_cost * (len(records) - 1)))
         result: Optional[list] = None
         if self._parent_end is not None:
-            yield self._parent_end.send(records)
+            yield self._parent_end.send(Sized(records, SEQ_FRAMING + nbytes))
         else:
             records.sort(key=lambda kv: kv[0])
             if len(records) != fab.size:
@@ -256,7 +275,7 @@ class ICCLEndpoint:
             obj = wrapped.payload
         else:
             wrapped = Sized(obj)
-        for child in self._ordered_children():
+        for child in fab.topology.children[self.rank]:
             yield self._child_ends[child].send(wrapped)
         self.collective_time += fab.sim.now - start
         return obj
@@ -267,6 +286,12 @@ class ICCLEndpoint:
 
         The root routes each subtree's slice down the matching child link;
         per-record routing cost applies at the root like gather.
+
+        The wire carries each subtree's ``(rank, obj)`` records; the
+        simulation forwards one shared per-rank list instead, in a
+        :class:`~repro.cluster.network.Sized` envelope whose size the
+        root computed once, bottom-up, for every subtree (same wire
+        size, no per-hop slicing or re-walking).
         """
         self._require_wired()
         fab = self.fabric
@@ -276,16 +301,27 @@ class ICCLEndpoint:
             if objs is None or len(objs) != fab.size:
                 raise ICCLError(
                     f"scatter root needs exactly {fab.size} objects")
-            slices: dict[int, Any] = {r: objs[r] for r in range(fab.size)}
+            shared = (tuple(objs), _subtree_bytes(topo, objs))
             if fab.per_rec_cost and fab.size > 1:
                 yield fab.sim.timeout(
                     fab.rng.jitter(fab.per_rec_cost * (fab.size - 1)))
         else:
-            batch = yield self._parent_end.recv()
-            slices = dict(batch)
-        my_obj = slices[self.rank]
-        for child in self._ordered_children():
-            sub = {r: slices[r] for r in topo.subtree(child)}
-            yield self._child_ends[child].send(list(sub.items()))
+            wrapped = yield self._parent_end.recv()
+            shared = wrapped.payload
+        items, subtree_bytes = shared
+        for child in topo.children[self.rank]:
+            yield self._child_ends[child].send(
+                Sized(shared, SEQ_FRAMING + subtree_bytes[child]))
         self.collective_time += fab.sim.now - start
-        return my_obj
+        return items[self.rank]
+
+
+def _subtree_bytes(topo: TreeTopology, objs: Sequence[Any]) -> list[int]:
+    """Per rank, the bytes of its subtree's ``(rank, obj)`` records
+    (without list framing): one sizing walk per item, summed leaves-up."""
+    nbytes = [message_size((rank, obj)) for rank, obj in enumerate(objs)]
+    for rank in reversed(topo.subtree(0)):  # every child before its parent
+        parent = topo.parent[rank]
+        if parent is not None:
+            nbytes[parent] += nbytes[rank]
+    return nbytes

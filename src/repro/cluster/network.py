@@ -16,17 +16,29 @@ from repro.cluster.costs import CostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
 
-__all__ = ["Network", "Pipe", "Sized", "message_size"]
+__all__ = ["SEQ_FRAMING", "Network", "Pipe", "Sized", "message_size"]
+
+#: framing bytes ``message_size`` charges a tuple or list on top of its
+#: elements
+SEQ_FRAMING = 16
+
+
+#: scalar types that are always sized as an opaque 64-byte control word;
+#: exact types (not subclasses), so a subclass with ``wire_size`` still
+#: reports its own size
+_OPAQUE_SCALARS = frozenset((int, float, type(None)))
 
 
 def message_size(message: Any) -> int:
     """Best-effort byte size of a message for transfer-time computation."""
+    if type(message) in _OPAQUE_SCALARS:
+        return 64  # opaque control word: ranks, counters, None
     if isinstance(message, (bytes, bytearray, memoryview)):
         return len(message)
     if isinstance(message, str):
         return len(message.encode())
     if isinstance(message, (tuple, list)):
-        return 16 + sum(message_size(m) for m in message)
+        return SEQ_FRAMING + sum(message_size(m) for m in message)
     if hasattr(message, "wire_size"):
         return int(message.wire_size())
     return 64  # opaque control object
@@ -41,13 +53,18 @@ class Sized:
     O(n)-sized payload into O(n^2) wall-clock work. The envelope reports
     exactly ``message_size(payload)``, so simulated timings are
     unchanged; receivers unwrap ``.payload``.
+
+    A sender that already knows the byte count -- a collective keeping a
+    running total of the records it relays -- passes it as ``size``; it
+    must equal what ``message_size`` would report for the message the
+    sender stands in for.
     """
 
     __slots__ = ("payload", "_size")
 
-    def __init__(self, payload: Any):
+    def __init__(self, payload: Any, size: Optional[int] = None):
         self.payload = payload
-        self._size = message_size(payload)
+        self._size = message_size(payload) if size is None else size
 
     def wire_size(self) -> int:
         return self._size

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 __all__ = ["ProcDesc", "RPDTAB"]
 
@@ -37,7 +37,8 @@ class RPDTAB:
 
     The binary wire format deduplicates host and executable names through a
     string table (real MPIR consumers do the same to keep the table compact
-    at scale).
+    at scale). A table is immutable once built, so its encoded length is
+    computed on first use and cached.
     """
 
     def __init__(self, entries: Iterable[ProcDesc] = ()):
@@ -45,6 +46,7 @@ class RPDTAB:
         self._by_host: dict[str, list[ProcDesc]] = {}
         for e in self._entries:
             self._by_host.setdefault(e.host_name, []).append(e)
+        self._wire_size: Optional[int] = None
 
     # -- container protocol -----------------------------------------------
     def __len__(self) -> int:
@@ -133,7 +135,9 @@ class RPDTAB:
 
     def wire_size(self) -> int:
         """Size of the serialized table (used for transfer timing)."""
-        return len(self.to_bytes())
+        if self._wire_size is None:
+            self._wire_size = len(self.to_bytes())
+        return self._wire_size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RPDTAB {len(self)} tasks on {len(self.hosts)} hosts>"

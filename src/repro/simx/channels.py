@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.simx.core import Event, SimulationError, Simulator
+from repro.simx.core import (NORMAL, URGENT, Event, SimulationError,
+                             Simulator, Timeout)
 
 __all__ = ["Channel", "Store"]
 
@@ -102,14 +103,7 @@ class Channel:
             self.delivered_count += 1
             return self._store.put(message)
         done = Event(self.sim)
-
-        def _deliver(sim=self.sim, msg=message):
-            yield sim.timeout(delay)
-            self.delivered_count += 1
-            yield self._store.put(msg)
-            done.succeed()
-
-        self.sim.process(_deliver(), name=f"chan-deliver:{self.name}")
+        _Delivery(self, message, delay, done)
         return done
 
     def recv(self) -> Event:
@@ -119,3 +113,46 @@ class Channel:
     def pending(self) -> int:
         """Messages delivered but not yet received."""
         return len(self._store)
+
+
+class _Delivery:
+    """One delayed message in flight, driven by plain event callbacks.
+
+    Delivery fires the kernel events a generator process doing ``yield
+    timeout(delay); yield store.put(msg); done.succeed()`` would, at the
+    same instants, with the same priorities and in the same ``seq``
+    order: an URGENT zero-delay bootstrap that creates the latency
+    :class:`~repro.simx.core.Timeout`, the timeout (which puts the
+    message), the put event (which fires ``done``) and a trailing
+    completion event -- five events per message, without the cost of a
+    generator and a :class:`~repro.simx.core.Process` per message.
+    """
+
+    __slots__ = ("chan", "msg", "delay", "done")
+
+    def __init__(self, chan: Channel, msg: Any, delay: float, done: Event):
+        self.chan = chan
+        self.msg = msg
+        self.delay = delay
+        self.done = done
+        boot = Event(chan.sim)
+        boot._value = None
+        boot.callbacks.append(self._start)  # type: ignore[union-attr]
+        chan.sim._enqueue(boot, 0.0, URGENT)
+
+    def _start(self, _boot: Event) -> None:
+        Timeout(self.chan.sim, self.delay).callbacks.append(  # type: ignore[union-attr]
+            self._arrive)
+
+    def _arrive(self, _timeout: Event) -> None:
+        chan = self.chan
+        chan.delivered_count += 1
+        chan._store.put(self.msg).callbacks.append(  # type: ignore[union-attr]
+            self._accepted)
+
+    def _accepted(self, _put: Event) -> None:
+        sim = self.chan.sim
+        self.done.succeed()
+        finished = Event(sim)
+        finished._value = None
+        sim._enqueue(finished, 0.0, NORMAL)

@@ -57,7 +57,7 @@ from typing import Any, Generator, Optional
 
 from repro.simx import Channel, Simulator, Store
 from repro.cluster import Node
-from repro.cluster.network import Network, message_size
+from repro.cluster.network import Network
 from repro.tbon.filters import get_filter, make_filter
 from repro.tbon.flow import (
     BoundedInbox,
@@ -263,7 +263,7 @@ class Overlay:
         return self._down_stores[pos]
 
     def _fan_down(self, pos: int, pkt: Packet) -> Generator[Any, Any, None]:
-        size = message_size(pkt)
+        size = pkt.wire_size()
         for child in self.children_of(pos):
             delay = self.network.transfer_time(pkt, size=size)
             yield self.sim.timeout(delay)
@@ -628,7 +628,7 @@ class Stream:
                 extra = (-(-wsum // k)) - (-(-len(payloads) // k))
                 if extra > 0:
                     yield sim.timeout(
-                        extra * costs.transfer_time(message_size(pkt)))
+                        extra * costs.transfer_time(pkt.wire_size()))
             folded = self._folded.setdefault(pos, set())
             if pkt.wave in folded:
                 # a repair re-delivered a wave this position already
@@ -657,7 +657,8 @@ class Stream:
         parent = self.overlay._parent[pos]
         inbox = self._inboxes[parent]
         yield from inbox.acquire()
-        yield self.sim.timeout(self.overlay.network.transfer_time(pkt))
+        yield self.sim.timeout(self.overlay.network.transfer_time(
+            pkt, size=pkt.wire_size()))
         inbox.commit(pos, pkt)
 
     def _bank(self, pkt: Packet):
@@ -730,7 +731,8 @@ class Stream:
         if self._epoch != epoch:
             return
         inbox.note_acquired()
-        yield self.sim.timeout(self.overlay.network.transfer_time(pkt))
+        yield self.sim.timeout(self.overlay.network.transfer_time(
+            pkt, size=pkt.wire_size()))
         if self._epoch != epoch:
             return
         inbox.commit(position, pkt)

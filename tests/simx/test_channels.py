@@ -196,3 +196,79 @@ class TestChannel:
         assert chan.sent_count == 2
         assert chan.delivered_count == 2
         assert chan.pending() == 1
+
+
+class TestDelayedDelivery:
+    """The event-level contract of a delayed ``Channel.send``."""
+
+    def test_done_fires_after_the_receivers_get(self):
+        sim = Simulator()
+        chan = Channel(sim, latency_fn=lambda m: 1.5)
+        order = []
+
+        def receiver(sim):
+            msg = yield chan.recv()
+            order.append(("got", msg, sim.now))
+
+        def sender(sim):
+            yield chan.send("m")
+            order.append(("done", sim.now))
+
+        sim.process(receiver(sim))
+        sim.process(sender(sim))
+        sim.run()
+        assert order == [("got", "m", 1.5), ("done", 1.5)]
+
+    def test_fifo_under_equal_delays(self):
+        sim = Simulator()
+        chan = Channel(sim, latency_fn=lambda m: 0.25)
+        got = []
+
+        def receiver(sim):
+            for _ in range(6):
+                got.append((yield chan.recv()))
+
+        def sender(sim):
+            for i in range(3):
+                chan.send(i)
+            yield sim.timeout(0.1)
+            for i in range(3, 6):
+                chan.send(i)
+
+        sim.process(receiver(sim))
+        sim.process(sender(sim))
+        sim.run()
+        assert got == [0, 1, 2, 3, 4, 5]
+
+    def test_counters_track_flight(self):
+        sim = Simulator()
+        chan = Channel(sim, latency_fn=lambda m: 1.0)
+        chan.send("a")
+        chan.send("b")
+        assert (chan.sent_count, chan.delivered_count) == (2, 0)
+        sim.run(until=0.5)
+        assert chan.delivered_count == 0 and chan.pending() == 0
+        sim.run()
+        assert (chan.sent_count, chan.delivered_count) == (2, 2)
+        assert chan.pending() == 2
+
+    def test_unreceived_delayed_message_costs_five_events(self):
+        # bootstrap (URGENT, now), latency timeout, store put, ``done``
+        # and the completion event: the budget the benchmark suite's
+        # pinned event counts rest on
+        sim = Simulator()
+        trace = []
+        sim.trace = lambda when, prio, seq, ev: trace.append((when, prio))
+        chan = Channel(sim, latency_fn=lambda m: 2.0)
+        done = chan.send("x")
+        sim.run()
+        assert sim.stats.events == 5
+        assert trace == [(0.0, 0), (2.0, 1), (2.0, 1), (2.0, 1), (2.0, 1)]
+        assert done.processed and chan.pending() == 1
+
+    def test_zero_delay_costs_one_event(self):
+        sim = Simulator()
+        chan = Channel(sim)
+        chan.send("x")
+        sim.run()
+        assert sim.stats.events == 1 and chan.pending() == 1
