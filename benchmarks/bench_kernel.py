@@ -15,7 +15,7 @@ The simx scheduling hot path claims two things this file holds it to:
   within ``XL_WALL_BUDGET`` wall seconds (it was unreachable before the
   fast path: the 4096-daemon point alone took ~3 minutes).
 
-An interrupt-detach series tracks the O(1) waiter tombstones: total
+An interrupt-detach series tracks the O(1) target-identity detach: total
 detach cost must scale ~linearly in the waiter count (the old
 ``list.remove`` scheme was quadratic across a gate's interrupt storm).
 
@@ -70,7 +70,7 @@ def churn_stats(fast_lane: bool, n_events: int = CHURN_EVENTS,
 
 def interrupt_detach_seconds(n_waiters: int) -> float:
     """Wall seconds to interrupt ``n_waiters`` processes parked on one
-    event -- a go-broadcast gate being torn down. O(1) tombstone detach
+    event -- a go-broadcast gate being torn down. O(1) detach
     makes this linear in the waiter count; the historical ``list.remove``
     was quadratic."""
     sim = Simulator()

@@ -50,7 +50,9 @@ def _timed(measure: Callable[[], dict]) -> tuple[dict, float]:
     freeze survivors out of the collector's reach for the duration.
     """
     gc.collect()
-    gc.freeze()
+    # freezing only shrinks what a full pass walks; Simulator.run() still
+    # owns enabling and disabling the collector
+    gc.freeze()  # simlint: allow[gc-policy]
     try:
         # harness measurement bracketing a whole simulator run, never
         # read inside one
@@ -58,7 +60,7 @@ def _timed(measure: Callable[[], dict]) -> tuple[dict, float]:
         result = measure()
         wall = perf_counter() - t0  # simlint: allow[wall-clock]
     finally:
-        gc.unfreeze()
+        gc.unfreeze()  # simlint: allow[gc-policy]
     return result, wall
 
 

@@ -48,6 +48,14 @@ the AST:
     that genuinely want only the simulated positions (placement,
     per-daemon spawning) carry an inline allow.
 
+``gc-policy``
+    No ``gc.disable``/``enable``/``freeze``/``unfreeze``/``set_threshold``
+    outside the kernel (:data:`GC_POLICY_OWNER`). ``Simulator.run()``
+    pauses the cyclic collector while it dispatches and restores the
+    caller's setting on return; a second owner of collector policy would
+    fight it (re-enabling collection mid-run, or leaving it off after).
+    ``gc.collect()`` and ``gc.isenabled()`` are fine anywhere.
+
 Suppression: append ``# simlint: allow[rule]`` (or ``allow[r1,r2]``, or
 bare ``# simlint: allow`` for all rules) to the flagged line, ideally
 with a short justification after it. Suppressions are per-line and per
@@ -65,8 +73,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["AGG_AWARE_MODULES", "Finding", "HOT_PATH_MODULES", "RULES",
-           "lint_file", "lint_paths", "lint_source", "main"]
+__all__ = ["AGG_AWARE_MODULES", "Finding", "GC_POLICY_OWNER",
+           "HOT_PATH_MODULES", "RULES", "lint_file", "lint_paths",
+           "lint_source", "main"]
 
 RULES = {
     "wall-clock": "wall-clock read in simulator-driven code (use sim.now; "
@@ -79,6 +88,8 @@ RULES = {
     "agg-leaves": "simulated-only leaf iteration (backends()/"
                   "live_backends()) in a hybrid hot-path module; use the "
                   "aggregate-aware leaves()/live_leaves()",
+    "gc-policy": "collector policy (gc.disable/enable/freeze/unfreeze/"
+                 "set_threshold) outside the kernel, which owns it",
 }
 
 #: modules the kernel/launch hot path runs through: the places where an
@@ -127,6 +138,13 @@ AGG_AWARE_MODULES = (
     "repro/experiments/fig6.py",
     "repro/experiments/streaming.py",
 )
+
+#: the one module allowed to set collector policy (the ``gc-policy`` rule)
+GC_POLICY_OWNER = "repro/simx/core.py"
+
+_GC_POLICY_CALLS = frozenset(
+    f"gc.{fn}" for fn in ("disable", "enable", "freeze", "unfreeze",
+                          "set_threshold"))
 
 _WALL_CLOCK_CALLS = frozenset(
     f"time.{fn}" for fn in (
@@ -215,11 +233,12 @@ class _ModuleLint(ast.NodeVisitor):
     """One module's lint pass (see the rule catalog in the module doc)."""
 
     def __init__(self, path: str, source_lines: Sequence[str],
-                 hot: bool, agg_aware: bool = False):
+                 hot: bool, agg_aware: bool = False, gc_owner: bool = False):
         self.path = path
         self.source_lines = source_lines
         self.hot = hot
         self.agg_aware = agg_aware
+        self.gc_owner = gc_owner
         self.findings: list[Finding] = []
         #: name -> fully dotted origin ("t" -> "time",
         #: "sleep" -> "time.sleep")
@@ -289,6 +308,12 @@ class _ModuleLint(ast.NodeVisitor):
             self._report(node, "wall-clock",
                          f"{dotted}() reads the wall clock; simulated "
                          f"code must use sim.now")
+
+        if dotted in _GC_POLICY_CALLS and not self.gc_owner:
+            self._report(node, "gc-policy",
+                         f"{dotted}() sets collector policy, which "
+                         f"Simulator.run() owns; only {GC_POLICY_OWNER} "
+                         f"may call it")
 
         if dotted in _GLOBAL_RNG_CALLS:
             self._report(node, "unseeded-random",
@@ -390,7 +415,8 @@ def lint_source(source: str, path: str = "<string>",
                         col=exc.offset or 0, rule="syntax",
                         message=f"cannot parse: {exc.msg}")]
     linter = _ModuleLint(path, source.splitlines(), hot,
-                         agg_aware=agg_aware)
+                         agg_aware=agg_aware,
+                         gc_owner=_is_hot(Path(path), (GC_POLICY_OWNER,)))
     linter.visit(tree)
     return sorted(linter.findings, key=lambda f: (f.line, f.col, f.rule))
 

@@ -232,7 +232,12 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     # submitter's retries bounce off the dead daemon
     sim.run(until=t_kill + cfg.downtime)
 
-    # phase 3: restart + restore
+    # phase 3: restart + restore. Only a tree still alive now must come
+    # back adopted: one whose daemons all died during the downtime (e.g.
+    # node faults) is reaped by restore, by design
+    pre_jobs = {ctl_id: entry for ctl_id, entry in pre_jobs.items()
+                if any(d.proc is not None and d.proc.alive
+                       for d in entry[0].daemons)}
     client.start()
     daemon = control.daemon
     res.generations = control.generation
@@ -245,8 +250,8 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
         res.relaunched = report.relaunched
 
     # relaunch audit, independent of the restore's own report: every
-    # session whose tree was alive at the kill must come back *adopted*
-    # onto the same job and daemon processes
+    # session whose tree was alive at the kill and at the restart must
+    # come back *adopted* onto the same job and daemon processes
     for ctl_id, (job, proc_ids) in pre_jobs.items():
         cs = daemon.sessions.get(ctl_id)
         if cs is None or not cs.adopted or cs.session.job is not job:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from repro.simx.core import (NORMAL, URGENT, Event, SimulationError,
-                             Simulator, Timeout)
+from repro.simx.core import NORMAL, URGENT, Event, SimulationError, Simulator
 
 __all__ = ["Channel", "Store"]
 
@@ -115,44 +114,56 @@ class Channel:
         return len(self._store)
 
 
-class _Delivery:
-    """One delayed message in flight, driven by plain event callbacks.
+class _Delivery(Event):
+    """One delayed message in flight: a single kernel event, re-armed.
 
     Delivery fires the kernel events a generator process doing ``yield
     timeout(delay); yield store.put(msg); done.succeed()`` would, at the
     same instants, with the same priorities and in the same ``seq``
-    order: an URGENT zero-delay bootstrap that creates the latency
-    :class:`~repro.simx.core.Timeout`, the timeout (which puts the
-    message), the put event (which fires ``done``) and a trailing
-    completion event -- five events per message, without the cost of a
-    generator and a :class:`~repro.simx.core.Process` per message.
+    order: an URGENT zero-delay bootstrap, the latency timeout (which puts
+    the message), the put (which fires ``done``) and a trailing completion
+    -- five events per message counting ``done``. The first four are this
+    one object, scheduled again each time it fires. Its callbacks are
+    shared module-level tuples, one per stage, so a message in flight
+    holds no bound method of itself and allocates no callback list.
     """
 
     __slots__ = ("chan", "msg", "delay", "done")
 
     def __init__(self, chan: Channel, msg: Any, delay: float, done: Event):
+        self.sim = sim = chan.sim
+        self.callbacks = _START  # type: ignore[assignment]
+        self._value = None
+        self._exc = None
+        self._defused = True
         self.chan = chan
         self.msg = msg
         self.delay = delay
         self.done = done
-        boot = Event(chan.sim)
-        boot._value = None
-        boot.callbacks.append(self._start)  # type: ignore[union-attr]
-        chan.sim._enqueue(boot, 0.0, URGENT)
+        sim._enqueue(self, 0.0, URGENT)
 
-    def _start(self, _boot: Event) -> None:
-        Timeout(self.chan.sim, self.delay).callbacks.append(  # type: ignore[union-attr]
-            self._arrive)
 
-    def _arrive(self, _timeout: Event) -> None:
-        chan = self.chan
-        chan.delivered_count += 1
-        chan._store.put(self.msg).callbacks.append(  # type: ignore[union-attr]
-            self._accepted)
+def _start(d: _Delivery) -> None:
+    d.callbacks = _ARRIVE  # type: ignore[assignment]
+    d.sim._enqueue(d, d.delay, NORMAL)
 
-    def _accepted(self, _put: Event) -> None:
-        sim = self.chan.sim
-        self.done.succeed()
-        finished = Event(sim)
-        finished._value = None
-        sim._enqueue(finished, 0.0, NORMAL)
+
+def _arrive(d: _Delivery) -> None:
+    chan = d.chan
+    chan.delivered_count += 1
+    store = chan._store  # unbounded: the put is accepted at once
+    store._items.append(d.msg)
+    d.callbacks = _ACCEPTED  # type: ignore[assignment]
+    d.sim._enqueue(d, 0.0, NORMAL)
+    store._dispatch()
+
+
+def _accepted(d: _Delivery) -> None:
+    d.done.succeed()
+    d.callbacks = ()  # type: ignore[assignment]
+    d.sim._enqueue(d, 0.0, NORMAL)
+
+
+_START = (_start,)
+_ARRIVE = (_arrive,)
+_ACCEPTED = (_accepted,)

@@ -28,12 +28,20 @@ while ``now`` is unchanged, so a lane head's implied key is
 the heap top, which reproduces the pure-heap order exactly while keeping
 the dominant churn O(1) instead of O(log heap). ``Simulator(fast_lane=
 False)`` routes everything through the heap for differential testing.
+
+Memory contract: :meth:`Simulator.run` pauses CPython's cyclic collector
+while it dispatches, so the garbage a run makes must be freed by
+reference counting alone. Kernel objects are therefore acyclic once they
+have fired for the last time: a process drops its cached wake-up handle
+when it finishes, a condition drops its children when it triggers, and
+an event releases its callback list as it fires.
 """
 
 from __future__ import annotations
 
-import heapq
+import gc
 from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -88,9 +96,12 @@ class Event:
     *processed* (callbacks have run). A failed event whose exception is never
     observed by any process raises at ``run()`` time so errors cannot vanish
     silently.
+
+    ``_seq`` is set when the event is scheduled on a same-time lane; an
+    event is scheduled at most once per firing.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_defused")
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "_defused", "_seq")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -102,8 +113,9 @@ class Event:
     # -- state inspection ------------------------------------------------
     @property
     def triggered(self) -> bool:
-        """True once ``succeed``/``fail`` has been called."""
-        return self._value is not _PENDING or self._exc is not None
+        """True once ``succeed``/``fail`` has been called (``fail`` sets
+        ``_value`` too, so one identity test covers both)."""
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -154,6 +166,7 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
+        # Simulator.run() inlines this; step() calls it
         callbacks, self.callbacks = self.callbacks, None
         for cb in callbacks:  # type: ignore[union-attr]
             cb(self)
@@ -180,17 +193,6 @@ class Timeout(Event):
         self._defused = True  # a timeout cannot fail
         sim._enqueue(self, delay, NORMAL)
 
-    # a Timeout is born triggered-in-the-future; succeed/fail are invalid.
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
-        raise SimulationError("cannot succeed() a Timeout")
-
-    def fail(self, exc: BaseException) -> "Event":  # pragma: no cover
-        raise SimulationError("cannot fail() a Timeout")
-
-    @property
-    def triggered(self) -> bool:
-        return True
-
 
 class _Initialize(Event):
     """Bootstrap event that starts a freshly created process."""
@@ -201,33 +203,8 @@ class _Initialize(Event):
         super().__init__(sim)
         self._value = None
         self._defused = True
-        self.callbacks.append(process._resume)  # type: ignore[union-attr]
+        self.callbacks.append(process._wake)  # type: ignore[union-attr]
         sim._enqueue(self, 0.0, URGENT)
-
-    @property
-    def triggered(self) -> bool:
-        return True
-
-
-class _Waiter:
-    """Detachable subscription handle for a suspended :class:`Process`.
-
-    An event's callback list never shrinks: detaching a waiter just clears
-    ``proc`` (a tombstone), so :meth:`Process.interrupt` is O(1) no matter
-    how many other processes wait on the same event -- a go-broadcast gate
-    with thousands of waiters used to pay an O(n) ``list.remove`` per
-    interrupt. A tombstoned waiter is a no-op when its event fires.
-    """
-
-    __slots__ = ("proc",)
-
-    def __init__(self, proc: "Process"):
-        self.proc = proc
-
-    def __call__(self, event: Event) -> None:
-        proc = self.proc
-        if proc is not None:
-            proc._resume(event)
 
 
 class Process(Event):
@@ -237,9 +214,19 @@ class Process(Event):
     generator's return value when it finishes (or fails with its unhandled
     exception), so processes can wait on each other by yielding a
     :class:`Process`.
+
+    A suspended process subscribes ``_wake`` (its cached bound
+    ``_resume``) to the event it waits on and records that event as
+    ``_target``; a wake-up by any other event is stale and ignored.
+    Detaching is therefore O(1) -- clear ``_target`` -- however many
+    other processes wait on the same event (an event's callback list
+    never shrinks). A process that waits again on an event it was
+    interrupted away from is subscribed twice and resumes at the first
+    subscription. ``_wake`` is dropped when the process finishes or is
+    killed, so a dead process holds no bound method of itself.
     """
 
-    __slots__ = ("_gen", "_target", "name", "_waiter")
+    __slots__ = ("_gen", "_target", "name", "_wake")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any],
                  name: str = ""):
@@ -247,10 +234,9 @@ class Process(Event):
             raise SimulationError(f"process requires a generator, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
-        self._target: Optional[Event] = None
-        self._waiter = _Waiter(self)
+        self._wake: Optional[Callable[[Event], None]] = self._resume
         self.name = name or getattr(gen, "__name__", "process")
-        _Initialize(sim, self)
+        self._target: Optional[Event] = _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
@@ -269,13 +255,12 @@ class Process(Event):
         interrupt_ev._defused = True
         interrupt_ev.callbacks.append(  # type: ignore[union-attr]
             self._resume_interrupted)
-        # Detach from the event we were waiting on: when it later triggers it
-        # must not resume us again. O(1): tombstone the subscription handle
-        # instead of scanning the target's (possibly huge) callback list.
-        if self._target is not None:
-            self._waiter.proc = None
-            self._waiter = _Waiter(self)
-        self._target = None
+        # Detach from the event we were waiting on: when it later triggers
+        # it must not resume us again. A process whose bootstrap has not
+        # run keeps it, so it starts first and takes the interrupt at its
+        # first wait (see _resume_interrupted).
+        if type(self._target) is not _Initialize:
+            self._target = None
         self.sim._enqueue(interrupt_ev, 0.0, URGENT)
 
     def kill(self) -> None:
@@ -291,10 +276,10 @@ class Process(Event):
         resumed and never closed, and the process-event completes with
         value ``None`` so waiters observe an exit rather than a hang.
 
-        Deliberately, the waiter subscription is *not* tombstoned: when
-        the abandoned target later fires, :meth:`_resume`'s stale-wakeup
-        guard absorbs it (defusing a failure), exactly as for a process
-        that finished between scheduling and delivery. The generator is
+        When the abandoned target later fires, :meth:`_resume`'s
+        stale-wakeup guard absorbs it (defusing a failure), exactly as for
+        a process that finished between scheduling and delivery. The
+        generator is
         parked in the simulator's graveyard so garbage collection cannot
         ``close()`` it mid-simulation -- a GC-time ``GeneratorExit``
         would run the cleanup handlers after all, at a nondeterministic
@@ -304,7 +289,7 @@ class Process(Event):
             raise SimulationError(f"cannot kill finished {self!r}")
         if self is self.sim._active_proc:
             raise SimulationError("a process cannot kill itself")
-        self._target = None
+        self._target = self._wake = None
         self.sim._graveyard.append(self._gen)
         self._value = None
         self.sim._enqueue(self, 0.0, NORMAL)
@@ -313,25 +298,26 @@ class Process(Event):
         """Deliver a queued Interrupt. The process may have suspended (or
         resumed and re-suspended) on a new target between ``interrupt()``
         and this delivery -- e.g. it was interrupted in the same instant
-        it was created, before its bootstrap ran -- so detach from
-        whatever it waits on *now*; otherwise that event would later
-        resume the process a second time."""
-        if not self.triggered and self._target is not None:
-            self._waiter.proc = None
-            self._waiter = _Waiter(self)
-            self._target = None
+        it was created, before its bootstrap ran -- so the interrupt
+        replaces whatever it waits on *now*; otherwise that event would
+        later resume the process a second time."""
+        if not self.triggered:
+            self._target = event
         self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
-            # stale wake-up: the process finished between this event's
-            # scheduling and its delivery (e.g. two supervisors -- a node
-            # failure and a tree repair -- interrupted it at the same
-            # instant); absorb the event instead of resuming a corpse
-            if event._exc is not None:
+        if event is not self._target:
+            # stale wake-up: the process was detached from this event
+            # (interrupted or killed) or finished between its scheduling
+            # and its delivery (e.g. two supervisors -- a node failure and
+            # a tree repair -- interrupted it at the same instant). A
+            # finished process absorbs the event instead of resuming a
+            # corpse; a live one keeps waiting on its current target.
+            if event._exc is not None and self._value is not _PENDING:
                 event._defused = True
             return
-        self.sim._active_proc = self
+        sim = self.sim
+        sim._active_proc = self
         while True:
             try:
                 if event._exc is None:
@@ -340,35 +326,35 @@ class Process(Event):
                     event._defused = True
                     next_ev = self._gen.throw(event._exc)
             except StopIteration as stop:
-                self._target = None
-                self.sim._active_proc = None
-                if self.triggered:  # pragma: no cover - defensive
-                    return
+                self._target = self._wake = None
+                sim._active_proc = None
                 self._value = stop.value
-                self.sim._enqueue(self, 0.0, NORMAL)
+                sim._enqueue(self, 0.0, NORMAL)
                 return
             except BaseException as exc:
-                self._target = None
-                self.sim._active_proc = None
-                self._exc = exc
+                self._target = self._wake = None
+                sim._active_proc = None
+                # drop this frame from the traceback: it holds ``self``,
+                # which would then hold itself through ``_exc``
+                self._exc = exc.with_traceback(exc.__traceback__.tb_next)
                 self._value = None
-                self.sim._enqueue(self, 0.0, NORMAL)
+                sim._enqueue(self, 0.0, NORMAL)
                 return
 
             if not isinstance(next_ev, Event):
-                self.sim._active_proc = None
+                sim._active_proc = None
                 raise SimulationError(
                     f"process {self.name!r} yielded non-event {next_ev!r}")
-            if next_ev.sim is not self.sim:  # pragma: no cover - defensive
-                self.sim._active_proc = None
+            if next_ev.sim is not sim:  # pragma: no cover - defensive
+                sim._active_proc = None
                 raise SimulationError("yielded event from a foreign simulator")
 
-            if next_ev.callbacks is not None:
-                # Not yet processed: subscribe (via the detachable waiter
-                # handle) and suspend.
-                next_ev.callbacks.append(self._waiter)
+            callbacks = next_ev.callbacks
+            if callbacks is not None:
+                # Not yet processed: subscribe and suspend.
+                callbacks.append(self._wake)
                 self._target = next_ev
-                self.sim._active_proc = None
+                sim._active_proc = None
                 return
             # Already processed: continue immediately with its outcome.
             event = next_ev
@@ -379,7 +365,9 @@ class _Condition(Event):
 
     Completion is tracked by *processed* children (callbacks delivered), not
     by the ``triggered`` flag -- a Timeout is conceptually triggered from
-    birth but only counts once its scheduled moment has passed.
+    birth but only counts once its scheduled moment has passed. A
+    triggered condition drops its children: a pending child still holds
+    the condition's bound ``_on_child``.
     """
 
     __slots__ = ("_events", "_remaining")
@@ -406,10 +394,12 @@ class _Condition(Event):
     def _trigger_fail(self, exc: BaseException) -> None:
         self._exc = exc
         self._value = None
+        self._events = ()
         self.sim._enqueue(self, 0.0, NORMAL)
 
     def _trigger_ok(self) -> None:
         self._value = self._collect()
+        self._events = ()
         self.sim._enqueue(self, 0.0, NORMAL)
 
     def _on_child(self, ev: Event) -> None:
@@ -495,6 +485,13 @@ class SimStats:
     for scheduling, so they cannot perturb determinism. ``wall_time`` only
     accumulates across :meth:`Simulator.run` calls (bare ``step()`` loops
     are not timed).
+
+    The dispatcher keeps them off the enqueue path: it counts pops, and
+    derives the rest when :meth:`Simulator.run` or :meth:`Simulator.step`
+    returns -- ``heap_pushes`` is heap pops plus the heap's length, and
+    the high waters are sampled before each pop (between two pops both
+    counts only grow). They are exact whenever ``run()``/``step()`` has
+    returned, not while a callback is running.
     """
 
     __slots__ = ("events", "fast_events", "heap_pushes", "heap_high_water",
@@ -570,9 +567,9 @@ class Simulator:
     def __init__(self, fast_lane: bool = True) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
-        #: same-time FIFO lanes for zero-delay events: (seq, event) pairs
-        self._fast_urgent: deque[tuple[int, Event]] = deque()
-        self._fast_normal: deque[tuple[int, Event]] = deque()
+        #: same-time FIFO lanes for zero-delay events (``Event._seq`` set)
+        self._fast_urgent: deque[Event] = deque()
+        self._fast_normal: deque[Event] = deque()
         self._fast_lane = fast_lane
         self._seq = 0
         self._active_proc: Optional[Process] = None
@@ -613,26 +610,27 @@ class Simulator:
     # -- scheduling / execution -------------------------------------------
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
         self._seq = seq = self._seq + 1
-        stats = self.stats
         if delay == 0.0 and self._fast_lane:
             # Same-time fast lane: zero-delay events can only fire while
             # ``now`` is unchanged, so FIFO append preserves seq order and
             # the dispatcher can treat the lane head as (now, prio, seq).
+            event._seq = seq
             if priority == NORMAL:
-                self._fast_normal.append((seq, event))
+                self._fast_normal.append(event)
             else:
-                self._fast_urgent.append((seq, event))
-            live = (len(self._heap) + len(self._fast_urgent)
-                    + len(self._fast_normal))
-            if live > stats.live_high_water:
-                stats.live_high_water = live
-            return
-        heap = self._heap
-        heapq.heappush(heap, (self._now + delay, priority, seq, event))
-        stats.heap_pushes += 1
-        if len(heap) > stats.heap_high_water:
-            stats.heap_high_water = len(heap)
-        live = len(heap) + len(self._fast_urgent) + len(self._fast_normal)
+                self._fast_urgent.append(event)
+        else:
+            heappush(self._heap, (self._now + delay, priority, seq, event))
+
+    def _settle_stats(self) -> None:
+        """Derive the enqueue-side counters from the pop counts (see
+        :class:`SimStats`); also the high-water sample before a pop."""
+        stats = self.stats
+        heap_len = len(self._heap)
+        stats.heap_pushes = stats.events - stats.fast_events + heap_len
+        if heap_len > stats.heap_high_water:
+            stats.heap_high_water = heap_len
+        live = self._seq - stats.events
         if live > stats.live_high_water:
             stats.live_high_water = live
 
@@ -650,15 +648,15 @@ class Simulator:
         if heap:
             when, prio, seq, event = heap[0]
             if lane is None or (when, prio, seq) < (self._now, lane_prio,
-                                                    lane[0][0]):
-                heapq.heappop(heap)
+                                                    lane[0]._seq):
+                heappop(heap)
                 self._now = when
                 return prio, seq, event
         elif lane is None:
             raise SimulationError("step() on an empty schedule")
-        seq, event = lane.popleft()
+        event = lane.popleft()
         self.stats.fast_events += 1
-        return lane_prio, seq, event
+        return lane_prio, event._seq, event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -668,15 +666,26 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        _prio, _seq, event = self._pop_next()
+        self._settle_stats()
+        prio, seq, event = self._pop_next()
         self.stats.events += 1
-        if self.trace is not None:
-            self.trace(self._now, _prio, _seq, event)
-        event._run_callbacks()
+        try:
+            if self.trace is not None:
+                self.trace(self._now, prio, seq, event)
+            event._run_callbacks()
+        finally:
+            self._settle_stats()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or ``until`` (exclusive for events
-        strictly beyond it; the clock is advanced to ``until``)."""
+        strictly beyond it; the clock is advanced to ``until``).
+
+        Automatic cyclic garbage collection is paused while the run
+        dispatches: the simulation's live heap only grows during a run,
+        and every full collection would re-walk all of it. Kernel objects
+        are acyclic once fired, so reference counting frees their garbage
+        meanwhile. A caller that disabled the collector keeps it disabled.
+        """
         if until is not None and until < self._now:
             raise SimulationError(
                 f"until={until} lies in the past (now={self._now})")
@@ -684,43 +693,69 @@ class Simulator:
         heap = self._heap
         fast_urgent = self._fast_urgent
         fast_normal = self._fast_normal
-        heappop = heapq.heappop
-        stats = self.stats
         trace = self.trace
+        stats = self.stats
+        events = stats.events
+        fast = stats.fast_events
+        heap_hw = stats.heap_high_water
+        live_hw = stats.live_high_water
+        now = self._now
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         # observational only (SimStats); never consulted for scheduling
         wall0 = perf_counter()  # simlint: allow[wall-clock]
         try:
             while True:
                 if fast_urgent:
-                    lane, lane_prio = fast_urgent, URGENT
+                    lane = fast_urgent
+                    prio = URGENT
                 elif fast_normal:
-                    lane, lane_prio = fast_normal, NORMAL
-                else:
+                    lane = fast_normal
+                    prio = NORMAL
+                elif heap:
                     lane = None
-                if heap:
-                    when, prio, seq, event = heap[0]
-                    if lane is None or (when, prio, seq) < (
-                            self._now, lane_prio, lane[0][0]):
-                        if until is not None and when > until:
-                            self._now = until
-                            return
-                        heappop(heap)
-                        self._now = when
-                        stats.events += 1
-                        if trace is not None:
-                            trace(when, prio, seq, event)
-                        event._run_callbacks()
-                        continue
-                elif lane is None:
+                else:
                     break
-                seq, event = lane.popleft()
-                stats.fast_events += 1
-                stats.events += 1
+                live = self._seq - events
+                if live > live_hw:
+                    live_hw = live
+                if lane is not None and heap and heap[0][0] == now:
+                    # a heap entry due now precedes the lane head (key
+                    # (now, prio, seq)) only on a smaller (prio, seq)
+                    top = heap[0]
+                    if top[1] < prio or (top[1] == prio
+                                         and top[2] < lane[0]._seq):
+                        lane = None
+                if lane is None:
+                    if until is not None and heap[0][0] > until:
+                        break
+                    if len(heap) > heap_hw:
+                        heap_hw = len(heap)
+                    now, prio, seq, event = heappop(heap)
+                    self._now = now
+                else:
+                    event = lane.popleft()
+                    seq = event._seq
+                    fast += 1
+                events += 1
                 if trace is not None:
-                    trace(self._now, lane_prio, seq, event)
-                event._run_callbacks()
+                    trace(now, prio, seq, event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                for cb in callbacks:
+                    cb(event)
+                if event._exc is not None and not event._defused:
+                    raise event._exc
         finally:
             stats.wall_time += perf_counter() - wall0  # simlint: allow[wall-clock]
+            if gc_was_enabled:
+                gc.enable()
+            stats.events = events
+            stats.fast_events = fast
+            stats.heap_high_water = heap_hw
+            stats.live_high_water = live_hw
+            self._settle_stats()
             if _resource is not None:
                 # observational only; ru_maxrss is KiB on Linux
                 rss = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

@@ -19,3 +19,12 @@ class Registry:
 
     def withdraw(self, entry):
         self.entries.remove(entry)  # simlint: allow[linear-scan] -- cold path
+
+
+def frozen_measurement(measure):
+    import gc
+    gc.freeze()  # simlint: allow[gc-policy] -- shrinks full passes only
+    try:
+        return measure()
+    finally:
+        gc.unfreeze()  # simlint: allow[gc-policy]

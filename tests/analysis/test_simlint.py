@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import (HOT_PATH_MODULES, RULES, Finding,
-                                    lint_file, lint_paths, lint_source, main)
+from repro.analysis.simlint import (GC_POLICY_OWNER, HOT_PATH_MODULES,
+                                    RULES, Finding, lint_file, lint_paths,
+                                    lint_source, main)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -67,6 +68,21 @@ class TestFixturesFire:
         assert len(findings) == 2
         assert all("leaves()" in f.message for f in findings)
 
+    def test_gc_policy(self):
+        findings = lint_file(FIXTURES / "bad_gc_policy.py")
+        assert rules_fired(findings) == ["gc-policy"]
+        # disable / set_threshold / freeze (imported bare) / unfreeze /
+        # enable; gc.collect() and gc.isenabled() stay quiet
+        assert len(findings) == 5
+        assert all(GC_POLICY_OWNER in f.message for f in findings)
+
+    def test_gc_policy_exempts_only_the_kernel(self):
+        src = "import gc\ndef run():\n    gc.disable()\n    gc.enable()\n"
+        assert lint_source(src, path="/r/src/repro/simx/core.py") == []
+        elsewhere = lint_source(src, path="/r/src/repro/simx/channels.py")
+        assert rules_fired(elsewhere) == ["gc-policy"]
+        assert len(elsewhere) == 2
+
     def test_suppressions_silence_everything(self):
         assert lint_file(FIXTURES / "good_suppressed.py", hot=True) == []
 
@@ -124,7 +140,7 @@ class TestRealTree:
     def test_every_rule_has_a_description(self):
         assert set(RULES) == {"wall-clock", "unseeded-random",
                               "linear-scan", "sweep-pickle", "blocking-io",
-                              "agg-leaves"}
+                              "agg-leaves", "gc-policy"}
         assert all(desc for desc in RULES.values())
 
 

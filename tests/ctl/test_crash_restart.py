@@ -74,3 +74,14 @@ def test_result_dict_is_jsonable():
     import json
     res = run_crash_restart(CrashScenario(seed=17, t_kill=1.0))
     json.dumps(res.as_dict())
+
+
+def test_tree_that_dies_during_downtime_is_not_counted_as_relaunched():
+    # seed 1378: every node under ctl5 crashes from injected node faults
+    # while the control plane is down, so restore reaps the dead tree
+    # instead of adopting it; the audit only holds trees that were still
+    # alive at the restart to the adoption rule
+    res = run_crash_restart(scenario_for_seed(1378))
+    assert res.ok, res.as_dict()
+    assert res.relaunched == 0, res.notes
+    assert res.reaped_sessions == 1

@@ -210,7 +210,7 @@ class TestKernelStats:
 
 
 # ---------------------------------------------------------------------------
-# O(1) interrupt detach (waiter tombstones)
+# O(1) interrupt detach (stale wake-ups rejected by target identity)
 # ---------------------------------------------------------------------------
 
 def _gate_waiter(gate):
@@ -229,7 +229,7 @@ class TestInterruptTombstone:
         sim.run()  # park all waiters
         n_subscribed = len(gate.callbacks)
         procs[37].interrupt("one down")
-        # detach is a tombstone, not a list.remove: same list length
+        # detach forgets the target, no list.remove: same list length
         assert len(gate.callbacks) == n_subscribed
         sim.run()
         gate.succeed("go")
@@ -251,7 +251,7 @@ class TestInterruptTombstone:
         sim.run()
         assert all(p.value == "interrupted" for p in procs)
         gate.succeed("too late")
-        sim.run()  # tombstoned waiters: no resurrection, no crash
+        sim.run()  # detached waiters: no resurrection, no crash
         assert all(p.value == "interrupted" for p in procs)
 
     def test_interrupt_before_bootstrap_detaches_at_delivery(self):
@@ -277,7 +277,7 @@ class TestInterruptTombstone:
         sim.run()
         assert out == ["interrupted"]
         gate.succeed("stale")
-        sim.run()  # the old subscription must be a tombstone by now
+        sim.run()  # the old subscription must be stale by now
         assert out == ["interrupted"]
         second.succeed("fresh")
         sim.run()

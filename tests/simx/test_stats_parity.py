@@ -5,6 +5,12 @@ and the pure-heap kernel; this file pins down the *accounting*: under
 either scheduler every processed event is counted exactly once, the
 lane/heap split adds up, and a realistic subsystem workload (a TBON
 stream over a cluster network) reports identical totals in both modes.
+
+The kernel derives ``heap_pushes`` and the two high waters from its pop
+counts when ``run()``/``step()`` returns instead of counting on every
+enqueue; :class:`PerEnqueueCount` recounts them the per-enqueue way and
+must agree, including for a ``run(until=...)`` that stops with events
+still pending and for bare ``step()`` loops.
 """
 
 import pytest
@@ -15,8 +21,8 @@ from repro.tbon import Overlay, TBONTopology
 from repro.tbon.overlay import StreamSpec
 
 
-def _mixed_workload(sim):
-    """Timeouts, zero-delay churn and interrupts; drains completely."""
+def _mixed_setup(sim):
+    """Timeouts, zero-delay churn and interrupts; returns the workers."""
     gates = [sim.event() for _ in range(4)]
 
     def waiter(gate):
@@ -32,10 +38,33 @@ def _mixed_workload(sim):
         for i, gate in enumerate(gates):
             yield sim.timeout(0.5 * i)
             gate.succeed(i)
+            if i == 1:
+                workers[-1].interrupt("stop")
         yield sim.timeout(1.0)
 
     sim.process(driver())
+    return workers
+
+
+def _mixed_workload(sim):
+    """The mixed setup, drained completely by one run()."""
+    workers = _mixed_setup(sim)
     sim.run()
+    assert all(w.processed for w in workers)
+
+
+def _mixed_until(sim):
+    """The mixed setup, stopped by run(until=...) with events pending."""
+    _mixed_setup(sim)
+    sim.run(until=0.75)
+    assert sim.peek() < float("inf")
+
+
+def _mixed_steps(sim):
+    """The mixed setup, drained by a bare step() loop (no run())."""
+    workers = _mixed_setup(sim)
+    while sim.peek() < float("inf"):
+        sim.step()
     assert all(w.processed for w in workers)
 
 
@@ -130,3 +159,42 @@ class TestStatsParity:
         workload(sim)
         # any real process has a nonzero max RSS once run() returned
         assert sim.stats.peak_rss_kb > 0
+
+
+class PerEnqueueCount:
+    """Counts ``heap_pushes`` and both high waters on every enqueue, by
+    wrapping ``sim._enqueue`` -- the kernel's former way of counting."""
+
+    def __init__(self, sim):
+        self.heap_pushes = self.heap_high_water = self.live_high_water = 0
+        enqueue = sim._enqueue
+
+        def counting_enqueue(event, delay, priority):
+            enqueue(event, delay, priority)
+            heap = len(sim._heap)
+            if not (delay == 0.0 and sim._fast_lane):
+                self.heap_pushes += 1
+                self.heap_high_water = max(self.heap_high_water, heap)
+            live = heap + len(sim._fast_urgent) + len(sim._fast_normal)
+            self.live_high_water = max(self.live_high_water, live)
+
+        sim._enqueue = counting_enqueue
+
+    def totals(self):
+        return (self.heap_pushes, self.heap_high_water,
+                self.live_high_water)
+
+
+@pytest.mark.parametrize("fast_lane", [True, False], ids=["lanes", "heap"])
+@pytest.mark.parametrize(
+    "workload", [_mixed_workload, _mixed_until, _mixed_steps,
+                 _stream_workload],
+    ids=["drained", "until-pending", "steps", "stream"])
+def test_derived_counters_match_per_enqueue_counting(workload, fast_lane):
+    sim = Simulator(fast_lane=fast_lane)
+    recount = PerEnqueueCount(sim)
+    workload(sim)
+    stats = sim.stats
+    assert recount.heap_pushes > 0
+    assert (stats.heap_pushes, stats.heap_high_water,
+            stats.live_high_water) == recount.totals()
