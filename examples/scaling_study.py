@@ -26,7 +26,7 @@ def time_adhoc(launcher, n):
 
     drive(env, scenario(env))
     r = box["r"]
-    return None if r.failed else r.elapsed, r
+    return None if r.report.n_failed else r.report.total, r
 
 
 def main():
@@ -66,7 +66,8 @@ def main():
         box["r"] = r
 
     drive(env, scenario(env))
-    print(f"  ad-hoc rsh:  FAILED ({box['r'].failure.split(':')[-1].strip()})")
+    failure = box["r"].report.failure
+    print(f"  ad-hoc rsh:  FAILED ({failure.split(':')[-1].strip()})")
     m, _, _ = measure_launch_and_spawn(8)
     print(f"  launchmon:   works unchanged ({m.total:.2f} s) -- the RM's "
           f"native launcher needs no node-local remote access")

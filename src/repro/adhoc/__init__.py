@@ -8,15 +8,11 @@ cost, fail when front-end process tables fill (Section 5.2's observed
 512-daemon collapse), and cannot run at all on MPP systems whose compute
 nodes refuse remote access. Since the unified launch layer landed, these
 functions are thin fronts over :class:`~repro.launch.SerialRshStrategy` /
-:class:`~repro.launch.TreeRshStrategy`: each returns an
-:class:`AdHocResult` adapter whose ``.report`` is the strategy's per-phase
+:class:`~repro.launch.TreeRshStrategy`: each returns the strategy's
+:class:`~repro.launch.LaunchResult`, whose ``.report`` is the per-phase
 :class:`~repro.launch.LaunchReport`.
 """
 
-from repro.adhoc.launchers import (
-    AdHocResult,
-    sequential_rsh_launch,
-    tree_rsh_launch,
-)
+from repro.adhoc.launchers import sequential_rsh_launch, tree_rsh_launch
 
-__all__ = ["AdHocResult", "sequential_rsh_launch", "tree_rsh_launch"]
+__all__ = ["sequential_rsh_launch", "tree_rsh_launch"]

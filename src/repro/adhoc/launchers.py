@@ -1,55 +1,27 @@
 """Sequential and tree-based rsh daemon launchers.
 
-These are thin, source-compatible fronts over the unified strategy layer
-(:mod:`repro.launch`): ``sequential_rsh_launch`` drives
-:class:`~repro.launch.SerialRshStrategy` and ``tree_rsh_launch`` drives
-:class:`~repro.launch.TreeRshStrategy`. The historical
-:class:`AdHocResult` shape is preserved for callers; the underlying
-:class:`~repro.launch.LaunchReport` (per-phase timing) rides along as
-``AdHocResult.report``.
+These are thin fronts over the unified strategy layer (:mod:`repro.launch`):
+``sequential_rsh_launch`` drives :class:`~repro.launch.SerialRshStrategy`
+and ``tree_rsh_launch`` drives :class:`~repro.launch.TreeRshStrategy`. Both
+return the strategy's :class:`~repro.launch.LaunchResult`: the spawned
+daemons in ``procs`` and the per-phase :class:`~repro.launch.LaunchReport`
+in ``report`` (``total`` is the elapsed time; ``failure`` / ``n_failed``
+say whether, and why, the launch stopped short).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.cluster import Cluster, Node, SimProcess
+from repro.cluster import Cluster, Node
 from repro.launch import (
-    LaunchReport,
     LaunchRequest,
     LaunchResult,
     SerialRshStrategy,
     TreeRshStrategy,
 )
 
-__all__ = ["AdHocResult", "sequential_rsh_launch", "tree_rsh_launch"]
-
-
-@dataclass
-class AdHocResult:
-    """Outcome of an ad-hoc launch attempt."""
-
-    mechanism: str
-    requested: int
-    spawned: list[SimProcess] = field(default_factory=list)
-    failed: bool = False
-    failure: str = ""
-    elapsed: float = 0.0
-    #: the strategy layer's per-phase timing breakdown
-    report: Optional[LaunchReport] = None
-
-    @property
-    def n_spawned(self) -> int:
-        return len(self.spawned)
-
-    @classmethod
-    def from_launch(cls, mechanism: str, result: LaunchResult,
-                    ) -> "AdHocResult":
-        rep = result.report
-        return cls(mechanism=mechanism, requested=rep.requested,
-                   spawned=list(result.procs), failed=rep.failed,
-                   failure=rep.failure, elapsed=rep.total, report=rep)
+__all__ = ["sequential_rsh_launch", "tree_rsh_launch"]
 
 
 def sequential_rsh_launch(cluster: Cluster, nodes: list[Node],
@@ -57,7 +29,7 @@ def sequential_rsh_launch(cluster: Cluster, nodes: list[Node],
                           image_mb: float = 4.0,
                           hold_clients: bool = True,
                           stage_images: bool = False,
-                          ) -> Generator[Any, Any, AdHocResult]:
+                          ) -> Generator[Any, Any, LaunchResult]:
     """The most common ad-hoc practice: one rsh per daemon, in a loop.
 
     With ``hold_clients`` (the MRNet behaviour) each rsh client stays alive
@@ -66,11 +38,10 @@ def sequential_rsh_launch(cluster: Cluster, nodes: list[Node],
     daemon image through the storage layer's staging mode (off by default:
     the classic ad-hoc model pays rsh costs only).
     """
-    result = yield from SerialRshStrategy().launch(LaunchRequest(
+    return (yield from SerialRshStrategy().launch(LaunchRequest(
         cluster=cluster, nodes=nodes, executable=executable,
         image_mb=image_mb, hold_clients=hold_clients,
-        stage_images=stage_images))
-    return AdHocResult.from_launch("sequential-rsh", result)
+        stage_images=stage_images)))
 
 
 def tree_rsh_launch(cluster: Cluster, nodes: list[Node],
@@ -78,7 +49,7 @@ def tree_rsh_launch(cluster: Cluster, nodes: list[Node],
                     image_mb: float = 4.0,
                     fanout: int = 8,
                     stage_images: bool = False,
-                    ) -> Generator[Any, Any, AdHocResult]:
+                    ) -> Generator[Any, Any, LaunchResult]:
     """Tree-based ad-hoc protocol: spawned daemons spawn children daemons.
 
     Parallelizes the rsh cost across levels (depth x per-rsh instead of
@@ -86,7 +57,6 @@ def tree_rsh_launch(cluster: Cluster, nodes: list[Node],
     rshd on the compute nodes, manual placement, and a manual protocol for
     daemons to find their children.
     """
-    result = yield from TreeRshStrategy().launch(LaunchRequest(
+    return (yield from TreeRshStrategy().launch(LaunchRequest(
         cluster=cluster, nodes=nodes, executable=executable,
-        image_mb=image_mb, fanout=fanout, stage_images=stage_images))
-    return AdHocResult.from_launch(f"tree-rsh(f={fanout})", result)
+        image_mb=image_mb, fanout=fanout, stage_images=stage_images)))

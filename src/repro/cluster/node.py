@@ -38,7 +38,7 @@ __all__ = ["ForkError", "Node", "NodeDown", "NodeTaggedError",
 class NodeTaggedError(OSError):
     """An OS-level failure attributable to one host.
 
-    ``node`` names the culpable host; resilient launches consult it to
+    ``node`` names the culpable host; the launch layer consults it to
     decide whether an exhausted failure condemns the *target* node on the
     blacklist -- a source-side failure (the front end's own process table
     filling) carries the source's name and must not blacklist a healthy

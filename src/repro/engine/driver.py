@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.apps import AppSpec
-from repro.cluster import Cluster, CostModel, SimProcess
+from repro.cluster import Cluster, SimProcess
 from repro.engine.decoder import EventDecoder
 from repro.engine.events import LMONEvent, LMONEventType
 from repro.engine.handlers import EventHandlerTable
@@ -27,14 +27,10 @@ from repro.mpir import (
 )
 from repro.rm.base import Allocation, DaemonSpec, JobState, ResourceManager, RMJob
 
-__all__ = ["ENGINE_EXECUTABLE", "ENGINE_IMAGE_MB", "EngineError",
-           "LaunchMONEngine"]
+__all__ = ["ENGINE_EXECUTABLE", "EngineError", "LaunchMONEngine"]
 
 #: identity of the engine process; shared with the FE's engine-reuse path
 ENGINE_EXECUTABLE = "launchmon-engine"
-#: back-compat alias for the default engine footprint; the live value is
-#: the cluster's CostModel.engine_image_mb (this cannot drift from it)
-ENGINE_IMAGE_MB = CostModel().engine_image_mb
 
 
 class EngineError(RuntimeError):

@@ -162,7 +162,7 @@ def _a3_point(n: int) -> dict:
     def seq(env=env, box=box):
         r = yield from sequential_rsh_launch(
             env.cluster, env.cluster.compute, image_mb=1.0)
-        box["t"] = r.elapsed if not r.failed else None
+        box["t"] = None if r.report.n_failed else r.report.total
 
     drive(env, seq())
     t_seq = box.get("t")
@@ -174,7 +174,7 @@ def _a3_point(n: int) -> dict:
     def tree(env=env, box=box):
         r = yield from tree_rsh_launch(
             env.cluster, env.cluster.compute, image_mb=1.0)
-        box["t"] = r.elapsed if not r.failed else None
+        box["t"] = None if r.report.n_failed else r.report.total
 
     drive(env, tree())
     t_tree = box.get("t")

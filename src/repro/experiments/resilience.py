@@ -10,9 +10,9 @@ fraction of the compute nodes while the daemon set is spawning. The
 with backoff, node blacklisting, a ``min_daemon_fraction`` acceptance
 threshold, and -- for ``tree-rsh`` -- launch-time subtree re-rooting):
 
-* **repair off** (the legacy contract): any node crash fails the whole
-  launch -- ``serial-rsh`` stops at the first dead node, ``rm-bulk``
-  aborts the set, and the session lands in ``FAILED``;
+* **repair off** (no policy, ``on_failure="stop"``): any node crash fails
+  the whole launch -- the rsh strategies stop at the first dead node,
+  ``rm-bulk`` aborts the set, and the session lands in ``FAILED``;
 * **repair on**: the launch absorbs the crashes (retry, blacklist, route
   around), completes with the surviving daemons, and the session lands in
   ``DEGRADED`` -- with every missing daemon index attributed in

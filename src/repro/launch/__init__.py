@@ -3,9 +3,8 @@
 One pluggable :class:`LaunchStrategy` interface (``serial-rsh``,
 ``tree-rsh``, ``rm-bulk``) behind every launch path in the repo, with a
 common :class:`LaunchReport` carrying the per-phase timing breakdown
-(spawn / image-stage / topo-dist / connect / handshake / repair) *and*,
-for resilient launches, per-index failure attribution (outcomes / retries
-/ blacklisted nodes). :class:`LaunchPolicy` bundles the resilience knobs
+(spawn / image-stage / topo-dist / connect / handshake / repair) *and*
+per-index failure attribution (outcomes / retries / blacklisted nodes). :class:`LaunchPolicy` bundles the resilience knobs
 -- per-daemon timeout, bounded retry with backoff, node blacklisting,
 min-daemon fraction -- that resource managers apply to every spawn. See
 :mod:`repro.launch.strategy` for the mechanism semantics,

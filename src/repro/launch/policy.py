@@ -25,10 +25,11 @@ PAPERS.md), not bolted on by callers:
   (``0`` = wait forever, the classic behaviour).
 
 The all-defaults policy (``LaunchPolicy()``) is *not* the same as no policy:
-it still demands a complete daemon set (min fraction 1.0) but routes the
-launch through the resilient bookkeeping, so per-index outcomes are
-recorded. ``ResourceManager(policy=None)`` -- the default everywhere --
-keeps the exact legacy semantics and timing.
+it still demands a complete daemon set (min fraction 1.0) but launches
+past failures (``on_failure="continue"``), so every index is attempted
+and attributed before the verdict. ``ResourceManager(policy=None)`` -- the
+default everywhere -- spawns each daemon once and stops at the first
+failure (``rm-bulk`` aborts the set).
 """
 
 from __future__ import annotations

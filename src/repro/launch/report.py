@@ -24,16 +24,15 @@ instead of comparing opaque totals:
 
 Failure attribution
 -------------------
-A resilient launch (per-daemon timeout / bounded retry / blacklisting --
-see :class:`~repro.launch.policy.LaunchPolicy`) additionally records a
-**per-index outcome** for every requested daemon, so a partial launch is
-attributed, not guessed: ``outcomes[i]`` is ``"ok"``, ``"failed"``
-(spawn attempts exhausted), ``"skipped"`` (the node was already
-blacklisted) or ``"lost"`` (spawned, but the daemon died before the set
-assembled -- a node crash between fork and fabric wireup);
+Every launch records a **per-index outcome** for each daemon it attempted,
+so a partial launch is attributed, not guessed: ``outcomes[i]`` is
+``"ok"``, ``"failed"`` (spawn attempts exhausted), ``"skipped"`` (the node
+was already blacklisted) or ``"lost"`` (spawned, but the daemon died
+before the set assembled -- a node crash between fork and fabric wireup);
 ``retries[i]`` counts the extra attempts index ``i`` needed;
-``blacklisted`` lists nodes this launch condemned. Legacy (non-resilient)
-launches keep the historical ``failed``/``failure`` first-error fields.
+``blacklisted`` lists nodes this launch condemned; ``failure`` holds the
+first exhausted failure's message. A launch that stopped at its first
+failure leaves the indices it never attempted without an outcome.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ class LaunchReport:
     interleaved with a sequential spawn loop are *attributed* to
     ``t_image_stage`` out of the spawn window). ``requested`` vs
     ``n_daemons`` tells whether the launch was partial; the per-index
-    ``outcomes``/``retries``/``blacklisted`` fields (resilient launches
-    only) say exactly which daemons failed, how hard they were retried,
-    and which nodes were condemned.
+    ``outcomes``/``retries``/``blacklisted`` fields say exactly which
+    daemons failed, how hard they were retried, and which nodes were
+    condemned.
     """
 
     mechanism: str
@@ -73,10 +72,10 @@ class LaunchReport:
     total: float = 0.0
     fe_procs_peak: int = 0
     staging_mode: str = "shared-fs"
-    failed: bool = False
+    #: the first exhausted spawn failure ("" when none)
     failure: str = ""
     #: per-index outcome: "ok" / "failed" / "skipped" / "lost"
-    #: (resilient launches; see the module docstring for the vocabulary)
+    #: (see the module docstring for the vocabulary)
     outcomes: dict = field(default_factory=dict)
     #: per-index count of extra spawn attempts beyond the first
     retries: dict = field(default_factory=dict)

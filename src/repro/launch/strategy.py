@@ -22,26 +22,30 @@ honouring its ``shared-fs``/``cache``/``broadcast`` staging mode) when
 ``stage_images`` is set, and returns a :class:`LaunchResult` carrying the
 spawned processes plus a per-phase :class:`~repro.launch.report.LaunchReport`.
 
-Failure contracts
------------------
-In the **legacy** (non-resilient) mode the contracts differ by design,
-mirroring the mechanisms they model: the rsh strategies *record* the first
-failure in the report and return the partial result (ad-hoc practice limps
-along; callers inspect ``report.failed``), while ``rm-bulk`` is
-all-or-nothing -- it reaps partial daemons and re-raises, like a real RM
-aborting a job step.
+Failure contract
+----------------
+Every strategy spawns each daemon through one per-index routine
+(:meth:`LaunchStrategy._spawn`): the attempt is bounded by
+``per_daemon_timeout``, retried ``max_retries`` times with exponential
+backoff, and a node whose retries are exhausted joins the ``blacklist``;
+the index's outcome (``outcomes`` / ``retries`` / ``blacklisted``) lands in
+the report either way. With every knob at its default the attempt simply
+runs inline, once. What an exhausted failure does to the rest of the
+launch is the request's ``on_failure``:
 
-A **resilient** request (any of ``per_daemon_timeout`` / ``max_retries`` /
-``blacklist`` set -- usually via :class:`~repro.launch.policy.LaunchPolicy`)
-switches all three strategies to the survive-and-attribute contract: each
-daemon's spawn is bounded by the per-daemon timeout, retried with
-exponential backoff, and its node blacklisted when retries are exhausted;
-the launch then *continues* past the failure (tree-rsh re-roots the failed
-head's remaining subtree at the live origin -- launch-time self-repair),
-and the report carries a per-index outcome for every requested daemon
-(``outcomes`` / ``retries`` / ``blacklisted``). Deciding whether a partial
-set is acceptable is the caller's policy (``min_daemon_fraction`` in the
-resource manager), not the strategy's.
+* ``"stop"`` (the default) -- record the first failure in
+  ``report.failure`` and start no further spawns; the partial result is
+  returned (ad-hoc practice limps along);
+* ``"raise"`` -- propagate the failure out of the launch;
+* ``"continue"`` -- record it and launch the rest (tree-rsh re-roots the
+  failed head's remaining subtree at the live origin -- launch-time
+  self-repair). This is what a :class:`~repro.launch.policy.LaunchPolicy`
+  selects; deciding whether the partial set is acceptable stays with the
+  caller (``min_daemon_fraction`` in the resource manager).
+
+``rm-bulk`` is all-or-nothing under both ``"stop"`` and ``"raise"``: it
+interrupts the in-flight spawns, reaps the daemons already forked and
+re-raises, like a real RM aborting a job step.
 """
 
 from __future__ import annotations
@@ -83,8 +87,11 @@ class LaunchTimeout(NodeTaggedError):
     launcher's side)."""
 
 
-#: the failures a resilient launch absorbs (records + retries) instead of
-#: propagating; anything else is a programming error and raises through
+#: the ``LaunchRequest.on_failure`` values (see the module docstring)
+ON_FAILURE = ("stop", "raise", "continue")
+
+#: the failures a launch records (and retries) per index; anything else is
+#: a programming error and raises through
 SPAWN_ERRORS = (ForkError, RemoteExecError, NodeDown, LaunchTimeout)
 
 
@@ -100,11 +107,11 @@ class LaunchRequest:
     time -- e.g. the ad-hoc topology-file read -- or do plain bookkeeping
     and return None).
 
-    The resilience knobs (``per_daemon_timeout`` / ``max_retries`` /
-    ``retry_backoff`` / ``blacklist``) default to off; setting any of them
-    makes the request *resilient* (see the module docstring for the
-    contract change). ``blacklist`` is a caller-owned mutable set of node
-    names, shared so what one launch condemns a later launch skips.
+    The per-daemon knobs (``per_daemon_timeout`` / ``max_retries`` /
+    ``retry_backoff`` / ``blacklist``) default to off, and ``on_failure``
+    says what an exhausted failure does to the launch (see the module
+    docstring). ``blacklist`` is a caller-owned mutable set of node names,
+    shared so what one launch condemns a later launch skips.
     """
 
     cluster: Cluster
@@ -123,11 +130,8 @@ class LaunchRequest:
     image_key: Optional[str] = None
     #: node the launch originates from (defaults to the front end)
     source: Optional[Node] = None
-    #: serial-rsh: propagate spawn failures instead of recording them in
-    #: the report (the RM-driven job-launch contract); rm-bulk always
-    #: raises, tree-rsh always records. Ignored by resilient requests
-    #: (which never propagate SPAWN_ERRORS).
-    raise_on_error: bool = False
+    #: what an exhausted spawn failure does: "stop", "raise" or "continue"
+    on_failure: str = "stop"
     #: interrupt one daemon's spawn attempt after this long (0 = never)
     per_daemon_timeout: float = 0.0
     #: extra attempts per daemon after the first fails
@@ -136,38 +140,28 @@ class LaunchRequest:
     retry_backoff: float = 0.05
     #: shared set of condemned node names (None = no blacklisting)
     blacklist: Optional[set] = None
-    #: explicit contract override: True forces the survive-and-attribute
-    #: contract even with every per-daemon knob off (what a LaunchPolicy
-    #: guarantees), False forces legacy; None = infer from the knobs
-    resilient_mode: Optional[bool] = None
     args_for: Optional[Callable[[int, Node], tuple]] = None
     image_mb_for: Optional[Callable[[int, Node], float]] = None
     post_spawn: Optional[Callable[[int, Node, SimProcess], Any]] = None
+
+    def __post_init__(self):
+        if self.on_failure not in ON_FAILURE:
+            raise ValueError(f"on_failure must be one of {ON_FAILURE}, "
+                             f"not {self.on_failure!r}")
 
     @property
     def key(self) -> str:
         return self.image_key or self.executable
 
-    @property
-    def resilient(self) -> bool:
-        """Whether this request runs under the survive-and-attribute
-        contract (``resilient_mode`` when set, else inferred from the
-        per-daemon knobs)."""
-        if self.resilient_mode is not None:
-            return self.resilient_mode
-        return (self.per_daemon_timeout > 0 or self.max_retries > 0
-                or self.blacklist is not None)
-
     def apply_policy(self, policy, blacklist: Optional[set] = None) -> None:
         """Copy a :class:`~repro.launch.policy.LaunchPolicy`'s per-daemon
-        knobs onto this request (the min-fraction verdict stays with the
-        caller). A policy always selects the resilient contract -- even one
-        with every per-daemon knob off still wants per-index outcome
-        bookkeeping for its acceptance-fraction verdict."""
+        knobs onto this request and launch past failures (``"continue"``):
+        the policy's min-fraction verdict, which stays with the caller,
+        judges a set in which every index was attempted and attributed."""
         self.per_daemon_timeout = policy.per_daemon_timeout
         self.max_retries = policy.max_retries
         self.retry_backoff = policy.retry_backoff
-        self.resilient_mode = True
+        self.on_failure = "continue"
         if policy.blacklist_nodes:
             self.blacklist = blacklist if blacklist is not None else set()
 
@@ -189,11 +183,10 @@ class LaunchRequest:
 class LaunchResult:
     """Spawned daemon processes plus the per-phase timing report.
 
-    ``procs`` holds the successes in spawn-completion order (the legacy
-    face); ``slots`` maps *request index* -> process so partial results
-    keep the index <-> node association (resilient launches leave failed
-    indices out -- pair ``slots`` with ``request.nodes`` to know exactly
-    which daemon runs where).
+    ``procs`` holds the successes in spawn-completion order; ``slots`` maps
+    *request index* -> process so partial results keep the index <-> node
+    association (failed indices are left out -- pair ``slots`` with
+    ``request.nodes`` to know exactly which daemon runs where).
     """
 
     procs: list = field(default_factory=list)
@@ -252,60 +245,56 @@ class LaunchStrategy:
         if gen is not None:
             yield from gen
 
-    # -- resilient spawn machinery -------------------------------------------
-    def _attempt(self, req: LaunchRequest, node: Node,
-                 attempt_factory: Callable[[], Generator],
-                 ) -> Generator[Any, Any, SimProcess]:
-        """Run one spawn attempt, bounded by the per-daemon timeout.
+    # -- the per-index spawn routine ----------------------------------------
+    #: ``on_failure`` values under which an exhausted failure propagates
+    #: out of :meth:`_spawn` instead of being recorded and returned as None
+    propagate_on = ("raise",)
 
-        Without a timeout the attempt runs inline (identical event order to
-        a legacy launch); with one, it runs through
-        :func:`~repro.simx.run_bounded` -- on timeout the attempt is
-        interrupted (image loads and forks release their resources; they
-        are interrupt-safe by construction) and :class:`LaunchTimeout`
-        raised.
-        """
-        sim = req.cluster.sim
-        if req.per_daemon_timeout <= 0:
-            proc = yield from attempt_factory()
-            return proc
-        worker = yield from run_bounded(
-            sim, attempt_factory(), req.per_daemon_timeout,
-            name=f"spawn-try:{node.name}")
-        if worker is None:
-            raise LaunchTimeout(
-                f"{node.name}: spawn attempt exceeded "
-                f"{req.per_daemon_timeout}s", node=node.name)
-        return worker.value
-
-    def _spawn_resilient(self, req: LaunchRequest, report: LaunchReport,
-                         i: int, node: Node,
-                         attempt_factory: Callable[[], Generator],
-                         ) -> Generator[Any, Any, Optional[SimProcess]]:
-        """Spawn daemon ``i`` under the resilient contract.
+    def _spawn(self, req: LaunchRequest, report: LaunchReport, i: int,
+               node: Node, attempt_factory: Callable[[], Generator],
+               ) -> Generator[Any, Any, Optional[SimProcess]]:
+        """Spawn daemon ``i``; every strategy's only spawn path.
 
         Returns the process, or None after recording the index's outcome
         (``skipped`` for an already-blacklisted node, ``failed`` once the
         bounded retries -- exponential backoff between attempts -- are
-        exhausted). Exhausted retries condemn the node on the shared
-        blacklist **only when the failure is attributable to it** (the
-        exception's ``node`` tag matches the target): a source-side
-        failure -- the front end's own process table filling, the origin
-        dying -- must not condemn a healthy target.
+        exhausted; the first such failure also lands in
+        ``report.failure``). Without a per-daemon timeout each attempt runs
+        inline; with one it runs through :func:`~repro.simx.run_bounded`
+        -- on timeout the attempt is interrupted (image loads and forks
+        release their resources; they are interrupt-safe by construction)
+        and counts as a :class:`LaunchTimeout`. Exhausted retries condemn
+        the node on the shared blacklist **only when the failure is
+        attributable to it** (the exception's ``node`` tag matches the
+        target): a source-side failure -- the front end's own process
+        table filling, the origin dying -- must not condemn a healthy
+        target.
         """
         sim = req.cluster.sim
         blacklist = req.blacklist
         if blacklist is not None and node.name in blacklist:
             report.outcomes[i] = "skipped"
             return None
+        timeout = req.per_daemon_timeout
         delay = max(0.0, req.retry_backoff)
-        attempts = req.max_retries + 1
-        for attempt in range(attempts):
+        retries = 0
+        while True:
             try:
-                proc = yield from self._attempt(req, node, attempt_factory)
+                if timeout <= 0:
+                    proc = yield from attempt_factory()
+                else:
+                    worker = yield from run_bounded(
+                        sim, attempt_factory(), timeout,
+                        name=f"spawn-try:{node.name}")
+                    if worker is None:
+                        raise LaunchTimeout(
+                            f"{node.name}: spawn attempt exceeded "
+                            f"{timeout}s", node=node.name)
+                    proc = worker.value
             except SPAWN_ERRORS as exc:
-                if attempt + 1 < attempts:
-                    report.retries[i] = report.retries.get(i, 0) + 1
+                if retries < req.max_retries:
+                    retries += 1
+                    report.retries[i] = retries
                     if delay > 0:
                         yield sim.timeout(delay)
                     delay *= 2.0
@@ -318,10 +307,11 @@ class LaunchStrategy:
                         and node.name not in blacklist):
                     blacklist.add(node.name)
                     report.blacklisted.append(node.name)
+                if req.on_failure in self.propagate_on:
+                    raise
                 return None
             report.outcomes[i] = "ok"
             return proc
-        return None  # pragma: no cover - loop always returns
 
     @staticmethod
     def _attribute_fs_time(report: LaunchReport, req: LaunchRequest,
@@ -353,9 +343,7 @@ class SerialRshStrategy(LaunchStrategy):
 
     With ``hold_clients`` (the MRNet behaviour) each rsh client stays alive
     on the source node, so the launch eventually exhausts its process table
-    instead of merely being slow. Legacy contract: stop at the first
-    failure (or raise with ``raise_on_error``); resilient contract: retry,
-    blacklist and keep walking the node list.
+    instead of merely being slow.
     """
 
     name = "serial-rsh"
@@ -372,8 +360,10 @@ class SerialRshStrategy(LaunchStrategy):
         yield from self._prestage(req, report)
         t_spawn0 = sim.now
         busy0 = fs.busy_time
-        resilient = req.resilient
         for i, node in enumerate(req.nodes):
+            if report.failure and req.on_failure != "continue":
+                break
+
             def attempt(i=i, node=node):
                 image = req.resolved_image_mb(i, node)
                 if req.stage_images:
@@ -384,20 +374,9 @@ class SerialRshStrategy(LaunchStrategy):
                     hold_client=req.hold_clients)
                 return proc
 
-            if resilient:
-                proc = yield from self._spawn_resilient(
-                    req, report, i, node, attempt)
-                if proc is None:
-                    continue
-            else:
-                try:
-                    proc = yield from attempt()
-                except SPAWN_ERRORS as exc:
-                    if req.raise_on_error:
-                        raise
-                    report.failed = True
-                    report.failure = str(exc)
-                    break
+            proc = yield from self._spawn(req, report, i, node, attempt)
+            if proc is None:
+                continue
             result.procs.append(proc)
             result.slots[i] = proc
             yield from self._run_post_spawn(req, i, node, proc)
@@ -415,10 +394,11 @@ class TreeRshStrategy(LaunchStrategy):
     rshd on the compute nodes, manual placement, and a manual protocol for
     daemons to find their children.
 
-    Resilient contract adds launch-time self-repair: when a subtree head
-    cannot be spawned (its node crashed, flapped past its retries, or
-    timed out), the head's remaining targets are *re-rooted at the live
-    origin* instead of being orphaned -- the tree grows around the hole.
+    Under ``on_failure="continue"`` the launch repairs itself: when a
+    subtree head cannot be spawned (its node crashed, flapped past its
+    retries, or timed out), the head's remaining targets are *re-rooted at
+    the live origin* instead of being orphaned -- the tree grows around
+    the hole.
     """
 
     name = "tree-rsh"
@@ -436,8 +416,6 @@ class TreeRshStrategy(LaunchStrategy):
         yield from self._prestage(req, report)
         t_spawn0 = sim.now
         busy0 = fs.busy_time
-        failure: list[str] = []
-        resilient = req.resilient
 
         def spawn_subtree(origin: Node, targets: list):
             """rsh the first target from origin; it spawns its slices.
@@ -445,11 +423,11 @@ class TreeRshStrategy(LaunchStrategy):
             ``targets`` holds ``(index, node)`` pairs so the per-index
             request hooks (args_for / image_mb_for / post_spawn) see each
             daemon's position in ``req.nodes`` despite the tree order.
-            In resilient mode a failed head's remaining targets re-root
-            here at ``origin`` (the nearest live ancestor).
+            A failed head's remaining targets re-root here at ``origin``
+            (the nearest live ancestor) unless the launch has stopped.
             """
             while targets:
-                if failure and not resilient:
+                if report.failure and req.on_failure != "continue":
                     return
                 (idx, head), rest = targets[0], targets[1:]
 
@@ -465,20 +443,13 @@ class TreeRshStrategy(LaunchStrategy):
                         hold_client=req.hold_clients)
                     return proc
 
-                if resilient:
-                    proc = yield from self._spawn_resilient(
-                        req, report, idx, head, attempt)
-                    if proc is None:
-                        # self-repair: origin adopts the failed head's
-                        # remaining subtree
-                        targets = rest
-                        continue
-                else:
-                    try:
-                        proc = yield from attempt()
-                    except SPAWN_ERRORS as exc:
-                        failure.append(str(exc))
-                        return
+                proc = yield from self._spawn(req, report, idx, head,
+                                              attempt)
+                if proc is None:
+                    # self-repair: origin adopts the failed head's
+                    # remaining subtree
+                    targets = rest
+                    continue
                 result.procs.append(proc)
                 result.slots[idx] = proc
                 yield from self._run_post_spawn(req, idx, head, proc)
@@ -497,9 +468,6 @@ class TreeRshStrategy(LaunchStrategy):
         top = [sim.process(spawn_subtree(src, s), name="tree-rsh-root")
                for s in roots if s]
         yield sim.all_of(top)
-        if failure:
-            report.failed = True
-            report.failure = failure[0]
         window = sim.now - t_spawn0
         staged = self._attribute_fs_time(report, req, busy0, window)
         report.t_spawn = max(0.0, window - staged)
@@ -515,15 +483,16 @@ class RmBulkStrategy(LaunchStrategy):
     launch-tree descent) stays with the resource manager, which adds it to
     the report's spawn phase.
 
-    Legacy contract is all-or-nothing: a failed spawn interrupts the
-    in-flight workers, reaps the daemons already forked, and re-raises -- a
-    failed set must not leave orphan processes squatting on the nodes.
-    Resilient contract: each node's worker absorbs its own failures
-    (timeout / retry / blacklist) and the set completes with whatever
-    survived, attributed per index.
+    All-or-nothing unless ``on_failure="continue"``: a failed spawn
+    interrupts the in-flight workers, reaps the daemons already forked, and
+    re-raises -- a failed set must not leave orphan processes squatting on
+    the nodes. Under ``"continue"`` each node's worker absorbs its own
+    failures and the set completes with whatever survived, attributed per
+    index.
     """
 
     name = "rm-bulk"
+    propagate_on = ("stop", "raise")
 
     def launch(self, req: LaunchRequest,
                ) -> Generator[Any, Any, LaunchResult]:
@@ -538,7 +507,6 @@ class RmBulkStrategy(LaunchStrategy):
         t_spawn0 = sim.now
         busy0 = fs.busy_time
         procs: list = [None] * len(nodes)
-        resilient = req.resilient
 
         def _attempt_one(i: int, node: Node):
             image = req.resolved_image_mb(i, node)
@@ -550,13 +518,10 @@ class RmBulkStrategy(LaunchStrategy):
             return proc
 
         def _spawn_one(i: int, node: Node):
-            if resilient:
-                proc = yield from self._spawn_resilient(
-                    req, report, i, node, lambda: _attempt_one(i, node))
-                if proc is None:
-                    return
-            else:
-                proc = yield from _attempt_one(i, node)
+            proc = yield from self._spawn(
+                req, report, i, node, lambda: _attempt_one(i, node))
+            if proc is None:
+                return
             procs[i] = proc
             yield from self._run_post_spawn(req, i, node, proc)
 

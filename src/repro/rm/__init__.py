@@ -22,11 +22,11 @@ Every capable RM spawns daemon sets through the unified launch layer
 ``rm-bulk`` -- the default, Section 3.1's efficient path -- or an rsh
 strategy for ad-hoc platforms and the resilience sweep) and records the
 per-phase :class:`~repro.launch.LaunchReport` in ``last_launch_report``.
-With a :class:`~repro.launch.LaunchPolicy` set, spawns run under the
-resilient contract (timeout / bounded retry / blacklisting, a
-``min_daemon_fraction`` acceptance threshold), ``node_blacklist`` holds the
-condemned nodes, and ``free_nodes()`` refuses to re-allocate them -- or
-any crashed node -- for the rest of the session.
+With a :class:`~repro.launch.LaunchPolicy` set, spawns run under its
+timeout / bounded retry / blacklisting and launch past failures (the
+partial set is judged by ``min_daemon_fraction``), ``node_blacklist``
+holds the condemned nodes, and ``free_nodes()`` refuses to re-allocate
+them -- or any crashed node -- for the rest of the session.
 """
 
 from repro.rm.base import (

@@ -279,8 +279,8 @@ class ResourceManager:
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.rng = SeededRNG(seed, f"rm:{self.name}")
-        #: resilience policy applied to every daemon spawn (None = legacy:
-        #: spawns are unguarded and a partial set is a hard failure)
+        #: resilience policy applied to every daemon spawn (None: each
+        #: daemon is spawned once and a partial set is a hard failure)
         self.policy = policy
         #: which LaunchStrategy spawns daemon sets ("rm-bulk" default; the
         #: rsh strategies model ad-hoc platforms and the resilience sweep)
@@ -558,12 +558,12 @@ class ResourceManager:
         to the report's spawn phase by the caller.
 
         With a :class:`~repro.launch.LaunchPolicy` set, each daemon's spawn
-        runs under the resilient contract (timeout / bounded retry /
-        blacklisting) and a partial set is accepted down to the policy's
-        ``min_daemon_fraction`` -- the report attributes every missing
-        index. Below the fraction (or on *any* shortfall without a policy)
-        the survivors are reaped and :class:`RMError` raises, so a failed
-        set cannot leave orphans squatting on nodes.
+        runs under the policy's timeout / bounded retry / blacklisting, the
+        launch continues past failures, and a partial set is accepted down
+        to the policy's ``min_daemon_fraction`` -- the report attributes
+        every missing index. Below the fraction (or on *any* shortfall
+        without a policy) the survivors are reaped and :class:`RMError`
+        raises, so a failed set cannot leave orphans squatting on nodes.
         """
         strat_name = self.launch_strategy or "rm-bulk"
         strat = (self.bulk_strategy if strat_name == "rm-bulk"
@@ -583,9 +583,7 @@ class ResourceManager:
         survivors = [p for p in result.procs if p.alive]
         need = (self.policy.min_daemons(requested)
                 if self.policy is not None else requested)
-        short = len(survivors) < need or (self.policy is None
-                                          and report.failed)
-        if short:
+        if len(survivors) < need:
             for p in result.procs:
                 if p.alive:
                     p.exit(9)

@@ -60,8 +60,7 @@ class RshRM(ResourceManager):
 
         Routed through the unified ``serial-rsh``
         :class:`~repro.launch.LaunchStrategy` with per-rank argument/image
-        hooks; spawn failures propagate (``raise_on_error``), matching the
-        historical contract.
+        hooks; spawn failures propagate (``on_failure="raise"``).
         """
         launcher = job.launcher
         if launcher.state.value == "T":
@@ -84,7 +83,7 @@ class RshRM(ResourceManager):
             image_mb_for=lambda i, node: (
                 app.image_mb if ranks[i] % app.tasks_per_node == 0 else 0.0),
             post_spawn=imprint,
-            raise_on_error=True))
+            on_failure="raise"))
         self.last_launch_report = result.report
         traced = launcher.memory.get(MPIR_BEING_DEBUGGED, 0)
         job.publish_mpir(stopped=bool(traced))

@@ -270,7 +270,7 @@ class SlurmRM(ResourceManager):
         result.report.total += protocol_overhead
 
         # pair surviving daemons with their nodes by request index: a
-        # resilient launch may return a partial set (failed indices are
+        # policy-driven launch may return a partial set (failed indices are
         # attributed in the report), and a daemon whose node crashed
         # between spawn and now must not get a body started on it
         pairs = [(node, result.slots[i]) for i, node in enumerate(nodes)

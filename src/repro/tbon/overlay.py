@@ -75,13 +75,6 @@ __all__ = ["DEFAULT_CREDIT_LIMIT", "Overlay", "OverlayEndpoint",
 #: credit limit used when a persistent stream is opened from a legacy spec
 DEFAULT_CREDIT_LIMIT = 4
 
-#: **Test-only hazard switch.** True reverts :meth:`Overlay.children_of`
-#: to the pre-cache behaviour (a full O(size) rebuild on every call) --
-#: the wall-clock O(N^2) class scalecheck exists to catch, planted by
-#: tests/analysis/test_scalecheck.py to prove the detector fires.
-#: Virtual timings are unaffected either way. Never set in production.
-REVERT_CHILDREN_CACHE = False
-
 
 @dataclass(frozen=True)
 class StreamSpec:
@@ -204,7 +197,7 @@ class Overlay:
 
     def children_of(self, pos: int) -> list[int]:
         """Live effective children of ``pos``."""
-        cache = None if REVERT_CHILDREN_CACHE else self._children_cache
+        cache = self._children_cache
         if cache is None:
             # one O(size) pass instead of O(size) *per call*: router
             # startup alone asks for every position's children, which made
@@ -217,8 +210,7 @@ class Overlay:
                     par = parent[q]
                     if par is not None:
                         cache[par].append(q)
-            if not REVERT_CHILDREN_CACHE:
-                self._children_cache = cache
+            self._children_cache = cache
         return list(cache[pos])
 
     def live_positions(self) -> list[int]:

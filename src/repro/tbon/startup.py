@@ -35,15 +35,6 @@ MRNET_PER_BE_HANDSHAKE = 0.003
 #: TBON startups report through the unified launch layer's per-phase report
 StartupReport = LaunchReport
 
-#: **Test-only hazard switch.** True reverts ``launchmon_startup`` to the
-#: pre-PR-5 behaviour where every daemon re-parses the piggybacked
-#: topology wire form and the placement broadcast instead of sharing one
-#: parsed copy per session -- an O(N^2) wall-clock term (N daemons x O(N)
-#: parse) that is invisible in virtual time. Planted by
-#: tests/analysis/test_scalecheck.py to prove scalecheck catches the
-#: class. Never set in production.
-REVERT_SHARED_PARSE = False
-
 
 class StartupFailure(RuntimeError):
     """The startup mechanism collapsed (e.g. fork failure at scale)."""
@@ -120,7 +111,7 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
         source=fe))
     report = launch.report
     report.mechanism = "mrnet-rsh"
-    if report.failed:
+    if report.n_failed:
         raise StartupFailure(
             f"ad-hoc startup failed after {launch.n_spawned} daemons: "
             f"{report.failure}", spawned=launch.n_spawned)
@@ -218,12 +209,12 @@ def launchmon_startup(fe_api, session, job: RMJob,
         # same wire object -- at 64k daemons the per-daemon parses were
         # an O(N^2) wall-clock term that dwarfed the simulation itself
         wire = ctx.usr_data_init["topology"]
-        if REVERT_SHARED_PARSE or shared.get("topo_wire") is not wire:
+        if shared.get("topo_wire") is not wire:
             shared["topo_wire"] = wire
             shared["topo_parsed"] = TBONTopology.from_jsonable(wire)
             shared["be_positions"] = shared["topo_parsed"].backends()  # simlint: allow[agg-leaves] -- daemon-side parse: only simulated daemons exist
         topo_l = shared["topo_parsed"]
-        if REVERT_SHARED_PARSE or shared.get("placement_wire") is not info:
+        if shared.get("placement_wire") is not info:
             shared["placement_wire"] = info
             shared["placement_names"] = {
                 int(k): v for k, v in info["placement"].items()}

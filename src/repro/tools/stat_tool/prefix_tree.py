@@ -157,10 +157,3 @@ def merge_trees(trees: Iterable[PrefixTree]) -> PrefixTree:
     for t in trees:
         out.merge(t)
     return out
-
-
-# The "prefix_tree_merge" TBON filter is now a first-class built-in of
-# repro.tbon.filters (promoted so the data plane needs no tool import);
-# the dict-level merge there is byte-identical to round-tripping through
-# PrefixTree. The historical name is kept as an alias for old callers.
-from repro.tbon.filters import prefix_tree_merge as _merge_filter  # noqa: E402,F401

@@ -27,9 +27,9 @@ class TestSequentialRsh:
 
         drive(env, s(env))
         r = box["r"]
-        assert not r.failed
+        assert not r.report.n_failed
         assert r.n_spawned == 6
-        assert {p.node.name for p in r.spawned} == {
+        assert {p.node.name for p in r.procs} == {
             n.name for n in env.cluster.compute}
 
     def test_elapsed_linear(self):
@@ -42,7 +42,7 @@ class TestSequentialRsh:
                     env.cluster, env.cluster.compute)
 
             drive(env, s(env))
-            return box["r"].elapsed
+            return box["r"].report.total
 
         assert t(16) == pytest.approx(2 * t(8), rel=0.15)
 
@@ -56,8 +56,8 @@ class TestSequentialRsh:
                 env.cluster, env.cluster.compute)
 
         drive(env, s(env))
-        assert box["r"].failed
-        assert "process limit" in box["r"].failure
+        assert box["r"].report.n_failed
+        assert "process limit" in box["r"].report.failure
         assert box["r"].n_spawned == 5
 
     def test_without_holding_clients_no_limit(self):
@@ -70,7 +70,7 @@ class TestSequentialRsh:
                 env.cluster, env.cluster.compute, hold_clients=False)
 
         drive(env, s(env))
-        assert not box["r"].failed
+        assert not box["r"].report.n_failed
         assert box["r"].n_spawned == 12
 
     def test_fails_on_mpp(self):
@@ -83,8 +83,8 @@ class TestSequentialRsh:
                 env.cluster, env.cluster.compute)
 
         drive(env, s(env))
-        assert box["r"].failed
-        assert "refused" in box["r"].failure
+        assert box["r"].report.n_failed
+        assert "refused" in box["r"].report.failure
 
 
 class TestTreeRsh:
@@ -97,7 +97,7 @@ class TestTreeRsh:
                 env.cluster, env.cluster.compute, fanout=4)
 
         drive(env, s(env))
-        assert not box["r"].failed
+        assert not box["r"].report.n_failed
         assert box["r"].n_spawned == 20
 
     def test_much_faster_than_sequential(self):
@@ -113,7 +113,7 @@ class TestTreeRsh:
                                                env.cluster.compute)
 
             drive(env, s())
-            times[name] = box["r"].elapsed
+            times[name] = box["r"].report.total
         assert times["seq"] > 10 * times["tree"]
 
     def test_depth_scaling(self):
@@ -127,7 +127,7 @@ class TestTreeRsh:
                     env.cluster, env.cluster.compute, fanout=8)
 
             drive(env, s())
-            return box["r"].elapsed
+            return box["r"].report.total
 
         assert t(64) < 2.5 * t(8)
 

@@ -5,14 +5,14 @@ import json
 
 import pytest
 
-import repro.tbon.overlay as overlay_mod
-import repro.tbon.startup as startup_mod
+import repro.be.runtime as runtime_mod
 from repro.analysis.fitting import fit_metric_exponents
 from repro.analysis.ladders import LADDERS
 from repro.analysis.scalecheck import (DEFAULT_TOLERANCES, MIN_SIGNAL,
                                        TAIL_RATIO_LIMIT, compare_to_baseline,
                                        load_baseline, main, metric_kind,
                                        run_check, write_baseline)
+from repro.tbon import Overlay
 
 SCALES = (64, 256, 1024)
 
@@ -176,11 +176,25 @@ class TestEndToEnd:
                     base[name]["exponent"], abs=1e-9), name
 
     def test_planted_quadratic_regression_is_detected(self, monkeypatch):
-        # revert both PR-5 scalability fixes behind their test-only
-        # hazard switches: per-daemon wire re-parsing (O(N) work x N
-        # daemons) and the children_of cache (O(N) scan per lookup)
-        monkeypatch.setattr(startup_mod, "REVERT_SHARED_PARSE", True)
-        monkeypatch.setattr(overlay_mod, "REVERT_CHILDREN_CACHE", True)
+        # plant two wall-only O(N^2) terms. An uncached usr-data decode
+        # hands every daemon its own wire object, so launchmon_startup's
+        # identity-keyed shared parse misses and each daemon re-parses
+        # the topology (O(N) work x N daemons); children_of rebuilds
+        # every child list per lookup (O(N) scan x N lookups). The
+        # children_of term alone stays under the exponent limit.
+        monkeypatch.setattr(
+            runtime_mod, "_decode_usr_payload",
+            lambda raw: json.loads(raw.decode()) if raw else None)
+
+        def rebuilt_children_of(overlay, pos):
+            children = [[] for _ in range(overlay.topology.size)]
+            for q in range(1, overlay.topology.size):
+                parent = overlay._parent[q]
+                if q not in overlay._dead and parent is not None:
+                    children[parent].append(q)
+            return children[pos]
+
+        monkeypatch.setattr(Overlay, "children_of", rebuilt_children_of)
         result = run_check("fig6", scales=(256, 1024), jobs=1, repeats=2)
         assert not result.ok
         walls = [r for r in result.regressions if r.metric == "wall_s"]

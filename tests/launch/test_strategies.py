@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, ForkError
+from repro.cluster import Cluster, ClusterSpec, ForkError, RemoteExecError
 from repro.launch import (
     LaunchReport,
     LaunchRequest,
@@ -40,7 +40,7 @@ class TestSerialRsh:
         res = run_gen(sim, get_strategy("serial-rsh").launch(
             _request(cluster, cluster.compute)))
         assert res.n_spawned == 6
-        assert not res.report.failed
+        assert res.report.n_failed == 0
         assert res.report.n_daemons == 6
         assert res.report.requested == 6
         assert res.report.total > 6 * 0.2  # sequential rsh slope
@@ -66,17 +66,22 @@ class TestSerialRsh:
                                            fe_max_user_procs=4))
         res = run_gen(sim, get_strategy("serial-rsh").launch(
             _request(cluster, cluster.compute, hold_clients=True)))
-        assert res.report.failed
+        assert res.report.n_failed == 1  # stops at the first failure
         assert "process limit" in res.report.failure
         assert 0 < res.n_spawned < 8
 
-    def test_raise_on_error_propagates(self, sim):
+    def test_on_failure_raise_propagates(self, sim):
         cluster = Cluster(sim, ClusterSpec(n_compute=8, seed=2,
                                            fe_max_user_procs=4))
         with pytest.raises(ForkError):
             run_gen(sim, get_strategy("serial-rsh").launch(_request(
                 cluster, cluster.compute, hold_clients=True,
-                raise_on_error=True)))
+                on_failure="raise")))
+
+    def test_unknown_on_failure_rejected(self, sim):
+        cluster = Cluster(sim, ClusterSpec(n_compute=2, seed=2))
+        with pytest.raises(ValueError, match="on_failure"):
+            _request(cluster, cluster.compute, on_failure="ignore")
 
 
 class TestTreeRsh:
@@ -96,8 +101,15 @@ class TestTreeRsh:
                                            compute_rshd=False))
         res = run_gen(sim, get_strategy("tree-rsh").launch(
             _request(cluster, cluster.compute)))
-        assert res.report.failed
+        assert res.report.n_failed
         assert "refused" in res.report.failure
+
+    def test_on_failure_raise_propagates(self, sim):
+        cluster = Cluster(sim, ClusterSpec(n_compute=4, seed=2,
+                                           compute_rshd=False))
+        with pytest.raises(RemoteExecError):
+            run_gen(sim, get_strategy("tree-rsh").launch(_request(
+                cluster, cluster.compute, on_failure="raise")))
 
     def test_per_index_hooks_see_request_order(self, sim):
         """args_for/post_spawn receive each node's index in req.nodes even

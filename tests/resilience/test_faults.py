@@ -137,7 +137,7 @@ class TestResilientSerialRsh:
         cluster.compute[3].fail()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, max_retries=1, retry_backoff=0.01,
-            blacklist=set())))
+            blacklist=set(), on_failure="continue")))
         report = res.report
         assert res.n_spawned == 7
         assert report.outcomes[3] == "failed"
@@ -145,8 +145,6 @@ class TestResilientSerialRsh:
         assert report.retries[3] == 1  # one bounded retry before giving up
         assert report.blacklisted == [cluster.compute[3].name]
         assert 3 not in res.slots
-        # partial result is not flagged as a legacy hard failure
-        assert not report.failed
         assert sorted(report.outcomes) == list(range(8))
 
     def test_blacklisted_node_skipped_without_attempt(self, sim):
@@ -179,7 +177,8 @@ class TestResilientSerialRsh:
         condemned: set = set()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, hold_clients=True,
-            max_retries=1, retry_backoff=0.01, blacklist=condemned)))
+            max_retries=1, retry_backoff=0.01, blacklist=condemned,
+            on_failure="continue")))
         assert 0 < res.n_spawned < 8  # the table did fill mid-launch
         assert res.report.n_failed > 0
         assert condemned == set()  # no healthy target condemned
@@ -195,7 +194,8 @@ class TestResilientSerialRsh:
                                            seed=3))
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, per_daemon_timeout=0.5,
-            max_retries=2, retry_backoff=0.01, blacklist=set())))
+            max_retries=2, retry_backoff=0.01, blacklist=set(),
+            on_failure="continue")))
         assert res.report.outcomes[0] == "failed"
         assert res.report.retries[0] == 2
         assert res.n_spawned == 1
@@ -220,7 +220,7 @@ class TestResilientTreeRsh:
         cluster.compute[0].fail()
         res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
             cluster, cluster.compute, fanout=2, max_retries=1,
-            retry_backoff=0.01, blacklist=set())))
+            retry_backoff=0.01, blacklist=set(), on_failure="continue")))
         report = res.report
         assert res.n_spawned == 15
         assert report.outcomes[0] == "failed"
@@ -232,8 +232,19 @@ class TestResilientTreeRsh:
         cluster.compute[0].fail()
         res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
             cluster, cluster.compute, fanout=2)))
-        assert res.report.failed  # legacy: first failure poisons the launch
+        # the default on_failure="stop": the first failure ends the launch
+        assert res.report.outcomes[0] == "failed"
         assert res.n_spawned < 15
+
+    def test_raise_stops_sibling_subtrees(self, sim):
+        cluster = _cluster(sim, n=16)
+        cluster.compute[0].fail()
+        with pytest.raises(NodeDown):
+            run_gen(sim, get_strategy("tree-rsh").launch(_request(
+                cluster, cluster.compute, fanout=2, on_failure="raise")))
+        sim.run()  # drain the subtrees still pending at the raise
+        # no sibling subtree starts a spawn once the failure is recorded
+        assert sum(n.user_proc_count("user") for n in cluster.compute) == 0
 
 
 class TestResilientRmBulk:
@@ -243,7 +254,8 @@ class TestResilientRmBulk:
         cluster.compute[5].fail()
         res = run_gen(sim, get_strategy("rm-bulk").launch(_request(
             cluster, cluster.compute, stage_images=True, image_mb=2.0,
-            max_retries=1, retry_backoff=0.01, blacklist=set())))
+            max_retries=1, retry_backoff=0.01, blacklist=set(),
+            on_failure="continue")))
         assert res.n_spawned == 6
         assert sorted(res.report.failed_indices()) == [1, 5]
         assert set(res.slots) == {0, 2, 3, 4, 6, 7}
@@ -255,6 +267,19 @@ class TestResilientRmBulk:
         with pytest.raises(NodeDown):
             run_gen(sim, get_strategy("rm-bulk").launch(_request(
                 cluster, cluster.compute)))
+
+    def test_raise_aborts_the_set_like_stop(self, sim):
+        # serialized image loads: nodes 0-6 fork before the last node,
+        # crashed early, fails its own fork
+        plan = FaultPlan(node_crashes=(NodeCrash(node=7, at=0.01),))
+        cluster = _cluster(sim, plan=plan)
+        with pytest.raises(NodeDown):
+            run_gen(sim, get_strategy("rm-bulk").launch(_request(
+                cluster, cluster.compute, stage_images=True, image_mb=2.0,
+                on_failure="raise")))
+        assert cluster.compute[0].max_uid_procs_seen == 1
+        # the daemons already forked were reaped
+        assert all(n.user_proc_count("user") == 0 for n in cluster.compute)
 
 
 class TestBitIdentity:

@@ -6,7 +6,7 @@ kernel fires events. A change that only makes the program cheaper to run
 wire sizes -- must therefore leave the full firing trace untouched: every
 event at the same virtual time, with the same priority and the same
 ``seq``. This test records ``(time, priority, seq)`` of every fired event
-through the ``Simulator.trace`` hook for three representative runs and
+through the ``Simulator.trace`` hook for representative runs and
 compares a SHA-256 over them with the hashes committed in
 ``tests/baselines/trace_identity.json``:
 
@@ -16,7 +16,14 @@ compares a SHA-256 over them with the hashes committed in
   (TBON fan-in, credit gates, cached packet sizes);
 * ``resilience-rm-bulk-128`` -- an RM bulk launch of 128 daemons with
   node crashes injected mid-launch, so the processes on crashed nodes
-  are killed while messages to them are still in flight.
+  are killed while messages to them are still in flight;
+* four failure paths, each asserting that its run failed:
+  ``fig6-mrnet-512`` -- MRNet's serial-rsh startup collapsing when the
+  front end's process table fills; ``resilience-serial-rsh-64-off`` and
+  ``resilience-tree-rsh-64-off`` -- an rsh launch without a policy
+  stopping at its first crashed node, then the RM rejecting the short
+  set; ``resilience-rm-bulk-64-off`` -- an RM bulk launch without a
+  policy aborting on a crashed node (interrupt, reap, re-raise).
 
 If this fails after a change meant to alter simulated behaviour, rerun
 the module as a script to regenerate the baseline and say so in the
@@ -112,10 +119,42 @@ def _resilience_point():
     return hashes
 
 
+def _fig6_collapse():
+    from repro.experiments.fig6 import measure_stat_startup
+
+    with traced_envs() as (factory, hashes):
+        box = measure_stat_startup(512, "mrnet", tasks_per_daemon=1,
+                                   seed=1, env_factory=factory)
+    assert "process limit" in box["failure"]
+    assert 0 < box["spawned"] < 512
+    return hashes
+
+
+def _unrepaired_point(strategy, fault_rate, seed, error):
+    def run():
+        from repro.experiments import resilience
+
+        with traced_envs(resilience) as (_factory, hashes):
+            cell = resilience.measure_resilient_launch(
+                strategy, 64, fault_rate, repair=False, seed=seed,
+                spawn_window=5.0)
+        assert cell["state"] == "failed" and error in cell["error"]
+        assert cell["fault_stats"]["crashes"] > 0
+        return hashes
+    return run
+
+
 RUNS = {
     "fig6-launchmon-1024": _fig6_launch,
     "stream-histogram-1024": _stream_point,
     "resilience-rm-bulk-128": _resilience_point,
+    "fig6-mrnet-512": _fig6_collapse,
+    "resilience-serial-rsh-64-off": _unrepaired_point(
+        "serial-rsh", 0.2, 3, "daemon set incomplete"),
+    "resilience-tree-rsh-64-off": _unrepaired_point(
+        "tree-rsh", 0.2, 3, "daemon set incomplete"),
+    "resilience-rm-bulk-64-off": _unrepaired_point(
+        "rm-bulk", 0.3, 1, "node is down"),
 }
 
 
