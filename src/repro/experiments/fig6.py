@@ -27,8 +27,10 @@ TASKS_PER_DAEMON = 8
 
 #: daemons fully simulated at the head of a hybrid run: large enough to
 #: anchor the model deltas past the RM's congestion knee and to contain
-#: the hang scenario's special ranks, small enough that a 1M-daemon tree
-#: costs about as much as a 1k-daemon one
+#: the hang scenario's special ranks, small enough that the simulated
+#: work (events, launch and handshake) of a 1M-daemon run is that of a
+#: 1k-daemon one. Its wall time is still 2-3x a 4k-daemon hybrid run:
+#: the STAT prefix tree carries one rank per modeled daemon
 HYBRID_EXACT_HEAD = 1024
 
 #: ranks make_hang_app treats specially (the deadlocked pair's rank 0 and

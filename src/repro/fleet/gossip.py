@@ -257,10 +257,11 @@ class GossipMesh:
 
     def _note_missed(self, listener, peer_name: str) -> int:
         """A failed neighbor contact; after ``suspect_rounds`` in a row
-        the listener installs a versioned DOWN suspicion."""
+        the listener installs a versioned DOWN suspicion. Observers never
+        self-report, so there is no member record to suspect for one."""
         key = (listener.name, peer_name)
         self._missed[key] = self._missed.get(key, 0) + 1
-        if self._missed[key] < self.suspect_rounds:
+        if self._missed[key] < self.suspect_rounds or peer_name in self._observers:
             return 0
         cur = listener.view.get(peer_name)
         if cur is None:

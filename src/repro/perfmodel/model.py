@@ -364,11 +364,15 @@ class StreamModel:
         fan-in it collapsed), so the model predicts the full underlying
         tree whether or not the topology is hybrid."""
         paths = []
+        # one count per router: every leaf under it shares it
+        child_counts: dict[int, int] = {}
         for leaf in topology.leaves():
             counts = []
             pos = topology.parent[leaf]
             while pos is not None:
-                counts.append(topology.virtual_child_count(pos))
+                if pos not in child_counts:
+                    child_counts[pos] = topology.virtual_child_count(pos)
+                counts.append(child_counts[pos])
                 pos = topology.parent[pos]
             paths.append(counts)
         return paths

@@ -24,7 +24,9 @@ node stands in for an entire comm subtree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import FrozenSet, Iterable, Tuple
 
 
@@ -61,7 +63,8 @@ class AggregateSubtree:
 class AggregationPlan:
     """Partition of the leaf space into exact leaves and aggregates.
 
-    Invariants (checked in ``__post_init__``):
+    Invariants (checked in ``__post_init__`` in time and memory that
+    grow with the exact leaves and the spans, never with ``n_total``):
 
     * ``exact`` and the subtree spans partition ``0..n_total-1``.
     * every subtree span is aligned to ``group`` boundaries and every
@@ -81,7 +84,6 @@ class AggregationPlan:
             raise AggregationError("plan needs at least one leaf")
         if self.group <= 0:
             raise AggregationError(f"group must be positive, got {self.group}")
-        covered = []
         for sub in self.subtrees:
             if sub.leaf_lo % self.group or sub.leaf_hi % self.group:
                 raise AggregationError(
@@ -91,12 +93,27 @@ class AggregationPlan:
                 raise AggregationError(
                     f"subtree [{sub.leaf_lo},{sub.leaf_hi}) outside leaf space"
                 )
-            covered.extend(range(sub.leaf_lo, sub.leaf_hi))
-        both = set(self.exact) & set(covered)
+        spans = sorted(self.subtrees, key=lambda sub: sub.leaf_lo)
+        starts = [sub.leaf_lo for sub in spans]
+        # reach[i]: furthest leaf_hi among spans[:i+1], so a leaf inside a
+        # long span that a later-starting (overlapping) span follows is
+        # still found covered
+        reach = list(accumulate((sub.leaf_hi for sub in spans), max))
+
+        def covered(leaf: int) -> bool:
+            i = bisect_right(starts, leaf) - 1
+            return i >= 0 and leaf < reach[i]
+
+        both = sorted({leaf for leaf in self.exact if covered(leaf)})
         if both:
-            raise AggregationError(f"leaves both exact and aggregated: {sorted(both)[:4]}")
-        seen = set(self.exact) | set(covered)
-        if len(self.exact) + len(covered) != self.n_total or seen != set(range(self.n_total)):
+            raise AggregationError(f"leaves both exact and aggregated: {both[:4]}")
+        exact = sorted(self.exact)
+        if (
+            any(a.leaf_hi > b.leaf_lo for a, b in zip(spans, spans[1:]))
+            or (exact and (exact[0] < 0 or exact[-1] >= self.n_total))
+            or any(a == b for a, b in zip(exact, exact[1:]))
+            or len(exact) + sum(sub.n_leaves for sub in spans) != self.n_total
+        ):
             raise AggregationError("exact leaves + subtrees must partition the leaf space")
         missing = set(self.special) - set(self.exact)
         if missing:
@@ -132,27 +149,25 @@ class AggregationPlan:
         if head % group:
             head += group - head % group
         n_groups = n_total // group
-        exact_groups = set(range(head // group))
-        for leaf in specials:
-            exact_groups.add(leaf // group)
-        exact_leaves = []
+        head_groups = min(head // group, n_groups)
+        # walk only the exact groups -- the head range, each special
+        # leaf's group in order, then the (possibly empty) ragged tail as
+        # group n_groups -- and emit the aggregate run before each one
+        open_lo, open_hi = head_groups * group, n_groups * group
+        special_groups = sorted(
+            {leaf // group for leaf in specials if open_lo <= leaf < open_hi}
+        )
+        exact_leaves = list(range(open_lo))
         subtrees = []
-        run_start = None
-        for g in range(n_groups + 1):
-            aggregated = g < n_groups and g not in exact_groups
-            if aggregated:
-                if run_start is None:
-                    run_start = g
-                continue
-            if run_start is not None:
+        run_start = head_groups
+        for g in special_groups + [n_groups]:
+            if g > run_start:
                 lo, hi = run_start * group, g * group
                 subtrees.append(
                     AggregateSubtree(len(subtrees), lo, hi, n_contrib=g - run_start)
                 )
-                run_start = None
-            if g < n_groups:
-                exact_leaves.extend(range(g * group, (g + 1) * group))
-        exact_leaves.extend(range(n_groups * group, n_total))  # ragged tail
+            run_start = g + 1
+            exact_leaves.extend(range(g * group, min(run_start * group, n_total)))
         return cls(
             n_total=n_total,
             group=group,

@@ -194,6 +194,27 @@ class TestMeshUnderNetFaults:
         assert ClusterState.DOWN not in _states_of(mesh, "c00").values()
         assert members[0].view.readmissions > 0
 
+    def test_cut_off_observer_is_never_gossiped_as_a_cluster(self,
+                                                             monkeypatch):
+        """Chaos seed 0 (minority split) cuts shard heads off from the
+        front door for longer than ``suspect_rounds``. The door never
+        self-reports, so no view may end up holding a record for it."""
+        from repro.fleet import chaos
+
+        real_make_fleet_env = chaos.make_fleet_env
+        envs = []
+
+        def capture(**kwargs):
+            envs.append(real_make_fleet_env(**kwargs))
+            return envs[-1]
+
+        monkeypatch.setattr(chaos, "make_fleet_env", capture)
+        assert chaos.run_fleet_chaos(chaos.scenario_for_seed(0)).ok
+        fleet = envs[0].fleet
+        names = {member.name for member in fleet.members}
+        for participant in [*fleet.members, fleet.door]:
+            assert set(participant.view.clusters) <= names, participant.name
+
     def test_blocked_edge_counts_as_missed_contact_not_instant_down(self):
         plan = NetFaultPlan(partitions=(
             NetPartition(groups=(("c00", "c01", "c02"),

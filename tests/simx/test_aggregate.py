@@ -5,7 +5,10 @@ Three layers of guarantee, cheapest first:
 * **plan algebra** -- :class:`AggregationPlan` partitions the leaf space,
   respects group alignment, keeps ragged tails exact, and its
   auto-expanded exact region always contains every special position
-  (property-tested over random fault/tap placements);
+  (property-tested over random fault/tap placements); its interval
+  build and validator agree field for field and message for message
+  with the per-group build and set-based check kept here as oracles,
+  and a 2**40-leaf plan costs O(exact + spans), not O(leaves);
 * **topology construction** -- hybrid trees preserve the virtual leaf and
   daemon counts of the full trees they stand in for;
 * **end-to-end parity** -- a hybrid fig6 launch matches the full
@@ -15,11 +18,87 @@ Three layers of guarantee, cheapest first:
   (the hybrid machinery must be invisible when off).
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simx import AggregationError, AggregationPlan, auto_expand
+from repro.simx import (AggregateSubtree, AggregationError, AggregationPlan,
+                        auto_expand)
 from repro.tbon import TBONTopology
+
+
+def per_group_build(n_total, exact_head=0, special=(), group=1):
+    """Reference for :meth:`AggregationPlan.build`: the per-group walk
+    over every group of the leaf space. Returns the plan's fields."""
+    specials = frozenset(special)
+    head = min(n_total, exact_head)
+    if head % group:
+        head += group - head % group
+    n_groups = n_total // group
+    exact_groups = set(range(head // group))
+    for leaf in specials:
+        exact_groups.add(leaf // group)
+    exact_leaves = []
+    subtrees = []
+    run_start = None
+    for g in range(n_groups + 1):
+        aggregated = g < n_groups and g not in exact_groups
+        if aggregated:
+            if run_start is None:
+                run_start = g
+            continue
+        if run_start is not None:
+            subtrees.append(AggregateSubtree(
+                len(subtrees), run_start * group, g * group,
+                n_contrib=g - run_start))
+            run_start = None
+        if g < n_groups:
+            exact_leaves.extend(range(g * group, (g + 1) * group))
+    exact_leaves.extend(range(n_groups * group, n_total))
+    return dict(n_total=n_total, group=group, exact_head=head,
+                special=specials, exact=tuple(exact_leaves),
+                subtrees=tuple(subtrees))
+
+
+def set_partition_verdict(n_total, group, special, exact, subtrees):
+    """Reference for the span and partition checks of
+    ``AggregationPlan.__post_init__``: materializes every covered leaf.
+    Returns the error message, or None for a valid plan."""
+    covered = []
+    for sub in subtrees:
+        if sub.leaf_lo % group or sub.leaf_hi % group:
+            return (f"subtree [{sub.leaf_lo},{sub.leaf_hi}) not aligned "
+                    f"to group {group}")
+        if not 0 <= sub.leaf_lo < sub.leaf_hi <= n_total:
+            return f"subtree [{sub.leaf_lo},{sub.leaf_hi}) outside leaf space"
+        covered.extend(range(sub.leaf_lo, sub.leaf_hi))
+    both = set(exact) & set(covered)
+    if both:
+        return f"leaves both exact and aggregated: {sorted(both)[:4]}"
+    seen = set(exact) | set(covered)
+    if (len(exact) + len(covered) != n_total
+            or seen != set(range(n_total))):
+        return "exact leaves + subtrees must partition the leaf space"
+    missing = set(special) - set(exact)
+    if missing:
+        return f"special leaves outside the exact region: {sorted(missing)[:4]}"
+    return None
+
+
+@st.composite
+def plan_inputs(draw):
+    group = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    n_total = draw(st.integers(min_value=1, max_value=256))
+    exact_head = draw(st.integers(min_value=0, max_value=n_total + group))
+    special = draw(st.lists(st.integers(min_value=0, max_value=n_total - 1),
+                            max_size=5))
+    return n_total, exact_head, special, group
+
+
+PERTURBATIONS = ("drop-exact", "add-exact", "dup-exact", "exact-out-of-range",
+                 "shift-span", "dup-span", "drop-span", "overlap-span",
+                 "engulf-span", "split-span", "special-outside")
 
 
 class TestPlanBuild:
@@ -65,6 +144,137 @@ class TestPlanBuild:
         assert grown.is_exact(200)
         # already-exact specials are a no-op (same object back)
         assert grown.with_special(200) is grown
+
+
+class TestIntervalPlanMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=plan_inputs())
+    def test_build_is_field_identical(self, inputs):
+        n_total, exact_head, special, group = inputs
+        plan = AggregationPlan.build(n_total, exact_head=exact_head,
+                                     special=special, group=group)
+        want = per_group_build(n_total, exact_head, special, group)
+        got = {name: getattr(plan, name) for name in want}
+        assert got == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(inputs=plan_inputs(), data=st.data())
+    def test_validator_verdict_and_message_match(self, inputs, data):
+        n_total, exact_head, special, group = inputs
+        fields = per_group_build(n_total, exact_head, special, group)
+        exact = list(fields["exact"])
+        spans = list(fields["subtrees"])
+        special = set(fields["special"])
+        n_groups = max(1, n_total // group)
+
+        def index(seq, extra=0):
+            return data.draw(st.integers(0, len(seq) - 1 + extra))
+
+        # stacked perturbations: a dropped exact leaf can offset a
+        # duplicated one, an overlapping span a removed one -- the
+        # interval checks must still catch every such combination
+        for kind in data.draw(st.lists(st.sampled_from(PERTURBATIONS),
+                                       max_size=3)):
+            if kind == "drop-exact" and exact:
+                exact.pop(index(exact))
+            elif kind == "add-exact":
+                exact.insert(index(exact, 1),
+                             data.draw(st.integers(0, n_total - 1)))
+            elif kind == "dup-exact" and exact:
+                # one leaf listed twice in place of another: the count
+                # still adds up, the partition does not
+                exact[index(exact)] = exact[index(exact)]
+            elif kind == "exact-out-of-range":
+                exact.insert(index(exact, 1), data.draw(
+                    st.sampled_from((-1, n_total, n_total + group))))
+            elif kind == "shift-span" and spans:
+                i = index(spans)
+                delta = data.draw(st.integers(-2 * group, 2 * group))
+                sub = spans[i]
+                spans[i] = AggregateSubtree(sub.agg_id, sub.leaf_lo + delta,
+                                            sub.leaf_hi + delta,
+                                            sub.n_contrib)
+            elif kind == "dup-span" and spans:
+                spans.insert(index(spans, 1), spans[index(spans)])
+            elif kind == "drop-span" and spans:
+                spans.pop(index(spans))
+            elif kind == "overlap-span":
+                lo = data.draw(st.integers(0, n_groups - 1))
+                hi = data.draw(st.integers(lo + 1, n_groups))
+                spans.insert(index(spans, 1), AggregateSubtree(
+                    len(spans), lo * group, hi * group, hi - lo))
+            elif kind == "engulf-span" and spans:
+                # same start, later end, listed first: exact leaves past
+                # the inner span's end are only found covered through the
+                # running maximum of span ends
+                i = index(spans)
+                sub = spans[i]
+                hi = sub.leaf_hi + group * data.draw(st.integers(1, 2))
+                spans.insert(i, AggregateSubtree(
+                    len(spans), sub.leaf_lo, hi, (hi - sub.leaf_lo) // group))
+            elif kind == "split-span" and spans:
+                # [lo, m) + [m - d, hi - d): same total size, no exact leaf
+                # covered, but a d-group overlap leaves [hi - d, hi) bare
+                i = index(spans)
+                sub = spans[i]
+                n_sub = sub.n_leaves // group
+                if n_sub >= 2:
+                    m = data.draw(st.integers(1, n_sub - 1))
+                    d = group * data.draw(st.integers(1, m))
+                    m = sub.leaf_lo + m * group
+                    pieces = [AggregateSubtree(sub.agg_id, sub.leaf_lo, m, 1),
+                              AggregateSubtree(len(spans), m - d,
+                                               sub.leaf_hi - d, 1)]
+                    if data.draw(st.booleans()):
+                        pieces.reverse()
+                    spans[i:i + 1] = pieces
+            elif kind == "special-outside":
+                special.add(data.draw(st.integers(0, n_total - 1)))
+
+        want = set_partition_verdict(n_total, group, special, exact, spans)
+        try:
+            plan = AggregationPlan(n_total=n_total, group=group,
+                                   exact_head=fields["exact_head"],
+                                   special=frozenset(special),
+                                   exact=tuple(exact),
+                                   subtrees=tuple(spans))
+        except AggregationError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+            for leaf in range(-1, n_total + 1):
+                sub = next((s for s in spans if s.covers(leaf)), None)
+                assert plan.subtree_of(leaf) == sub
+                assert plan.is_exact(leaf) == (sub is None)
+
+
+class TestScaleGuard:
+    def test_trillion_leaf_plans_cost_exact_plus_spans(self):
+        """A 2**40-leaf plan builds, auto-expands and yields hybrid trees
+        in memory bounded by its exact region and span count. A per-leaf
+        build or check could not run this at all."""
+        n = 2 ** 40
+        specials = (n // 3, n // 2, n - 1)
+        tracemalloc.start()
+        try:
+            for group in (16, 1):
+                plan = AggregationPlan.build(n, exact_head=1024,
+                                             special=specials, group=group)
+                assert len(plan.subtrees) == 3
+                assert plan.n_exact == 1024 + len(specials) * group
+                grown = auto_expand(plan, fault_leaves=[n // 4])
+                assert grown.is_exact(n // 4)
+                assert grown.n_exact == plan.n_exact + group
+                assert len(grown.subtrees) == 4
+                trees = [TBONTopology.hybrid_one_deep(grown)]
+                if group > 1:
+                    trees.append(TBONTopology.hybrid_balanced(grown, group))
+                for tree in trees:
+                    assert tree.virtual_leaf_count() == n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestAutoExpandProperties:
