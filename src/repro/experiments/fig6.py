@@ -29,8 +29,9 @@ TASKS_PER_DAEMON = 8
 #: anchor the model deltas past the RM's congestion knee and to contain
 #: the hang scenario's special ranks, small enough that the simulated
 #: work (events, launch and handshake) of a 1M-daemon run is that of a
-#: 1k-daemon one. Its wall time is still 2-3x a 4k-daemon hybrid run:
-#: the STAT prefix tree carries one rank per modeled daemon
+#: 1k-daemon one. A 1M-daemon run costs about what a 4k-daemon hybrid
+#: run does: the STAT prefix tree holds each aggregate span as one rank
+#: run, so nothing grows with the modeled daemons
 HYBRID_EXACT_HEAD = 1024
 
 #: ranks make_hang_app treats specially (the deadlocked pair's rank 0 and

@@ -61,9 +61,10 @@ def synthetic_payload(filter_name: str, pos: int, wave: int) -> Any:
     if filter_name == "ewma":
         return 1
     if filter_name == "prefix_tree_merge":
-        return {"tree": {"r": [pos], "c": {
-            "main": {"r": [pos], "c": {
-                f"f{pos % 4}": {"r": [pos], "c": {}}}}}}, "n": 1}
+        runs = [pos, pos + 1]
+        return {"tree": {"r": runs, "c": {
+            "main": {"r": runs, "c": {
+                f"f{pos % 4}": {"r": runs, "c": {}}}}}}, "n": 1}
     return 1  # sum / max / concat-style numeric payload
 
 

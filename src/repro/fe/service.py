@@ -451,12 +451,6 @@ class ToolService:
         """Operations still queued at the admission gate (0 if unbounded)."""
         return self._gate.pending if self._gate is not None else 0
 
-    @property
-    def live_sessions(self) -> int:
-        """Live (non-terminal) service-created sessions across all
-        tenants, O(1) -- the load signal a fleet health report gossips."""
-        return sum(self._fe_live_sessions.values())
-
     def summary(self) -> dict:
         """Aggregate service metrics over all completed handles.
 

@@ -99,10 +99,6 @@ class LaunchModel:
                     + (self.costs.cache_hit if warm else 0.0))
         return self._image_serial(image_mb, n_loads)
 
-    def _hop_msg(self) -> float:
-        return (self.costs.net_latency + self.costs.msg_overhead
-                + self.costs.tcp_connect * 0)
-
     # -- per-component terms -------------------------------------------------
     def n_debug_events(self) -> int:
         """Events the engine handles during one traced launch."""

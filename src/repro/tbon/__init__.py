@@ -28,6 +28,7 @@ from repro.tbon.topology import TBONTopology, TopologyError
 from repro.tbon.filters import (
     FILTER_REGISTRY,
     Filter,
+    RankRuns,
     StatelessFilter,
     get_filter,
     make_filter,
@@ -70,6 +71,7 @@ __all__ = [
     "Overlay",
     "OverlayEndpoint",
     "Packet",
+    "RankRuns",
     "RepairReport",
     "STREAM_PHASES",
     "StartupFailure",

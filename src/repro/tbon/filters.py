@@ -39,23 +39,39 @@ Built-in stream filters and their MRNet/paper correspondence:
                     sampler's rate estimator)
 ``prefix_tree_merge``  STAT's call-graph prefix-tree union, promoted here
                     from ``repro.tools.stat_tool`` (pure dict merge, no
-                    tool import needed)
+                    tool import needed): every node's rank set is a
+                    sorted run list, merged by :func:`union_runs`
 ==================  ====================================================
+
+STAT rank sets live here too, because the TBON layer merges them without
+importing the tool. A *run list* is a flat list ``[lo0, hi0, lo1, hi1,
+...]`` of sorted, disjoint, half-open runs ``[lo, hi)`` with adjacent runs
+joined, so one set has exactly one run list and a contiguous span of a
+million ranks is two integers. Rank ``x`` is a member iff
+``bisect_right(runs, x)`` is odd. :class:`RankRuns` is the immutable
+value type the tool hands to callers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from bisect import bisect_right
+from collections.abc import Set
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "FILTER_REGISTRY",
     "Filter",
+    "RankRuns",
     "StatelessFilter",
+    "add_rank",
     "get_filter",
     "make_filter",
     "register_filter",
     "register_stream_filter",
     "stream_filter_names",
+    "subtract_runs",
+    "union_runs",
 ]
 
 FilterFn = Callable[[Sequence[Any]], Any]
@@ -298,25 +314,122 @@ class EwmaRateFilter(Filter):
         return total, state
 
 
+# -- STAT rank runs -----------------------------------------------------------
+
+def union_runs(run_lists: Iterable[Sequence[int]]) -> list[int]:
+    """Union of run lists: sort every run by its bounds, then one sweep
+    that joins overlapping and adjacent runs."""
+    # every run list has even length, so pairing the concatenated bounds
+    # pairs each run's own lo and hi
+    bounds = chain.from_iterable(run_lists)
+    out: list[int] = []
+    for lo, hi in sorted(zip(bounds, bounds)):
+        if out and lo <= out[-1]:
+            if hi > out[-1]:
+                out[-1] = hi
+        else:
+            out += (lo, hi)
+    return out
+
+
+def subtract_runs(runs: Sequence[int], minus: Sequence[int]) -> list[int]:
+    """The ranks of ``runs`` not in ``minus``, in one linear sweep."""
+    out: list[int] = []
+    j = 0
+    for i in range(0, len(runs), 2):
+        lo, hi = runs[i], runs[i + 1]
+        # runs ascend, so a ``minus`` run ending at or before ``lo`` can
+        # overlap no later run either; every run from ``j`` on ends
+        # past ``lo``
+        while j < len(minus) and minus[j + 1] <= lo:
+            j += 2
+        k = j
+        while lo < hi and k < len(minus) and minus[k] < hi:
+            if minus[k] > lo:
+                out += (lo, minus[k])
+            lo = minus[k + 1]
+            k += 2
+        if lo < hi:
+            out += (lo, hi)
+    return out
+
+
+def add_rank(runs: list[int], rank: int) -> None:
+    """Insert ``rank`` into the run list ``runs`` in place."""
+    i = bisect_right(runs, rank)
+    if i % 2:
+        return  # already inside [runs[i-1], runs[i])
+    joins_left = i > 0 and runs[i - 1] == rank
+    joins_right = i < len(runs) and runs[i] == rank + 1
+    if joins_left and joins_right:
+        del runs[i - 1:i + 1]
+    elif joins_left:
+        runs[i - 1] = rank + 1
+    elif joins_right:
+        runs[i] = rank
+    else:
+        runs[i:i] = (rank, rank + 1)
+
+
+class RankRuns(Set):
+    """An immutable set of ranks held as a run list.
+
+    ``len`` costs O(runs), ``in`` one bisect, and iteration yields the
+    ranks in ascending order without materializing them. It compares
+    equal to a ``set``/``frozenset`` of the same ranks, in both
+    directions, and hashes like the equal ``frozenset``. Set operators
+    (``|``, ``&``, ``-``, ``^``) return a plain ``frozenset``.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable[int] = ()):
+        #: the run list (a tuple: the value never changes)
+        self.runs = tuple(runs)
+
+    def __len__(self) -> int:
+        return sum(self.runs[1::2]) - sum(self.runs[::2])
+
+    def __contains__(self, rank: object) -> bool:
+        return (isinstance(rank, int)
+                and bisect_right(self.runs, rank) % 2 == 1)
+
+    def __iter__(self) -> Iterator[int]:
+        bounds = iter(self.runs)
+        return chain.from_iterable(map(range, bounds, bounds))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RankRuns):
+            return self.runs == other.runs  # run lists are canonical
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, ranks: Iterable[int]) -> frozenset:
+        return frozenset(ranks)
+
+    def __repr__(self) -> str:
+        return f"RankRuns({list(self.runs)})"
+
+
 def _merge_tree_nodes(nodes: Sequence[dict]) -> dict:
-    """Pointwise union of prefix-tree wire nodes (``{"r": [...], "c": {}}``)."""
-    ranks: set = set()
+    """Pointwise union of prefix-tree wire nodes (``{"r": runs, "c": {}}``)."""
+    children: dict = {}
     for n in nodes:
-        ranks.update(n["r"])
-    frames = sorted({f for n in nodes for f in n["c"]})
-    return {"r": sorted(ranks),
-            "c": {f: _merge_tree_nodes([n["c"][f] for n in nodes
-                                        if f in n["c"]])
-                  for f in frames}}
+        for frame, child in n["c"].items():
+            children.setdefault(frame, []).append(child)
+    return {"r": union_runs([n["r"] for n in nodes]),
+            "c": {f: _merge_tree_nodes(children[f]) for f in sorted(children)}}
 
 
 def prefix_tree_merge(payloads: Sequence[dict]) -> dict:
     """Merge prefix-tree payloads (``PrefixTree.to_dict`` wire form).
 
     Promoted from ``repro.tools.stat_tool.prefix_tree``: the union is
-    computed directly on the JSON-able dicts, byte-identical to round-
-    tripping through :class:`~repro.tools.stat_tool.PrefixTree`, so the
-    TBON layer needs no tool import.
+    computed directly on the JSON-able dicts, equal to round-tripping
+    through :class:`~repro.tools.stat_tool.PrefixTree` (both call
+    :func:`union_runs`), so the TBON layer needs no tool import.
     """
     return {"tree": _merge_tree_nodes([p["tree"] for p in payloads]),
             "n": sum(p.get("n", 0) for p in payloads)}
@@ -325,8 +438,8 @@ def prefix_tree_merge(payloads: Sequence[dict]) -> dict:
 class PrefixTreeMergeFilter(Filter):
     """STAT's call-graph union as a stream filter with a windowed view.
 
-    The merge is a pointwise set union -- associative, commutative and
-    idempotent -- so any tree shape reduces losslessly.
+    The merge is a pointwise union of rank runs -- associative,
+    commutative and idempotent -- so any tree shape reduces losslessly.
     ``state["running"]`` unions the last ``window`` merged waves.
     """
 

@@ -67,10 +67,6 @@ class DpclInfrastructure:
                                              image_mb=6.0)
             self._daemons[node.name] = _SuperDaemon(proc, node)
 
-    @property
-    def installed_nodes(self) -> list[str]:
-        return sorted(self._daemons)
-
     def is_root_daemon(self, node: Node) -> bool:
         d = self._daemons.get(node.name)
         return d is not None and d.proc.uid == "root"

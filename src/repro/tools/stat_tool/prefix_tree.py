@@ -1,25 +1,29 @@
 """The call-graph prefix tree (2^10-way merge-friendly, JSON-able).
 
-Each node represents one call path prefix; its ``ranks`` set records every
-task whose sampled stack passes through that prefix. Merging two trees is a
-pointwise union -- associative, commutative and idempotent (property-tested),
-which is exactly what makes the structure reduce losslessly through a TBON
-in any tree shape.
+Each node represents one call path prefix; its rank set records every
+task whose sampled stack passes through that prefix. Rank sets are run
+lists (:mod:`repro.tbon.filters`): sorted, disjoint, half-open runs, so a
+node's cost follows the number of runs, not the number of tasks -- a
+contiguous span of a million ranks is two integers. Merging two trees is
+a pointwise union -- associative, commutative and idempotent
+(property-tested), which is exactly what makes the structure reduce
+losslessly through a TBON in any tree shape.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
+
+from repro.tbon.filters import RankRuns, add_rank, subtract_runs, union_runs
 
 __all__ = ["PrefixTree", "merge_trees"]
 
 
 class _Node:
-    __slots__ = ("frame", "ranks", "children")
+    __slots__ = ("runs", "children")
 
-    def __init__(self, frame: str):
-        self.frame = frame
-        self.ranks: set[int] = set()
+    def __init__(self) -> None:
+        self.runs: list[int] = []
         self.children: dict[str, _Node] = {}
 
 
@@ -27,7 +31,7 @@ class PrefixTree:
     """A mergeable call-graph prefix tree with rank-set annotations."""
 
     def __init__(self) -> None:
-        self._root = _Node("<root>")
+        self._root = _Node()
         self._n_samples = 0
 
     # -- construction --------------------------------------------------------
@@ -37,28 +41,35 @@ class PrefixTree:
             raise ValueError("empty stack trace")
         self._n_samples += 1
         node = self._root
-        node.ranks.add(rank)
+        add_rank(node.runs, rank)
         for frame in stack:
-            node = node.children.setdefault(frame, _Node(frame))
-            node.ranks.add(rank)
+            child = node.children.get(frame)
+            if child is None:
+                child = node.children[frame] = _Node()
+            node = child
+            add_rank(node.runs, rank)
 
     # -- queries ------------------------------------------------------------------
     @property
-    def n_samples(self) -> int:
-        return self._n_samples
+    def all_ranks(self) -> RankRuns:
+        return RankRuns(self._root.runs)
 
-    @property
-    def all_ranks(self) -> frozenset[int]:
-        return frozenset(self._root.ranks)
+    def paths(self) -> list[tuple[tuple[str, ...], RankRuns]]:
+        """Every call path some rank's stack ends at, with those ranks.
 
-    def paths(self) -> list[tuple[tuple[str, ...], frozenset[int]]]:
-        """All root-to-leaf call paths with their rank sets."""
-        out: list[tuple[tuple[str, ...], frozenset[int]]] = []
+        A leaf's ranks all end there; an interior node keeps the ranks
+        none of its children carry (a stack that is a prefix of another),
+        so with one sample per rank the rank sets partition
+        :attr:`all_ranks`. Paths come out in sorted order.
+        """
+        out: list[tuple[tuple[str, ...], RankRuns]] = []
 
         def walk(node: _Node, prefix: tuple[str, ...]):
-            if not node.children:
-                out.append((prefix, frozenset(node.ranks)))
-                return
+            own = (subtract_runs(node.runs, union_runs(
+                child.runs for child in node.children.values()))
+                if node.children else node.runs)
+            if own:
+                out.append((prefix, RankRuns(own)))
             for frame in sorted(node.children):
                 walk(node.children[frame], prefix + (frame,))
 
@@ -66,8 +77,8 @@ class PrefixTree:
             walk(self._root.children[frame], (frame,))
         return out
 
-    def equivalence_classes(self) -> list[tuple[tuple[str, ...], frozenset[int]]]:
-        """Process equivalence classes: leaf call paths, largest class first.
+    def equivalence_classes(self) -> list[tuple[tuple[str, ...], RankRuns]]:
+        """Process equivalence classes: :meth:`paths`, largest class first.
 
         A full-featured debugger attaches to one representative per class
         (the paper's usage model for root-cause analysis at scale).
@@ -83,24 +94,24 @@ class PrefixTree:
             stack.extend(node.children.values())
         return count - 1  # exclude synthetic root
 
-    def ranks_at(self, path: Sequence[str]) -> frozenset[int]:
+    def ranks_at(self, path: Sequence[str]) -> RankRuns:
         """Rank set at an interior prefix (empty set if path absent)."""
         node = self._root
         for frame in path:
             child = node.children.get(frame)
             if child is None:
-                return frozenset()
+                return RankRuns()
             node = child
-        return frozenset(node.ranks)
+        return RankRuns(node.runs)
 
     # -- merging --------------------------------------------------------------------
     def merge(self, other: "PrefixTree") -> "PrefixTree":
         """In-place union with another tree; returns self."""
 
         def fold(dst: _Node, src: _Node):
-            dst.ranks |= src.ranks
+            dst.runs = union_runs((dst.runs, src.runs))
             for frame, src_child in src.children.items():
-                dst_child = dst.children.setdefault(frame, _Node(frame))
+                dst_child = dst.children.setdefault(frame, _Node())
                 fold(dst_child, src_child)
 
         fold(self._root, other._root)
@@ -122,10 +133,11 @@ class PrefixTree:
 
     # -- wire form ---------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-able form (rank sets as sorted lists) for TBON payloads."""
+        """JSON-able form for TBON payloads: ``{"r": runs, "c": {...}}``
+        per node, rank sets as run lists."""
 
         def conv(node: _Node) -> dict:
-            return {"r": sorted(node.ranks),
+            return {"r": list(node.runs),
                     "c": {f: conv(ch) for f, ch in
                           sorted(node.children.items())}}
 
@@ -136,9 +148,9 @@ class PrefixTree:
         tree = cls()
 
         def conv(data: dict, node: _Node):
-            node.ranks = set(data["r"])
+            node.runs = list(data["r"])
             for frame, child_data in data["c"].items():
-                child = _Node(frame)
+                child = _Node()
                 node.children[frame] = child
                 conv(child_data, child)
 

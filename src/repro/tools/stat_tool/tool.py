@@ -13,6 +13,7 @@ from repro.rm.base import ResourceManager, RMJob
 from repro.rm.slurm import SlurmConfig
 from repro.tbon import (
     MRNET_PER_BE_HANDSHAKE,
+    RankRuns,
     StartupFailure,
     StartupReport,
     TBONTopology,
@@ -46,7 +47,9 @@ class StatResult:
     """Merged tree + equivalence classes + startup timing."""
 
     tree: PrefixTree
-    classes: list[tuple[tuple[str, ...], frozenset]] = field(
+    #: ``PrefixTree.equivalence_classes()``: (call path, ranks) pairs,
+    #: largest class first; the ranks compare equal to a ``frozenset``
+    classes: list[tuple[tuple[str, ...], RankRuns]] = field(
         default_factory=list)
     startup: Optional[StartupReport] = None
     t_total: float = 0.0
@@ -114,13 +117,14 @@ def run_stat_launchmon(cluster: Cluster, rm: ResourceManager, job: RMJob,
                           * tasks_per_daemon)
         # the span's merged prefix tree in closed form: every covered
         # rank sits on the homogeneous bulk stack, so each path node
-        # carries the same contiguous rank range (one shared list)
-        ranks = list(range(lo * tasks_per_daemon, hi * tasks_per_daemon))
-        node: dict = {"r": ranks, "c": {}}
+        # carries the same single run (one shared list)
+        runs = [lo * tasks_per_daemon, hi * tasks_per_daemon]
+        node: dict = {"r": runs, "c": {}}
         for frame in reversed(bulk_stack):
-            node = {"r": ranks, "c": {frame: node}}
+            node = {"r": runs, "c": {frame: node}}
         yield from endpoint.send_wave(
-            stream_id=1, wave=0, payload={"tree": node, "n": len(ranks)})
+            stream_id=1, wave=0,
+            payload={"tree": node, "n": (hi - lo) * tasks_per_daemon})
 
     overlay, report = yield from launchmon_startup(
         fe, session, job, topology=topology,

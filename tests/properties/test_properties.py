@@ -140,6 +140,18 @@ class TestPrefixTreeProperties:
         t = build_tree(samples)
         assert t.all_ranks == {r for _, r in samples}
 
+    @given(st.dictionaries(st.integers(min_value=-1, max_value=200), frames,
+                           max_size=30))
+    def test_classes_partition_ranks(self, stack_of):
+        """With one sample per rank, the classes are pairwise disjoint and
+        cover every rank -- also when one stack is a prefix of another."""
+        t = build_tree([(stack, r) for r, stack in stack_of.items()])
+        seen: set = set()
+        for _, ranks in t.equivalence_classes():
+            assert seen.isdisjoint(ranks)
+            seen |= ranks
+        assert seen == t.all_ranks == set(stack_of)
+
     @given(stacks_with_ranks)
     def test_wire_roundtrip(self, samples):
         t = build_tree(samples)

@@ -58,6 +58,16 @@ class TestInsertAndQuery:
         all_ranks = [r for _, ranks in classes for r in ranks]
         assert sorted(all_ranks) == list(range(7))
 
+    def test_stack_ending_at_interior_frame_is_a_class(self):
+        """A rank whose stack is a prefix of another rank's stack keeps
+        its own class instead of dropping out of the partition."""
+        t = build([(("_start", "main"), 0),
+                   (("_start", "main", "MPI_Barrier"), 1)])
+        assert t.equivalence_classes() == [
+            (("_start", "main"), frozenset({0})),
+            (("_start", "main", "MPI_Barrier"), frozenset({1}))]
+        assert t.all_ranks == {0, 1}
+
 
 class TestMerge:
     def test_merge_unions_ranks(self):
