@@ -10,9 +10,9 @@ a 2x slower CI runner shifts every point by the same factor and leaves
 This module is deliberately dumb: least squares on ``(log n, log t)``
 pairs, non-positive values dropped (a phase that costs exactly zero at
 some scale carries no growth information), at least two positive points
-required. :func:`~repro.perfmodel.fit.fit_component_scaling` stays the
-*affine* fitter for the paper's measure-small/predict-large figures; this
-one answers the different question "what is the complexity class".
+required. The line itself is the paper's affine fitter,
+:func:`~repro.perfmodel.fit.fit_component_scaling`, run in log space:
+the same least squares answers "what is the complexity class".
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import math
+
+from repro.perfmodel.fit import fit_component_scaling
 
 __all__ = ["PowerFit", "fit_metric_exponents", "fit_power"]
 
@@ -53,7 +55,8 @@ def fit_power(ns: Sequence[float], ts: Sequence[float]) -> PowerFit:
     """Fit ``t(n) = c * n^k`` over the positive ``(n, t)`` pairs.
 
     Raises ``ValueError`` if fewer than two pairs have ``n > 0`` and
-    ``t > 0`` -- one point determines no slope.
+    ``t > 0`` -- one point determines no slope -- or if all their scales
+    are identical.
     """
     if len(ns) != len(ts):
         raise ValueError("need (n, t) sequences of equal length")
@@ -62,23 +65,10 @@ def fit_power(ns: Sequence[float], ts: Sequence[float]) -> PowerFit:
         raise ValueError(
             f"need >= 2 positive (n, t) pairs to fit an exponent, "
             f"got {len(pairs)}")
-    xs = [math.log(n) for n, _ in pairs]
-    ys = [math.log(t) for _, t in pairs]
-    k = len(pairs)
-    mean_x = sum(xs) / k
-    mean_y = sum(ys) / k
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("all scales identical; exponent is undefined")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (intercept + slope * x)) ** 2
-                 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return PowerFit(coeff=math.exp(intercept), exponent=slope, r2=r2,
-                    n_points=k)
+    line = fit_component_scaling([math.log(n) for n, _ in pairs],
+                                 [math.log(t) for _, t in pairs])
+    return PowerFit(coeff=math.exp(line.intercept), exponent=line.slope,
+                    r2=line.r2, n_points=len(pairs))
 
 
 def fit_metric_exponents(

@@ -30,43 +30,44 @@ fleetchaos extension: fleet partition chaos (seeded netsplit/flap/crash
 
 Run from the command line: ``python -m repro.experiments fig3`` (or the
 installed ``repro-experiments`` script). ``--quick`` shrinks sweeps for CI.
+
+Runners load on first access (PEP 562 ``__getattr__``), so importing
+one experiment module, e.g. ``repro.experiments.fig6``, loads only what
+that experiment needs, not every experiment's dependencies.
 """
 
-from repro.experiments.common import ExperimentResult, percentile
-from repro.experiments.ctlrestart import run_ctl
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fleet import run_fleet
-from repro.experiments.fleetchaos import run_fleetchaos
-from repro.experiments.launchmatrix import run_launch_matrix
-from repro.experiments.multitenant import run_multitenant
-from repro.experiments.resilience import run_resilience
-from repro.experiments.streaming import run_streaming
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.table1 import run_table1
-from repro.experiments.ablations import (
-    run_ablation_iccl,
-    run_ablation_jobsnap_tbon,
-    run_ablation_launchers,
-    run_ablation_rm_events,
-)
+import importlib
 
-__all__ = [
-    "ExperimentResult",
-    "run_ablation_iccl",
-    "run_ablation_jobsnap_tbon",
-    "run_ablation_launchers",
-    "run_ablation_rm_events",
-    "run_ctl",
-    "run_fig3",
-    "run_fig5",
-    "run_fig6",
-    "run_fleet",
-    "run_fleetchaos",
-    "run_launch_matrix",
-    "run_multitenant",
-    "run_resilience",
-    "run_streaming",
-    "run_table1",
-    "percentile",
-]
+#: public name -> the submodule that defines it
+_SUBMODULES = {
+    "ExperimentResult": "common",
+    "run_ablation_iccl": "ablations",
+    "run_ablation_jobsnap_tbon": "ablations",
+    "run_ablation_launchers": "ablations",
+    "run_ablation_rm_events": "ablations",
+    "run_ctl": "ctlrestart",
+    "run_fig3": "fig3",
+    "run_fig5": "fig5",
+    "run_fig6": "fig6",
+    "run_fleet": "fleet",
+    "run_fleetchaos": "fleetchaos",
+    "run_launch_matrix": "launchmatrix",
+    "run_multitenant": "multitenant",
+    "run_resilience": "resilience",
+    "run_streaming": "streaming",
+    "run_table1": "table1",
+    "percentile": "common",
+}
+
+__all__ = list(_SUBMODULES)
+
+
+def __getattr__(name):
+    try:
+        submodule = _SUBMODULES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

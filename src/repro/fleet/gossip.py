@@ -169,6 +169,7 @@ class GossipMesh:
 
     # -- rounds --------------------------------------------------------------
     def _participants(self) -> list:
+        """Members, then observers, each in sorted-name order."""
         return ([self._members[n] for n in sorted(self._members)]
                 + [self._observers[n] for n in sorted(self._observers)])
 
@@ -188,25 +189,26 @@ class GossipMesh:
             nf.begin_round(self.rounds_run)
             changed += self._deliver_delayed(self.rounds_run)
         self.rounds_run += 1
+        participants = self._participants()
+        crashed = {p.name for p in participants if self._is_crashed(p)}
         # phase 1: live members refresh their own record
-        for name in sorted(self._members):
-            member = self._members[name]
-            if not self._is_crashed(member):
+        for member in participants[:len(self._members)]:
+            if member.name not in crashed:
                 member.view.put(member.publish_health())
         # phase 2a: snapshot digests so data moves exactly one hop/round
-        digests = {p.name: p.view.records() for p in self._participants()}
+        digests = {p.name: p.view.records() for p in participants}
         # phase 2b: every live participant pulls from each neighbor
-        for participant in self._participants():
-            if self._is_crashed(participant):
+        missed = self._missed
+        for participant in participants:
+            listener = participant.name
+            if listener in crashed:
                 continue
-            for peer_name in self._peers[participant.name]:
-                peer = self._members.get(peer_name,
-                                         self._observers.get(peer_name))
-                if self._is_crashed(peer):
+            view = participant.view
+            for peer_name in self._peers[listener]:
+                if peer_name in crashed:
                     changed += self._note_missed(participant, peer_name)
                     continue
                 if nf is not None:
-                    listener = participant.name
                     if (nf.edge_blocked(listener, peer_name)
                             or nf.digest_lost(listener, peer_name)):
                         changed += self._note_missed(participant, peer_name)
@@ -215,19 +217,19 @@ class GossipMesh:
                     if delay:
                         # contact made (counter resets), payload late:
                         # this round's snapshot arrives `delay` rounds on
-                        self._missed[(listener, peer_name)] = 0
+                        missed[(listener, peer_name)] = 0
                         self._delayed.append(
                             (self.rounds_run - 1 + delay, listener,
                              digests[peer_name]))
                         continue
-                    self._missed[(listener, peer_name)] = 0
-                    changed += participant.view.merge(digests[peer_name])
+                    missed[(listener, peer_name)] = 0
+                    changed += view.merge(digests[peer_name])
                     if nf.digest_duplicated(listener, peer_name):
                         # second merge must be a no-op (idempotence)
-                        changed += participant.view.merge(digests[peer_name])
+                        changed += view.merge(digests[peer_name])
                     continue
-                self._missed[(participant.name, peer_name)] = 0
-                changed += participant.view.merge(digests[peer_name])
+                missed[(listener, peer_name)] = 0
+                changed += view.merge(digests[peer_name])
         return changed
 
     def _deliver_delayed(self, r: int) -> int:

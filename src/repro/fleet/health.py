@@ -94,6 +94,8 @@ class FleetView:
 
     def __init__(self, records: Iterable[ClusterHealth] = ()):
         self._records: Dict[str, ClusterHealth] = {}
+        #: sorted cluster names; None until read after a new cluster
+        self._order: Optional[tuple] = None
         #: times a DOWN record was displaced by a live higher-version one
         #: -- each is a shunned/suspected member re-admitted after heal
         self.readmissions = 0
@@ -113,11 +115,14 @@ class FleetView:
     @property
     def clusters(self) -> tuple:
         """Known member names, sorted (deterministic iteration order)."""
-        return tuple(sorted(self._records))
+        if self._order is None:
+            self._order = tuple(sorted(self._records))
+        return self._order
 
     def records(self) -> tuple:
         """All records, sorted by cluster name (a gossip digest)."""
-        return tuple(self._records[name] for name in sorted(self._records))
+        records = self._records
+        return tuple([records[name] for name in self.clusters])
 
     def routable(self) -> tuple:
         """Members a policy may target (not DOWN), sorted by name."""
@@ -133,21 +138,28 @@ class FleetView:
     def put(self, rec: ClusterHealth) -> bool:
         """Install ``rec`` if it is news (higher version); returns whether
         the view changed."""
-        cur = self._records.get(rec.cluster)
-        if cur is not None and cur.version >= rec.version:
-            return False
-        if (cur is not None and cur.state is ClusterState.DOWN
-                and rec.state is not ClusterState.DOWN):
-            self.readmissions += 1
-        self._records[rec.cluster] = rec
-        return True
+        return self.merge((rec,)) == 1
 
     def merge(self, digest: Iterable[ClusterHealth]) -> int:
-        """Merge a digest; returns how many records were news."""
+        """Merge a digest; returns how many records were news.
+
+        The view's one merge loop (:meth:`put` merges one record): a
+        record replaces the incumbent only with a higher version, and a
+        new cluster drops the cached sorted order.
+        """
+        records = self._records
+        down = ClusterState.DOWN
         changed = 0
         for rec in digest:
-            if self.put(rec):
-                changed += 1
+            cur = records.get(rec.cluster)
+            if cur is None:
+                self._order = None
+            elif cur.version >= rec.version:
+                continue
+            elif cur.state is down and rec.state is not down:
+                self.readmissions += 1
+            records[rec.cluster] = rec
+            changed += 1
         return changed
 
     def mark_down(self, cluster: str) -> None:

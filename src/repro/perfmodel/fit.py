@@ -1,11 +1,14 @@
-"""Empirical T(op) fitting (the paper's measure-small, predict-large method)."""
+"""Empirical T(op) fitting (the paper's measure-small, predict-large method).
+
+:func:`fit_component_scaling` is the repo's one least-squares line, a
+closed form over centred sums in plain Python.
+:func:`repro.analysis.fitting.fit_power` runs it on ``(log n, log t)``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["FittedLine", "fit_component_scaling"]
 
@@ -31,15 +34,25 @@ class FittedLine:
 
 def fit_component_scaling(ns: Sequence[float], ts: Sequence[float],
                           ) -> FittedLine:
-    """Fit t(n) = a + b*n by least squares; returns the line with R^2."""
+    """Fit t(n) = a + b*n by least squares; returns the line with R^2.
+
+    Raises ``ValueError`` for fewer than two pairs, for sequences of
+    unequal length, and when every ``n`` is the same (no slope fits).
+    """
     if len(ns) != len(ts) or len(ns) < 2:
         raise ValueError("need >= 2 (n, t) pairs of equal length")
-    x = np.asarray(ns, dtype=float)
-    y = np.asarray(ts, dtype=float)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FittedLine(intercept=float(coef[0]), slope=float(coef[1]), r2=r2)
+    if min(ns) == max(ns):
+        raise ValueError("all scales identical; the slope is undefined")
+    k = len(ns)
+    mean_x = sum(ns) / k
+    mean_y = sum(ts) / k
+    sxx = sum((x - mean_x) ** 2 for x in ns)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(ns, ts))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(ns, ts))
+    ss_tot = sum((y - mean_y) ** 2 for y in ts)
+    # equal ts fit exactly, though a rounded mean_y can leave ss_tot > 0
+    exact = ss_tot == 0 or min(ts) == max(ts)
+    r2 = 1.0 if exact else 1.0 - ss_res / ss_tot
+    return FittedLine(intercept=intercept, slope=slope, r2=r2)
