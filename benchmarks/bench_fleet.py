@@ -98,6 +98,7 @@ def wrap_pair(n_daemons: int = WRAP_DAEMONS) -> dict:
 def failover_pair(n_clusters: int = 8, arrival_rate: float = 8.0,
                   n_arrivals: int = 24) -> dict:
     """The same arrival stream with and without an injected crash."""
+    from repro.audit import total
     from repro.experiments.common import percentile
     from repro.experiments.fleet import run_fleet_once
 
@@ -116,7 +117,7 @@ def failover_pair(n_clusters: int = 8, arrival_rate: float = 8.0,
             "failovers": summary["failovers"],
             "p50_latency": percentile(lat, 50) if lat else None,
             "p99_latency": percentile(lat, 99) if lat else None,
-            "leaked": sum(info["audit"]["leaked_allocations"].values()),
+            "leaked": total(info["audit"]["violations"], "leaked-nodes"),
             "audit_ok": info["audit"]["ok"],
             "fault_target": info["fault_target"],
         }
@@ -129,6 +130,7 @@ def failover_pair(n_clusters: int = 8, arrival_rate: float = 8.0,
 def xl_point(n_clusters: int = XL_CLUSTERS,
              n_arrivals: int = XL_ARRIVALS) -> dict:
     """The fleet-scale reach point: many clusters, long stream, crash."""
+    from repro.audit import total
     from repro.experiments.fleet import run_fleet_once
 
     t0 = time.perf_counter()
@@ -144,7 +146,7 @@ def xl_point(n_clusters: int = XL_CLUSTERS,
         "completed": summary["completed"],
         "failovers": summary["failovers"],
         "served_by": summary["served_by"],
-        "leaked": sum(info["audit"]["leaked_allocations"].values()),
+        "leaked": total(info["audit"]["violations"], "leaked-nodes"),
         "sim_events": env.sim.stats.events,
     }
 

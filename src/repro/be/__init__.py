@@ -16,7 +16,7 @@ the tool writer the Section 3.3 API surface:
 
 from repro.be.iccl import ICCLEndpoint, ICCLError, ICCLFabric, TreeTopology
 from repro.be.context import BEContext
-from repro.be.runtime import BackEnd
+from repro.be.runtime import BackEnd, minimal_daemon
 
 __all__ = [
     "BEContext",
@@ -25,4 +25,5 @@ __all__ = [
     "ICCLError",
     "ICCLFabric",
     "TreeTopology",
+    "minimal_daemon",
 ]

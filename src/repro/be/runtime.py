@@ -26,7 +26,7 @@ from repro.be.iccl import ICCLEndpoint
 from repro.lmonp import FeToBe, LmonpMessage, LmonpStream, MsgClass, security_token
 from repro.mpir import RPDTAB, ProcDesc
 
-__all__ = ["BackEnd"]
+__all__ = ["BackEnd", "minimal_daemon"]
 
 
 #: last (raw bytes -> decoded) usr-data pair; every daemon of one set
@@ -239,3 +239,16 @@ class BackEnd:
                 f"{self.ctx.rank} is not the master)")
         if self._stream is None:
             raise RuntimeError(f"{what} before init")
+
+
+def minimal_daemon(ctx):
+    """The minimal tool daemon body: init, ready, finalize.
+
+    Timing runs and service workloads point their
+    :class:`~repro.rm.DaemonSpec` at it; the daemon's process name comes
+    from the spec's ``executable``.
+    """
+    be = BackEnd(ctx)
+    yield from be.init()
+    yield from be.ready()
+    yield from be.finalize()

@@ -185,16 +185,6 @@ class FaultStats:
     fs_stall_time: float = 0.0
     straggler_nodes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "crashes": self.crashes, "procs_killed": self.procs_killed,
-            "bodies_interrupted": self.bodies_interrupted,
-            "rsh_faults": self.rsh_faults,
-            "fs_stalled_loads": self.fs_stalled_loads,
-            "fs_stall_time": self.fs_stall_time,
-            "straggler_nodes": self.straggler_nodes,
-        }
-
 
 class FaultInjector:
     """Turns a :class:`FaultPlan` into scheduled simx events + live hooks.
@@ -459,15 +449,6 @@ class NetFaultStats:
     delayed_digests: int = 0
     duplicated_digests: int = 0
     data_sends_blocked: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "blocked_edges": self.blocked_edges,
-            "lost_digests": self.lost_digests,
-            "delayed_digests": self.delayed_digests,
-            "duplicated_digests": self.duplicated_digests,
-            "data_sends_blocked": self.data_sends_blocked,
-        }
 
 
 class NetFaultInjector:

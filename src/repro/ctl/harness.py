@@ -5,8 +5,10 @@ One scenario = one seeded workload driven through a
 lifecycle point, restarted after a downtime, driven to completion, and
 then audited: every session must end **re-adopted or cleanly reaped --
 never relaunched, never leaked**. The audits are independent of the
-restore's own bookkeeping (they recount from the RM and the cluster),
-so a restore that lies to its report still fails the scenario.
+restore's own bookkeeping (the relaunch audit compares job and daemon
+identities across the restart; the ledger audits are
+:func:`repro.audit.ledger_violations`, recounting from the RM and the
+cluster), so a restore that lies to its report still fails the scenario.
 
 Scenario variants (selected by the config, exercised across seeds by
 the soak test and the ``ctl`` experiment):
@@ -30,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.audit import Violation, ledger_violations, total
 from repro.cluster import ClusterSpec, FaultPlan
 from repro.ctl.client import CtlClient
-from repro.ctl.daemon import ControlPlane, DaemonState
+from repro.ctl.daemon import ControlPlane
 from repro.ctl.errors import CtlUnavailable
 from repro.fe.session import SessionState
 from repro.launch import LaunchPolicy
@@ -43,6 +46,7 @@ __all__ = ["CrashResult", "CrashScenario", "run_crash_restart",
            "scenario_for_seed"]
 
 _LIVE = (SessionState.READY, SessionState.DEGRADED, SessionState.MW_READY)
+_TERMINAL = (SessionState.DETACHED, SessionState.KILLED, SessionState.FAILED)
 
 
 @dataclass
@@ -78,9 +82,10 @@ class CrashScenario:
 
 @dataclass
 class CrashResult:
-    """One scenario's outcome plus its audit verdicts."""
+    """One scenario's counters plus its verdict: ``ok`` iff no violations."""
 
     seed: int
+    violations: List[Violation] = field(default_factory=list)
     t_kill: float = 0.0
     generations: int = 0
     submitted: int = 0
@@ -102,26 +107,12 @@ class CrashResult:
     #: free-node index consistent with cluster reality after teardown
     index_balanced: bool = True
     makespan: float = 0.0
-    ok: bool = False
+    #: teardown errors (not a verdict: the final ledger audit decides)
     notes: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed, "t_kill": self.t_kill,
-            "generations": self.generations, "submitted": self.submitted,
-            "rejected_submits": self.rejected_submits,
-            "adopted": self.adopted, "resubmitted": self.resubmitted,
-            "reaped_sessions": self.reaped_sessions,
-            "orphan_allocs_reaped": self.orphan_allocs_reaped,
-            "relaunched": self.relaunched, "completed": self.completed,
-            "failed_sessions": self.failed_sessions,
-            "leaked_nodes_mid": self.leaked_nodes_mid,
-            "leaked_nodes_final": self.leaked_nodes_final,
-            "queue_leak_final": self.queue_leak_final,
-            "index_balanced": self.index_balanced,
-            "makespan": self.makespan, "ok": self.ok,
-            "notes": list(self.notes),
-        }
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def scenario_for_seed(seed: int, fault_rate: float = 0.08,
@@ -248,22 +239,23 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
         res.reaped_sessions = report.reaped_sessions
         res.orphan_allocs_reaped = report.orphan_allocs_reaped
         res.relaunched = report.relaunched
+        if report.relaunched:
+            res.violations.append(
+                Violation("relaunched", "restore", report.relaunched))
 
     # relaunch audit, independent of the restore's own report: every
     # session whose tree was alive at the kill and at the restart must
-    # come back *adopted* onto the same job and daemon processes
+    # come back *adopted* onto the same job, with no daemon process that
+    # was not there before (a new one means a respawn)
     for ctl_id, (job, proc_ids) in pre_jobs.items():
         cs = daemon.sessions.get(ctl_id)
-        if cs is None or not cs.adopted or cs.session.job is not job:
-            res.relaunched += 1
-            res.notes.append(f"ctl{ctl_id}: live tree not re-adopted")
-            continue
-        now_alive = frozenset(id(d.proc) for d in cs.session.job.daemons
-                              if d.proc is not None and d.proc.alive)
-        if not now_alive <= proc_ids:
-            res.relaunched += 1
-            res.notes.append(f"ctl{ctl_id}: daemon set changed across "
-                             f"restart (respawn?)")
+        if cs is not None and cs.adopted and cs.session.job is job:
+            now_alive = frozenset(id(d.proc) for d in job.daemons
+                                  if d.proc is not None and d.proc.alive)
+            if now_alive <= proc_ids:
+                continue
+        res.relaunched += 1
+        res.violations.append(Violation("relaunched", f"ctl{ctl_id}", 1))
 
     # phase 4: drive the workload to completion under the new generation
     def finisher():
@@ -278,20 +270,18 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
 
     drive(env, finisher())
     res.submitted = len(tickets)
+    if res.submitted != cfg.n_sessions:
+        res.violations.append(Violation(
+            "unsubmitted", "", cfg.n_sessions - res.submitted))
 
     # mid audit: after recovery every allocated node is owned by a live
     # session of the current generation
-    held = set()
-    for cs in daemon.sessions.values():
-        session = cs.session
-        if session is None:
-            continue
-        if session.state in (SessionState.DETACHED, SessionState.KILLED,
-                             SessionState.FAILED):
-            continue
-        for alloc in session.owned_allocs:
-            held.update(node.name for node in alloc.nodes)
-    res.leaked_nodes_mid = len(rm.allocated_node_names - held)
+    held = {node.name for cs in daemon.sessions.values()
+            if cs.session is not None and cs.session.state not in _TERMINAL
+            for alloc in cs.session.owned_allocs for node in alloc.nodes}
+    mid = ledger_violations(rm, "after recovery", owned=held)
+    res.violations += mid
+    res.leaked_nodes_mid = total(mid, "leaked-nodes")
     res.completed = sum(1 for cs in daemon.sessions.values()
                         if cs.session is not None
                         and cs.session.state in _LIVE)
@@ -318,20 +308,14 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     res.makespan = sim.now
 
     # final audit: node accounting balances to zero
-    res.leaked_nodes_final = len(rm.allocated_node_names)
-    res.queue_leak_final = rm.queued_requests
-    grantable = sum(1 for node in cluster.compute
-                    if not node.failed
-                    and node.name not in rm.node_blacklist)
-    res.index_balanced = len(rm.free_nodes()) == grantable
-    terminal = all(
-        cs.session is not None and cs.session.state in (
-            SessionState.DETACHED, SessionState.KILLED, SessionState.FAILED)
-        for cs in daemon.sessions.values())
-    if not terminal:
-        res.notes.append("non-terminal session after teardown")
-    res.ok = (res.relaunched == 0 and res.leaked_nodes_mid == 0
-              and res.leaked_nodes_final == 0 and res.queue_leak_final == 0
-              and res.index_balanced and terminal
-              and res.submitted == cfg.n_sessions)
+    final = ledger_violations(rm, "after teardown")
+    res.violations += final
+    res.leaked_nodes_final = total(final, "leaked-nodes")
+    res.queue_leak_final = total(final, "queued-requests")
+    res.index_balanced = not total(final, "free-index")
+    live = sum(1 for cs in daemon.sessions.values()
+               if cs.session is None or cs.session.state not in _TERMINAL)
+    if live:
+        res.violations.append(Violation("non-terminal", "after teardown",
+                                        live))
     return res

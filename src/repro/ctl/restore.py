@@ -74,23 +74,6 @@ class RestoreReport:
     relaunched: int = 0
     notes: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "checkpoint_generation": self.checkpoint_generation,
-            "checkpoint_sessions": self.checkpoint_sessions,
-            "adopted": self.adopted,
-            "resubmitted": self.resubmitted,
-            "reaped_sessions": self.reaped_sessions,
-            "orphan_allocs_reaped": self.orphan_allocs_reaped,
-            "orphan_nodes_reaped": self.orphan_nodes_reaped,
-            "stray_procs_killed": self.stray_procs_killed,
-            "queue_entries_withdrawn": self.queue_entries_withdrawn,
-            "blacklist_applied": self.blacklist_applied,
-            "relaunched": self.relaunched,
-            "notes": list(self.notes),
-        }
-
 
 _ADOPT_STATES = {
     "ready": SessionState.READY,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
+from repro.be import minimal_daemon
 from repro.fe import ToolFrontEnd
 from repro.perfmodel import LaunchModel, ModelInputs
 from repro.rm import DaemonSpec, SlurmConfig, SlurmRM
@@ -26,14 +26,6 @@ DAEMON_IMAGE_MB = 1.0
 TASKS_PER_DAEMON = 8
 
 
-def _measure_daemon(ctx):
-    """The minimal instrumented tool daemon used for timing runs."""
-    be = BackEnd(ctx)
-    yield from be.init()
-    yield from be.ready()
-    yield from be.finalize()
-
-
 def measure_launch_and_spawn(n_daemons: int,
                              tasks_per_daemon: int = TASKS_PER_DAEMON,
                              slurm_config: SlurmConfig | None = None,
@@ -45,7 +37,7 @@ def measure_launch_and_spawn(n_daemons: int,
     env = make_env(n_compute=n_daemons, seed=seed, **kwargs)
     app = make_compute_app(n_tasks=n_daemons * tasks_per_daemon,
                            tasks_per_node=tasks_per_daemon)
-    spec = DaemonSpec("lmon_bench_be", main=_measure_daemon,
+    spec = DaemonSpec("lmon_bench_be", main=minimal_daemon,
                       image_mb=DAEMON_IMAGE_MB)
     box = {}
 

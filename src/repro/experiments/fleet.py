@@ -32,7 +32,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
+from repro.audit import total
+from repro.be import minimal_daemon
 from repro.experiments.common import ExperimentResult, percentile
 from repro.experiments.sweep import map_grid
 from repro.fleet import FleetEnv, audit_fleet, make_fleet_env
@@ -47,14 +48,6 @@ DAEMON_IMAGE_MB = 1.0
 #: how long each session's tool body holds its nodes before detaching --
 #: the load that makes high arrival rates actually contend
 HOLD_TIME = 0.25
-
-
-def _fleet_daemon(ctx):
-    """Minimal per-session tool daemon: init, ready, finalize."""
-    be = BackEnd(ctx)
-    yield from be.init()
-    yield from be.ready()
-    yield from be.finalize()
 
 
 def _hold_and_detach(fe, session):
@@ -85,7 +78,7 @@ def run_fleet_once(n_clusters: int, arrival_rate: float,
     fleet = env.fleet
     app = make_compute_app(n_tasks=nodes_per_session * tasks_per_node,
                            tasks_per_node=tasks_per_node)
-    spec = DaemonSpec("fleet_tool_be", main=_fleet_daemon,
+    spec = DaemonSpec("fleet_tool_be", main=minimal_daemon,
                       image_mb=DAEMON_IMAGE_MB)
     rng = SeededRNG(seed, f"fleetexp:{n_clusters}x{arrival_rate}")
     if fault_arrival is None:
@@ -141,7 +134,7 @@ def _fleet_point(n_clusters: int, arrival_rate: float, n_arrivals: int,
         "p99_latency": percentile(latencies, 99) if latencies else None,
         "makespan": max(h.finished_at for h in handles),
         "fault_target": info["fault_target"] or "-",
-        "leaked": sum(audit["leaked_allocations"].values()),
+        "leaked": total(audit["violations"], "leaked-nodes"),
         "audit_ok": audit["ok"],
         # table-invisible, travels through --json: per-member breakdown
         # of served / failed attempts / refusals / breaker trips / fences

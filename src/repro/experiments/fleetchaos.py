@@ -11,8 +11,9 @@ fleet's standing invariants:
 * **double_allocations** -- fenced re-placements that could have left a
   request live in two places (stale-but-live sessions, epoch/fence
   mismatches, non-terminal abandoned sessions); must be 0;
-* **leaked_nodes** -- allocations still on any member RM ledger after
-  the anti-entropy tail; must be 0;
+* **leaked_nodes** -- nodes still allocated on any member RM ledger
+  after the anti-entropy tail; must be 0 (both counts come from the
+  run-end audit, :func:`repro.audit.fleet_violations`);
 * **max_failovers** -- worst per-request failover count; must stay
   within the scenario budget (no failover storms under flapping links);
 * **converged** -- gossip views state-agree within

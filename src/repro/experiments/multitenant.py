@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
+from repro.be import minimal_daemon
 from repro.experiments.common import ExperimentResult, percentile
 from repro.rm import DaemonSpec
 from repro.runner import ServiceEnv, drive, make_service_env
@@ -33,14 +33,6 @@ from repro.experiments.sweep import map_grid
 __all__ = ["run_multitenant", "run_tenants_once"]
 
 DAEMON_IMAGE_MB = 1.0
-
-
-def _tenant_daemon(ctx):
-    """Minimal per-tenant tool daemon: init, ready, finalize."""
-    be = BackEnd(ctx)
-    yield from be.init()
-    yield from be.ready()
-    yield from be.finalize()
 
 
 def _detach_body(fe, session):
@@ -61,7 +53,7 @@ def run_tenants_once(n_tenants: int,
                            seed=seed)
     app = make_compute_app(n_tasks=nodes_per_session * tasks_per_node,
                            tasks_per_node=tasks_per_node)
-    spec = DaemonSpec("mt_tool_be", main=_tenant_daemon,
+    spec = DaemonSpec("mt_tool_be", main=minimal_daemon,
                       image_mb=DAEMON_IMAGE_MB)
     handles = [
         env.service.submit_launch(app, spec, tool_name=f"tenant{i:03d}",

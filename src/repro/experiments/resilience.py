@@ -28,10 +28,11 @@ landing the cost in a report's ``t_repair`` phase.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Generator, Optional, Sequence
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
+from repro.be import minimal_daemon
 from repro.cluster import ClusterSpec, FaultPlan
 from repro.fe import ToolFrontEnd
 from repro.launch import LaunchPolicy, LaunchReport
@@ -75,14 +76,6 @@ def default_policy(n_daemons: int) -> LaunchPolicy:
     )
 
 
-def _resilient_daemon(ctx):
-    """Minimal well-behaved tool daemon: init, ready, finalize."""
-    be = BackEnd(ctx)
-    yield from be.init()
-    yield from be.ready()
-    yield from be.finalize()
-
-
 def measure_resilient_launch(strategy: str, n_daemons: int,
                              fault_rate: float, repair: bool,
                              image_mb: float = DAEMON_IMAGE_MB,
@@ -106,7 +99,7 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         policy=policy,
         launch_strategy=None if strategy == "rm-bulk" else strategy)
     app = make_compute_app(n_tasks=n_daemons * 2, tasks_per_node=2)
-    spec = DaemonSpec("res_toold", main=_resilient_daemon,
+    spec = DaemonSpec("res_toold", main=minimal_daemon,
                       image_mb=image_mb)
     box: dict = {}
 
@@ -153,7 +146,7 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         "blacklisted": list(report.blacklisted) if report else [],
         "report": report.as_dict() if report else None,
         "outcomes": dict(report.outcomes) if report else {},
-        "fault_stats": faults.stats.as_dict() if faults else None,
+        "fault_stats": asdict(faults.stats) if faults else None,
     }
 
 

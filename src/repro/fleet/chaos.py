@@ -19,7 +19,7 @@ of PR 8's crash-restart harness one tier up:
      epoch first, every abandoned session is terminal, no stale session
      survives its fence, no fence left undelivered;
   2. **zero leaked nodes** -- every member RM ledger empty after drain
-     (:func:`~repro.fleet.fleet.audit_fleet`);
+     (both checked by :func:`repro.audit.fleet_violations`);
   3. **bounded failover** -- no request exceeded the failover budget
      (flapping links must not drive storms);
   4. **view convergence** -- within ``suspect_rounds + diameter`` rounds
@@ -34,10 +34,11 @@ this harness, exactly like ``ctlrestart`` rides on ``repro.ctl.harness``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
+from repro.audit import Violation, fleet_violations, total
+from repro.be import minimal_daemon
 from repro.cluster.faults import (
     FlappingLink,
     GossipDelay,
@@ -47,7 +48,7 @@ from repro.cluster.faults import (
     NetLinkDown,
     NetPartition,
 )
-from repro.fleet.fleet import FleetEnv, audit_fleet, make_fleet_env
+from repro.fleet.fleet import make_fleet_env
 from repro.fleet.health import ClusterState
 from repro.rm import DaemonSpec
 from repro.runner import drive
@@ -62,14 +63,6 @@ HOLD_TIME = 1.0
 
 VARIANTS = ("minority-split", "asym-links", "flap-weather",
             "split-plus-crash", "door-minority")
-
-
-def _chaos_daemon(ctx):
-    """Minimal per-session tool daemon: init, ready, finalize."""
-    be = BackEnd(ctx)
-    yield from be.init()
-    yield from be.ready()
-    yield from be.finalize()
 
 
 def _hold_and_detach(fe, session):
@@ -166,11 +159,10 @@ def scenario_for_seed(seed: int) -> ChaosScenario:
 
 @dataclass
 class ChaosResult:
-    """Outcome + invariant audit of one chaos run."""
+    """Counters and verdict of one chaos run: ``ok`` iff no violations."""
 
     scenario: ChaosScenario
-    ok: bool
-    failures: List[str] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
     submitted: int = 0
     completed: int = 0
     rejected: int = 0
@@ -188,29 +180,9 @@ class ChaosResult:
     leaked: int = 0
     double_allocations: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.scenario.seed,
-            "variant": self.scenario.variant,
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "minority_rejections": self.minority_rejections,
-            "failovers": self.failovers,
-            "max_request_failovers": self.max_request_failovers,
-            "abandoned": self.abandoned,
-            "fences_delivered": self.fences_delivered,
-            "fenced_kills": self.fenced_kills,
-            "stale_completions": self.stale_completions,
-            "breaker_trips": self.breaker_trips,
-            "readmissions": self.readmissions,
-            "rounds_run": self.rounds_run,
-            "converged": self.converged,
-            "leaked": self.leaked,
-            "double_allocations": self.double_allocations,
-        }
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
@@ -232,7 +204,7 @@ def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
     app = make_compute_app(
         n_tasks=scenario.nodes_per_session * scenario.tasks_per_node,
         tasks_per_node=scenario.tasks_per_node)
-    spec = DaemonSpec("chaos_tool_be", main=_chaos_daemon, image_mb=1.0)
+    spec = DaemonSpec("chaos_tool_be", main=minimal_daemon, image_mb=1.0)
     rng = SeededRNG(scenario.seed, "fleetchaos")
     handles: List[Any] = []
 
@@ -262,9 +234,8 @@ def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
     env.sim.run()  # let fence kills unwind and release their nodes
 
     # -- audits ---------------------------------------------------------------
-    result = ChaosResult(scenario=scenario, ok=True)
+    result = ChaosResult(scenario=scenario)
     summary = door.summary()
-    audit = audit_fleet(fleet)
     result.submitted = summary["submitted"]
     result.completed = summary["completed"]
     result.rejected = summary["rejected"]
@@ -277,56 +248,35 @@ def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
     result.readmissions = summary["readmissions"]
     result.rounds_run = mesh.rounds_run
     result.converged = mesh.state_converged()
-    result.leaked = sum(audit["leaked_allocations"].values())
     for member in fleet.members:
         result.fences_delivered += member.fence_stats["fences_received"]
         result.fenced_kills += member.fence_stats["fenced_kills"]
         result.stale_completions += member.fence_stats["stale_completions"]
 
-    failures = result.failures
-    # 1. zero double allocation
-    stale_live = sum(m.stale_live_sessions() for m in fleet.members)
-    bad_epochs = [h.id for h in handles
-                  if h.epoch != len(h.fenced_attempts)]
-    undead = [h.id for h in handles
-              if any(not s.done for s in h.abandoned_sessions)]
-    result.double_allocations = stale_live + len(bad_epochs) + len(undead)
-    if stale_live:
-        failures.append(f"{stale_live} fenced sessions still live")
-    if bad_epochs:
-        failures.append(f"epoch/fence mismatch on handles {bad_epochs}")
-    if undead:
-        failures.append(f"abandoned sessions not terminal on {undead}")
-    if door.pending_fences:
-        failures.append(f"{door.pending_fences} fences never delivered")
-    # 2. zero leaked nodes (plus queue/terminal-state hygiene)
-    if not audit["ok"]:
-        failures.append(f"fleet audit failed: {audit}")
+    # 1. zero double allocation and 2. zero leaked nodes (plus queue,
+    # free-index and terminal-state hygiene)
+    violations = result.violations
+    violations += fleet_violations(fleet)
+    result.leaked = total(violations, "leaked-nodes")
+    result.double_allocations = total(
+        violations, "stale-live-sessions", "epoch-fence", "live-abandoned")
     # 3. bounded failover
     if result.max_request_failovers > scenario.max_failovers:
-        failures.append(
-            f"failover storm: a request took "
-            f"{result.max_request_failovers} failovers "
-            f"(budget {scenario.max_failovers})")
+        violations.append(Violation("failover-budget", "",
+                                    result.max_request_failovers))
     # 4. post-heal view convergence + re-admission
     if not result.converged:
-        failures.append("gossip views did not reconverge after heal")
-    lingering = []
+        violations.append(Violation("unconverged", "", 1))
     for member in fleet.members:
-        if member.crashed:
-            continue
         rec = door.view.get(member.name)
-        if rec is None or rec.state is ClusterState.DOWN:
-            lingering.append(member.name)
-    if lingering:
-        failures.append(
-            f"live members still DOWN in the door's view: {lingering}")
+        if not member.crashed and (rec is None
+                                   or rec.state is ClusterState.DOWN):
+            violations.append(Violation("down-in-view", member.name, 1))
     # conservation: every request reached a terminal account
-    accounted = (summary["completed"] + summary["rejected"]
-                 + summary["cancelled"] + summary["failed"])
-    if accounted != result.submitted:
-        failures.append(
-            f"request conservation broken: {accounted} accounted "
-            f"of {result.submitted}")
-    result.ok = not failures
+    unaccounted = result.submitted - (
+        summary["completed"] + summary["rejected"] + summary["cancelled"]
+        + summary["failed"])
+    if unaccounted:
+        violations.append(Violation("unaccounted-requests", door.name,
+                                    unaccounted))
     return result

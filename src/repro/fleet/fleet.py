@@ -18,10 +18,10 @@ regression pins: a fleet of **one** member built with exactly
 driven against the member's cluster/RM are byte-identical to the direct
 path -- the fleet layer costs nothing until it is exercised.
 
-:func:`audit_fleet` is the PR 8-style ledger audit at fleet scope: after
-a drain, every member RM must hold zero live allocations and an empty
-request queue, and every session everywhere must be terminal -- the
-"zero leaked node allocations" acceptance gate of the fleet experiment.
+:func:`audit_fleet` runs :func:`repro.audit.fleet_violations` after a
+drain: every member RM ledger empty and balanced, every session and
+request terminal, every fence delivered -- the "zero leaked nodes"
+acceptance gate of the fleet experiment.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Type, Union
 
+from repro.audit import fleet_violations
 from repro.cluster import (
     ClusterSpec,
     CostModel,
@@ -78,9 +79,6 @@ class Fleet:
         """Crash a member by name (fault injection); returns the number
         of in-flight sessions it took down."""
         return self._by_name[name].crash()
-
-    def audit(self) -> dict:
-        return audit_fleet(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Fleet {len(self.members)} members "
@@ -186,39 +184,7 @@ def make_fleet_member_env(n_compute: int = 16,
 
 
 def audit_fleet(fleet: Fleet) -> dict:
-    """Fleet-wide leak audit against every member RM's ledger.
-
-    Call after a drain. ``ok`` requires, for every member: zero live
-    allocations (nothing leaked -- cancelled, failed-over and crashed
-    sessions all returned their nodes), an empty RM request queue, and
-    every service handle terminal; plus every fleet handle terminal at
-    the door, no fence still queued at the door, and no fenced-but-live
-    stale session on any member (split-brain re-placements fully fenced).
-    """
-    leaked: Dict[str, int] = {}
-    queued: Dict[str, int] = {}
-    unfinished: Dict[str, int] = {}
-    stale_live: Dict[str, int] = {}
-    for member in fleet.members:
-        if member.leaked_allocations:
-            leaked[member.name] = member.leaked_allocations
-        if member.rm.queued_requests:
-            queued[member.name] = member.rm.queued_requests
-        open_handles = sum(1 for h in member.service.handles if not h.done)
-        if open_handles:
-            unfinished[member.name] = open_handles
-        stale = member.stale_live_sessions()
-        if stale:
-            stale_live[member.name] = stale
-    open_requests = sum(1 for h in fleet.door.handles if not h.done)
-    pending_fences = fleet.door.pending_fences
-    return {
-        "ok": not (leaked or queued or unfinished or open_requests
-                   or stale_live or pending_fences),
-        "leaked_allocations": leaked,
-        "queued_requests": queued,
-        "unfinished_sessions": unfinished,
-        "unfinished_requests": open_requests,
-        "stale_live_sessions": stale_live,
-        "pending_fences": pending_fences,
-    }
+    """The fleet's run-end audit, for a drained fleet: ``violations`` is
+    :func:`repro.audit.fleet_violations`, and ``ok`` means it is empty."""
+    violations = fleet_violations(fleet)
+    return {"ok": not violations, "violations": violations}

@@ -3,8 +3,9 @@ the gossip persona (versioned self-reports, a local view, crash flag).
 
 Members share the fleet's single :class:`~repro.simx.Simulator` -- one
 virtual timeline across the whole fleet -- but nothing else: each has its
-own node namespace, RM ledger and ToolService, so a leak audit can hold
-every member to ``live_allocations == {}`` independently.
+own node namespace, RM ledger and ToolService, so the run-end audit
+(:func:`repro.audit.fleet_violations`) holds every member's ledger to
+empty independently.
 
 Crashing a member models the *whole cluster* dropping off the fleet
 (power/partition), not individual node faults -- those stay the job of
@@ -192,7 +193,8 @@ class FleetCluster:
     def stale_live_sessions(self) -> int:
         """Sessions below this member's fence floors that are still not
         done -- must be 0 once fences have been delivered and the
-        simulation has quiesced (chaos audit invariant)."""
+        simulation has quiesced (the run-end audit's
+        ``stale-live-sessions`` check)."""
         count = 0
         for (req, ep), handle in self._epoch_sessions.items():
             if ep < self._fence_epochs.get(req, -1) and not handle.done:
@@ -235,12 +237,6 @@ class FleetCluster:
     @property
     def queued(self) -> int:
         return self.rm.queued_requests
-
-    @property
-    def leaked_allocations(self) -> int:
-        """Entries still on the RM ledger -- 0 after a full drain unless
-        something leaked (the fleet experiment's audit criterion)."""
-        return len(self.rm.live_allocations)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " CRASHED" if self.crashed else ""

@@ -14,12 +14,12 @@ from repro.ctl.harness import (CrashScenario, run_crash_restart,
 
 
 def _check(res):
-    assert res.relaunched == 0, res.notes
+    assert res.relaunched == 0, res.violations
     assert res.leaked_nodes_mid == 0
     assert res.leaked_nodes_final == 0
     assert res.queue_leak_final == 0
     assert res.index_balanced
-    assert res.ok, res.as_dict()
+    assert res.ok, res.violations
 
 
 @pytest.mark.parametrize("t_kill", [0.2, 0.5, 1.0, 2.0, 4.0])
@@ -72,8 +72,9 @@ def test_scenario_mix_covers_all_variants():
 
 def test_result_dict_is_jsonable():
     import json
+    from dataclasses import asdict
     res = run_crash_restart(CrashScenario(seed=17, t_kill=1.0))
-    json.dumps(res.as_dict())
+    json.dumps(asdict(res))
 
 
 def test_tree_that_dies_during_downtime_is_not_counted_as_relaunched():
@@ -82,6 +83,6 @@ def test_tree_that_dies_during_downtime_is_not_counted_as_relaunched():
     # instead of adopting it; the audit only holds trees that were still
     # alive at the restart to the adoption rule
     res = run_crash_restart(scenario_for_seed(1378))
-    assert res.ok, res.as_dict()
-    assert res.relaunched == 0, res.notes
+    assert res.ok, res.violations
+    assert res.relaunched == 0, res.violations
     assert res.reaped_sessions == 1

@@ -86,7 +86,7 @@ class TestMemberFencing:
         sim.run()
         assert handle.done and isinstance(handle.exception, Interrupt)
         assert member.stale_live_sessions() == 0
-        assert member.leaked_allocations == 0
+        assert member.rm.live_allocations == {}
 
     def test_fence_counts_already_finished_stale_attempts(self):
         sim = Simulator()

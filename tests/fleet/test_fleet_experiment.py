@@ -25,7 +25,7 @@ class TestRunFleetOnce:
         summary = env.fleet.door.summary()
         assert summary["completed"] == 12
         assert summary["failovers"] >= 1
-        assert all(m.leaked_allocations == 0 for m in env.fleet.members)
+        assert all(not m.rm.live_allocations for m in env.fleet.members)
 
     def test_fault_free_stream_has_no_failovers(self):
         env, handles, info = run_fleet_once(4, 8.0, n_arrivals=8,

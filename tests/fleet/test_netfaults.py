@@ -12,6 +12,8 @@ digest is a no-op, and a healed partition re-admits the slandered side
 within ``suspect_rounds + diameter`` rounds.
 """
 
+from dataclasses import asdict
+
 from repro.cluster import (
     FlappingLink,
     GossipDelay,
@@ -136,7 +138,7 @@ class TestInjectorTopology:
             assert not nf.digest_lost("a", "b")
             assert nf.digest_delay("a", "b") == 0
             assert not nf.digest_duplicated("a", "b")
-        assert nf.stats.as_dict() == {
+        assert asdict(nf.stats) == {
             "blocked_edges": 0, "lost_digests": 0, "delayed_digests": 0,
             "duplicated_digests": 0, "data_sends_blocked": 0}
         assert nf.all_healed() and not nf.log
@@ -280,5 +282,5 @@ class TestMeshUnderNetFaults:
         faulted.run_rounds(5)
         for a, b in zip(plain_members, faulted_members):
             assert a.view.records() == b.view.records()
-        assert nf.stats.as_dict()["blocked_edges"] == 0
+        assert asdict(nf.stats)["blocked_edges"] == 0
         assert not nf.log

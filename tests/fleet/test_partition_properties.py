@@ -27,6 +27,7 @@ here, and every round of a run must match them exactly.
 """
 
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,10 +70,10 @@ class TestPartitionScheduleProperties:
     def test_any_single_split_is_safe_and_reconverges(
             self, seed, side, at_round, duration):
         res = _run(seed, [_split(side, at_round, duration)])
-        assert res.double_allocations == 0, res.failures
-        assert res.leaked == 0, res.failures
-        assert res.converged, res.failures
-        assert res.ok, res.failures
+        assert res.double_allocations == 0, res.violations
+        assert res.leaked == 0, res.violations
+        assert res.converged, res.violations
+        assert res.ok, res.violations
 
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(seed=seeds, side_a=sides, side_b=sides,
@@ -83,10 +84,10 @@ class TestPartitionScheduleProperties:
         first = _split(side_a, at_round, dur_a)
         second = _split(side_b, at_round + dur_a + gap, dur_b)
         res = _run(seed, [first, second])
-        assert res.double_allocations == 0, res.failures
-        assert res.leaked == 0, res.failures
-        assert res.converged, res.failures
-        assert res.ok, res.failures
+        assert res.double_allocations == 0, res.violations
+        assert res.leaked == 0, res.violations
+        assert res.converged, res.violations
+        assert res.ok, res.violations
 
 
 # -- gossip merge oracle ------------------------------------------------------
@@ -220,7 +221,7 @@ class TestGossipMergeOracle:
         first = _split(side_a, at_round, dur_a)
         second = _split(side_b, at_round + dur_a, dur_b)
         new, old = _same_rounds(lambda: _run(seed, [first, second]))
-        assert new.as_dict() == old.as_dict()
+        assert asdict(new) == asdict(old)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_chaos_variant_matches_round_by_round(self, seed):
@@ -228,7 +229,7 @@ class TestGossipMergeOracle:
         # links and a member crash on top of a split
         scenario = scenario_for_seed(seed)
         new, old = _same_rounds(lambda: run_fleet_chaos(scenario))
-        assert new.as_dict() == old.as_dict()
+        assert asdict(new) == asdict(old)
 
     @pytest.mark.parametrize("seed, crashed", [(2, "c0"), (3, "c6")])
     def test_fault_free_fleet_with_a_crashed_member(self, seed, crashed):
