@@ -1,34 +1,27 @@
 """Fleet bench: front-door overhead, failover cost, fleet-scale reach.
 
-The federated fleet layer (``repro/fleet/``) claims three things this
-file holds it to:
+The federated fleet layer (``repro/fleet/``) claims these wall-clock
+bounds, which this file holds it to:
 
-* **Zero-overhead pass-through.** A single-member fleet must produce the
-  *same virtual result* as the direct ``make_env`` path -- identical
-  startup totals and identical simulated event counts for the fig6
-  LaunchMON point. The front door, gossip mesh, and placement layer may
-  cost wall-clock (bounded by ``WRAP_WALL_FACTOR``) but must not perturb
-  the simulation by a single event.
-* **Failover beats resubmission.** With one cluster crashed mid-stream,
-  every arrival still completes (no session is lost), zero node
-  allocations leak from any member RM, and the p99 launch latency of the
-  faulted run stays within ``FAILOVER_P99_FACTOR`` of the fault-free
-  run -- the detour costs a retry, not a meltdown.
+* **Cheap pass-through.** A single-member fleet may cost at most
+  ``WRAP_WALL_FACTOR`` times the wall clock of the direct ``make_env``
+  path for the fig6 LaunchMON point.
 * **Reach.** A ``XL_CLUSTERS``-cluster fleet absorbing ``XL_ARRIVALS``
   sessions (crash included) completes within ``XL_WALL_BUDGET`` wall
   seconds on one machine.
-* **Partition tolerance is inert until faulted.** A fleet carrying the
-  full netfault/fencing machinery but an *empty* fault plan produces a
-  door summary identical to one built with no plan at all -- the
-  partition-tolerance tier perturbs nothing on the fault-free path.
-* **Chaos storms stay cheap and audited.** A batch of seeded partition
-  storms (``repro.fleet.chaos``) completes within
-  ``CHAOS_WALL_PER_STORM`` wall seconds per storm with every invariant
-  audit green: zero double allocations, zero leaks, bounded failover,
-  post-heal convergence.
+* **Cheap chaos storms.** A batch of seeded partition storms
+  (``repro.fleet.chaos``) takes at most ``CHAOS_WALL_PER_STORM`` wall
+  seconds per storm.
 
-Under pytest the assertions run at quick scale (CI smoke); run the file
-directly for plain JSON on stdout (the artifact behind the committed
+The virtual claims measured by the same points are tier-1 tests: the
+fleet of one is exact and an empty netfault plan is inert
+(``tests/fleet/test_fleet_bit_identity.py``); a failover serves every
+arrival, leaks nothing and keeps p99 within 5x of fault-free, and the XL
+point serves all its arrivals (``tests/fleet/test_fleet_experiment.py``);
+the chaos audits run in the 200-seed soak
+(``tests/fleet/test_chaos_soak.py``).
+
+Run the file for plain JSON on stdout (the artifact behind the committed
 ``BENCH_fleet.json``):
 
     PYTHONPATH=src python benchmarks/bench_fleet.py [--quick]
@@ -40,16 +33,10 @@ import json
 import sys
 import time
 
-import pytest
-
 #: wall-clock factor the single-member fleet wrapping may cost over the
 #: direct make_env path (the wrapping adds construction, not simulation;
 #: generous because the absolute times are milliseconds)
 WRAP_WALL_FACTOR = 3.0
-#: p99 launch latency of the faulted run vs the fault-free run -- a
-#: failover detour re-places and re-launches one session batch, it must
-#: not stall the whole stream
-FAILOVER_P99_FACTOR = 5.0
 #: wall budget for the XL reach point (seconds)
 XL_WALL_BUDGET = 120.0
 #: wall budget per seeded chaos storm (seconds) -- each storm is a full
@@ -239,7 +226,6 @@ def fleet_bench_payload(quick: bool = False) -> dict:
     payload = {
         "config": {
             "wrap_wall_factor": WRAP_WALL_FACTOR,
-            "failover_p99_factor": FAILOVER_P99_FACTOR,
             "xl_wall_budget_s": XL_WALL_BUDGET,
             "wrap_daemons": WRAP_DAEMONS,
             "chaos_wall_per_storm_s": CHAOS_WALL_PER_STORM,
@@ -255,89 +241,15 @@ def fleet_bench_payload(quick: bool = False) -> dict:
 
 
 def check_claims(payload: dict, quick: bool = False) -> None:
-    wrap = payload["wrap"]
-    # pass-through: virtual result untouched by the fleet wrapping
-    assert wrap["virtual_exact"], wrap
-    assert wrap["events_exact"], wrap
-    assert wrap["fleet"]["classes"] == wrap["direct"]["classes"], wrap
-    failover = payload["failover"]
-    for mode in ("clean", "faulted"):
-        cell = failover[mode]
-        assert cell["completed"] == failover["n_arrivals"], (mode, cell)
-        assert cell["leaked"] == 0, (mode, cell)
-        assert cell["audit_ok"], (mode, cell)
-    assert failover["faulted"]["failovers"] > 0, failover
-    assert failover["clean"]["failovers"] == 0, failover
-    assert failover["p99_factor"] < FAILOVER_P99_FACTOR, failover
-    inert = payload["netfault_inert"]
-    assert inert["summary_identical"], inert
-    assert inert["events_identical"], inert
     chaos = payload["chaos"]
-    assert chaos["all_ok"], chaos
-    assert chaos["double_allocations"] == 0, chaos
-    assert chaos["leaked"] == 0, chaos
-    assert chaos["unconverged"] == 0, chaos
     assert chaos["wall_per_storm"] < CHAOS_WALL_PER_STORM, chaos
     if not quick:
         # wall factors only mean anything at full scale (quick points
         # are milliseconds, dominated by interpreter noise)
+        wrap = payload["wrap"]
         assert wrap["wall_factor"] < WRAP_WALL_FACTOR, wrap
         xl = payload["xl"]
         assert xl["wall_s"] < XL_WALL_BUDGET, xl
-        assert xl["completed"] == xl["n_arrivals"], xl
-        assert xl["leaked"] == 0, xl
-
-
-# ---------------------------------------------------------------------------
-# pytest entry points (CI smoke: assertions at quick scale)
-# ---------------------------------------------------------------------------
-
-class TestFleetBench:
-    @pytest.fixture(scope="class")
-    def payload(self):
-        return fleet_bench_payload(quick=True)
-
-    def test_single_member_fleet_is_pass_through(self, payload):
-        wrap = payload["wrap"]
-        assert wrap["virtual_exact"] and wrap["events_exact"]
-
-    def test_faulted_stream_fails_over_and_completes(self, payload):
-        failover = payload["failover"]
-        assert failover["faulted"]["failovers"] > 0
-        assert (failover["faulted"]["completed"]
-                == failover["n_arrivals"])
-
-    def test_no_leaked_allocations_either_way(self, payload):
-        failover = payload["failover"]
-        assert failover["clean"]["leaked"] == 0
-        assert failover["faulted"]["leaked"] == 0
-
-    def test_failover_detour_bounded(self, payload):
-        assert payload["failover"]["p99_factor"] < FAILOVER_P99_FACTOR
-
-    def test_netfault_machinery_inert_without_faults(self, payload):
-        inert = payload["netfault_inert"]
-        assert inert["summary_identical"] and inert["events_identical"]
-
-    def test_chaos_storms_audited_green(self, payload):
-        chaos = payload["chaos"]
-        assert chaos["all_ok"]
-        assert chaos["double_allocations"] == 0
-        assert chaos["leaked"] == 0
-        assert chaos["unconverged"] == 0
-
-
-@pytest.mark.benchmark(group="fleet")
-def bench_fleet_8x8(benchmark):
-    """pytest-benchmark hook: one 8-cluster faulted arrival stream."""
-    from repro.experiments.fleet import run_fleet_once
-
-    def point():
-        env, handles, info = run_fleet_once(8, 8.0, n_arrivals=24)
-        return env.fleet.door.summary()
-
-    summary = benchmark(point)
-    benchmark.extra_info["failovers"] = summary["failovers"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,18 @@ launch integration) claims three things this file holds it to:
   orders past the paper's largest measured machine -- must complete
   within ``XXL_WALL_BUDGET`` wall seconds on one machine.
 
-Under pytest the assertions run at 4096 daemons (CI smoke); run the file
-directly for plain JSON on stdout (the artifact behind the committed
-``BENCH_hybrid.json``):
+The fidelity checks here run on the 65536-daemon fig6 pair and the
+16384-leaf stream pair that the speed floor needs anyway; the same
+checks at 4096 daemons are tier-1 tests (``tests/simx/test_aggregate.py``,
+``TestHybridVsFull4096``). Run the file for plain JSON on stdout (the
+artifact behind the committed ``BENCH_hybrid.json``):
 
-    PYTHONPATH=src python benchmarks/bench_hybrid.py [--quick]
-
-``--quick`` downsizes the comparison point to 4096 daemons and skips the
-1M points (CI smoke).
+    PYTHONPATH=src python benchmarks/bench_hybrid.py
 """
 
 import json
 import sys
 import time
-
-import pytest
 
 #: hybrid fig6 must beat full simulation by this wall-clock factor at 64k
 SPEEDUP_FLOOR = 5.0
@@ -42,6 +39,9 @@ THROUGHPUT_TOLERANCE = 0.05
 #: wall budget for each 1,048,576-daemon hybrid point (seconds)
 XXL_WALL_BUDGET = 600.0
 
+#: the hybrid-vs-full comparison points (fig6 daemons, stream leaves)
+COMPARISON_DAEMONS = 65_536
+COMPARISON_LEAVES = 16_384
 XXL_DAEMONS = 1_048_576
 
 
@@ -128,25 +128,22 @@ def xxl_point(n_daemons: int = XXL_DAEMONS) -> dict:
     }
 
 
-def hybrid_bench_payload(quick: bool = False) -> dict:
-    n = 4096 if quick else 65536
-    payload = {
+def hybrid_bench_payload() -> dict:
+    return {
         "config": {
             "speedup_floor": SPEEDUP_FLOOR,
             "virtual_tolerance": VIRTUAL_TOLERANCE,
             "throughput_tolerance": THROUGHPUT_TOLERANCE,
-            "comparison_daemons": n,
+            "comparison_daemons": COMPARISON_DAEMONS,
             "xxl_wall_budget_s": XXL_WALL_BUDGET,
         },
-        "fig6": fig6_pair(n),
-        "str": stream_pair(min(n, 16384)),
+        "fig6": fig6_pair(COMPARISON_DAEMONS),
+        "str": stream_pair(COMPARISON_LEAVES),
+        "xxl": xxl_point(),
     }
-    if not quick:
-        payload["xxl"] = xxl_point()
-    return payload
 
 
-def check_claims(payload: dict, quick: bool = False) -> None:
+def check_claims(payload: dict) -> None:
     fig6 = payload["fig6"]
     # fidelity: virtual totals inside the model band, counts exact
     assert fig6["virtual_err"] < VIRTUAL_TOLERANCE, fig6["virtual_err"]
@@ -157,67 +154,25 @@ def check_claims(payload: dict, quick: bool = False) -> None:
     assert stream["throughput_err"] < THROUGHPUT_TOLERANCE, \
         stream["throughput_err"]
     assert stream["hybrid"]["delivered"] == stream["full"]["delivered"]
-    if not quick:
-        # speed: the 64k hybrid point must clear the 5x floor
-        assert fig6["speedup"] >= SPEEDUP_FLOOR, fig6["speedup"]
-        # reach: both 1M points inside the wall budget
-        xxl = payload["xxl"]
-        assert xxl["fig6"]["wall_s"] < XXL_WALL_BUDGET, xxl
-        assert xxl["str"]["wall_s"] < XXL_WALL_BUDGET, xxl
+    # speed: the 64k hybrid point must clear the 5x floor
+    assert fig6["speedup"] >= SPEEDUP_FLOOR, fig6["speedup"]
+    # reach: both 1M points inside the wall budget
+    xxl = payload["xxl"]
+    assert xxl["fig6"]["wall_s"] < XXL_WALL_BUDGET, xxl
+    assert xxl["str"]["wall_s"] < XXL_WALL_BUDGET, xxl
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (CI smoke: assertions at quick scale)
+# plain-JSON mode (the BENCH_hybrid.json artifact)
 # ---------------------------------------------------------------------------
 
-class TestHybridBench:
-    @pytest.fixture(scope="class")
-    def payload(self):
-        return hybrid_bench_payload(quick=True)
-
-    def test_fig6_virtual_total_within_model_band(self, payload):
-        assert payload["fig6"]["virtual_err"] < VIRTUAL_TOLERANCE
-
-    def test_fig6_counts_exact(self, payload):
-        fig6 = payload["fig6"]
-        assert fig6["hybrid"]["classes"] == fig6["full"]["classes"]
-        assert fig6["hybrid"]["n_tasks"] == fig6["full"]["n_tasks"]
-
-    def test_fig6_hybrid_simulates_far_fewer_events(self, payload):
-        fig6 = payload["fig6"]
-        assert fig6["hybrid"]["sim_events"] < fig6["full"]["sim_events"] / 2
-
-    def test_stream_payloads_bit_exact(self, payload):
-        stream = payload["str"]
-        assert stream["waves_exact"] and stream["state_exact"]
-        assert stream["hybrid"]["delivered"] == stream["full"]["delivered"]
-
-    def test_stream_throughput_within_model_band(self, payload):
-        assert payload["str"]["throughput_err"] < THROUGHPUT_TOLERANCE
-
-
-@pytest.mark.benchmark(group="hybrid")
-def bench_hybrid_fig6_4k(benchmark):
-    """pytest-benchmark hook: wall-clock of one hybrid 4k fig6 point."""
-    from repro.experiments.fig6 import measure_stat_startup
-
-    box = benchmark(measure_stat_startup, 4096, "launchmon",
-                    tasks_per_daemon=1, hybrid=True)
-    benchmark.extra_info["virtual_startup_s"] = box["startup"].total
-
-
-# ---------------------------------------------------------------------------
-# plain-JSON mode (CI artifact)
-# ---------------------------------------------------------------------------
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    payload = hybrid_bench_payload(quick=quick)
-    check_claims(payload, quick=quick)
+def main() -> int:
+    payload = hybrid_bench_payload()
+    check_claims(payload)
     json.dump(payload, sys.stdout, indent=2)
     print()
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -19,7 +19,13 @@ An interrupt-detach series tracks the O(1) target-identity detach: total
 detach cost must scale ~linearly in the waiter count (the old
 ``list.remove`` scheme was quadratic across a gate's interrupt storm).
 
-Under pytest the series lands in ``extra_info``; run the file directly
+This file holds only the wall-clock gates. The virtual and count claims
+live in tier-1: every churn event takes the fast lane
+(``tests/simx/test_fast_lane.py``) and the 4096-daemon LaunchMON virtual
+total is pinned (``tests/simx/test_aggregate.py``,
+``TestHybridVsFull4096``).
+
+Under pytest the wall gates run at quick scale; run the file directly
 for plain JSON on stdout (the CI artifact that seeds the BENCH_*
 trajectory):
 
@@ -144,8 +150,6 @@ def check_claims(payload: dict) -> None:
     k = payload["kernel"]
     # the fast lane must beat the pure-heap scheduler by the stated floor
     assert k["speedup"] >= SPEEDUP_FLOOR, k["speedup"]
-    # every churn event actually took the lane
-    assert k["fast_lane_share"] == 1.0, k["fast_lane_share"]
     # deep-heap regime: still a clear win (the log-heap term is gone)
     assert k["deep_speedup"] >= 2.0, k["deep_speedup"]
     # O(1) detach: 4x the waiters must cost well under the quadratic 16x
@@ -157,7 +161,7 @@ def check_claims(payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (CI smoke: assertions at quick scale)
+# pytest entry points (CI smoke: wall gates at quick scale)
 # ---------------------------------------------------------------------------
 
 class TestKernelBench:
@@ -178,19 +182,6 @@ class TestKernelBench:
 
     def test_quick_fig6_point_within_budget(self, payload):
         assert payload["fig6_xl"]["wall_s"] < QUICK_WALL_BUDGET
-
-    def test_quick_fig6_virtual_time_is_deterministic(self, payload):
-        # the 4096-daemon LaunchMON virtual startup is a pure function of
-        # the seed; pin it so kernel changes cannot silently shift timing
-        assert payload["fig6_xl"]["virtual_startup_s"] == pytest.approx(
-            48.53219607273357, rel=1e-9)
-
-
-@pytest.mark.benchmark(group="kernel")
-def bench_kernel_churn(benchmark):
-    """pytest-benchmark hook: wall-clock of the churn microbench."""
-    stats = benchmark(churn_stats, True, 50_000)
-    benchmark.extra_info["events_per_sec"] = int(stats.events_per_sec())
 
 
 # ---------------------------------------------------------------------------

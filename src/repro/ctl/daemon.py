@@ -55,7 +55,7 @@ from repro.ctl.errors import CtlError, CtlUnavailable
 from repro.ctl.registry import LaunchSpec, get_tool
 from repro.ctl.store import CheckpointStore
 from repro.fe.service import SessionHandle, ToolService
-from repro.fe.session import LMONSession, SessionState
+from repro.fe.session import LIVE_STATES, LMONSession, SessionState
 from repro.rm.base import ResourceManager
 
 __all__ = ["ControlPlane", "CtlDaemon", "CtlSession", "DaemonState"]
@@ -81,10 +81,6 @@ _CKPT_STATES = {
     SessionState.DEGRADED: "degraded",
     SessionState.MW_READY: "mw-ready",
 }
-
-#: states in which a session holds (or may hold) cluster resources
-_LIVE_STATES = (SessionState.READY, SessionState.DEGRADED,
-                SessionState.MW_READY)
 
 
 class CtlSession:
@@ -222,7 +218,7 @@ class CtlDaemon:
             raise CtlError(f"ctl{ctl_id} has no bound session yet")
         if cs.adopted:
             from repro.ctl.restore import reap_session_resources
-            cs.session.require_state(*_LIVE_STATES)
+            cs.session.require_state(*LIVE_STATES)
             reap_session_resources(self.rm, cs.session)
             cs.session.state = SessionState.DETACHED
             return None
@@ -327,7 +323,7 @@ class CtlDaemon:
                                         SessionState.QUEUED):
                 # waiting for admission or nodes: freeze mid-suspension
                 handle._proc.kill()
-            elif handle.session.state in _LIVE_STATES:
+            elif handle.session.state in LIVE_STATES:
                 # the tree is up and the attach is done; the op is only
                 # doing daemon-side bookkeeping (placement distribution,
                 # a chained teardown not yet started). Our death freezes
@@ -424,7 +420,7 @@ class CtlDaemon:
 
 def _detach_op(fe, session):
     """Chained teardown op: detach + reclaim through the live engine."""
-    session.require_state(*_LIVE_STATES)
+    session.require_state(*LIVE_STATES)
     yield from fe.detach(session, reclaim_job=True)
 
 

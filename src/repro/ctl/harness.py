@@ -37,16 +37,13 @@ from repro.cluster import ClusterSpec, FaultPlan
 from repro.ctl.client import CtlClient
 from repro.ctl.daemon import ControlPlane
 from repro.ctl.errors import CtlUnavailable
-from repro.fe.session import SessionState
+from repro.fe.session import LIVE_STATES, TERMINAL_STATES, SessionState
 from repro.launch import LaunchPolicy
 from repro.runner import drive, make_env
 from repro.simx.rng import SeededRNG
 
 __all__ = ["CrashResult", "CrashScenario", "run_crash_restart",
            "scenario_for_seed"]
-
-_LIVE = (SessionState.READY, SessionState.DEGRADED, SessionState.MW_READY)
-_TERMINAL = (SessionState.DETACHED, SessionState.KILLED, SessionState.FAILED)
 
 
 @dataclass
@@ -211,7 +208,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     if control.daemon is not None:
         for ctl_id, cs in control.daemon.sessions.items():
             session = cs.session
-            if session is not None and session.state in _LIVE \
+            if session is not None and session.state in LIVE_STATES \
                     and session.job is not None:
                 alive = [id(d.proc) for d in session.job.daemons
                          if d.proc is not None and d.proc.alive]
@@ -277,14 +274,15 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     # mid audit: after recovery every allocated node is owned by a live
     # session of the current generation
     held = {node.name for cs in daemon.sessions.values()
-            if cs.session is not None and cs.session.state not in _TERMINAL
+            if cs.session is not None
+            and cs.session.state not in TERMINAL_STATES
             for alloc in cs.session.owned_allocs for node in alloc.nodes}
     mid = ledger_violations(rm, "after recovery", owned=held)
     res.violations += mid
     res.leaked_nodes_mid = total(mid, "leaked-nodes")
     res.completed = sum(1 for cs in daemon.sessions.values()
                         if cs.session is not None
-                        and cs.session.state in _LIVE)
+                        and cs.session.state in LIVE_STATES)
     res.failed_sessions = sum(1 for cs in daemon.sessions.values()
                               if cs.session is not None
                               and cs.session.state is SessionState.FAILED)
@@ -293,7 +291,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     def ender():
         for ctl_id in sorted(daemon.sessions):
             cs = daemon.sessions[ctl_id]
-            if cs.session is not None and cs.session.state in _LIVE:
+            if cs.session is not None and cs.session.state in LIVE_STATES:
                 try:
                     yield from client.end(ctl_id)
                 except Exception as exc:
@@ -314,7 +312,8 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     res.queue_leak_final = total(final, "queued-requests")
     res.index_balanced = not total(final, "free-index")
     live = sum(1 for cs in daemon.sessions.values()
-               if cs.session is None or cs.session.state not in _TERMINAL)
+               if cs.session is None
+               or cs.session.state not in TERMINAL_STATES)
     if live:
         res.violations.append(Violation("non-terminal", "after teardown",
                                         live))

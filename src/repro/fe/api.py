@@ -48,7 +48,7 @@ from repro.be.context import BEContext
 from repro.cluster import Cluster, SimProcess
 from repro.engine import LaunchMONEngine
 from repro.engine.driver import ENGINE_EXECUTABLE
-from repro.fe.session import LMONSession, SessionState
+from repro.fe.session import LIVE_STATES, LMONSession, SessionState
 from repro.lmonp import (
     FeToBe,
     FeToEngine,
@@ -220,8 +220,7 @@ class ToolFrontEnd:
         Allowed from a ``DEGRADED`` session too -- the middleware set
         serves whatever back ends survived.
         """
-        session.require_state(SessionState.READY, SessionState.DEGRADED,
-                              SessionState.MW_READY)
+        session.require_state(*LIVE_STATES)
         if session.engine is None:
             raise FrontEndError("session has no engine")
         sim = self.sim
@@ -322,8 +321,7 @@ class ToolFrontEnd:
         nodes return to the RM free pool, un-blocking queued sessions.
         Jobs acquired via ``attach_and_spawn`` are never touched.
         """
-        session.require_state(SessionState.READY, SessionState.DEGRADED,
-                              SessionState.MW_READY)
+        session.require_state(*LIVE_STATES)
         if session.engine is not None:
             yield from session.engine.detach()
         session.state = SessionState.DETACHED
@@ -343,8 +341,7 @@ class ToolFrontEnd:
             raise FrontEndError(
                 "session has no engine/job to kill (a launch still queued "
                 "for nodes is cancelled via its SessionHandle)")
-        session.require_state(SessionState.SPAWNING, SessionState.READY,
-                              SessionState.DEGRADED, SessionState.MW_READY)
+        session.require_state(SessionState.SPAWNING, *LIVE_STATES)
         yield from session.engine.kill_job()
         session.state = SessionState.KILLED
         self.reclaim(session)

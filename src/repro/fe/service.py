@@ -37,7 +37,7 @@ from typing import Any, Callable, Generator, Optional
 from repro.apps import AppSpec
 from repro.cluster import Cluster
 from repro.fe.api import FrontEndError, ToolFrontEnd
-from repro.fe.session import LMONSession, SessionState
+from repro.fe.session import LMONSession, SessionState, TERMINAL_STATES
 from repro.rm.base import DaemonSpec, ResourceManager, RMJob
 from repro.simx import Event, Interrupt, Resource, Simulator
 
@@ -575,9 +575,7 @@ class ToolService:
                     # before raising left it in a deliberate terminal
                     # state: respect that, including a classic detach's
                     # still-running job.
-                    if session.state not in (SessionState.DETACHED,
-                                             SessionState.KILLED,
-                                             SessionState.FAILED):
+                    if session.state not in TERMINAL_STATES:
                         fe.reclaim(session)
                         session.state = SessionState.FAILED
                     raise
@@ -624,10 +622,6 @@ class ToolService:
             self._fe_idle_since[fe] = self.sim.now
         self._maybe_retire()
 
-    #: states in which a session needs nothing further from its front end
-    _TERMINAL = (SessionState.DETACHED, SessionState.KILLED,
-                 SessionState.FAILED)
-
     def _track_session(self, fe: ToolFrontEnd, session: LMONSession) -> None:
         """Count the new session as live until it first enters a terminal
         state (O(1) via status callback, vs rescanning fe.sessions)."""
@@ -635,7 +629,7 @@ class ToolService:
 
         def on_transition(s: LMONSession, old: SessionState,
                           new: SessionState) -> None:
-            if new in self._TERMINAL and old not in self._TERMINAL:
+            if new in TERMINAL_STATES and old not in TERMINAL_STATES:
                 self._fe_live_sessions[fe] -= 1
 
         session.register_status_cb(on_transition)

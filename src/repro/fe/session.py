@@ -72,7 +72,8 @@ from typing import Any, Callable, Optional
 
 from repro.engine.timeline import ComponentTimes, LaunchTimeline
 
-__all__ = ["LMONSession", "SessionState", "StatusCallback"]
+__all__ = ["LIVE_STATES", "LMONSession", "SessionState", "StatusCallback",
+           "TERMINAL_STATES"]
 
 
 class SessionState(enum.Enum):
@@ -86,6 +87,14 @@ class SessionState(enum.Enum):
     DETACHED = "detached"
     KILLED = "killed"
     FAILED = "failed"
+
+
+#: states in which a session holds a usable daemon set
+LIVE_STATES = (SessionState.READY, SessionState.DEGRADED,
+               SessionState.MW_READY)
+#: states in which a session needs nothing further from its front end
+TERMINAL_STATES = (SessionState.DETACHED, SessionState.KILLED,
+                   SessionState.FAILED)
 
 
 #: signature of a status callback: ``cb(session, old_state, new_state)``
@@ -188,8 +197,7 @@ class LMONSession:
         """
         from repro.tbon.overlay import StreamSpec
 
-        self.require_state(SessionState.READY, SessionState.DEGRADED,
-                           SessionState.MW_READY)
+        self.require_state(*LIVE_STATES)
         if self.overlay is None:
             raise RuntimeError(
                 f"session {self.id} has no TBON overlay attached "

@@ -28,7 +28,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Iterator, Optional, Sequence
 
 from repro.simx import Event, SeededRNG, Simulator
 from repro.apps import AppSpec
@@ -182,84 +182,41 @@ class RMJob:
         mem[MPIR_DEBUG_STATE] = MPIR_DEBUG_SPAWNED
 
 
-class _ObservedBlacklist(set):
-    """The RM's node blacklist, instrumented to keep the free-node index
-    exact: the launch layer adds condemned node names directly to this
-    (shared) set, so membership changes must reach the index without the
-    RM being called. Plain-``set`` semantics otherwise."""
+class _ObservedBlacklist:
+    """The RM's node blacklist. The launch layer adds condemned node names
+    directly to this shared object, so every membership change must reach
+    the free-node index without the RM being called. It is not a ``set``:
+    ``add``, ``discard`` and ``clear`` are its only mutators, and each
+    keeps the index exact."""
+
+    __slots__ = ("_names", "_rm")
 
     def __init__(self, rm: "ResourceManager"):
-        super().__init__()
+        self._names: set[str] = set()
         self._rm = rm
 
     def add(self, name: str) -> None:
-        if name not in self:
-            set.add(self, name)
+        if name not in self._names:
+            self._names.add(name)
             self._rm._index_ban(name)
 
-    def update(self, *others) -> None:
-        for other in others:
-            for name in other:
-                self.add(name)
-
     def discard(self, name: str) -> None:
-        if name in self:
-            set.discard(self, name)
+        if name in self._names:
+            self._names.discard(name)
             self._rm._index_unban(name)
-
-    def remove(self, name: str) -> None:
-        # set subclass: O(1) hash removal, not a list scan
-        set.remove(self, name)  # raises KeyError if absent
-        self._rm._index_unban(name)
 
     def clear(self) -> None:
-        names = list(self)
-        set.clear(self)
-        for name in names:
-            self._rm._index_unban(name)
+        for name in list(self._names):
+            self.discard(name)
 
-    def pop(self) -> str:
-        if not self:
-            raise KeyError("pop from an empty blacklist")
-        name = next(iter(self))
-        self.remove(name)  # simlint: allow[linear-scan] -- set subclass, O(1)
-        return name
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
 
-    def difference_update(self, *others) -> None:
-        for other in others:
-            for name in list(other):
-                self.discard(name)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
 
-    def intersection_update(self, *others) -> None:
-        keep = set(self).intersection(*others)
-        for name in list(self):
-            if name not in keep:
-                self.discard(name)
-
-    def symmetric_difference_update(self, other) -> None:
-        for name in list(other):
-            if name in self:
-                self.discard(name)
-            else:
-                self.add(name)
-
-    # the C-level in-place operators bypass the methods above; route them
-    # through the observed mutators so no mutation path can skip the index
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def __isub__(self, other):
-        self.difference_update(other)
-        return self
-
-    def __iand__(self, other):
-        self.intersection_update(other)
-        return self
-
-    def __ixor__(self, other):
-        self.symmetric_difference_update(other)
-        return self
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 class ResourceManager:
@@ -288,8 +245,8 @@ class ResourceManager:
         #: nodes condemned by exhausted launch retries; free_nodes() skips
         #: them, so a blacklisted node is never re-allocated (shared with
         #: every LaunchRequest this RM issues, which mutates it directly --
-        #: hence the observed-set type keeping the free index in sync)
-        self.node_blacklist: set[str] = _ObservedBlacklist(self)
+        #: hence the observed type keeping the free index in sync)
+        self.node_blacklist = _ObservedBlacklist(self)
         self._alloc_ids = itertools.count(1)
         self._allocated: set[str] = set()
         # -- free-node index: grantability is tracked incrementally so an

@@ -26,13 +26,10 @@ phase -- recovery structure designed into the platform, not bolted on.
 
 from repro.tbon.topology import TBONTopology, TopologyError
 from repro.tbon.filters import (
-    FILTER_REGISTRY,
     Filter,
     RankRuns,
     StatelessFilter,
-    get_filter,
     make_filter,
-    register_filter,
     register_stream_filter,
     stream_filter_names,
 )
@@ -64,7 +61,6 @@ from repro.tbon.startup import (
 __all__ = [
     "BoundedInbox",
     "DEFAULT_CREDIT_LIMIT",
-    "FILTER_REGISTRY",
     "Filter",
     "FlowStats",
     "MRNET_PER_BE_HANDSHAKE",
@@ -84,11 +80,9 @@ __all__ = [
     "TBONTopology",
     "TopologyError",
     "WaveTiming",
-    "get_filter",
     "launchmon_startup",
     "make_filter",
     "native_startup",
-    "register_filter",
     "register_stream_filter",
     "stream_filter_names",
 ]

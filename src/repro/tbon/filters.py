@@ -5,14 +5,12 @@ contribution, if any) into a single upstream payload. Filters are
 registered by name so topologies/streams can reference them portably --
 mirroring MRNet's filter-id mechanism.
 
-Two faces share one registry:
-
-* the **legacy callable face** (``get_filter(name)(payloads)``) used by
-  one-shot wave reductions -- unchanged since the seed;
-* the **stream face** (``make_filter(name, window=..., **params)``) used
-  by persistent streams (:meth:`repro.tbon.Overlay.open_stream`), which
-  returns a :class:`Filter` whose ``reduce(payloads, state)`` both merges
-  one wave *and* folds it into per-position running state.
+One registry of factories serves both uses: ``make_filter(name,
+window=..., **params)`` returns a :class:`Filter`. One-shot wave
+reductions call its ``merge(payloads)``, a single-wave merge with no
+state; persistent streams (:meth:`repro.tbon.Overlay.open_stream`) call
+``reduce(payloads, state)``, which both merges one wave *and* folds it
+into per-position running state.
 
 Algebraic contract (the executable spec lives in
 ``tests/tbon/test_filter_properties.py``): the per-wave merge of every
@@ -25,7 +23,7 @@ subtree's per-wave merges into a running aggregate over the last
 keeping the running aggregate in local state is what lets every level hold
 a live windowed view of its subtree without ever double-counting history.
 
-Built-in stream filters and their MRNet/paper correspondence:
+Built-in filters and their MRNet/paper correspondence:
 
 ==================  ====================================================
 ``concat``          MRNet TFILTER_CONCAT / waitforall (stateless)
@@ -56,18 +54,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Set
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
-    "FILTER_REGISTRY",
     "Filter",
     "RankRuns",
     "StatelessFilter",
     "add_rank",
-    "get_filter",
     "make_filter",
-    "register_filter",
     "register_stream_filter",
     "stream_filter_names",
     "subtract_runs",
@@ -76,65 +72,47 @@ __all__ = [
 
 FilterFn = Callable[[Sequence[Any]], Any]
 
-FILTER_REGISTRY: dict[str, FilterFn] = {}
-
-#: stream-filter factories: name -> factory(window=..., **params) -> Filter
+#: filter factories: name -> factory(window=..., **params) -> Filter
 STREAM_FILTER_REGISTRY: dict[str, Callable[..., "Filter"]] = {}
-
-
-def register_filter(name: str, fn: FilterFn) -> None:
-    """Register (or replace) a named reduction filter (legacy callable)."""
-    FILTER_REGISTRY[name] = fn
-
-
-def get_filter(name: str) -> FilterFn:
-    try:
-        return FILTER_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown TBON filter {name!r}; registered: "
-                       f"{sorted(FILTER_REGISTRY)}") from None
 
 
 def register_stream_filter(name: str,
                            factory: Callable[..., "Filter"]) -> None:
-    """Register (or replace) a stateful stream-filter factory."""
+    """Register (or replace) a filter factory."""
     STREAM_FILTER_REGISTRY[name] = factory
 
 
 def stream_filter_names() -> list[str]:
-    """Every name usable by a persistent stream (stateful or wrapped)."""
-    return sorted(set(STREAM_FILTER_REGISTRY) | set(FILTER_REGISTRY))
+    """Every registered filter name."""
+    return sorted(STREAM_FILTER_REGISTRY)
 
 
 def make_filter(name: str, window: int = 0, **params: Any) -> "Filter":
-    """Instantiate the stream face of filter ``name``.
+    """Instantiate filter ``name``.
 
     Stateful built-ins honour ``window`` (and filter-specific ``params``
-    like ``k`` or ``alpha``); a name registered only as a legacy callable
-    comes back wrapped in a :class:`StatelessFilter`.
+    like ``k`` or ``alpha``); a stateless filter ignores ``window`` and
+    rejects ``params``.
     """
-    factory = STREAM_FILTER_REGISTRY.get(name)
-    if factory is not None:
-        return factory(window=window, **params)
-    fn = get_filter(name)  # raises the unknown-name KeyError first
-    if params:
-        raise KeyError(
-            f"TBON filter {name!r} is stateless; it takes no parameters "
-            f"{sorted(params)} (stateful filters: "
-            f"{sorted(STREAM_FILTER_REGISTRY)})")
-    return StatelessFilter(fn, name)
+    try:
+        factory = STREAM_FILTER_REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown TBON filter {name!r}; registered: "
+                       f"{stream_filter_names()}") from None
+    return factory(window=window, **params)
 
 
 class Filter:
-    """A stateful TBON stream filter.
+    """A TBON filter.
 
-    ``reduce(payloads, state)`` merges one wave's child payloads into the
-    upstream payload and folds the merge into ``state`` (created by
-    :meth:`initial_state`; one state lives per (stream, position), passed
-    back in on every wave). The merge MUST be associative and commutative
-    -- that is what makes the root's result independent of tree shape and
-    arrival order. Instances carry no per-position data themselves, so one
-    instance can serve a whole stream.
+    ``merge(payloads)`` reduces one wave's child payloads into the
+    upstream payload. ``reduce(payloads, state)`` does the same and folds
+    the merge into ``state`` (created by :meth:`initial_state`; one state
+    lives per (stream, position), passed back in on every wave). The
+    merge MUST be associative and commutative -- that is what makes the
+    root's result independent of tree shape and arrival order. Instances
+    carry no per-position data themselves, so one instance can serve a
+    whole stream.
     """
 
     name = "?"
@@ -142,22 +120,27 @@ class Filter:
     def initial_state(self) -> Any:
         return None
 
+    def merge(self, payloads: Sequence[Any]) -> Any:
+        raise NotImplementedError
+
     def reduce(self, payloads: Sequence[Any],
                state: Any) -> tuple[Any, Any]:
         raise NotImplementedError
 
-    # the legacy callable face: single stateless wave reduction
-    def __call__(self, payloads: Sequence[Any]) -> Any:
-        merged, _state = self.reduce(payloads, self.initial_state())
-        return merged
-
 
 class StatelessFilter(Filter):
-    """Adapter giving a legacy callable the stream-filter interface."""
+    """A filter with no state: every wave is just ``fn(payloads)``."""
 
-    def __init__(self, fn: FilterFn, name: str = "?"):
-        self.fn = fn
+    def __init__(self, name: str, fn: FilterFn, window: int = 0,
+                 **params: Any):
+        if params:
+            raise KeyError(f"TBON filter {name!r} is stateless; it takes "
+                           f"no parameters {sorted(params)}")
         self.name = name
+        self.fn = fn
+
+    def merge(self, payloads: Sequence[Any]) -> Any:
+        return self.fn(payloads)
 
     def reduce(self, payloads: Sequence[Any],
                state: Any) -> tuple[Any, Any]:
@@ -185,9 +168,9 @@ def _max(payloads: Sequence[Any]) -> Any:
     return max(payloads)
 
 
-register_filter("concat", _concat)
-register_filter("sum", _sum)
-register_filter("max", _max)
+register_stream_filter("concat", partial(StatelessFilter, "concat", _concat))
+register_stream_filter("sum", partial(StatelessFilter, "sum", _sum))
+register_stream_filter("max", partial(StatelessFilter, "max", _max))
 
 
 # -- stateful built-in filters ------------------------------------------------
@@ -300,9 +283,12 @@ class EwmaRateFilter(Filter):
     def initial_state(self) -> dict:
         return {"waves": [], "ewma": None, "last": None, "n_waves": 0}
 
+    def merge(self, payloads: Sequence[float]) -> float:
+        return sum(payloads)
+
     def reduce(self, payloads: Sequence[float],
                state: dict) -> tuple[float, dict]:
-        total = sum(payloads)
+        total = self.merge(payloads)
         prev = state["ewma"]
         state["ewma"] = total if prev is None else (
             self.alpha * total + (1.0 - self.alpha) * prev)
@@ -444,6 +430,7 @@ class PrefixTreeMergeFilter(Filter):
     """
 
     name = "prefix_tree_merge"
+    merge = staticmethod(prefix_tree_merge)
 
     def __init__(self, window: int = 0):
         self.window = max(0, int(window))
@@ -470,9 +457,3 @@ register_stream_filter("histogram", RunningHistogramFilter)
 register_stream_filter("top_k", TopKFilter)
 register_stream_filter("ewma", EwmaRateFilter)
 register_stream_filter("prefix_tree_merge", PrefixTreeMergeFilter)
-
-# the legacy callable face of the stateful built-ins (single-wave merge)
-register_filter("histogram", RunningHistogramFilter.merge)
-register_filter("top_k", TopKFilter())
-register_filter("ewma", EwmaRateFilter())
-register_filter("prefix_tree_merge", prefix_tree_merge)

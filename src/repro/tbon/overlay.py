@@ -58,7 +58,7 @@ from typing import Any, Generator, Optional
 from repro.simx import Channel, Simulator, Store
 from repro.cluster import Node
 from repro.cluster.network import Network
-from repro.tbon.filters import get_filter, make_filter
+from repro.tbon.filters import make_filter
 from repro.tbon.flow import (
     BoundedInbox,
     FlowStats,
@@ -371,7 +371,7 @@ class Overlay:
             payloads = buffers.pop(key)
             wsum = weights.pop(key)
             spec = self.streams.get(pkt.stream_id)
-            fn = get_filter(spec.filter_name if spec else "concat")
+            filt = make_filter(spec.filter_name if spec else "concat")
             # per-payload merge processing at this position, weighted by
             # the physical messages each contribution stands in for (an
             # aggregate child counts as its whole collapsed fan-in; every
@@ -379,7 +379,7 @@ class Overlay:
             # bit-identical max(1, len(payloads)) they always did)
             yield self.sim.timeout(
                 self.network.costs.msg_overhead * max(1, wsum))
-            merged = fn(payloads)
+            merged = filt.merge(payloads)
             out = Packet(pkt.stream_id, pkt.wave, merged, "up")
             if pos == 0:
                 yield self.root_delivery.put(out)

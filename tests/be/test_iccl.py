@@ -56,6 +56,10 @@ class TestTopology:
                     assert steps <= 37
                 assert p == 0
 
+    @pytest.mark.parametrize("kind", ["flat", "binomial", "kary"])
+    def test_make_at_1024_ranks(self, kind):
+        assert TreeTopology.make(1024, kind).size == 1024
+
     def test_invalid_sizes(self):
         with pytest.raises(ICCLError):
             TreeTopology.flat(0)

@@ -16,8 +16,19 @@ baseline.
 
 from pathlib import Path
 
+import pytest
+
+from repro.apps import make_compute_app
+from repro.be import minimal_daemon
+from repro.cluster import NetFaultPlan
 from repro.experiments.cli import QUICK_SWEEPS
 from repro.experiments import run_fig6, run_launch_matrix
+from repro.experiments.fig6 import measure_stat_startup
+from repro.experiments.fleet import _hold_and_detach
+from repro.fleet import make_fleet_env, make_fleet_member_env
+from repro.rm import DaemonSpec
+from repro.runner import drive, make_env
+from repro.simx import SeededRNG
 
 BASELINE = Path(__file__).parent.parent / "baselines" \
     / "pr3_fig6_lmx_quick.txt"
@@ -36,3 +47,40 @@ def test_fleet_member_env_runs_zero_events_at_construction():
     env = make_fleet_member_env(n_compute=16)
     assert env.sim.stats.events == 0
     assert env.sim.now == 0.0
+
+
+@pytest.mark.parametrize("n_daemons", [16, 64])
+def test_fleet_of_one_fig6_point_is_exact(n_daemons):
+    direct, fleet = (measure_stat_startup(n_daemons, "launchmon",
+                                          tasks_per_daemon=1,
+                                          env_factory=factory)
+                     for factory in (make_env, make_fleet_member_env))
+    assert fleet["startup"].total == direct["startup"].total
+    assert fleet["sim_events"] == direct["sim_events"]
+    assert fleet["classes"] == direct["classes"]
+
+
+def test_empty_netfault_plan_is_inert():
+    """A fleet carrying the netfault and fencing machinery with an empty
+    plan serves a Poisson stream exactly like a fleet with no plan."""
+
+    def run(plan):
+        env = make_fleet_env(n_clusters=4, nodes_per_cluster=8,
+                             shard_size=2, net_fault_plan=plan, seed=7)
+        fleet = env.fleet
+        app = make_compute_app(n_tasks=8, tasks_per_node=4)
+        spec = DaemonSpec("inert_fleet_be", main=minimal_daemon,
+                          image_mb=1.0)
+        rng = SeededRNG(7, "inert")
+
+        def driver():
+            for i in range(12):
+                fleet.submit_launch(app, spec, tool_name=f"user{i:03d}",
+                                    body=_hold_and_detach)
+                yield env.sim.timeout(rng.expovariate(8.0))
+            yield from fleet.drain()
+
+        drive(env, driver())
+        return fleet.door.summary(), env.sim.stats.events
+
+    assert run(NetFaultPlan()) == run(None)

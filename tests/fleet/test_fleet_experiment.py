@@ -9,9 +9,12 @@ with a recorded audit trail.
 
 import json
 
+import pytest
+
+from repro.audit import total
 from repro.experiments import ExperimentResult
 from repro.experiments.cli import QUICK_SWEEPS, main as cli_main
-from repro.experiments.common import write_json_report
+from repro.experiments.common import percentile, write_json_report
 from repro.experiments.fleet import run_fleet, run_fleet_once
 
 
@@ -41,6 +44,31 @@ class TestRunFleetOnce:
             return [(h.cluster, h.failovers, h.launch_latency)
                     for h in handles]
         assert fingerprint() == fingerprint()
+
+
+@pytest.mark.parametrize("n_arrivals", [12, 24])
+def test_failover_detour_is_bounded(n_arrivals):
+    """The same 8-cluster stream with and without a crashed member: both
+    serve every arrival and leak nothing, only the faulted one fails
+    over, and its p99 launch latency stays within 5x of fault-free."""
+    p99 = {}
+    for fault in (False, True):
+        env, _, info = run_fleet_once(8, 8.0, n_arrivals=n_arrivals,
+                                      fault=fault)
+        summary = env.fleet.door.summary()
+        assert summary["completed"] == n_arrivals, fault
+        assert total(info["audit"]["violations"], "leaked-nodes") == 0
+        assert info["audit"]["ok"], info["audit"]
+        assert (summary["failovers"] > 0) is fault
+        p99[fault] = percentile(summary["launch_latencies"], 99)
+    assert p99[True] / max(p99[False], 1e-9) < 5.0
+
+
+def test_32_cluster_fleet_serves_256_arrivals_through_a_crash():
+    env, _, info = run_fleet_once(32, 32.0, n_arrivals=256,
+                                  nodes_per_cluster=16, fault=True)
+    assert env.fleet.door.summary()["completed"] == 256
+    assert total(info["audit"]["violations"], "leaked-nodes") == 0
 
 
 class TestRunFleetSweep:

@@ -58,6 +58,11 @@ class TestMessage:
         decoded = LmonpMessage.decode(msg.encode())
         assert decoded == msg
 
+    def test_large_proctab_message_roundtrip(self):
+        msg = LmonpMessage(MsgClass.FE_BE, FeToBe.PROCTAB, num_tasks=1024,
+                           lmon_payload=b"x" * 4096, usr_payload=b"y" * 512)
+        assert LmonpMessage.decode(msg.encode()) == msg
+
     def test_empty_payloads(self):
         msg = LmonpMessage(MsgClass.FE_MW, FeToMw.READY)
         decoded = LmonpMessage.decode(msg.encode())
@@ -150,6 +155,17 @@ class TestFrameDecoder:
         for i in range(len(stream)):
             out.extend(dec.feed(stream[i:i + 1]))
         assert out == self._msgs()
+
+    def test_64_messages_in_97_byte_chunks(self):
+        msgs = [LmonpMessage(MsgClass.FE_BE, FeToBe.USRDATA,
+                             usr_payload=bytes([i % 256]) * (i * 7 % 300))
+                for i in range(64)]
+        stream = b"".join(m.encode() for m in msgs)
+        dec = FrameDecoder()
+        out = []
+        for i in range(0, len(stream), 97):
+            out.extend(dec.feed(stream[i:i + 97]))
+        assert out == msgs
 
     def test_split_inside_header(self):
         dec = FrameDecoder()

@@ -56,6 +56,15 @@ class TestCodec:
         tab = make_table(64, tasks_per_node=8)
         assert RPDTAB.from_bytes(tab.to_bytes()) == tab
 
+    @pytest.mark.parametrize("n_tasks", [1024, 8192])
+    def test_roundtrip_at_scale(self, n_tasks):
+        tab = RPDTAB(ProcDesc(rank=r, host_name=f"atlas{r // 8:04d}",
+                              executable_name="app", pid=1000 + r % 8)
+                     for r in range(n_tasks))
+        back = RPDTAB.from_bytes(tab.to_bytes())
+        assert len(back) == n_tasks
+        assert back == tab
+
     def test_roundtrip_unicode_names(self):
         tab = RPDTAB([ProcDesc(0, "nöde-α", "exé", 42)])
         back = RPDTAB.from_bytes(tab.to_bytes())

@@ -101,7 +101,7 @@ class TestDegradedSession:
             assert not node.processes_of("toold")
         free = {n.name for n in env.rm.free_nodes()}
         survivors = {n.name for n in env.cluster.compute if not n.failed}
-        assert free == survivors - env.rm.node_blacklist
+        assert free == survivors - set(env.rm.node_blacklist)
 
     def test_faultfree_policy_run_reaches_ready(self):
         env = _env()

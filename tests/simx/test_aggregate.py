@@ -396,3 +396,57 @@ class TestHybridVsFullParity:
         sb = measure_stream(128, n_waves=4)
         assert sa["total_latency"] == sb["total_latency"]
         assert sa["waves"] == sb["waves"]
+
+
+class TestHybridVsFull4096:
+    """The 4,096-daemon hybrid-vs-full pair at the default exactness
+    boundary. The full fig6 point also pins the 4,096-daemon LaunchMON
+    virtual total, so kernel changes cannot silently shift timing."""
+
+    #: the launch model's error band is ~0.1-0.5% at 4k-64k; 5% leaves
+    #: headroom without hiding regressions
+    TOLERANCE = 0.05
+
+    @pytest.fixture(scope="class")
+    def fig6(self):
+        from repro.experiments.fig6 import measure_stat_startup
+
+        return {mode: measure_stat_startup(4096, "launchmon",
+                                           tasks_per_daemon=1, hybrid=hybrid)
+                for mode, hybrid in (("full", False), ("hybrid", True))}
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        from repro.experiments.streaming import measure_stream
+
+        return {mode: measure_stream(4096, filter_name="histogram", window=8,
+                                     credit_limit=4, n_waves=10,
+                                     hybrid=hybrid)
+                for mode, hybrid in (("full", False), ("hybrid", True))}
+
+    def test_full_point_pins_the_virtual_total(self, fig6):
+        assert fig6["full"]["startup"].total == pytest.approx(
+            48.53219607273357, rel=1e-9)
+
+    def test_fig6_virtual_total_within_model_band(self, fig6):
+        full = fig6["full"]["startup"].total
+        err = abs(fig6["hybrid"]["startup"].total - full) / full
+        assert err < self.TOLERANCE, f"hybrid fig6 off by {err:.2%}"
+
+    def test_fig6_counts_exact(self, fig6):
+        assert fig6["hybrid"]["classes"] == fig6["full"]["classes"]
+        assert fig6["hybrid"]["n_tasks"] == fig6["full"]["n_tasks"]
+
+    def test_fig6_hybrid_simulates_under_half_the_events(self, fig6):
+        assert fig6["hybrid"]["sim_events"] < fig6["full"]["sim_events"] / 2
+
+    def test_stream_payloads_bit_exact(self, stream):
+        full, hybrid = stream["full"], stream["hybrid"]
+        assert hybrid["waves"] == full["waves"]
+        assert hybrid["final_state"] == full["final_state"]
+        assert hybrid["delivered"] == full["delivered"]
+
+    def test_stream_throughput_within_model_band(self, stream):
+        full = stream["full"]["throughput"]
+        err = abs(stream["hybrid"]["throughput"] - full) / full
+        assert err < self.TOLERANCE, f"hybrid stream off by {err:.2%}"

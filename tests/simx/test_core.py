@@ -42,6 +42,18 @@ class TestClock:
         sim.run()
         assert seen == [1.0, 1.5]
 
+    def test_fifty_chains_of_100_hops(self):
+        sim = Simulator()
+
+        def chain(sim, hops):
+            for _ in range(hops):
+                yield sim.timeout(0.001)
+
+        for _ in range(50):
+            sim.process(chain(sim, 100))
+        sim.run()
+        assert sim.now == pytest.approx(0.1)
+
     def test_run_until_stops_clock_exactly(self):
         sim = Simulator()
 

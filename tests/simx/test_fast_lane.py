@@ -159,6 +159,14 @@ class TestKernelStats:
         assert sim.stats.heap_pushes == 1
         assert sim.stats.heap_high_water == 1
 
+    def test_zero_delay_churn_takes_the_lane_every_time(self):
+        sim = Simulator()
+        for _ in range(300_000):
+            sim.event().succeed()
+        sim.run()
+        assert sim.stats.events == 300_000
+        assert sim.stats.fast_events / sim.stats.events == 1.0
+
     def test_fast_lane_disabled_pushes_everything(self):
         sim = Simulator(fast_lane=False)
         sim.event().succeed()

@@ -1,20 +1,20 @@
 """Filter-registry error paths and Packet routing invariants."""
 
+from functools import partial
+
 import pytest
 
 from repro.cluster.network import message_size
 from repro.tbon import (
-    FILTER_REGISTRY,
     Filter,
     Packet,
     StatelessFilter,
-    get_filter,
     make_filter,
-    register_filter,
     register_stream_filter,
     stream_filter_names,
 )
 from repro.tbon.filters import (
+    STREAM_FILTER_REGISTRY,
     EwmaRateFilter,
     RunningHistogramFilter,
     TopKFilter,
@@ -24,7 +24,7 @@ from repro.tbon.filters import (
 class TestRegistryErrorPaths:
     def test_get_filter_unknown_name(self):
         with pytest.raises(KeyError) as err:
-            get_filter("no_such_filter")
+            make_filter("no_such_filter")
         # the error names the offender AND lists what IS registered
         msg = str(err.value)
         assert "no_such_filter" in msg
@@ -32,27 +32,28 @@ class TestRegistryErrorPaths:
 
     def test_register_filter_replaces_silently(self):
         """Replacement semantics: the registry is last-write-wins (how
-        tools override a built-in), and the previous callable is simply
+        tools override a built-in), and the previous factory is simply
         unreachable afterwards."""
-        original = get_filter("sum")
+        original = STREAM_FILTER_REGISTRY["sum"]
         try:
-            register_filter("sum", lambda payloads: -1)
-            assert get_filter("sum")([1, 2, 3]) == -1
+            register_stream_filter(
+                "sum", partial(StatelessFilter, "sum", lambda payloads: -1))
+            assert make_filter("sum").merge([1, 2, 3]) == -1
         finally:
-            register_filter("sum", original)
-        assert get_filter("sum")([1, 2, 3]) == 6
+            register_stream_filter("sum", original)
+        assert make_filter("sum").merge([1, 2, 3]) == 6
 
     def test_register_new_name_and_lookup(self):
-        register_filter("test_only_min", min)
+        register_stream_filter("test_only_min",
+                               partial(StatelessFilter, "test_only_min", min))
         try:
-            assert get_filter("test_only_min")([4, 2, 9]) == 2
             assert "test_only_min" in stream_filter_names()
-            # unknown to the stream registry -> wrapped stateless
-            wrapped = make_filter("test_only_min")
-            assert isinstance(wrapped, StatelessFilter)
-            assert wrapped([4, 2, 9]) == 2
+            f = make_filter("test_only_min")
+            assert isinstance(f, StatelessFilter)
+            assert f.merge([4, 2, 9]) == 2
+            assert f.reduce([4, 2, 9], None) == (2, None)
         finally:
-            del FILTER_REGISTRY["test_only_min"]
+            del STREAM_FILTER_REGISTRY["test_only_min"]
 
     def test_make_filter_unknown_name(self):
         with pytest.raises(KeyError, match="unknown TBON filter"):
@@ -75,14 +76,15 @@ class TestRegistryErrorPaths:
         register_stream_filter("test_only_count", lambda window=0: Custom())
         try:
             f = make_filter("test_only_count")
-            assert f(["a", "b", "c"]) == 3
+            assert f.reduce(["a", "b", "c"], f.initial_state()) == (3, None)
         finally:
-            from repro.tbon.filters import STREAM_FILTER_REGISTRY
             del STREAM_FILTER_REGISTRY["test_only_count"]
 
     def test_base_filter_reduce_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Filter().reduce([1], None)
+        with pytest.raises(NotImplementedError):
+            Filter().merge([1])
 
 
 class TestStatefulFilterValidation:
@@ -104,10 +106,11 @@ class TestStatefulFilterValidation:
         assert state["running"] == {"a": 2}  # only the last 2 waves
 
     def test_legacy_faces_are_single_wave(self):
-        assert get_filter("histogram")([{"a": 1}, {"a": 2, "b": 1}]) \
-            == {"a": 3, "b": 1}
-        assert get_filter("ewma")([2, 3]) == 5
-        assert get_filter("top_k")([[[5, "x"]], [[9, "y"]]])[0] == [9, "y"]
+        assert make_filter("histogram").merge(
+            [{"a": 1}, {"a": 2, "b": 1}]) == {"a": 3, "b": 1}
+        assert make_filter("ewma").merge([2, 3]) == 5
+        assert make_filter("top_k").merge(
+            [[[5, "x"]], [[9, "y"]]])[0] == [9, "y"]
 
 
 class TestPacketInvariants:

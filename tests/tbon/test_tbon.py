@@ -12,10 +12,9 @@ from repro.tbon import (
     StartupFailure,
     TBONTopology,
     TopologyError,
-    get_filter,
     launchmon_startup,
+    make_filter,
     native_startup,
-    register_filter,
 )
 from repro.tbon.overlay import StreamSpec
 from repro.tbon.packets import Packet
@@ -54,17 +53,13 @@ class TestTopology:
 
 class TestFilters:
     def test_registry_lookup(self):
-        assert get_filter("concat")([["a"], ["b"]]) == ["a", "b"]
+        assert make_filter("concat").merge([["a"], ["b"]]) == ["a", "b"]
         with pytest.raises(KeyError, match="unknown TBON filter"):
-            get_filter("nonexistent")
-
-    def test_register_custom(self):
-        register_filter("test_min", min)
-        assert get_filter("test_min")([3, 1, 2]) == 1
+            make_filter("nonexistent")
 
     def test_sum_and_max(self):
-        assert get_filter("sum")([1, 2, 3]) == 6
-        assert get_filter("max")([1, 5, 2]) == 5
+        assert make_filter("sum").merge([1, 2, 3]) == 6
+        assert make_filter("max").merge([1, 5, 2]) == 5
 
 
 class TestOverlayRouting:

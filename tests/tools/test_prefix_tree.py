@@ -87,6 +87,13 @@ class TestMerge:
         merged = merge_trees(trees)
         assert merged.ranks_at(BARRIER) == set(range(10))
 
+    @pytest.mark.parametrize("n_trees", [16, 128])
+    def test_merge_trees_at_scale(self, n_trees):
+        stacks = (BARRIER, COMPUTE, ("_start", "main", "io", "write_block"))
+        trees = [build([(stacks[(i + r) % 3], i * 8 + r) for r in range(8)])
+                 for i in range(n_trees)]
+        assert len(merge_trees(trees).all_ranks) == 8 * n_trees
+
     def test_merge_order_irrelevant(self):
         parts = [build([(BARRIER, 0), (COMPUTE, 1)]),
                  build([(RECV, 2)]),
@@ -114,9 +121,9 @@ class TestWireForm:
         assert json.loads(json.dumps(t.to_dict())) == t.to_dict()
 
     def test_filter_registered(self):
-        from repro.tbon import get_filter
-        fn = get_filter("prefix_tree_merge")
+        from repro.tbon import make_filter
         a = build([(BARRIER, 0)]).to_dict()
         b = build([(BARRIER, 1)]).to_dict()
-        merged = PrefixTree.from_dict(fn([a, b]))
+        merged = PrefixTree.from_dict(
+            make_filter("prefix_tree_merge").merge([a, b]))
         assert merged.ranks_at(BARRIER) == {0, 1}

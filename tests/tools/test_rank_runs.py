@@ -21,12 +21,15 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from repro.tbon import RankRuns, get_filter
-from repro.tbon.filters import add_rank, subtract_runs, union_runs
+from repro.tbon import RankRuns
+from repro.tbon.filters import (
+    add_rank,
+    prefix_tree_merge,
+    subtract_runs,
+    union_runs,
+)
 from repro.tools.stat_tool import PrefixTree, merge_trees
 from repro.tools.stat_tool.tool import HANG_BULK_STACK
-
-prefix_tree_merge = get_filter("prefix_tree_merge")
 
 
 # -- the oracle: set-based tree and wire merge ------------------------------
