@@ -4,6 +4,16 @@
 event-returning ``put``/``get`` (the DES analogue of a queue). :class:`Channel`
 wraps a Store with an optional per-message delivery delay, which the cluster
 network layer uses to model link latency.
+
+Memory contract: a primitive pays only for what it holds. A Store keeps
+its three FIFOs -- stored items, waiting getters, blocked putters -- as
+deques that exist only while occupied: each is allocated when the store
+first parks something in it and dropped when it drains. An idle Store is
+therefore just its slots, and an idle Channel just its own slots plus
+its Store's, however many a simulated daemon owns. A put that finds a
+waiting getter hands the item straight over, and a get that finds a
+stored item takes it at once, so the common one-message exchange
+allocates no queue at all.
 """
 
 from __future__ import annotations
@@ -23,6 +33,11 @@ class Store:
     (immediately if below capacity). ``get()`` returns an event that triggers
     with the oldest item once one is available. Waiters are served strictly
     FIFO, which keeps all higher-level protocols deterministic.
+
+    Each FIFO is ``None`` while empty (see the module docstring). Between
+    calls at most one kind of waiter is parked: getters only while no
+    item is stored, putters only while the store is full. An accepted
+    item fires its put event before the getter it is handed to.
     """
 
     __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
@@ -32,42 +47,65 @@ class Store:
             raise SimulationError("Store capacity must be positive")
         self.sim = sim
         self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Event]] = None
+        self._putters: Optional[Deque[tuple[Event, Any]]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items or ())
 
     @property
     def items(self) -> tuple:
         """Snapshot of currently stored items (oldest first)."""
-        return tuple(self._items)
+        return tuple(self._items or ())
 
     def put(self, item: Any) -> Event:
         ev = Event(self.sim)
-        if len(self._items) < self.capacity:
-            self._items.append(item)
+        items = self._items
+        if items is None or len(items) < self.capacity:
             ev.succeed()
-            self._dispatch()
+            self._deliver(item)
+        elif self._putters is None:
+            self._putters = deque(((ev, item),))
         else:
             self._putters.append((ev, item))
         return ev
 
     def get(self) -> Event:
         ev = Event(self.sim)
-        self._getters.append(ev)
-        self._dispatch()
+        items = self._items
+        if items is None:
+            if self._getters is None:
+                self._getters = deque((ev,))
+            else:
+                self._getters.append(ev)
+            return ev
+        ev.succeed(items.popleft())
+        putters = self._putters
+        if putters is not None:
+            # the store was full: the oldest blocked put takes the slot
+            put_ev, item = putters.popleft()
+            items.append(item)
+            if not putters:
+                self._putters = None
+            put_ev.succeed()
+        elif not items:
+            self._items = None
         return ev
 
-    def _dispatch(self) -> None:
-        while self._getters and self._items:
-            getter = self._getters.popleft()
-            getter.succeed(self._items.popleft())
-            while self._putters and len(self._items) < self.capacity:
-                put_ev, item = self._putters.popleft()
+    def _deliver(self, item: Any) -> None:
+        """Hand an accepted item to the oldest waiting getter, or store it."""
+        getters = self._getters
+        if getters is None:
+            if self._items is None:
+                self._items = deque((item,))
+            else:
                 self._items.append(item)
-                put_ev.succeed()
+            return
+        getter = getters.popleft()
+        if not getters:
+            self._getters = None
+        getter.succeed(item)
 
 
 class Channel:
@@ -94,10 +132,10 @@ class Channel:
 
     def send(self, message: Any) -> Event:
         """Enqueue ``message`` for delivery; returns the delivery event."""
-        self.sent_count += 1
         delay = self._latency_fn(message) if self._latency_fn else 0.0
         if delay < 0:
             raise SimulationError("channel latency must be non-negative")
+        self.sent_count += 1
         if delay == 0.0:
             self.delivered_count += 1
             return self._store.put(message)
@@ -151,11 +189,9 @@ def _start(d: _Delivery) -> None:
 def _arrive(d: _Delivery) -> None:
     chan = d.chan
     chan.delivered_count += 1
-    store = chan._store  # unbounded: the put is accepted at once
-    store._items.append(d.msg)
     d.callbacks = _ACCEPTED  # type: ignore[assignment]
     d.sim._enqueue(d, 0.0, NORMAL)
-    store._dispatch()
+    chan._store._deliver(d.msg)  # unbounded: the put is accepted at once
 
 
 def _accepted(d: _Delivery) -> None:

@@ -4,12 +4,20 @@ Every stochastic cost in the simulation (fork jitter, network jitter, ...)
 draws from a :class:`SeededRNG` stream derived from a root seed plus a string
 path, so adding a new consumer never perturbs the draws seen by existing
 consumers — experiments stay bit-for-bit reproducible as the code evolves.
+
+Memory contract: a stream holds no generator until it is drawn from.
+Its ``random.Random`` (a ~2.5 KiB Mersenne-Twister state) is derived from
+``seed`` and ``path`` and seeded on the first draw, so the many per-node
+streams a large cluster creates and never draws from cost no hash and
+only a few hundred bytes each. The draws do not depend on when that
+first draw happens.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import cached_property
 from typing import Optional
 
 __all__ = ["SeededRNG"]
@@ -21,8 +29,12 @@ class SeededRNG:
     def __init__(self, seed: int = 0, path: str = "root"):
         self.seed = int(seed)
         self.path = path
-        digest = hashlib.sha256(f"{self.seed}:{path}".encode()).digest()
-        self._rng = random.Random(int.from_bytes(digest[:8], "big"))
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """The stream's generator, derived and seeded on first draw."""
+        digest = hashlib.sha256(f"{self.seed}:{self.path}".encode()).digest()
+        return random.Random(int.from_bytes(digest[:8], "big"))
 
     def child(self, name: str) -> "SeededRNG":
         """Derive an independent stream identified by ``path/name``."""

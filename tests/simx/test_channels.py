@@ -181,6 +181,7 @@ class TestChannel:
         chan = Channel(sim, latency_fn=lambda m: -1.0)
         with pytest.raises(SimulationError):
             chan.send("x")
+        assert chan.sent_count == 0
 
     def test_counters(self):
         sim = Simulator()

@@ -1,6 +1,16 @@
 """Tests for deterministic hierarchical RNG streams."""
 
+import copy
+import hashlib
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.simx import SeededRNG
+from repro.simx import rng as rng_module
 
 
 class TestSeededRNG:
@@ -52,3 +62,78 @@ class TestSeededRNG:
         seq = list(range(10))
         rng.shuffle(seq)
         assert sorted(seq) == list(range(10))
+
+
+class TestLazySeeding:
+    """A stream derives and seeds its generator on first draw; what it
+    draws must not depend on when that happens."""
+
+    @staticmethod
+    def _alone(path, n):
+        """``n`` draws of the stream at ``path``, made by a fresh root
+        whose only drawn stream is that one."""
+        stream = SeededRNG(7)
+        for name in path:
+            stream = stream.child(name)
+        return [stream.random() for _ in range(n)]
+
+    def test_seed_derivation_is_sha256_of_seed_and_path(self):
+        digest = hashlib.sha256(b"5:root/net").digest()
+        want = random.Random(int.from_bytes(digest[:8], "big"))
+        got = SeededRNG(5).child("net")
+        assert [got.random() for _ in range(3)] == [
+            want.random() for _ in range(3)]
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=30),
+           st.permutations(range(5)))
+    @settings(max_examples=60, deadline=None)
+    def test_draw_order_does_not_matter(self, draws, creation_order):
+        paths = [(), ("a",), ("b",), ("a", "x"), ("b", "x")]
+        root = SeededRNG(7)
+        streams = {}
+        for i in creation_order:  # children may precede their parents
+            stream = root
+            for name in paths[i]:
+                stream = stream.child(name)
+            streams[i] = stream
+        seen = {i: [] for i in streams}
+        for i in draws:
+            seen[i].append(streams[i].random())
+        for i, values in seen.items():
+            assert values == self._alone(paths[i], len(values))
+
+    def test_child_of_an_undrawn_stream(self):
+        parent = SeededRNG(7).child("a")
+        child = parent.child("x")
+        assert [child.random() for _ in range(3)] == self._alone(("a", "x"), 3)
+        assert parent.random() == self._alone(("a",), 1)[0]
+
+    @pytest.mark.parametrize("copy_fn", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("drawn", [0, 1, 5])
+    def test_copy_continues_the_sequence(self, copy_fn, drawn):
+        stream = SeededRNG(7).child("a")
+        for _ in range(drawn):
+            stream.gauss(0.0, 1.0)
+        clone = copy_fn(stream)
+        assert clone.path == stream.path and clone.seed == stream.seed
+        assert [clone.random() for _ in range(4)] == [
+            stream.random() for _ in range(4)]
+
+    def test_creating_streams_allocates_no_generator(self, monkeypatch):
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rng_module.random, "Random", CountingRandom)
+        root = SeededRNG(3)
+        nodes = [root.child(f"node:{i}") for i in range(100)]
+        nodes[0].child("x")
+        assert made == []
+        nodes[7].jitter(1.0)
+        nodes[7].uniform(0.0, 1.0)
+        assert len(made) == 1
