@@ -27,15 +27,14 @@ from __future__ import annotations
 import gc
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.sweep import map_grid
 
 __all__ = ["LADDERS", "Ladder", "collect_samples", "dropped_metric_points",
-           "fig6_ladder_point", "fig6_hybrid_ladder_point",
-           "fleet_ladder_point", "str_ladder_point",
-           "str_hybrid_ladder_point"]
+           "fig6_ladder_point", "fleet_ladder_point", "str_ladder_point"]
 
 
 def _timed(measure: Callable[[], dict]) -> tuple[dict, float]:
@@ -64,27 +63,15 @@ def _timed(measure: Callable[[], dict]) -> tuple[dict, float]:
     return result, wall
 
 
-def fig6_ladder_point(n: int) -> dict:
-    """Launch-path point: one fig6 LaunchMON startup at ``n`` daemons."""
-    from repro.experiments.fig6 import measure_stat_startup
+def fig6_ladder_point(n: int, hybrid: bool = False) -> dict:
+    """Launch-path point: one fig6 LaunchMON startup at ``n`` daemons.
 
-    box, wall = _timed(lambda: measure_stat_startup(
-        n, "launchmon", tasks_per_daemon=1))
-    report = box["startup"]
-    metrics = dict(report.phases())
-    metrics["virtual_total"] = report.total
-    metrics["sim_events"] = float(box["sim_events"])
-    metrics["wall_s"] = wall
-    return metrics
-
-
-def fig6_hybrid_ladder_point(n: int) -> dict:
-    """fig6 launch point on the hybrid analytic/discrete tier: only the
+    ``hybrid`` runs it on the hybrid analytic/discrete tier: only the
     exact head is simulated; aggregate spans contribute model terms."""
     from repro.experiments.fig6 import measure_stat_startup
 
     box, wall = _timed(lambda: measure_stat_startup(
-        n, "launchmon", tasks_per_daemon=1, hybrid=True))
+        n, "launchmon", tasks_per_daemon=1, hybrid=hybrid))
     report = box["startup"]
     metrics = dict(report.phases())
     metrics["virtual_total"] = report.total
@@ -93,27 +80,16 @@ def fig6_hybrid_ladder_point(n: int) -> dict:
     return metrics
 
 
-def str_ladder_point(n: int) -> dict:
-    """Data-plane point: a sustained stream over ``n`` leaves."""
-    from repro.experiments.streaming import measure_stream
+def str_ladder_point(n: int, hybrid: bool = False) -> dict:
+    """Data-plane point: a sustained stream over ``n`` leaves.
 
-    cell, wall = _timed(lambda: measure_stream(
-        n, filter_name="histogram", window=4, credit_limit=4, n_waves=10))
-    metrics = dict(cell["phase_totals"])
-    metrics["virtual_total"] = cell["total_latency"]
-    metrics["sim_events"] = float(cell["sim_events"])
-    metrics["wall_s"] = wall
-    return metrics
-
-
-def str_hybrid_ladder_point(n: int) -> dict:
-    """Stream point on the hybrid tier: collapsed spans publish their
+    ``hybrid`` runs it on the hybrid tier: collapsed spans publish their
     closed-form merged payloads with model-derived delays."""
     from repro.experiments.streaming import measure_stream
 
     cell, wall = _timed(lambda: measure_stream(
         n, filter_name="histogram", window=4, credit_limit=4, n_waves=10,
-        hybrid=True))
+        hybrid=hybrid))
     metrics = dict(cell["phase_totals"])
     metrics["virtual_total"] = cell["total_latency"]
     metrics["sim_events"] = float(cell["sim_events"])
@@ -152,7 +128,8 @@ class Ladder:
     """One experiment's scale ladder for scalecheck."""
 
     experiment: str
-    #: module-level point function ``(n) -> {metric: value}`` (picklable)
+    #: module-level point function ``(n) -> {metric: value}``, or a
+    #: ``functools.partial`` of one (picklable either way)
     point: Callable[[int], dict]
     #: CI tier -- small enough for minutes, big enough to extrapolate
     quick_scales: tuple
@@ -183,7 +160,7 @@ LADDERS: dict[str, Ladder] = {
     ),
     "fig6-hybrid": Ladder(
         experiment="fig6-hybrid",
-        point=fig6_hybrid_ladder_point,
+        point=partial(fig6_ladder_point, hybrid=True),
         quick_scales=(4096, 16384, 65536),
         full_scales=(4096, 16384, 65536, 262144),
         description="STAT startup via LaunchMON on the hybrid "
@@ -201,7 +178,7 @@ LADDERS: dict[str, Ladder] = {
     ),
     "str-hybrid": Ladder(
         experiment="str-hybrid",
-        point=str_hybrid_ladder_point,
+        point=partial(str_ladder_point, hybrid=True),
         quick_scales=(4096, 16384, 65536),
         full_scales=(4096, 16384, 65536, 262144),
         description="sustained stream waves on the hybrid tier "

@@ -1,4 +1,4 @@
-"""The LaunchMON back-end runtime (``LMON_be_*`` equivalent).
+"""The LaunchMON daemon runtime (``LMON_be_*`` and ``LMON_mw_*``).
 
 A tool daemon body does::
 
@@ -10,10 +10,13 @@ A tool daemon body does::
 
 ``init`` implements the critical-path choreography of Figure 2: the fabric
 wireup (e8 -> e9), the daemon-info gather, the master's LMONP handshake with
-the front end, the RPDTAB broadcast/scatter, and the final ready message
-(e10). The master measures its setup and collective times and reports them
-to the front end inside READY -- that is how the experiments decompose
-Region A the way the paper's model does.
+the front end, the distribution of what the front end answered, and the
+final ready message (e10). The master measures its setup and collective
+times and reports them to the front end inside READY -- that is how the
+experiments decompose Region A the way the paper's model does.
+
+:class:`DaemonRuntime` is that exchange for back ends (``FE_BE``) and
+middleware daemons (``FE_MW``, Section 3.4) alike.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ from repro.be.iccl import ICCLEndpoint
 from repro.lmonp import FeToBe, LmonpMessage, LmonpStream, MsgClass, security_token
 from repro.mpir import RPDTAB, ProcDesc
 
-__all__ = ["BackEnd", "minimal_daemon"]
+__all__ = ["BackEnd", "DaemonRuntime", "minimal_daemon"]
 
 
 #: last (raw bytes -> decoded) usr-data pair; every daemon of one set
-#: receives the *same* bytes object from the scatter, so one decode serves
-#: the whole set (per-daemon decodes were an O(n^2) wall-clock term at
-#: launch scale). Decoding costs no virtual time; daemons treat the init
-#: usr data as read-only, so sharing the decoded object is safe.
+#: receives the *same* bytes object from the scatter or broadcast, so one
+#: decode serves the whole set (per-daemon decodes were an O(n^2)
+#: wall-clock term at launch scale). Decoding costs no virtual time;
+#: daemons treat the init usr data as read-only, so sharing the decoded
+#: object is safe.
 _usr_decode_memo: Optional[tuple[bytes, Any]] = None
 
 
@@ -49,8 +53,14 @@ def _decode_usr_payload(raw: Optional[bytes]) -> Any:
     return decoded
 
 
-class BackEnd:
-    """Per-daemon API object wrapping a :class:`BEContext`."""
+class DaemonRuntime:
+    """Everything a LaunchMON daemon does but share out the handshake's
+    PROCTAB (``_distribute``), over one LMONP message class and its type
+    enum (``types``)."""
+
+    msg_class: MsgClass
+    types: type
+    stream_name: str  # the master's LMONP stream
 
     def __init__(self, ctx: BEContext):
         self.ctx = ctx
@@ -64,17 +74,8 @@ class BackEnd:
     def am_i_master(self) -> bool:
         return self.ctx.is_master
 
-    def get_my_rank(self) -> int:
-        return self.ctx.rank
-
     def get_size(self) -> int:
         return self.ctx.size
-
-    def get_my_proctab(self) -> list[ProcDesc]:
-        """This daemon's local task descriptors (valid after ``init``)."""
-        if not self._initialized:
-            raise RuntimeError("get_my_proctab before init")
-        return list(self.ctx.local_entries)
 
     # -- initialization ------------------------------------------------------
     def init(self) -> Generator[Any, Any, None]:
@@ -89,42 +90,31 @@ class BackEnd:
         # collective: every daemon contributes (hostname, pid)
         t1 = sim.now
         table = yield from self.ep.gather((ctx.node.name, ctx.proc.pid))
-
-        if ctx.is_master:
-            # master connects to the FE and handshakes
-            pipe = yield from ctx.fabric.network.connect(ctx.node, ctx.fe_node)
-            token = security_token(ctx.session_key)
-            self._stream = LmonpStream(pipe.a, token, name="master-be")
-            yield ctx.fe_rendezvous.put(pipe.b)
-            t_collective_so_far = sim.now - t1
-            hs = LmonpMessage(
-                MsgClass.FE_BE, FeToBe.HANDSHAKE, num_tasks=ctx.size,
-                lmon_payload=LmonpMessage.json_payload(table))
-            yield self._stream.send(hs)
-            # receive the RPDTAB (+ piggybacked tool data)
-            msg = yield from self._stream.expect(FeToBe.PROCTAB)
-            rpdtab = RPDTAB.from_bytes(msg.lmon_payload)
-            ctx.usr_data_init = _decode_usr_payload(msg.usr_payload)
-            # scatter each daemon its local slice (+ usr data rides along)
-            t2 = sim.now
-            hosts = [h for h, _pid in table]
-            slices = [
-                [tuple(e.__dict__.items()) for e in rpdtab.entries_on(h)]
-                for h in hosts
-            ]
-            payload = [(s, msg.usr_payload) for s in slices]
-            mine, usr_raw = yield from self.ep.scatter(payload)
-            self.timings["t_collective"] = (
-                t_collective_so_far + (sim.now - t2))
-        else:
-            mine, usr_raw = yield from self.ep.scatter()
-            ctx.usr_data_init = _decode_usr_payload(usr_raw)
-            self.timings["t_collective"] = sim.now - t1
-
-        ctx.local_entries = [ProcDesc(**dict(item)) for item in mine]
-        ctx.daemon_table = list(table) if table else []
-        ctx.daemon_table = yield from self.ep.broadcast(ctx.daemon_table)
+        usr_raw = yield from self._distribute(table, t1)
+        ctx.usr_data_init = _decode_usr_payload(usr_raw)
         self._initialized = True
+
+    def _distribute(self, table, t1: float) -> Generator[Any, Any, bytes]:
+        """Share out the PROCTAB, record ``t_collective``, and return the
+        raw piggybacked usr data."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def _handshake(self, table) -> Generator[Any, Any, tuple]:
+        """Master: connect to the front end, send HANDSHAKE, and return
+        ``(t_connected, PROCTAB message)``."""
+        ctx = self.ctx
+        pipe = yield from ctx.fabric.network.connect(ctx.node, ctx.fe_node)
+        token = security_token(ctx.session_key)
+        self._stream = LmonpStream(pipe.a, token, name=self.stream_name)
+        yield ctx.fe_rendezvous.put(pipe.b)
+        t_connected = ctx.sim.now
+        hs = LmonpMessage(
+            self.msg_class, self.types.HANDSHAKE, num_tasks=ctx.size,
+            lmon_payload=LmonpMessage.json_payload(table))
+        yield self._stream.send(hs)
+        msg = yield from self._stream.expect(self.types.PROCTAB)
+        return t_connected, msg
 
     def ready(self) -> Generator[Any, Any, None]:
         """Master: send READY (e10) with measured phase times piggybacked."""
@@ -135,7 +125,7 @@ class BackEnd:
                 "t_collective": self.timings.get("t_collective", 0.0),
             }
             msg = LmonpMessage(
-                MsgClass.FE_BE, FeToBe.READY, num_tasks=self.ctx.size,
+                self.msg_class, self.types.READY, num_tasks=self.ctx.size,
                 lmon_payload=LmonpMessage.json_payload(report))
             yield self._stream.send(msg)
 
@@ -144,9 +134,8 @@ class BackEnd:
         """Bind this daemon to its TBON overlay position.
 
         ``endpoint`` is the :class:`~repro.tbon.OverlayEndpoint` a startup
-        path (e.g. :func:`~repro.tbon.launchmon_startup`'s
-        ``daemon_body``) hands the daemon; it enables the ``stream_*``
-        operations below.
+        path (e.g. :func:`~repro.tbon.launchmon_startup`) hands the
+        daemon; it enables the ``stream_*`` operations.
         """
         self._overlay_endpoint = endpoint
 
@@ -159,31 +148,6 @@ class BackEnd:
         """
         ep = self._require_overlay("stream_open")
         return ep.overlay.open_stream(spec)
-
-    def stream_publish(self, stream, wave: int, payload: Any,
-                       ) -> Generator[Any, Any, None]:
-        """Publish this daemon's contribution for one stream wave.
-
-        Blocks under credit-based backpressure while the parent's stream
-        inbox is saturated -- a slow subscriber slows the publishers,
-        it does not overflow the tree.
-        """
-        ep = self._require_overlay("stream_publish")
-        yield from stream.publish(ep.position, wave, payload)
-
-    def stream_subscribe(self) -> Generator[Any, Any, Any]:
-        """Wait for the next downstream (FE -> leaves) control packet.
-
-        This listens on the overlay's *broadcast* plane (how the front
-        end steers its samplers: start/stop/retarget commands pushed
-        with ``OverlayEndpoint.broadcast``), NOT on a persistent
-        stream's upward data path -- persistent streams carry data up
-        only, so pairing this with ``stream_publish`` in a loop without
-        an FE that actually broadcasts will wait forever.
-        """
-        ep = self._require_overlay("stream_subscribe")
-        pkt = yield from ep.recv_broadcast()
-        return pkt
 
     def _require_overlay(self, what: str):
         ep = getattr(self, "_overlay_endpoint", None)
@@ -213,14 +177,14 @@ class BackEnd:
         """Master only: ship tool data to the front end."""
         self._require_master("send_usrdata")
         msg = LmonpMessage(
-            MsgClass.FE_BE, FeToBe.USRDATA,
+            self.msg_class, self.types.USRDATA,
             usr_payload=LmonpMessage.json_payload(obj))
         yield self._stream.send(msg)
 
     def recv_usrdata(self) -> Generator[Any, Any, Any]:
         """Master only: wait for tool data from the front end."""
         self._require_master("recv_usrdata")
-        msg = yield from self._stream.expect(FeToBe.USRDATA)
+        msg = yield from self._stream.expect(self.types.USRDATA)
         return json.loads(msg.usr_payload.decode()) if msg.usr_payload else None
 
     # -- teardown -------------------------------------------------------------------
@@ -228,8 +192,8 @@ class BackEnd:
         """Collective teardown; the master notifies the front end."""
         yield from self.barrier()
         if self.ctx.is_master and self._stream is not None:
-            msg = LmonpMessage(MsgClass.FE_BE, FeToBe.SHUTDOWN)
-            yield self._stream.send(msg)
+            yield self._stream.send(
+                LmonpMessage(self.msg_class, self.types.SHUTDOWN))
         self.ctx.proc.exit(0)
 
     def _require_master(self, what: str) -> None:
@@ -240,6 +204,77 @@ class BackEnd:
         if self._stream is None:
             raise RuntimeError(f"{what} before init")
 
+
+class BackEnd(DaemonRuntime):
+    """Per-daemon back-end API object wrapping a :class:`BEContext`."""
+
+    msg_class = MsgClass.FE_BE
+    types = FeToBe
+    stream_name = "master-be"
+
+    def get_my_rank(self) -> int:
+        return self.ctx.rank
+
+    def get_my_proctab(self) -> list[ProcDesc]:
+        """This daemon's local task descriptors (valid after ``init``)."""
+        if not self._initialized:
+            raise RuntimeError("get_my_proctab before init")
+        return list(self.ctx.local_entries)
+
+    def _distribute(self, table, t1: float) -> Generator[Any, Any, bytes]:
+        """Scatter each daemon its local slice of the RPDTAB (the usr data
+        rides along), then broadcast the daemon table."""
+        ctx = self.ctx
+        sim = ctx.sim
+        if ctx.is_master:
+            t_connected, msg = yield from self._handshake(table)
+            rpdtab = RPDTAB.from_bytes(msg.lmon_payload)
+            t2 = sim.now
+            hosts = [h for h, _pid in table]
+            slices = [
+                [tuple(e.__dict__.items()) for e in rpdtab.entries_on(h)]
+                for h in hosts
+            ]
+            payload = [(s, msg.usr_payload) for s in slices]
+            mine, usr_raw = yield from self.ep.scatter(payload)
+            # the collective time excludes the front end's share of the
+            # handshake window: measured up to HANDSHAKE, then the scatter
+            self.timings["t_collective"] = (
+                (t_connected - t1) + (sim.now - t2))
+        else:
+            mine, usr_raw = yield from self.ep.scatter()
+            self.timings["t_collective"] = sim.now - t1
+
+        ctx.local_entries = [ProcDesc(**dict(item)) for item in mine]
+        ctx.daemon_table = yield from self.ep.broadcast(
+            list(table) if table else [])
+        return usr_raw
+
+    def stream_publish(self, stream, wave: int, payload: Any,
+                       ) -> Generator[Any, Any, None]:
+        """Publish this daemon's contribution for one stream wave.
+
+        Blocks under credit-based backpressure while the parent's stream
+        inbox is saturated -- a slow subscriber slows the publishers,
+        it does not overflow the tree.
+        """
+        ep = self._require_overlay("stream_publish")
+        yield from stream.publish(ep.position, wave, payload)
+
+
+    def stream_subscribe(self) -> Generator[Any, Any, Any]:
+        """Wait for the next downstream (FE -> leaves) control packet.
+
+        This listens on the overlay's *broadcast* plane (how the front
+        end steers its samplers: start/stop/retarget commands pushed
+        with ``OverlayEndpoint.broadcast``), NOT on a persistent
+        stream's upward data path -- persistent streams carry data up
+        only, so pairing this with ``stream_publish`` in a loop without
+        an FE that actually broadcasts will wait forever.
+        """
+        ep = self._require_overlay("stream_subscribe")
+        pkt = yield from ep.recv_broadcast()
+        return pkt
 
 def minimal_daemon(ctx):
     """The minimal tool daemon body: init, ready, finalize.

@@ -59,11 +59,19 @@ from repro.lmonp import (
     security_token,
 )
 from repro.mpir import RPDTAB
-from repro.mw.context import MWContext
 from repro.rm.base import DaemonSpec, JobState, ResourceManager, RMJob
 from repro.simx import Store, run_bounded
 
 __all__ = ["FrontEndError", "ToolFrontEnd"]
+
+#: the two front end <-> master daemon LMONP pairings: message class and
+#: type enum per daemon kind (``"be"`` / ``"mw"``; the session keeps the
+#: kind's stream as ``<kind>_stream`` and its transforms as
+#: ``pack_fe_to_<kind>`` / ``unpack_<kind>_to_fe``)
+_LMONP = {
+    "be": (MsgClass.FE_BE, FeToBe),
+    "mw": (MsgClass.FE_MW, FeToMw),
+}
 
 
 class FrontEndError(RuntimeError):
@@ -142,23 +150,44 @@ class ToolFrontEnd:
         ``QUEUED`` state until the RM's FIFO allocation queue grants it
         nodes; the wait shows up between e0 and e1.
         """
+        return (yield from self._spawn(session, daemon_spec, usr_data,
+                                       app=app))
+
+    def attach_and_spawn(self, session: LMONSession, job: RMJob,
+                         daemon_spec: DaemonSpec, usr_data: Any = None,
+                         ) -> Generator[Any, Any, LMONSession]:
+        """``attachAndSpawn``: acquire an existing job + spawn daemons."""
+        return (yield from self._spawn(session, daemon_spec, usr_data,
+                                       job=job))
+
+    def _spawn(self, session: LMONSession, daemon_spec: DaemonSpec,
+               usr_data: Any, app: Optional[AppSpec] = None,
+               job: Optional[RMJob] = None,
+               ) -> Generator[Any, Any, LMONSession]:
+        """Launch ``app`` (launch mode) or acquire ``job`` (attach mode),
+        spawn the daemon set and run the BE handshake (e0 -> e11)."""
         session.require_state(SessionState.CREATED)
-        sim = self.sim
-        session.timeline.mark("e0_client_call", sim.now)
-        session.state = SessionState.QUEUED
+        session.timeline.mark("e0_client_call", self.sim.now)
+        launch = job is None
+        session.state = (SessionState.QUEUED if launch
+                         else SessionState.SPAWNING)
         engine = None
         try:
-            alloc = yield from self.rm.allocate_async(app.nodes_needed())
-            session.owned_allocs.append(alloc)
-            session.state = SessionState.SPAWNING
+            if launch:
+                alloc = yield from self.rm.allocate_async(app.nodes_needed())
+                session.owned_allocs.append(alloc)
+                session.state = SessionState.SPAWNING
 
             engine, engine_stream, rendezvous = \
                 yield from self._start_engine(session)
-            factory = self._be_context_factory(session, rendezvous)
-
-            job, daemons, fabric, rpdtab = yield from engine.launch_and_spawn(
-                app, alloc, daemon_spec, factory)
-            self._bind(session, engine, job, daemons, fabric)
+            factory = self._context_factory(session, rendezvous)
+            if launch:
+                spawn = engine.launch_and_spawn(app, alloc, daemon_spec,
+                                                factory)
+            else:
+                spawn = engine.attach_and_spawn(job, daemon_spec, factory)
+            bound_job, daemons, fabric, _rpdtab = yield from spawn
+            self._bind(session, engine, bound_job, daemons, fabric)
 
             # the engine forwarded the RPDTAB over LMONP; consume it
             msg = yield from engine_stream.expect(FeToEngine.PROCTAB)
@@ -172,39 +201,8 @@ class ToolFrontEnd:
             # reclaim() also retires any partially launched job so the
             # released nodes are genuinely empty; before _bind() ran, that
             # job exists only on the engine.
-            if session.job is None and engine is not None:
+            if launch and session.job is None and engine is not None:
                 session.job = engine.job
-            self._fail_session(session, engine)
-            raise
-        self._finish_timings(session)
-        session.state = self._spawned_state(session)
-        return session
-
-    def attach_and_spawn(self, session: LMONSession, job: RMJob,
-                         daemon_spec: DaemonSpec, usr_data: Any = None,
-                         ) -> Generator[Any, Any, LMONSession]:
-        """``attachAndSpawn``: acquire an existing job + spawn daemons."""
-        session.require_state(SessionState.CREATED)
-        sim = self.sim
-        session.timeline.mark("e0_client_call", sim.now)
-        session.state = SessionState.SPAWNING
-
-        engine = None
-        try:
-            engine, engine_stream, rendezvous = \
-                yield from self._start_engine(session)
-            factory = self._be_context_factory(session, rendezvous)
-
-            job, daemons, fabric, rpdtab = yield from engine.attach_and_spawn(
-                job, daemon_spec, factory)
-            self._bind(session, engine, job, daemons, fabric)
-
-            msg = yield from engine_stream.expect(FeToEngine.PROCTAB)
-            session.rpdtab = RPDTAB.from_bytes(msg.lmon_payload)
-
-            yield from self._be_handshake_guarded(session, rendezvous,
-                                                  usr_data)
-        except BaseException:
             self._fail_session(session, engine)
             raise
         self._finish_timings(session)
@@ -223,7 +221,6 @@ class ToolFrontEnd:
         session.require_state(*LIVE_STATES)
         if session.engine is None:
             raise FrontEndError("session has no engine")
-        sim = self.sim
         # pass through QUEUED while waiting for middleware nodes, so MW
         # contention is observable via status callbacks like launch is
         entry_state = session.state
@@ -235,26 +232,12 @@ class ToolFrontEnd:
         session.owned_allocs.append(alloc)
         new_daemons: list = []
         try:
-            rendezvous = Store(sim)
-            factory = self._mw_context_factory(session, rendezvous)
+            rendezvous = Store(self.sim)
+            factory = self._context_factory(session, rendezvous)
             new_daemons, fabric = yield from session.engine.launch_mw(
                 alloc, mw_spec, factory, topology=topology)
-
-            # handshake with the master MW daemon
-            end = yield rendezvous.get()
-            token = security_token(session.key)
-            mw_stream = LmonpStream(end, token, name="fe-mw")
-            hs = yield from mw_stream.expect(FeToMw.HANDSHAKE)
-            yield sim.timeout(
-                self.cluster.costs.fe_handshake_per_daemon
-                * max(0, hs.num_tasks))
-            packed = self._pack(session.pack_fe_to_mw, usr_data)
-            reply = LmonpMessage(
-                MsgClass.FE_MW, FeToMw.PROCTAB, num_tasks=len(session.rpdtab),
-                lmon_payload=session.rpdtab.to_bytes(),
-                usr_payload=packed)
-            yield mw_stream.send(reply)
-            yield from mw_stream.expect(FeToMw.READY)
+            mw_stream, _ready = yield from self._handshake(
+                session, "mw", rendezvous, usr_data)
         except BaseException:
             # return only this operation's allocation and exit only the
             # daemons *it* spawned -- an earlier MW set (repeat calls are
@@ -279,34 +262,36 @@ class ToolFrontEnd:
     def send_usrdata_be(self, session: LMONSession, obj: Any,
                         ) -> Generator[Any, Any, None]:
         """Ship tool data to the master back-end daemon."""
-        self._require_stream(session, "be_stream")
-        packed = self._pack(session.pack_fe_to_be, obj)
-        msg = LmonpMessage(MsgClass.FE_BE, FeToBe.USRDATA, usr_payload=packed)
-        yield session.be_stream.send(msg)
+        yield from self._send_usrdata(session, "be", obj)
 
     def recv_usrdata_be(self, session: LMONSession) -> Generator[Any, Any, Any]:
         """Wait for tool data from the master back-end daemon."""
-        self._require_stream(session, "be_stream")
-        msg = yield from session.be_stream.expect(FeToBe.USRDATA)
-        data = json.loads(msg.usr_payload.decode()) if msg.usr_payload else None
-        if session.unpack_be_to_fe is not None:
-            data = session.unpack_be_to_fe(data)
-        return data
+        return (yield from self._recv_usrdata(session, "be"))
 
     def send_usrdata_mw(self, session: LMONSession, obj: Any,
                         ) -> Generator[Any, Any, None]:
-        self._require_stream(session, "mw_stream")
-        packed = self._pack(session.pack_fe_to_mw, obj)
-        msg = LmonpMessage(MsgClass.FE_MW, FeToMw.USRDATA, usr_payload=packed)
-        yield session.mw_stream.send(msg)
+        """Ship tool data to the master middleware daemon."""
+        yield from self._send_usrdata(session, "mw", obj)
 
     def recv_usrdata_mw(self, session: LMONSession) -> Generator[Any, Any, Any]:
-        self._require_stream(session, "mw_stream")
-        msg = yield from session.mw_stream.expect(FeToMw.USRDATA)
+        """Wait for tool data from the master middleware daemon."""
+        return (yield from self._recv_usrdata(session, "mw"))
+
+    def _send_usrdata(self, session: LMONSession, kind: str, obj: Any,
+                      ) -> Generator[Any, Any, None]:
+        stream = self._require_stream(session, kind)
+        msg_class, types = _LMONP[kind]
+        packed = self._pack(getattr(session, f"pack_fe_to_{kind}"), obj)
+        yield stream.send(
+            LmonpMessage(msg_class, types.USRDATA, usr_payload=packed))
+
+    def _recv_usrdata(self, session: LMONSession, kind: str,
+                      ) -> Generator[Any, Any, Any]:
+        stream = self._require_stream(session, kind)
+        msg = yield from stream.expect(_LMONP[kind][1].USRDATA)
         data = json.loads(msg.usr_payload.decode()) if msg.usr_payload else None
-        if session.unpack_mw_to_fe is not None:
-            data = session.unpack_mw_to_fe(data)
-        return data
+        unpack = getattr(session, f"unpack_{kind}_to_fe")
+        return data if unpack is None else unpack(data)
 
     # -- control ------------------------------------------------------------------------
     def detach(self, session: LMONSession, reclaim_job: bool = False,
@@ -455,23 +440,12 @@ class ToolFrontEnd:
         if job.state not in (JobState.COMPLETED, JobState.FAILED):
             job.state = JobState.COMPLETED
 
-    def _be_context_factory(self, session: LMONSession, rendezvous: Store):
+    def _context_factory(self, session: LMONSession, rendezvous: Store):
+        """The RM's per-daemon context builder for one BE or MW set."""
         cluster = self.cluster
 
         def factory(daemon, daemons, fabric) -> BEContext:
             return BEContext(
-                sim=cluster.sim, node=daemon.node, proc=daemon.proc,
-                rank=daemon.rank, size=len(daemons), fabric=fabric,
-                session_key=session.key, fe_node=cluster.front_end,
-                fe_rendezvous=rendezvous)
-
-        return factory
-
-    def _mw_context_factory(self, session: LMONSession, rendezvous: Store):
-        cluster = self.cluster
-
-        def factory(daemon, daemons, fabric) -> MWContext:
-            return MWContext(
                 sim=cluster.sim, node=daemon.node, proc=daemon.proc,
                 rank=daemon.rank, size=len(daemons), fabric=fabric,
                 session_key=session.key, fe_node=cluster.front_end,
@@ -514,24 +488,34 @@ class ToolFrontEnd:
                 f"within {timeout}s (daemon lost mid-handshake?)")
         worker.value  # re-raise the handshake's own failure, if any
 
+    def _handshake(self, session: LMONSession, kind: str, rendezvous: Store,
+                   usr_data: Any) -> Generator[Any, Any, tuple]:
+        """FE side of a master daemon's handshake, BE or MW: accept its
+        connection, read HANDSHAKE, answer with the RPDTAB and the packed
+        tool data, wait for READY. Returns ``(stream, READY message)``."""
+        msg_class, types = _LMONP[kind]
+        end = yield rendezvous.get()
+        stream = LmonpStream(end, security_token(session.key),
+                             name=f"fe-{kind}")
+        hs = yield from stream.expect(types.HANDSHAKE)
+        # per-daemon processing of the daemon table
+        yield self.sim.timeout(
+            self.cluster.costs.fe_handshake_per_daemon * max(0, hs.num_tasks))
+        packed = self._pack(getattr(session, f"pack_fe_to_{kind}"), usr_data)
+        reply = LmonpMessage(
+            msg_class, types.PROCTAB, num_tasks=len(session.rpdtab),
+            lmon_payload=session.rpdtab.to_bytes(), usr_payload=packed)
+        yield stream.send(reply)
+        ready = yield from stream.expect(types.READY)
+        return stream, ready
+
     def _be_handshake(self, session: LMONSession, rendezvous: Store,
                       usr_data: Any) -> Generator[Any, Any, None]:
-        """FE side of the master-BE handshake (e7 -> e10)."""
+        """The BE handshake (e7 -> e10) and its Region A/C accounting."""
         sim = self.sim
         session.timeline.mark("e7_handshake_begin", sim.now)
-        end = yield rendezvous.get()
-        token = security_token(session.key)
-        session.be_stream = LmonpStream(end, token, name="fe-be")
-        hs = yield from session.be_stream.expect(FeToBe.HANDSHAKE)
-        # per-daemon processing of the daemon table
-        yield sim.timeout(
-            self.cluster.costs.fe_handshake_per_daemon * max(0, hs.num_tasks))
-        packed = self._pack(session.pack_fe_to_be, usr_data)
-        reply = LmonpMessage(
-            MsgClass.FE_BE, FeToBe.PROCTAB, num_tasks=len(session.rpdtab),
-            lmon_payload=session.rpdtab.to_bytes(), usr_payload=packed)
-        yield session.be_stream.send(reply)
-        ready = yield from session.be_stream.expect(FeToBe.READY)
+        session.be_stream, ready = yield from self._handshake(
+            session, "be", rendezvous, usr_data)
         session.timeline.mark("e10_ready", sim.now)
         report = ready.lmon_json() or {}
         session.times.t_setup = float(report.get("t_setup", 0.0))
@@ -553,10 +537,12 @@ class ToolFrontEnd:
         structure = pack_fn(obj) if pack_fn is not None else obj
         return LmonpMessage.json_payload(structure)
 
-    def _require_stream(self, session: LMONSession, attr: str) -> None:
-        if getattr(session, attr) is None:
-            raise FrontEndError(f"session {session.id}: no {attr} "
+    def _require_stream(self, session: LMONSession, kind: str) -> LmonpStream:
+        stream = getattr(session, f"{kind}_stream")
+        if stream is None:
+            raise FrontEndError(f"session {session.id}: no {kind}_stream "
                                 f"(daemons not ready)")
+        return stream
 
     def _bind(self, session: LMONSession, engine, job, daemons, fabric) -> None:
         session.engine = engine
@@ -565,9 +551,7 @@ class ToolFrontEnd:
         session.fabric = fabric
         # the RM just spawned this session's daemon set; keep its per-phase
         # launch breakdown with the session (spawn / image-stage / ...).
-        # Prefer the job-scoped report: the RM-wide last_launch_report can
-        # be overwritten by a concurrent session's spawn before this bind
-        # runs, and the report now decides READY vs DEGRADED.
-        report = getattr(job, "daemon_spawn_report", None)
-        session.launch_report = (report if report is not None
-                                 else self.rm.last_launch_report)
+        # The report is job-scoped: the RM-wide last_launch_report can be
+        # overwritten by a concurrent session's spawn, and the report
+        # decides READY vs DEGRADED.
+        session.launch_report = job.daemon_spawn_report

@@ -41,17 +41,69 @@ from repro.fe.session import LMONSession, SessionState, TERMINAL_STATES
 from repro.rm.base import DaemonSpec, ResourceManager, RMJob
 from repro.simx import Event, Interrupt, Resource, Simulator
 
-__all__ = ["SessionHandle", "ToolService"]
+__all__ = ["ProcessFuture", "SessionHandle", "ToolService"]
 
 
-class SessionHandle:
+class ProcessFuture:
+    """A future over the simulation process running one operation.
+
+    ``.done`` tells whether the operation finished, ``.exception`` holds
+    its failure, ``.cancel()`` interrupts it and ``.wait()`` suspends the
+    calling simulation process until completion, then returns
+    ``.result()``, which each subclass defines.
+    """
+
+    #: the simx.Process running the operation, set when it starts
+    _proc = None
+
+    @property
+    def done(self) -> bool:
+        """True once the operation finished (successfully or not)."""
+        return self._proc is not None and self._proc.triggered
+
+    @property
+    def exception(self) -> Optional[BaseException]:
+        """The operation's failure, or None (also None while running)."""
+        if self.done:
+            return self._proc.exception
+        return None
+
+    def cancel(self, reason: Any = "cancelled by client") -> bool:
+        """Interrupt the operation (False if it already finished); the
+        interrupt surfaces as this future's ``exception``."""
+        if self.done:
+            return False
+        self._proc.interrupt(reason)
+        return True
+
+    def wait(self) -> Generator[Any, Any, Any]:
+        """Suspend the calling sim process until done; returns
+        ``result()`` (re-raising the operation's failure)."""
+        if not self.done:
+            yield self._wait_event()
+        return self.result()
+
+    def _wait_event(self) -> Event:
+        """A fresh event triggering on completion (failures stay in the
+        future; waiters observe them via ``result()``)."""
+        ev = Event(self.sim)
+        self._proc.callbacks.append(lambda _: ev.succeed(self))
+        return ev
+
+
+class SessionHandle(ProcessFuture):
     """A non-blocking handle for one in-flight FE operation.
 
-    Future-like: ``.done`` tells whether the operation finished, ``.result()``
-    returns the session (or re-raises the operation's failure), and
-    ``.wait()`` is a generator that suspends the calling simulation process
-    until completion. ``register_status_cb`` mirrors ``LMON_fe_regStatusCB``
-    on the underlying session.
+    A :class:`ProcessFuture` whose ``.result()`` returns the session (or
+    re-raises the operation's failure). ``register_status_cb`` mirrors
+    ``LMON_fe_regStatusCB`` on the underlying session.
+
+    ``.cancel()`` is the escape hatch for a launch stuck in the allocation
+    queue (where ``kill()`` cannot reach: no engine exists yet): the queued
+    node request is withdrawn, anything partially launched is reclaimed,
+    and a launch/attach session lands in the terminal FAILED state (a
+    cancelled MW operation leaves its live parent session in the state it
+    entered with).
 
     Timing fields (virtual seconds): ``submitted_at`` (handle creation),
     ``started_at`` (admission granted, operation begins), ``finished_at``;
@@ -78,22 +130,9 @@ class SessionHandle:
         self.transitions: list[tuple[float, SessionState, SessionState]] = []
         #: return value of the ``body`` generator, if one was submitted
         self.body_result: Any = None
-        self._proc = None  # simx.Process running the operation
         session.register_status_cb(self._on_transition)
 
     # -- future protocol -----------------------------------------------------
-    @property
-    def done(self) -> bool:
-        """True once the operation finished (successfully or not)."""
-        return self._proc is not None and self._proc.triggered
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        """The operation's failure, or None (also None while running)."""
-        if self.done:
-            return self._proc.exception
-        return None
-
     def result(self) -> LMONSession:
         """The completed operation's session; raises its failure if it
         failed, or :class:`FrontEndError` if it has not finished yet."""
@@ -104,39 +143,6 @@ class SessionHandle:
         if exc is not None:
             raise exc
         return self.session
-
-    def cancel(self, reason: Any = "cancelled by client") -> bool:
-        """Abort the in-flight operation (False if it already finished).
-
-        This is the escape hatch for a launch stuck in the allocation
-        queue (where ``kill()`` cannot reach: no engine exists yet): the
-        operation process is interrupted, the queued node request is
-        withdrawn, anything partially launched is reclaimed, and a
-        launch/attach session lands in the terminal FAILED state (a
-        cancelled MW operation leaves its live parent session in the
-        state it entered with). The interrupt surfaces as this handle's
-        ``exception``.
-        """
-        if self.done:
-            return False
-        self._proc.interrupt(reason)
-        return True
-
-    def wait(self) -> Generator[Any, Any, LMONSession]:
-        """Suspend the calling sim process until done; returns the session
-        (re-raising the operation's failure, like ``result()``)."""
-        if self._proc is None:  # pragma: no cover - defensive
-            raise FrontEndError(f"handle {self.id}: never started")
-        if not self.done:
-            yield self._wait_event()
-        return self.result()
-
-    def _wait_event(self) -> Event:
-        """A fresh event triggering on completion (failures stay in the
-        handle; waiters observe them via ``result()``)."""
-        ev = Event(self.sim)
-        self._proc.callbacks.append(lambda _: ev.succeed(self))
-        return ev
 
     # -- status callbacks ----------------------------------------------------
     def register_status_cb(self, cb: Callable[..., None]) -> None:
@@ -290,32 +296,20 @@ class ToolService:
         logic (data exchange, detach, ...); its return value lands in
         ``handle.body_result``.
         """
-        fe = self.frontend(tool_name)
-        session = fe.create_session()
-        self._track_session(fe, session)
-
-        def op() -> Generator[Any, Any, LMONSession]:
-            yield from fe.launch_and_spawn(session, app, daemon_spec,
-                                           usr_data=usr_data)
-            return session
-
-        return self._submit(fe, session, op, "launch", body)
+        return self.submit_op(
+            lambda fe, session: fe.launch_and_spawn(
+                session, app, daemon_spec, usr_data=usr_data),
+            tool_name=tool_name, op_name="launch", body=body)
 
     def submit_attach(self, job: RMJob, daemon_spec: DaemonSpec,
                       usr_data: Any = None, tool_name: str = "tool",
                       body: Optional[Callable[..., Generator]] = None,
                       ) -> SessionHandle:
         """Non-blocking ``attachAndSpawn`` on an already-running job."""
-        fe = self.frontend(tool_name)
-        session = fe.create_session()
-        self._track_session(fe, session)
-
-        def op() -> Generator[Any, Any, LMONSession]:
-            yield from fe.attach_and_spawn(session, job, daemon_spec,
-                                           usr_data=usr_data)
-            return session
-
-        return self._submit(fe, session, op, "attach", body)
+        return self.submit_op(
+            lambda fe, session: fe.attach_and_spawn(
+                session, job, daemon_spec, usr_data=usr_data),
+            tool_name=tool_name, op_name="attach", body=body)
 
     def submit_op(self, op_factory: Callable[..., Generator],
                   tool_name: str = "tool", op_name: str = "op",

@@ -57,7 +57,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Union
 
 from repro.fe.api import FrontEndError
-from repro.fe.service import SessionHandle
+from repro.fe.service import ProcessFuture, SessionHandle
 from repro.fe.session import LMONSession, SessionState
 from repro.fleet.gossip import GossipMesh
 from repro.fleet.health import ClusterState, FleetView
@@ -94,14 +94,16 @@ class _Abandon:
         return f"<abandon {self.target}>"
 
 
-class FleetHandle:
+class FleetHandle(ProcessFuture):
     """Future for one fleet submission, across however many failovers.
 
     ``attempts`` records every member tried, in order; ``failovers`` is
     ``len(attempts) - 1`` for a request that eventually landed.
     ``launch_latency`` is client-visible: *fleet* submit time to the
     winning session's READY/DEGRADED mark -- failover detours included,
-    which is exactly why the fleet experiment reports it.
+    which is exactly why the fleet experiment reports it. ``cancel()``
+    interrupts the supervisor, which propagates the cancel to whichever
+    member session is in flight.
     """
 
     def __init__(self, sim: Simulator, handle_id: int,
@@ -124,19 +126,8 @@ class FleetHandle:
         self.session_handle: Optional[SessionHandle] = None
         #: member currently being attempted (None between attempts)
         self._attempt_target: Optional[str] = None
-        self._proc = None  # supervisor Process, set by the front door
 
-    # -- future surface (mirrors SessionHandle) ------------------------------
-    @property
-    def done(self) -> bool:
-        return self._proc is not None and self._proc.triggered
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        if self.done:
-            return self._proc.exception
-        return None
-
+    # -- future surface: the supervisor process is the future --------------
     def result(self) -> LMONSession:
         """The served session; raises the terminal failure (including
         :class:`FleetUnavailable` on rejection) if there is one."""
@@ -147,23 +138,6 @@ class FleetHandle:
         if exc is not None:
             raise exc
         return self._proc.value
-
-    def cancel(self, reason: Any = "cancelled by client") -> bool:
-        """Abort the request (False if already finished). The supervisor
-        propagates the cancel to whichever member session is in flight."""
-        if self.done:
-            return False
-        self._proc.interrupt(reason)
-        return True
-
-    def wait(self) -> Generator[Any, Any, LMONSession]:
-        """Suspend the calling sim process until done; like ``result()``,
-        re-raises the terminal failure."""
-        if not self.done:
-            ev = Event(self.sim)
-            self._proc.callbacks.append(lambda _: ev.succeed(self))
-            yield ev
-        return self.result()
 
     @property
     def cluster(self) -> Optional[str]:

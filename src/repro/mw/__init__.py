@@ -6,9 +6,12 @@ allocations. Each simultaneously launched daemon receives a unique
 collective/point-to-point exchange, and the RPDTAB -- enough for a TBON
 implementation (e.g. MRNet) to bootstrap its own network, with tool data
 piggybacked on the front end's handshake exchanges.
+
+:class:`Middleware` is the back ends' daemon runtime over the ``FE_MW``
+message class, and ``MWContext`` is :class:`~repro.be.BEContext`.
 """
 
-from repro.mw.context import MWContext
+from repro.be.context import BEContext as MWContext
 from repro.mw.runtime import Middleware
 
 __all__ = ["MWContext", "Middleware"]

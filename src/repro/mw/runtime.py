@@ -1,108 +1,56 @@
 """The LaunchMON middleware runtime (``LMON_mw_*`` equivalent).
 
-MW init mirrors BE init with two differences called out in Section 3.4:
-every TBON daemon receives the *full* RPDTAB (so it can locate the target
-program and the back-end daemons), and the personality-handle table is
-distributed so daemons can address each other to bootstrap their own
-network fabric.
+MW init is the back ends' handshake
+(:class:`~repro.be.runtime.DaemonRuntime`) over the ``FE_MW`` message
+class, with the two differences called out in Section 3.4: every TBON
+daemon receives the *full* RPDTAB (so it can locate the target program and
+the back-end daemons), and the personality-handle table is distributed so
+daemons can address each other to bootstrap their own network fabric.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.be.iccl import ICCLEndpoint
-from repro.lmonp import FeToMw, LmonpMessage, LmonpStream, MsgClass, security_token
+from repro.be.runtime import DaemonRuntime
+from repro.lmonp import FeToMw, MsgClass
 from repro.mpir import RPDTAB
-from repro.mw.context import MWContext
 
 __all__ = ["Middleware"]
 
 
-class Middleware:
-    """Per-daemon API object wrapping an :class:`MWContext`."""
+class Middleware(DaemonRuntime):
+    """Per-daemon middleware API object wrapping an ``MWContext``."""
 
-    def __init__(self, ctx: MWContext):
-        self.ctx = ctx
-        self.ep: ICCLEndpoint = ctx.fabric.endpoint(ctx.rank)
-        self._stream: Optional[LmonpStream] = None
-        self._initialized = False
-        self.timings: dict[str, float] = {}
-
-    # -- identity ----------------------------------------------------------
-    def am_i_master(self) -> bool:
-        return self.ctx.is_master
+    msg_class = MsgClass.FE_MW
+    types = FeToMw
+    stream_name = "master-mw"
 
     def get_personality(self) -> int:
         """This daemon's personality handle (unique, rank-like)."""
         return self.ctx.rank
 
-    def get_size(self) -> int:
-        return self.ctx.size
-
-    # -- initialization ------------------------------------------------------
-    def init(self) -> Generator[Any, Any, None]:
-        """Wire the fabric, handshake, and receive RPDTAB + tool data."""
+    def _distribute(self, table, t1: float) -> Generator[Any, Any, bytes]:
+        """Broadcast the daemon table, the full RPDTAB and the usr data."""
         ctx = self.ctx
         sim = ctx.sim
-
-        t0 = sim.now
-        yield from self.ep.wireup()
-        self.timings["t_setup"] = sim.now - t0
-
-        t1 = sim.now
-        table = yield from self.ep.gather((ctx.node.name, ctx.proc.pid))
-
         if ctx.is_master:
-            pipe = yield from ctx.fabric.network.connect(ctx.node, ctx.fe_node)
-            token = security_token(ctx.session_key)
-            self._stream = LmonpStream(pipe.a, token, name="master-mw")
-            yield ctx.fe_rendezvous.put(pipe.b)
-            hs = LmonpMessage(
-                MsgClass.FE_MW, FeToMw.HANDSHAKE, num_tasks=ctx.size,
-                lmon_payload=LmonpMessage.json_payload(table))
-            yield self._stream.send(hs)
-            msg = yield from self._stream.expect(FeToMw.PROCTAB)
-            rpdtab_bytes = msg.lmon_payload
-            usr_raw = msg.usr_payload
-            # every TBON daemon gets the full RPDTAB + piggybacked data
+            _t_connected, msg = yield from self._handshake(table)
+            # unlike a back end's, the collective time includes the
+            # front end's share of the handshake window (kept as two
+            # terms: READY carries these float bits as JSON, so they
+            # size the message)
             t2 = sim.now
-            payload = (list(table), rpdtab_bytes, usr_raw)
-            payload = yield from self.ep.broadcast(payload)
+            payload = yield from self.ep.broadcast(
+                (list(table), msg.lmon_payload, msg.usr_payload))
             self.timings["t_collective"] = (t2 - t1) + (sim.now - t2)
         else:
             payload = yield from self.ep.broadcast()
             self.timings["t_collective"] = sim.now - t1
-
         table_all, rpdtab_bytes, usr_raw = payload
         ctx.daemon_table = [tuple(t) for t in table_all]
         ctx.rpdtab = RPDTAB.from_bytes(rpdtab_bytes)
-        ctx.usr_data_init = json.loads(usr_raw.decode()) if usr_raw else None
-        self._initialized = True
-
-    def ready(self) -> Generator[Any, Any, None]:
-        """Master: report readiness (and measured phases) to the front end."""
-        yield from self.ep.barrier()
-        if self.ctx.is_master:
-            report = {
-                "t_setup": self.timings.get("t_setup", 0.0),
-                "t_collective": self.timings.get("t_collective", 0.0),
-            }
-            msg = LmonpMessage(
-                MsgClass.FE_MW, FeToMw.READY, num_tasks=self.ctx.size,
-                lmon_payload=LmonpMessage.json_payload(report))
-            yield self._stream.send(msg)
-
-    # -- TBON streaming (the data plane) ------------------------------------------
-    def attach_overlay(self, endpoint) -> None:
-        """Bind this comm daemon to its internal TBON overlay position."""
-        self._overlay_endpoint = endpoint
-
-    def stream_open(self, spec):
-        """Open (or join) a persistent stream on the attached overlay."""
-        ep = self._require_overlay("stream_open")
-        return ep.overlay.open_stream(spec)
+        return usr_raw
 
     def stream_subscribe(self, stream):
         """Tap the merged waves flowing through this daemon's position.
@@ -119,43 +67,3 @@ class Middleware:
         """This position's running filter state (windowed aggregates)."""
         ep = self._require_overlay("stream_state")
         return stream.state_at(ep.position)
-
-    def _require_overlay(self, what: str):
-        ep = getattr(self, "_overlay_endpoint", None)
-        if ep is None:
-            raise RuntimeError(
-                f"{what} requires attach_overlay(endpoint) first")
-        return ep
-
-    # -- collectives / data ------------------------------------------------------
-    def barrier(self) -> Generator[Any, Any, None]:
-        yield from self.ep.barrier()
-
-    def broadcast(self, obj: Any = None) -> Generator[Any, Any, Any]:
-        result = yield from self.ep.broadcast(obj)
-        return result
-
-    def gather(self, obj: Any) -> Generator[Any, Any, Optional[list]]:
-        result = yield from self.ep.gather(obj)
-        return result
-
-    def send_usrdata(self, obj: Any) -> Generator[Any, Any, None]:
-        if not self.ctx.is_master or self._stream is None:
-            raise RuntimeError("send_usrdata is a master-daemon operation")
-        msg = LmonpMessage(
-            MsgClass.FE_MW, FeToMw.USRDATA,
-            usr_payload=LmonpMessage.json_payload(obj))
-        yield self._stream.send(msg)
-
-    def recv_usrdata(self) -> Generator[Any, Any, Any]:
-        if not self.ctx.is_master or self._stream is None:
-            raise RuntimeError("recv_usrdata is a master-daemon operation")
-        msg = yield from self._stream.expect(FeToMw.USRDATA)
-        return json.loads(msg.usr_payload.decode()) if msg.usr_payload else None
-
-    def finalize(self) -> Generator[Any, Any, None]:
-        yield from self.ep.barrier()
-        if self.ctx.is_master and self._stream is not None:
-            yield self._stream.send(
-                LmonpMessage(MsgClass.FE_MW, FeToMw.SHUTDOWN))
-        self.ctx.proc.exit(0)

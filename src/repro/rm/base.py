@@ -107,9 +107,9 @@ class DaemonSpec:
     """What to launch on each node: executable identity plus the daemon body.
 
     ``main`` is the tool's daemon entry point -- a generator function taking
-    the context object the launching service provides (a
-    :class:`~repro.be.context.BEContext` for back ends, an
-    :class:`~repro.mw.context.MWContext` for middleware). ``image_mb`` feeds
+    the context object the launching service provides: one
+    :class:`~repro.be.BEContext` per daemon, which middleware daemons
+    know as :class:`~repro.mw.MWContext`. ``image_mb`` feeds
     the shared-filesystem load model: heavyweight tool stacks (MRNet + STAT)
     pay real image-distribution costs that lightweight ones (Jobsnap) avoid.
     """

@@ -239,12 +239,13 @@ def launchmon_startup(fe_api, session, job: RMJob,
         usr_data={"topology": topo.to_jsonable()})
     report.t_spawn = sim.now - t_spawn0
     # the RM's bulk launch recorded how much of that window was image
-    # staging; carve it out so the phases attribute like every other path
-    rm_report = getattr(fe_api.rm, "last_launch_report", None)
-    if rm_report is not None:
-        report.t_image_stage = rm_report.t_image_stage
-        report.t_spawn = max(0.0, report.t_spawn - rm_report.t_image_stage)
-        report.staging_mode = rm_report.staging_mode
+    # staging; carve it out so the phases attribute like every other path.
+    # The session's own spawn report, not the RM-wide last one: another
+    # session's spawn may have finished during this handshake.
+    spawn_report = session.launch_report
+    report.t_image_stage = spawn_report.t_image_stage
+    report.t_spawn = max(0.0, report.t_spawn - spawn_report.t_image_stage)
+    report.staging_mode = spawn_report.staging_mode
 
     # build placement: BE position i <-> i-th host in RPDTAB order; comm
     # positions come from MW daemons (launch_mw_daemons) -- the

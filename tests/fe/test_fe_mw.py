@@ -5,6 +5,7 @@ import pytest
 from repro.apps import make_compute_app
 from repro.be import BackEnd
 from repro.fe import LMONSession, SessionState, ToolFrontEnd, FrontEndError
+from repro.lmonp import FeToBe, FeToMw, LmonpStream, MsgClass
 from repro.mw import Middleware
 from repro.rm import DaemonSpec
 from repro.runner import drive, make_env
@@ -212,3 +213,71 @@ class TestMwUsrDataExchange:
 
         drive(env, tool(env))
         assert box["reply"] == {"echo": 42}
+
+
+class TestWireClasses:
+    def test_each_stream_speaks_its_own_message_class(self, monkeypatch):
+        # BE and MW share one handshake; the type codes mostly coincide
+        # (HANDSHAKE = 1 in both enums), so pin the class and the type
+        # enum of every message each side sends
+        sent = {}
+        real_send = LmonpStream.send
+
+        def recording_send(stream, msg):
+            sent.setdefault(stream.name, []).append(
+                (msg.msg_class, type(msg.msg_type), int(msg.msg_type)))
+            return real_send(stream, msg)
+
+        monkeypatch.setattr(LmonpStream, "send", recording_send)
+        env = make_env(n_compute=4)
+        app = make_compute_app(n_tasks=16, tasks_per_node=8)
+
+        def be_main(ctx):
+            be = BackEnd(ctx)
+            yield from be.init()
+            yield from be.ready()
+            if be.am_i_master():
+                req = yield from be.recv_usrdata()
+                yield from be.send_usrdata(req)
+            yield from be.finalize()
+
+        def mw_main(ctx):
+            mw = Middleware(ctx)
+            yield from mw.init()
+            yield from mw.ready()
+            if mw.am_i_master():
+                req = yield from mw.recv_usrdata()
+                yield from mw.send_usrdata(req)
+            yield from mw.finalize()
+
+        def tool(env):
+            fe = ToolFrontEnd(env.cluster, env.rm, "t")
+            yield from fe.init()
+            s = fe.create_session()
+            yield from fe.launch_and_spawn(
+                s, app, DaemonSpec("be_d", main=be_main))
+            yield from fe.launch_mw_daemons(
+                s, DaemonSpec("mw_d", main=mw_main), n_nodes=2)
+            yield from fe.send_usrdata_be(s, 1)
+            assert (yield from fe.recv_usrdata_be(s)) == 1
+            yield from fe.send_usrdata_mw(s, 2)
+            assert (yield from fe.recv_usrdata_mw(s)) == 2
+            yield from fe.detach(s)
+
+        drive(env, tool(env))
+
+        def wire(msg_class, types, *names):
+            return [(msg_class, types, int(types[n])) for n in names]
+
+        assert sent["master-be"] == wire(
+            MsgClass.FE_BE, FeToBe, "HANDSHAKE", "READY", "USRDATA",
+            "SHUTDOWN")
+        assert sent["fe-be"] == wire(
+            MsgClass.FE_BE, FeToBe, "PROCTAB", "USRDATA")
+        assert sent["master-mw"] == wire(
+            MsgClass.FE_MW, FeToMw, "HANDSHAKE", "READY", "USRDATA",
+            "SHUTDOWN")
+        assert sent["fe-mw"] == wire(
+            MsgClass.FE_MW, FeToMw, "PROCTAB", "USRDATA")
+        # the one code the two enums do not share
+        assert (FeToBe.SHUTDOWN, FeToMw.SHUTDOWN) == (6, 5)

@@ -17,6 +17,9 @@ compares a SHA-256 over them with the hashes committed in
 * ``resilience-rm-bulk-128`` -- an RM bulk launch of 128 daemons with
   node crashes injected mid-launch, so the processes on crashed nodes
   are killed while messages to them are still in flight;
+* ``jobsnap-tbon-64`` -- TBON Jobsnap over 64 back ends with fanout 16,
+  so ``launch_mw_daemons`` starts 4 comm daemons and the middleware
+  handshake runs next to the back-end one, then two collection waves;
 * four failure paths, each asserting that its run failed:
   ``fig6-mrnet-512`` -- MRNet's serial-rsh startup collapsing when the
   front end's process table fills; ``resilience-serial-rsh-64-off`` and
@@ -119,6 +122,26 @@ def _resilience_point():
     return hashes
 
 
+def _jobsnap_tbon():
+    from repro.apps import make_compute_app
+    from repro.tools.jobsnap import run_jobsnap_tbon
+
+    n = 64
+    app = make_compute_app(n_tasks=8 * n, tasks_per_node=8)
+    with traced_envs() as (factory, hashes):
+        env = factory(n_compute=n + 4, seed=1)
+
+        def tool():
+            job = yield from env.rm.launch_job(app, env.rm.allocate(n))
+            result = yield from run_jobsnap_tbon(env.cluster, env.rm, job,
+                                                 n_waves=2)
+            return result
+
+        result = runner.drive(env, tool())
+    assert result.n_daemons == n + 4  # 64 back ends + 4 comm daemons
+    return hashes
+
+
 def _fig6_collapse():
     from repro.experiments.fig6 import measure_stat_startup
 
@@ -148,6 +171,7 @@ RUNS = {
     "fig6-launchmon-1024": _fig6_launch,
     "stream-histogram-1024": _stream_point,
     "resilience-rm-bulk-128": _resilience_point,
+    "jobsnap-tbon-64": _jobsnap_tbon,
     "fig6-mrnet-512": _fig6_collapse,
     "resilience-serial-rsh-64-off": _unrepaired_point(
         "serial-rsh", 0.2, 3, "daemon set incomplete"),

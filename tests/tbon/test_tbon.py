@@ -3,9 +3,11 @@
 import pytest
 
 from repro.apps import make_compute_app
+from repro.be import minimal_daemon
 from repro.cluster import Cluster, ClusterSpec
 from repro.fe import ToolFrontEnd
-from repro.runner import drive, make_env
+from repro.rm import DaemonSpec
+from repro.runner import drive, make_env, make_service_env
 from repro.simx import Simulator
 from repro.tbon import (
     Overlay,
@@ -275,3 +277,44 @@ class TestLaunchmonStartup:
 
         drive(env2, native())
         assert box2["t"] > 5 * box["t"]
+
+    def test_phases_come_from_the_sessions_own_spawn(self):
+        # a second session's two-daemon spawn ends inside this session's
+        # handshake window, so by the time the startup splits its spawn
+        # window the RM-wide last_launch_report describes the other spawn
+        env = make_service_env(n_compute=134, seed=1)
+        box = {}
+
+        def startup(fe, session):
+            app = make_compute_app(n_tasks=128, tasks_per_node=1)
+            alloc = yield from fe.rm.allocate_async(128)
+            session.owned_allocs.append(alloc)
+            job = yield from fe.rm.launch_job(app, alloc)
+            _, box["report"] = yield from launchmon_startup(
+                fe, session, job, image_mb=4.0)
+
+        big = env.service.submit_op(startup, tool_name="big")
+
+        def late_launch():
+            yield env.sim.timeout(0.34)
+            box["small"] = env.service.submit_launch(
+                make_compute_app(n_tasks=2, tasks_per_node=1),
+                DaemonSpec("small_be", main=minimal_daemon),
+                tool_name="small")
+            yield from env.service.drain()
+
+        drive(env, late_launch())
+        session = big.result()
+        marks = session.timeline.marks
+        small = box["small"].session
+        assert (marks["e7_handshake_begin"]
+                < small.timeline.marks["e6_daemons_spawned"]
+                < marks["e10_ready"])
+        assert env.rm.last_launch_report is small.launch_report
+        own = session.launch_report
+        report = box["report"]
+        assert report.t_image_stage == own.t_image_stage
+        assert report.staging_mode == own.staging_mode
+        # the attach window (e0 -> e11) minus this session's image stage
+        window = marks["e11_returned"] - marks["e0_client_call"]
+        assert report.t_spawn == max(0.0, window - own.t_image_stage)
