@@ -82,8 +82,8 @@ class CtlClient:
         returns the session's state name (an adopted session is already
         settled)."""
         cs = self.session(ctl_id)
-        if cs.handle is not None and not cs.handle.done:
-            yield cs.handle._wait_event()
+        if cs.handle is not None:
+            yield from cs.handle.settle()
         return cs.state_name
 
     def cancel(self, ctl_id: int) -> bool:
@@ -108,8 +108,7 @@ class CtlClient:
         handle = daemon.end_session(ctl_id)
         if handle is None:
             return True
-        if not handle.done:
-            yield handle._wait_event()
+        yield from handle.settle()
         exc = handle.exception
         if exc is None:
             return True

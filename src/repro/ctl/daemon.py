@@ -257,37 +257,27 @@ class CtlDaemon:
         if self.state in (DaemonState.STOPPED, DaemonState.CRASHED):
             return self.status()
         self.state = DaemonState.DRAINING
-        handles = self.service.handles
-        i = 0
-        while i < len(handles):
-            handle = handles[i]
-            i += 1
-            if not handle.done:
-                yield handle._wait_event()
-            if self.state is DaemonState.CRASHED:
-                return self.status()  # crashed mid-drain; we are dead
-        self._shutdown_processes()
-        return self.status()
+        return (yield from self._settle_and_exit())
 
     def stop(self, drain: bool = True):
         """Generator: stop the daemon; with ``drain=False`` cancel
-        in-flight work instead of waiting for it."""
-        if self.state is DaemonState.STOPPED:
+        in-flight work instead of waiting for it. Like a drain, a stop
+        of a crashed generation does nothing: it is already dead."""
+        if self.state in (DaemonState.STOPPED, DaemonState.CRASHED):
             return self.status()
         if drain:
-            result = yield from self.drain()
-            return result
+            return (yield from self.drain())
         self.state = DaemonState.STOPPING
-        handles = self.service.handles
-        for handle in handles:
-            if not handle.done:
-                handle.cancel("control plane stopping")
-        i = 0
-        while i < len(handles):
-            handle = handles[i]
-            i += 1
-            if not handle.done:
-                yield handle._wait_event()
+        self.service.cancel_all("control plane stopping")
+        return (yield from self._settle_and_exit())
+
+    def _settle_and_exit(self):
+        """Generator: settle every operation, then checkpoint and end this
+        generation's processes. The service's settle loop is stepped here
+        so that a crash landing meanwhile ends the wait at once: a dead
+        daemon writes no checkpoint."""
+        for wait in self.service.settle():
+            yield wait
             if self.state is DaemonState.CRASHED:
                 return self.status()
         self._shutdown_processes()
@@ -333,8 +323,7 @@ class CtlDaemon:
             else:
                 # mid-spawn: the RM aborts the job its dead launcher was
                 # driving; the unwind is that abort
-                handle._proc.defuse()
-                handle._proc.interrupt("control-plane crash")
+                handle.cancel("control-plane crash")
         for proc in self._aux_procs:
             if proc.is_alive:
                 proc.defuse()

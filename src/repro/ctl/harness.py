@@ -258,12 +258,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     def finisher():
         if sub_proc.is_alive:
             yield sub_proc
-        while True:
-            pending = [cs.handle for cs in daemon.sessions.values()
-                       if cs.handle is not None and not cs.handle.done]
-            if not pending:
-                return
-            yield pending[0]._wait_event()
+        yield from daemon.service.settle()
 
     drive(env, finisher())
     res.submitted = len(tickets)

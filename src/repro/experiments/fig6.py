@@ -97,22 +97,16 @@ def measure_stat_startup(n_daemons: int, mechanism: str,
     return box
 
 
-def _fig6_point(n: int, tasks_per_daemon: int, hybrid: bool = False,
-                via_fleet: bool = False) -> dict:
+def _fig6_point(n: int, tasks_per_daemon: int,
+                hybrid: bool = False) -> dict:
     """One grid point: both mechanisms at ``n`` daemons (worker-safe)."""
-    if via_fleet:
-        from repro.fleet import make_fleet_member_env
-        factory = make_fleet_member_env
-    else:
-        factory = make_env
     if hybrid:
         mrnet: dict = {"failure": "skipped: hybrid tier models the "
                                   "launchmon path only", "spawned": 0}
     else:
-        mrnet = measure_stat_startup(n, "mrnet", tasks_per_daemon,
-                                     env_factory=factory)
+        mrnet = measure_stat_startup(n, "mrnet", tasks_per_daemon)
     lmon = measure_stat_startup(n, "launchmon", tasks_per_daemon,
-                                hybrid=hybrid, env_factory=factory)
+                                hybrid=hybrid)
     if "failure" in mrnet:
         status = ("skipped (hybrid)" if hybrid
                   else f"FAILED after {mrnet['spawned']} daemons (fork)")
@@ -132,14 +126,8 @@ def _fig6_point(n: int, tasks_per_daemon: int, hybrid: bool = False,
 
 def run_fig6(node_counts: Sequence[int] = (4, 32, 64, 128, 256, 512),
              tasks_per_daemon: int = TASKS_PER_DAEMON,
-             jobs: int = 1, hybrid: bool = False,
-             via_fleet: bool = False) -> ExperimentResult:
-    """Regenerate Figure 6's two curves (plus the 512-node failure).
-
-    ``via_fleet`` builds every point's machine as a single-member fleet
-    (see :func:`repro.fleet.make_fleet_member_env`); the bit-identity
-    regression asserts the output is unchanged.
-    """
+             jobs: int = 1, hybrid: bool = False) -> ExperimentResult:
+    """Regenerate Figure 6's two curves (plus the 512-node failure)."""
     result = ExperimentResult(
         exp_id="fig6",
         title="STAT start-up: MRNet-rsh vs LaunchMON launch+connect "
@@ -154,8 +142,7 @@ def run_fig6(node_counts: Sequence[int] = (4, 32, 64, 128, 256, 512),
             "launchmon_at_512": "5.6 s",
         },
     )
-    grid = [dict(n=n, tasks_per_daemon=tasks_per_daemon, hybrid=hybrid,
-                 via_fleet=via_fleet)
+    grid = [dict(n=n, tasks_per_daemon=tasks_per_daemon, hybrid=hybrid)
             for n in node_counts]
     result.rows = map_grid(_fig6_point, grid, jobs=jobs)
     if hybrid:

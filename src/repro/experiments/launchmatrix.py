@@ -113,16 +113,10 @@ def measure_launch_cell(strategy: str, staging: str, n_daemons: int,
     }
 
 
-def _lmx_point(strategy: str, staging: str, n: int, image_mb: float,
-               via_fleet: bool = False) -> dict:
+def _lmx_point(strategy: str, staging: str, n: int,
+               image_mb: float) -> dict:
     """One matrix cell as a result-table row (worker-safe)."""
-    if via_fleet:
-        from repro.fleet import make_fleet_member_env
-        factory = make_fleet_member_env
-    else:
-        factory = make_env
-    cell = measure_launch_cell(strategy, staging, n, image_mb=image_mb,
-                               env_factory=factory)
+    cell = measure_launch_cell(strategy, staging, n, image_mb=image_mb)
     return {
         "daemons": n, "strategy": strategy, "staging": staging,
         "total": cell["total"], "t_spawn": cell["t_spawn"],
@@ -135,14 +129,8 @@ def run_launch_matrix(daemon_counts: Sequence[int] = (64, 256, 512),
                       strategies: Sequence[str] = None,
                       stagings: Sequence[str] = STAGINGS,
                       image_mb: float = DAEMON_IMAGE_MB,
-                      jobs: int = 1,
-                      via_fleet: bool = False) -> ExperimentResult:
-    """The full strategy x staging sweep (per-phase scaling attribution).
-
-    ``via_fleet`` builds every cell's machine as a single-member fleet
-    instead of a bare :func:`~repro.runner.make_env` -- same spec, same
-    seeds; the bit-identity regression asserts the output is unchanged.
-    """
+                      jobs: int = 1) -> ExperimentResult:
+    """The full strategy x staging sweep (per-phase scaling attribution)."""
     strategies = tuple(strategies or strategy_names())
     result = ExperimentResult(
         exp_id="lmx",
@@ -151,8 +139,7 @@ def run_launch_matrix(daemon_counts: Sequence[int] = (64, 256, 512),
         columns=["daemons", "strategy", "staging", "total", "t_spawn",
                  "t_image_stage", "warm_total"],
     )
-    grid = [dict(strategy=strategy, staging=staging, n=n, image_mb=image_mb,
-                 via_fleet=via_fleet)
+    grid = [dict(strategy=strategy, staging=staging, n=n, image_mb=image_mb)
             for n in daemon_counts
             for strategy in strategies
             for staging in stagings]

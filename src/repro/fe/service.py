@@ -20,6 +20,11 @@ that layer:
   callbacks, so launch latency can be decomposed into admission wait,
   allocation (``QUEUED``) wait and spawn time.
 
+Registration, the admission gate, cancel, settle, drain and the outcome
+counts live in :class:`OperationCore`, which the fleet's
+:class:`~repro.fleet.frontdoor.FleetFrontDoor` shares: one operation
+lifecycle under every front door.
+
 Typical use (this is what ``examples/multitenant_demo.py`` does)::
 
     env = make_service_env(n_compute=64, max_in_flight=8)
@@ -41,20 +46,29 @@ from repro.fe.session import LMONSession, SessionState, TERMINAL_STATES
 from repro.rm.base import DaemonSpec, ResourceManager, RMJob
 from repro.simx import Event, Interrupt, Resource, Simulator
 
-__all__ = ["ProcessFuture", "SessionHandle", "ToolService"]
+__all__ = ["OperationCore", "ProcessFuture", "SessionHandle", "ToolService"]
 
 
 class ProcessFuture:
     """A future over the simulation process running one operation.
 
     ``.done`` tells whether the operation finished, ``.exception`` holds
-    its failure, ``.cancel()`` interrupts it and ``.wait()`` suspends the
-    calling simulation process until completion, then returns
-    ``.result()``, which each subclass defines.
+    its failure, ``.result()`` its return value, and ``.cancel()``
+    interrupts it. ``.settle()`` suspends the calling simulation process
+    until completion and never raises; ``.wait()`` settles, then returns
+    ``.result()``. ``submitted_at`` and ``finished_at`` stamp creation
+    and completion in virtual seconds, and ``launch_latency`` is submit
+    -> the launched session's READY (or DEGRADED) mark.
     """
 
     #: the simx.Process running the operation, set when it starts
     _proc = None
+
+    def __init__(self, sim: Simulator, handle_id: int):
+        self.sim = sim
+        self.id = handle_id
+        self.submitted_at = sim.now
+        self.finished_at: Optional[float] = None
 
     @property
     def done(self) -> bool:
@@ -68,6 +82,17 @@ class ProcessFuture:
             return self._proc.exception
         return None
 
+    def result(self) -> Any:
+        """The operation's return value; raises its failure if it failed,
+        or :class:`FrontEndError` if it has not finished yet."""
+        if not self.done:
+            raise FrontEndError(
+                f"{type(self).__name__} {self.id}: still in flight")
+        exc = self.exception
+        if exc is not None:
+            raise exc
+        return self._proc.value
+
     def cancel(self, reason: Any = "cancelled by client") -> bool:
         """Interrupt the operation (False if it already finished); the
         interrupt surfaces as this future's ``exception``."""
@@ -76,19 +101,154 @@ class ProcessFuture:
         self._proc.interrupt(reason)
         return True
 
-    def wait(self) -> Generator[Any, Any, Any]:
-        """Suspend the calling sim process until done; returns
-        ``result()`` (re-raising the operation's failure)."""
+    def settle(self) -> Generator[Any, Any, None]:
+        """Suspend the calling sim process until done. Never raises: the
+        outcome stays in ``exception`` / ``result()``."""
         if not self.done:
-            yield self._wait_event()
+            ev = Event(self.sim)
+            self._proc.callbacks.append(lambda _: ev.succeed(self))
+            yield ev
+
+    def wait(self) -> Generator[Any, Any, Any]:
+        """Settle, then return ``result()`` (re-raising the operation's
+        failure)."""
+        yield from self.settle()
         return self.result()
 
-    def _wait_event(self) -> Event:
-        """A fresh event triggering on completion (failures stay in the
-        future; waiters observe them via ``result()``)."""
-        ev = Event(self.sim)
-        self._proc.callbacks.append(lambda _: ev.succeed(self))
-        return ev
+    @property
+    def launch_latency(self) -> Optional[float]:
+        """Client-visible latency: submit -> the launched session's READY
+        mark, or DEGRADED (the partial-success sibling under a resilient
+        launch policy); None until then, and for an operation that
+        launches no session."""
+        marks = self._launch_marks()
+        if marks is None:
+            return None
+        t_ready = marks.get(SessionState.READY,
+                            marks.get(SessionState.DEGRADED))
+        return None if t_ready is None else t_ready - self.submitted_at
+
+    def _launch_marks(self) -> Optional[dict]:
+        """First-entry times of the states of the session this operation
+        launched, or None if it launched none."""
+        raise NotImplementedError
+
+    def _finish(self, proc: Event) -> None:
+        """Process callback: stamp the finish time, and defuse a failure
+        so it surfaces through ``result()`` instead of crashing the
+        simulator run."""
+        self.finished_at = self.sim.now
+        if proc.exception is not None:
+            proc.defuse()
+
+
+class OperationCore:
+    """One operation lifecycle, shared by every front door.
+
+    Each submitted operation runs as its own simulation process behind a
+    :class:`ProcessFuture` handle. The core registers the handle, admits
+    operations FIFO through an optional ``max_in_flight`` gate, cancels,
+    settles and drains them, and counts their outcomes.
+
+    ``expected`` names the failures that are outcomes rather than
+    faults: :meth:`drain` skips them and :meth:`summary` does not count
+    them as ``failed``. A deliberate cancel (an
+    :class:`~repro.simx.Interrupt`) is always one.
+    """
+
+    expected: tuple = (Interrupt,)
+
+    def __init__(self, sim: Simulator, name: str,
+                 max_in_flight: Optional[int]):
+        self.sim = sim
+        self.name = name
+        self.max_in_flight = max_in_flight
+        self._gate = (Resource(sim, max_in_flight, name=f"{name}-gate")
+                      if max_in_flight is not None else None)
+        #: every handle ever submitted, in submission order
+        self.handles: list = []
+
+    def _start(self, handle: ProcessFuture, gen: Generator,
+               name: str) -> ProcessFuture:
+        """Run ``gen`` as ``handle``'s operation and register the handle."""
+        handle._proc = proc = self.sim.process(gen, name=name)
+        proc.callbacks.append(handle._finish)
+        self.handles.append(handle)
+        return handle
+
+    # -- admission -----------------------------------------------------------
+    @property
+    def pending_admissions(self) -> int:
+        """Operations still queued at the admission gate (0 if unbounded)."""
+        return self._gate.pending if self._gate is not None else 0
+
+    def _admit(self) -> Generator[Any, Any, None]:
+        """Take an admission slot (FIFO) if the gate is capped. A failure
+        or interrupt while queued withdraws the request, so the slot
+        cannot leak to a dead waiter."""
+        if self._gate is None:
+            return
+        req = self._gate.request()
+        try:
+            yield req
+        except BaseException:
+            self._gate.cancel(req)
+            raise
+
+    def _release(self) -> None:
+        """Give back the slot an admitted operation holds."""
+        if self._gate is not None:
+            self._gate.release()
+
+    # -- completion ----------------------------------------------------------
+    def cancel_all(self, reason: Any) -> int:
+        """Interrupt every unfinished operation; returns how many."""
+        return sum(handle.cancel(reason) for handle in self.handles)
+
+    def settle(self) -> Generator[Any, Any, None]:
+        """Wait until every handle is done, handles submitted meanwhile
+        included. Never raises an operation's failure."""
+        i = 0
+        while i < len(self.handles):
+            handle = self.handles[i]
+            i += 1
+            yield from handle.settle()
+
+    def drain(self) -> Generator[Any, Any, list]:
+        """Wait for every handle, handles submitted meanwhile included;
+        returns the results of the successful ones in submission order.
+
+        An ``expected`` outcome is skipped. Any other failure re-raises,
+        first in submission order -- failures do not pass silently,
+        matching :func:`repro.runner.drive` -- and so does an interrupt
+        of the process running the drain itself.
+        """
+        results = []
+        i = 0
+        while i < len(self.handles):
+            handle = self.handles[i]
+            i += 1
+            yield from handle.settle()
+            if not isinstance(handle.exception, self.expected):
+                results.append(handle.result())
+        return results
+
+    def summary(self) -> dict:
+        """Outcome counts over every handle: ``completed``, ``cancelled``
+        (an Interrupt), ``failed`` (anything not ``expected``), and the
+        completed handles' sorted ``launch_latencies``."""
+        done = [h for h in self.handles if h.done and h.exception is None]
+        return {
+            "submitted": len(self.handles),
+            "completed": len(done),
+            "failed": sum(1 for h in self.handles
+                          if h.exception is not None
+                          and not isinstance(h.exception, self.expected)),
+            "cancelled": sum(1 for h in self.handles
+                             if isinstance(h.exception, Interrupt)),
+            "launch_latencies": sorted(h.launch_latency for h in done
+                                       if h.launch_latency is not None),
+        }
 
 
 class SessionHandle(ProcessFuture):
@@ -109,21 +269,21 @@ class SessionHandle(ProcessFuture):
     ``started_at`` (admission granted, operation begins), ``finished_at``;
     ``state_times`` maps each :class:`SessionState` reached to the time of
     its *first* entry. ``launch_latency`` is submit -> READY, the
-    client-visible metric the multitenant study reports.
+    client-visible metric the multitenant study reports; a chained MW
+    handle shares its session's READY mark with the parent launch, so it
+    has none (use ``finished_at - submitted_at`` for an MW op's
+    end-to-end time).
     """
 
     _ids = itertools.count(1)
 
     def __init__(self, sim: Simulator, fe: ToolFrontEnd,
                  session: LMONSession, op: str):
-        self.id = next(SessionHandle._ids)
-        self.sim = sim
+        super().__init__(sim, next(SessionHandle._ids))
         self.fe = fe
         self.session = session
         self.op = op
-        self.submitted_at = sim.now
         self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
         #: first-entry time of every state reached, via status callbacks
         self.state_times: dict[SessionState, float] = {}
         #: every transition observed, in order: (time, old, new)
@@ -131,18 +291,6 @@ class SessionHandle(ProcessFuture):
         #: return value of the ``body`` generator, if one was submitted
         self.body_result: Any = None
         session.register_status_cb(self._on_transition)
-
-    # -- future protocol -----------------------------------------------------
-    def result(self) -> LMONSession:
-        """The completed operation's session; raises its failure if it
-        failed, or :class:`FrontEndError` if it has not finished yet."""
-        if not self.done:
-            raise FrontEndError(
-                f"handle {self.id} ({self.op}): operation still in flight")
-        exc = self.exception
-        if exc is not None:
-            raise exc
-        return self.session
 
     # -- status callbacks ----------------------------------------------------
     def register_status_cb(self, cb: Callable[..., None]) -> None:
@@ -190,24 +338,8 @@ class SessionHandle(ProcessFuture):
                 return None  # still queued
         return None
 
-    @property
-    def launch_latency(self) -> Optional[float]:
-        """Client-visible latency: submit -> session READY (or DEGRADED,
-        the partial-success sibling under a resilient launch policy).
-
-        Defined only for launch/attach handles; a chained MW handle shares
-        its session's READY mark with the parent launch, so the metric
-        would duplicate the parent's -- it returns None there (use
-        ``finished_at - submitted_at`` for an MW op's end-to-end time).
-        """
-        if self.op not in ("launch", "attach"):
-            return None
-        t_ready = self.state_times.get(SessionState.READY)
-        if t_ready is None:
-            t_ready = self.state_times.get(SessionState.DEGRADED)
-        if t_ready is None:
-            return None
-        return t_ready - self.submitted_at
+    def _launch_marks(self) -> Optional[dict]:
+        return self.state_times if self.op in ("launch", "attach") else None
 
     @property
     def launch_report(self):
@@ -228,7 +360,7 @@ class SessionHandle(ProcessFuture):
                 f"session={self.session.id} {status}>")
 
 
-class ToolService:
+class ToolService(OperationCore):
     """Serve many concurrent tool sessions on one simulated cluster.
 
     ``max_in_flight=None`` admits every submission immediately (the RM's
@@ -240,19 +372,15 @@ class ToolService:
     def __init__(self, cluster: Cluster, rm: ResourceManager,
                  max_in_flight: Optional[int] = None,
                  keep_warm: Optional[int] = 64, name: str = "toolsvc"):
+        super().__init__(cluster.sim, name, max_in_flight)
         self.cluster = cluster
         self.rm = rm
-        self.sim: Simulator = cluster.sim
-        self.name = name
-        self.max_in_flight = max_in_flight
         #: at most this many *idle* tenant front ends keep their FE+engine
         #: processes warm; beyond it, a front end is retired when its last
         #: operation completes (None = never retire). Busy tenants are
         #: never retired, so the front-end node's process-table usage is
         #: bounded at roughly 2 x (keep_warm + concurrent operations).
         self.keep_warm = keep_warm
-        self._gate = (Resource(self.sim, max_in_flight, name=f"{name}-gate")
-                      if max_in_flight is not None else None)
         #: one front end per tool name (tenant); engines are reused per FE
         self.frontends: dict[str, ToolFrontEnd] = {}
         # per-FE-*object* tracking (a retired tenant's old FE can come back
@@ -268,8 +396,6 @@ class ToolService:
         #: via status callbacks so retirement checks stay O(1) instead of
         #: rescanning every session the tenant ever ran
         self._fe_live_sessions: dict[ToolFrontEnd, int] = {}
-        #: every handle ever submitted, in submission order
-        self.handles: list[SessionHandle] = []
         #: concurrency diagnostics
         self.in_flight = 0
         self.peak_in_flight = 0
@@ -352,15 +478,12 @@ class ToolService:
         fe = handle.fe
         session = handle.session
 
-        def pre() -> Generator[Any, Any, None]:
-            if not handle.done:
-                yield handle._wait_event()
-
         def op() -> Generator[Any, Any, LMONSession]:
             yield from op_factory(fe, session)
             return session
 
-        return self._submit(fe, session, op, op_name, body, pre=pre)
+        return self._submit(fe, session, op, op_name, body,
+                            pre=handle.settle)
 
     def submit_mw(self, handle: SessionHandle, mw_spec: DaemonSpec,
                   n_nodes: int, usr_data: Any = None,
@@ -376,45 +499,17 @@ class ToolService:
         fe = handle.fe
         session = handle.session
 
-        def pre() -> Generator[Any, Any, None]:
-            # wait for the parent *before* taking an admission slot, so a
-            # chained op does not hold capacity while idle
-            yield from handle.wait()
-
         def op() -> Generator[Any, Any, LMONSession]:
             yield from fe.launch_mw_daemons(session, mw_spec, n_nodes,
                                             usr_data=usr_data,
                                             topology=topology)
             return session
 
-        return self._submit(fe, session, op, "mw", body, pre=pre)
+        # the parent is waited on *before* the admission slot is taken, so
+        # a chained op does not hold capacity while idle
+        return self._submit(fe, session, op, "mw", body, pre=handle.wait)
 
-    # -- completion ----------------------------------------------------------
-    def drain(self) -> Generator[Any, Any, list[LMONSession]]:
-        """Wait for every submitted handle; returns their sessions.
-
-        Re-raises the first failure (in submission order) -- failures do
-        not pass silently, matching :func:`repro.runner.drive` -- except
-        deliberate cancellations: a handle that ended with an
-        :class:`~repro.simx.Interrupt` (``handle.cancel()``) is skipped,
-        so cancelling a stuck launch does not poison every later drain.
-        Handles submitted *while* draining are waited on too.
-        """
-        sessions = []
-        i = 0
-        while i < len(self.handles):
-            handle = self.handles[i]
-            i += 1
-            if handle.done and isinstance(handle.exception, Interrupt):
-                continue  # deliberately cancelled, already acknowledged
-            try:
-                sessions.append((yield from handle.wait()))
-            except Interrupt:
-                if handle.done and isinstance(handle.exception, Interrupt):
-                    continue  # cancelled while we were waiting on it
-                raise  # the drain driver itself was interrupted
-        return sessions
-
+    # -- admission and metrics -----------------------------------------------
     def set_max_in_flight(self, n: Optional[int]) -> None:
         """Reconfigure the admission cap in place (daemon ``reload``).
 
@@ -440,33 +535,9 @@ class ToolService:
                           if n is not None else None)
         self.max_in_flight = n
 
-    @property
-    def pending_admissions(self) -> int:
-        """Operations still queued at the admission gate (0 if unbounded)."""
-        return self._gate.pending if self._gate is not None else 0
-
     def summary(self) -> dict:
-        """Aggregate service metrics over all completed handles.
-
-        Deliberate cancellations (``handle.cancel()`` -> Interrupt) are
-        counted separately from failures, mirroring :meth:`drain`.
-        """
-        done = [h for h in self.handles if h.done and h.exception is None]
-        lat = sorted(h.launch_latency for h in done
-                     if h.launch_latency is not None)
-        cancelled = sum(1 for h in self.handles
-                        if h.done and isinstance(h.exception, Interrupt))
-        failed = sum(1 for h in self.handles
-                     if h.done and h.exception is not None
-                     and not isinstance(h.exception, Interrupt))
-        return {
-            "submitted": len(self.handles),
-            "completed": len(done),
-            "failed": failed,
-            "cancelled": cancelled,
-            "peak_in_flight": self.peak_in_flight,
-            "launch_latencies": lat,
-        }
+        """The shared outcome counts plus ``peak_in_flight``."""
+        return {**super().summary(), "peak_in_flight": self.peak_in_flight}
 
     def prune_handles(self) -> list[SessionHandle]:
         """Drop (and return) completed handles, bounding memory in a
@@ -497,46 +568,29 @@ class ToolService:
         self._session_tail[session.id] = handle
 
         def chained_pre() -> Generator[Any, Any, None]:
-            if prev is not None and not prev.done:
-                yield prev._wait_event()
+            if prev is not None:
+                yield from prev.settle()
             if pre is not None:
                 yield from pre()
 
-        proc = self.sim.process(
-            self._run(handle, fe, op, body, chained_pre),
-            name=f"{self.name}:{op_name}:s{session.id}")
-        handle._proc = proc
-        proc.callbacks.append(lambda ev: self._observe(handle, ev))
-        self.handles.append(handle)
-        return handle
+        return self._start(handle, self._run(handle, op, body, chained_pre),
+                           name=f"{self.name}:{op_name}:s{session.id}")
 
-    def _run(self, handle: SessionHandle, fe: ToolFrontEnd,
-             op: Callable[[], Generator],
+    def _run(self, handle: SessionHandle, op: Callable[[], Generator],
              body: Optional[Callable[..., Generator]],
-             pre: Optional[Callable[[], Generator]] = None,
+             pre: Callable[[], Generator],
              ) -> Generator[Any, Any, LMONSession]:
-        gate_req = None
+        fe = handle.fe
         try:
-            if pre is not None:
-                yield from pre()  # e.g. wait for a chained op's parent
-            if self._gate is not None:
-                gate_req = self._gate.request()
-                yield gate_req
+            yield from pre()  # e.g. wait for a chained op's parent
+            yield from self._admit()
         except BaseException:
-            # failed (or interrupted) before admission: withdraw any
-            # pending gate request so the slot cannot leak to a dead waiter
-            if gate_req is not None:
-                self._gate.cancel(gate_req)
-            handle.finished_at = self.sim.now
             if handle.session.state is SessionState.CREATED:
                 # a fresh session whose op died before starting: terminal,
                 # so callback listeners see the death (a chained MW op's
                 # parent session is live and is left untouched)
                 handle.session.state = SessionState.FAILED
-            if self._session_tail.get(handle.session.id) is handle:
-                del self._session_tail[handle.session.id]
-            handle._stop_recording()
-            self._op_done(fe)
+            self._op_done(handle)
             raise
         handle.started_at = self.sim.now
         self.in_flight += 1
@@ -575,14 +629,9 @@ class ToolService:
                     raise
             return session
         finally:
-            handle.finished_at = self.sim.now
             self.in_flight -= 1
-            if self._session_tail.get(handle.session.id) is handle:
-                del self._session_tail[handle.session.id]
-            handle._stop_recording()
-            self._op_done(fe)
-            if self._gate is not None:
-                self._gate.release()  # admitted: the slot is always held here
+            self._op_done(handle)
+            self._release()  # admitted: the slot is always held here
 
     def _ensure_init(self, fe: ToolFrontEnd) -> Generator[Any, Any, None]:
         """Run ``fe.init()`` exactly once per front end; concurrent
@@ -609,8 +658,13 @@ class ToolService:
                 return  # init already completed successfully
             yield ev  # init in progress; re-check its outcome after
 
-    def _op_done(self, fe: ToolFrontEnd) -> None:
-        """Account one finished operation; stamp idleness, maybe retire."""
+    def _op_done(self, handle: SessionHandle) -> None:
+        """Account one finished operation: free its session for the next
+        op, stop its recorder, stamp the tenant's idleness, maybe retire."""
+        if self._session_tail.get(handle.session.id) is handle:
+            del self._session_tail[handle.session.id]
+        handle._stop_recording()
+        fe = handle.fe
         self._fe_inflight[fe] -= 1
         if self._fe_inflight[fe] == 0:
             self._fe_idle_since[fe] = self.sim.now
@@ -679,9 +733,3 @@ class ToolService:
             self._retire(fe)
             retired += 1
         return retired
-
-    def _observe(self, handle: SessionHandle, ev) -> None:
-        """Defuse a failed operation so it surfaces through
-        ``handle.result()`` instead of crashing the simulator run."""
-        if ev.exception is not None:
-            ev.defuse()

@@ -101,11 +101,9 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
                    policy: Union[PlacementPolicy, str] = "least-loaded",
                    shard_size: int = 4, suspect_rounds: int = 3,
                    max_in_flight: Optional[int] = None,
-                   member_max_in_flight: Optional[int] = None,
                    gossip_period: float = 0.25,
                    rm_cls: Type[ResourceManager] = SlurmRM,
                    seed: int = 1,
-                   zones: Optional[Dict[str, str]] = None,
                    costs: Optional[CostModel] = None,
                    net_fault_plan: Optional[NetFaultPlan] = None,
                    max_failovers: Optional[int] = None,
@@ -118,9 +116,9 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
     Member ``i`` is named ``c{i}`` (zero-padded so lexicographic order is
     numeric order -- shard membership depends on it), seeded ``seed + i``
     so clusters are statistically independent but the whole fleet is a
-    pure function of ``seed``. Zones default to one zone per shard
-    (``z0``, ``z1``, ...), which makes the locality policy's preference
-    coincide with gossip adjacency -- override via ``zones``.
+    pure function of ``seed``. Each shard is one zone (``z0``, ``z1``,
+    ...), which makes the locality policy's preference coincide with
+    gossip adjacency.
 
     ``net_fault_plan`` attaches network weather to the gossip mesh (its
     injector is seeded from ``seed``, so a chaos run is a pure function
@@ -134,11 +132,9 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
     width = len(str(n_clusters - 1))
     members: List[FleetCluster] = []
     for i in range(n_clusters):
-        name = f"c{i:0{width}d}"
-        zone = (zones or {}).get(name, f"z{i // shard_size}")
         members.append(FleetCluster.build(
-            sim, name, nodes_per_cluster, rm_cls=rm_cls, seed=seed + i,
-            zone=zone, max_in_flight=member_max_in_flight, costs=costs,
+            sim, f"c{i:0{width}d}", nodes_per_cluster, rm_cls=rm_cls,
+            seed=seed + i, zone=f"z{i // shard_size}", costs=costs,
             **rm_kwargs))
     netfaults = (NetFaultInjector(net_fault_plan, seed=seed)
                  if net_fault_plan is not None else None)

@@ -2,7 +2,10 @@
 
 One :class:`FleetFrontDoor` fronts every member cluster. A submission
 returns a :class:`FleetHandle` immediately (the fleet-level analogue of
-:class:`~repro.fe.service.SessionHandle`); behind it a supervisor process
+:class:`~repro.fe.service.SessionHandle`, on the same
+:class:`~repro.fe.service.OperationCore` lifecycle as a member's
+ToolService: one registration, gate, drain and outcome count); behind it
+a supervisor process
 
 1. acquires the **fleet-wide admission gate** (``max_in_flight``) -- the
    stampede guard in front of every cluster, on top of each member
@@ -54,11 +57,11 @@ below is dormant and the door behaves exactly as described above):
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Union
 
-from repro.fe.api import FrontEndError
-from repro.fe.service import ProcessFuture, SessionHandle
-from repro.fe.session import LMONSession, SessionState
+from repro.fe.service import OperationCore, ProcessFuture, SessionHandle
+from repro.fe.session import LMONSession
 from repro.fleet.gossip import GossipMesh
 from repro.fleet.health import ClusterState, FleetView
 from dataclasses import replace
@@ -74,7 +77,7 @@ from repro.fleet.placement import (
     get_policy,
 )
 from repro.rm import RMError
-from repro.simx import Event, Interrupt, Resource, Simulator
+from repro.simx import Interrupt, Simulator
 
 __all__ = ["FleetFrontDoor", "FleetHandle", "FleetUnavailable"]
 
@@ -100,19 +103,18 @@ class FleetHandle(ProcessFuture):
     ``attempts`` records every member tried, in order; ``failovers`` is
     ``len(attempts) - 1`` for a request that eventually landed.
     ``launch_latency`` is client-visible: *fleet* submit time to the
-    winning session's READY/DEGRADED mark -- failover detours included,
-    which is exactly why the fleet experiment reports it. ``cancel()``
-    interrupts the supervisor, which propagates the cancel to whichever
-    member session is in flight.
+    winning session's READY/DEGRADED mark -- admission wait, placement
+    and failover detours included, which is exactly why the fleet
+    experiment reports it. ``result()`` is the served session, or raises
+    the terminal failure (:class:`FleetUnavailable` on rejection).
+    ``cancel()`` interrupts the supervisor, which propagates the cancel to
+    whichever member session is in flight.
     """
 
     def __init__(self, sim: Simulator, handle_id: int,
                  request: PlacementRequest):
-        self.sim = sim
-        self.id = handle_id
+        super().__init__(sim, handle_id)
         self.request = request
-        self.submitted_at = sim.now
-        self.finished_at: Optional[float] = None
         #: member names tried, in order (last one served, if any succeeded)
         self.attempts: List[str] = []
         self.failovers = 0
@@ -127,36 +129,14 @@ class FleetHandle(ProcessFuture):
         #: member currently being attempted (None between attempts)
         self._attempt_target: Optional[str] = None
 
-    # -- future surface: the supervisor process is the future --------------
-    def result(self) -> LMONSession:
-        """The served session; raises the terminal failure (including
-        :class:`FleetUnavailable` on rejection) if there is one."""
-        if not self.done:
-            raise FrontEndError(
-                f"fleet handle {self.id}: request still in flight")
-        exc = self.exception
-        if exc is not None:
-            raise exc
-        return self._proc.value
-
     @property
     def cluster(self) -> Optional[str]:
         """The member that (last) served this request."""
         return self.attempts[-1] if self.attempts else None
 
-    @property
-    def launch_latency(self) -> Optional[float]:
-        """Fleet submit -> winning session READY/DEGRADED (None until
-        then); includes admission wait, placement and failover detours."""
+    def _launch_marks(self) -> Optional[dict]:
         sub = self.session_handle
-        if sub is None:
-            return None
-        t_ready = sub.state_times.get(SessionState.READY)
-        if t_ready is None:
-            t_ready = sub.state_times.get(SessionState.DEGRADED)
-        if t_ready is None:
-            return None
-        return t_ready - self.submitted_at
+        return None if sub is None else sub.state_times
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         status = "done" if self.done else "in-flight"
@@ -164,7 +144,7 @@ class FleetHandle(ProcessFuture):
                 f"attempts={self.attempts} {status}>")
 
 
-class FleetFrontDoor:
+class FleetFrontDoor(OperationCore):
     """Route sessions across member clusters; fail over; admit fleet-wide.
 
     ``policy`` is a :class:`~repro.fleet.placement.PlacementPolicy`
@@ -174,7 +154,13 @@ class FleetFrontDoor:
     ``gossip_period`` of virtual time while requests are in flight.
     Without a mesh the door still works -- its view then updates only
     from registration records and its own direct evidence.
+
+    A rejection (:class:`FleetUnavailable`) is an expected outcome, like a
+    cancel: :meth:`drain` skips it and :meth:`summary` counts it as
+    ``rejected``, not ``failed``.
     """
+
+    expected = (Interrupt, FleetUnavailable)
 
     def __init__(self, members: Sequence[FleetCluster],
                  policy: Union[PlacementPolicy, str] = "least-loaded",
@@ -188,8 +174,7 @@ class FleetFrontDoor:
                  abandon_after: Optional[float] = None):
         if not members:
             raise ValueError("a fleet needs at least one member cluster")
-        self.name = name
-        self.sim: Simulator = members[0].sim
+        super().__init__(members[0].sim, name, max_in_flight)
         self._members: Dict[str, FleetCluster] = {}
         for member in members:
             if member.sim is not self.sim:
@@ -205,9 +190,6 @@ class FleetFrontDoor:
         self.policy = policy
         self.mesh = mesh
         self.gossip_period = gossip_period
-        self.max_in_flight = max_in_flight
-        self._gate = (Resource(self.sim, max_in_flight, name=f"{name}-gate")
-                      if max_in_flight is not None else None)
         #: the door's own gossiped picture of the fleet, seeded from each
         #: member's registration record (deploy-time config, not gossip)
         self.view = FleetView()
@@ -217,8 +199,6 @@ class FleetFrontDoor:
                 self.view.put(reg)
         if mesh is not None:
             mesh.attach_observer(self)
-        #: every fleet handle ever submitted, in submission order
-        self.handles: List[FleetHandle] = []
         self.failovers = 0
         self.rejected = 0
         #: rejections issued while the door held only a minority view
@@ -250,7 +230,6 @@ class FleetFrontDoor:
                    "breaker_trips": 0, "fenced": 0}
             for name in sorted(self._members)}
         self._gossip_proc = None
-        self._seq = 0
         #: door-local bookkeeping of requests routed but not yet finished,
         #: per member: (count, nodes). Gossip only refreshes every period,
         #: so without this overlay a burst of same-instant submissions
@@ -275,24 +254,12 @@ class FleetFrontDoor:
         """
         request = PlacementRequest(key=key if key is not None else tool_name,
                                    zone=zone, n_nodes=app.nodes_needed())
-        handle = FleetHandle(self.sim, self._seq, request)
-        self._seq += 1
-        proc = self.sim.process(
-            self._supervise(handle, app, daemon_spec, usr_data, tool_name,
-                            body),
-            name=f"{self.name}:req{handle.id}")
-        handle._proc = proc
-        proc.callbacks.append(self._observe)
-        self.handles.append(handle)
+        handle = FleetHandle(self.sim, len(self.handles), request)
+        self._start(handle, self._supervise(handle, app, daemon_spec,
+                                            usr_data, tool_name, body),
+                    name=f"{self.name}:req{handle.id}")
         self._ensure_gossip_driver()
         return handle
-
-    @staticmethod
-    def _observe(ev) -> None:
-        """Defuse a failed supervisor so rejection/cancel surfaces through
-        ``handle.result()`` instead of crashing the simulator run."""
-        if ev.exception is not None:
-            ev.defuse()
 
     # -- placement -----------------------------------------------------------
     def _note_routed(self, target: str, n_nodes: int) -> None:
@@ -415,15 +382,7 @@ class FleetFrontDoor:
                    usr_data: Any, tool_name: str,
                    body: Optional[Callable[..., Generator]],
                    ) -> Generator[Any, Any, LMONSession]:
-        gate_req: Optional[Event] = None
-        if self._gate is not None:
-            gate_req = self._gate.request()
-            try:
-                yield gate_req
-            except BaseException:
-                self._gate.cancel(gate_req)
-                handle.finished_at = self.sim.now
-                raise
+        yield from self._admit()
         self._inflight[handle.id] = handle
         try:
             tried: Set[str] = set()
@@ -519,9 +478,7 @@ class FleetFrontDoor:
                 return session
         finally:
             del self._inflight[handle.id]
-            handle.finished_at = self.sim.now
-            if gate_req is not None:
-                self._gate.release()
+            self._release()
 
     # -- gossip driving ------------------------------------------------------
     def _ensure_gossip_driver(self) -> None:
@@ -621,52 +578,18 @@ class FleetFrontDoor:
         """Fences queued but not yet delivered (0 after a healed run)."""
         return len(self._pending_fences)
 
-    # -- completion ----------------------------------------------------------
-    def drain(self) -> Generator[Any, Any, List[LMONSession]]:
-        """Wait for every fleet handle; returns the served sessions.
-
-        Rejections (:class:`FleetUnavailable`) and deliberate cancels
-        (:class:`~repro.simx.Interrupt`) are expected terminal outcomes
-        and are skipped; any other failure re-raises, first in submission
-        order -- matching :meth:`ToolService.drain`.
-        """
-        sessions: List[LMONSession] = []
-        i = 0
-        while i < len(self.handles):
-            handle = self.handles[i]
-            i += 1
-            try:
-                sessions.append((yield from handle.wait()))
-            except (FleetUnavailable, Interrupt):
-                continue
-        return sessions
-
+    # -- metrics -------------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregate door metrics (the fleet experiment's raw material)."""
-        done = [h for h in self.handles if h.done and h.exception is None]
-        latencies = sorted(h.launch_latency for h in done
-                           if h.launch_latency is not None)
-        cancelled = sum(1 for h in self.handles
-                        if h.done and isinstance(h.exception, Interrupt))
-        rejected = sum(1 for h in self.handles
-                       if h.done and isinstance(h.exception, FleetUnavailable))
-        failed = sum(1 for h in self.handles
-                     if h.done and h.exception is not None
-                     and not isinstance(h.exception,
-                                        (Interrupt, FleetUnavailable)))
-        per_cluster: Dict[str, int] = {}
-        for h in done:
-            if h.cluster is not None:
-                per_cluster[h.cluster] = per_cluster.get(h.cluster, 0) + 1
+        """The shared outcome counts plus the door's routing and fencing
+        metrics (the fleet experiment's raw material)."""
+        served_by = Counter(h.cluster for h in self.handles
+                            if h.done and h.exception is None)
         return {
-            "submitted": len(self.handles),
-            "completed": len(done),
-            "failed": failed,
-            "cancelled": cancelled,
-            "rejected": rejected,
+            **super().summary(),
+            "rejected": sum(1 for h in self.handles
+                            if isinstance(h.exception, FleetUnavailable)),
             "failovers": sum(h.failovers for h in self.handles),
-            "launch_latencies": latencies,
-            "served_by": dict(sorted(per_cluster.items())),
+            "served_by": dict(sorted(served_by.items())),
             "abandoned": self.abandoned,
             "minority_rejections": self.minority_rejections,
             "breaker_trips": sum(s["breaker_trips"]

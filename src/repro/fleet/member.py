@@ -18,7 +18,7 @@ existing FE cleanup paths return every allocation to the RM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.cluster import Cluster, ClusterSpec, CostModel
 from repro.fe.service import SessionHandle, ToolService
@@ -93,8 +93,6 @@ class FleetCluster:
             "fenced_kills": 0,       # live stale sessions cancelled
             "stale_completions": 0,  # stale sessions already finished
         }
-        #: chronological fence record: (time, request, epoch)
-        self.fence_log: List[tuple] = []
         self.view.put(self.publish_health())
 
     @classmethod
@@ -175,7 +173,6 @@ class FleetCluster:
             return 0
         self._fence_epochs[request] = epoch
         self.fence_stats["fences_received"] += 1
-        self.fence_log.append((self.sim.now, request, epoch))
         killed = 0
         for (req, ep), handle in sorted(self._epoch_sessions.items()):
             if req != request or ep >= epoch:
@@ -214,12 +211,7 @@ class FleetCluster:
         if self.crashed:
             return 0
         self.crashed = True
-        killed = 0
-        for handle in self.service.handles:
-            if not handle.done:
-                if handle.cancel(reason=f"cluster {self.name} crashed"):
-                    killed += 1
-        return killed
+        return self.service.cancel_all(f"cluster {self.name} crashed")
 
     # -- load/audit snapshots ------------------------------------------------
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterator, Optional
 
-from repro.lmonp.header import HEADER_SIZE, unpack_header
+from repro.lmonp.header import HEADER_SIZE, type_enum_for, unpack_header
 from repro.lmonp.messages import LmonpMessage, ProtocolError
 
 __all__ = ["FrameDecoder", "LmonpStream"]
@@ -91,9 +91,13 @@ class LmonpStream:
         return msg
 
     def expect(self, msg_type) -> Generator[Any, Any, LmonpMessage]:
-        """Receive one message and require the given type."""
+        """Receive one message and require the given type, a member of
+        one message class's type enum: classes share type codes (FE_BE
+        and FE_MW both number USRDATA 4), so the class must match too."""
         msg = yield from self.recv()
-        if msg.msg_type != msg_type:
+        if (type_enum_for(msg.msg_class) is not type(msg_type)
+                or msg.msg_type != msg_type):
             raise ProtocolError(
-                f"{self.name}: expected {msg_type!r}, got {msg.msg_type!r}")
+                f"{self.name}: expected {msg_type!r}, got "
+                f"{msg.msg_class.name} {msg.msg_type!r}")
         return msg

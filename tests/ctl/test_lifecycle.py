@@ -131,6 +131,23 @@ def test_stop_when_never_started_is_a_noop(ctl_env):
     assert st["state"] == "stopped"
 
 
+@pytest.mark.parametrize("drain", [True, False])
+def test_stop_of_a_crashed_generation_writes_nothing(ctl_env, drain):
+    """A crashed daemon cannot write its own epitaph: stopping it, with
+    or without a drain, leaves it CRASHED and the checkpoint as the
+    crash left it for the next generation to restore."""
+    env, control, client = ctl_env
+    client.start()
+    for _ in range(2):
+        client.launch("generic-be", 3)
+    env.sim.run(until=2.0)
+    control.crash()
+    writes, last = control.store.writes, control.store.read()
+    st = run_gen(env, client.stop(drain=drain))
+    assert st["state"] == "crashed"
+    assert (control.store.writes, control.store.read()) == (writes, last)
+
+
 def test_end_session_releases_nodes(ctl_env):
     env, control, client = ctl_env
     client.start()

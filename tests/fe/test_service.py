@@ -10,6 +10,7 @@ from repro.fe import (
     ToolFrontEnd,
     ToolService,
 )
+from repro.mw import Middleware
 from repro.rm import AllocationError, DaemonSpec
 from repro.runner import drive, drive_many, make_env, make_service_env
 
@@ -21,7 +22,15 @@ def _daemon(ctx):
     yield from be.finalize()
 
 
+def _mw_daemon(ctx):
+    mw = Middleware(ctx)
+    yield from mw.init()
+    yield from mw.ready()
+    yield from mw.finalize()
+
+
 SPEC = DaemonSpec("svcd", main=_daemon, image_mb=1.0)
+MW_SPEC = DaemonSpec("mwd", main=_mw_daemon, image_mb=1.0)
 
 
 def _detach_body(fe, session):
@@ -194,7 +203,7 @@ class TestFailureCleanup:
         h = env.service.submit_launch(_app(nodes=2), SPEC)
         # impossible MW request: fails with AllocationError after launch
         mw = env.service.submit_mw(
-            h, DaemonSpec("mwd", main=_daemon, image_mb=1.0), n_nodes=8)
+            h, MW_SPEC, n_nodes=8)
         env.sim.run()
         assert h.done and h.exception is None
         assert isinstance(mw.exception, AllocationError)
@@ -322,8 +331,7 @@ class TestToolService:
     def test_submit_mw_chains_after_launch(self):
         env = make_service_env(n_compute=8)
         h = env.service.submit_launch(_app(nodes=4), SPEC)
-        mw = env.service.submit_mw(h, DaemonSpec("mwd", main=_daemon,
-                                                 image_mb=1.0), n_nodes=2)
+        mw = env.service.submit_mw(h, MW_SPEC, n_nodes=2)
         drive(env, env.service.drain())
         assert mw.done and mw.exception is None
         assert h.session.state is SessionState.MW_READY
@@ -334,8 +342,7 @@ class TestToolService:
         parent launch's alloc_wait/launch_latency."""
         env = make_service_env(n_compute=6)
         h = env.service.submit_launch(_app(nodes=4), SPEC)
-        mw = env.service.submit_mw(h, DaemonSpec("mwd", main=_daemon,
-                                                 image_mb=1.0), n_nodes=2)
+        mw = env.service.submit_mw(h, MW_SPEC, n_nodes=2)
         drive(env, env.service.drain())
         assert mw.exception is None
         # launch_latency is a launch/attach metric; an MW handle has none
@@ -352,9 +359,8 @@ class TestToolService:
         """A submit_mw waiting on its parent must not occupy gate capacity
         that an independent launch could use."""
         env = make_service_env(n_compute=8, max_in_flight=1)
-        mw_spec = DaemonSpec("mwd", main=_daemon, image_mb=1.0)
         l1 = env.service.submit_launch(_app(nodes=2), SPEC, tool_name="a")
-        mw1 = env.service.submit_mw(l1, mw_spec, n_nodes=2)
+        mw1 = env.service.submit_mw(l1, MW_SPEC, n_nodes=2)
         l2 = env.service.submit_launch(_app(nodes=2), SPEC, tool_name="b")
         drive(env, env.service.drain())
         assert all(h.exception is None for h in (l1, mw1, l2))
@@ -374,7 +380,7 @@ class TestToolService:
             box["h"] = h
             yield from h.wait()
             box["mw"] = env.service.submit_mw(
-                h, DaemonSpec("mwd", main=_daemon, image_mb=1.0), n_nodes=2)
+                h, MW_SPEC, n_nodes=2)
 
         drive(env, scenario(env))
         drive(env, env.service.drain())
@@ -474,10 +480,9 @@ class TestReclaimSemantics:
     def test_repeat_mw_launch_replaces_current_set_and_reclaims_all(self):
         """mw_daemons means the *current* set; reclaim ends every set."""
         env = make_service_env(n_compute=8)
-        mw_spec = DaemonSpec("mwd", main=_daemon, image_mb=1.0)
         h = env.service.submit_launch(_app(nodes=2), SPEC)
-        m1 = env.service.submit_mw(h, mw_spec, n_nodes=2)
-        m2 = env.service.submit_mw(m1, mw_spec, n_nodes=3)
+        m1 = env.service.submit_mw(h, MW_SPEC, n_nodes=2)
+        m2 = env.service.submit_mw(m1, MW_SPEC, n_nodes=3)
         drive(env, env.service.drain())
         assert m2.exception is None
         assert len(h.session.mw_daemons) == 3       # latest set only
@@ -633,8 +638,7 @@ class TestReclaimSemantics:
         env = make_service_env(n_compute=8)
         env.service.keep_warm = 0  # retire as aggressively as possible
         h = env.service.submit_launch(_app(nodes=4), SPEC, tool_name="u")
-        mw = env.service.submit_mw(h, DaemonSpec("mwd", main=_daemon,
-                                                 image_mb=1.0), n_nodes=2)
+        mw = env.service.submit_mw(h, MW_SPEC, n_nodes=2)
         drive(env, env.service.drain())
         assert mw.exception is None
         # the session is READY/MW_READY: its engine must have survived
@@ -654,10 +658,9 @@ class TestReclaimSemantics:
         """Two submit_mw ops chained on one parent must not race the
         session's state machine -- both succeed, in order."""
         env = make_service_env(n_compute=16)
-        mw_spec = DaemonSpec("mwd", main=_daemon, image_mb=1.0)
         h = env.service.submit_launch(_app(nodes=2), SPEC)
-        m1 = env.service.submit_mw(h, mw_spec, n_nodes=2)
-        m2 = env.service.submit_mw(h, mw_spec, n_nodes=2)  # same parent!
+        m1 = env.service.submit_mw(h, MW_SPEC, n_nodes=2)
+        m2 = env.service.submit_mw(h, MW_SPEC, n_nodes=2)  # same parent!
         drive(env, env.service.drain())
         assert m1.exception is None
         assert m2.exception is None
@@ -670,13 +673,12 @@ class TestReclaimSemantics:
         MW set from the first call."""
         env = make_service_env(n_compute=8)
         h = env.service.submit_launch(_app(nodes=4), SPEC)
-        mw_spec = DaemonSpec("mwd", main=_daemon, image_mb=1.0)
-        env.service.submit_mw(h, mw_spec, n_nodes=2)
+        env.service.submit_mw(h, MW_SPEC, n_nodes=2)
         drive(env, env.service.drain())
         first_set = list(h.session.mw_daemons)
         assert len(first_set) == 2
         # impossible second MW request fails after the first succeeded
-        bad = env.service.submit_mw(h, mw_spec, n_nodes=16)
+        bad = env.service.submit_mw(h, MW_SPEC, n_nodes=16)
         env.sim.run()
         assert isinstance(bad.exception, AllocationError)
         assert h.session.mw_daemons == first_set

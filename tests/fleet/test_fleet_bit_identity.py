@@ -2,8 +2,8 @@
 
 Same contract (and same baseline file) as the streaming and hybrid
 guards before it: the ``fig6`` and ``lmx`` quick sweeps, rerun with every
-point's machine built as a **single-member fleet**
-(:func:`repro.fleet.make_fleet_member_env` via ``via_fleet=True``), must
+point's machine built as a **single-member fleet** (each point measured
+with :func:`repro.fleet.make_fleet_member_env` as its ``env_factory``), must
 match ``tests/baselines/pr3_fig6_lmx_quick.txt`` **byte for byte**.
 
 That holds only if the fleet wrapping -- member ToolService, gossip
@@ -14,6 +14,7 @@ gossip round, an RNG draw at construction): fix the leak, not the
 baseline.
 """
 
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ import pytest
 from repro.apps import make_compute_app
 from repro.be import minimal_daemon
 from repro.cluster import NetFaultPlan
+from repro.experiments import fig6 as fig6_mod
+from repro.experiments import launchmatrix as lmx_mod
 from repro.experiments.cli import QUICK_SWEEPS
 from repro.experiments import run_fig6, run_launch_matrix
 from repro.experiments.fig6 import measure_stat_startup
@@ -34,9 +37,15 @@ BASELINE = Path(__file__).parent.parent / "baselines" \
     / "pr3_fig6_lmx_quick.txt"
 
 
-def test_single_member_fleet_matches_direct_path_byte_for_byte():
-    fig6 = run_fig6(via_fleet=True, **QUICK_SWEEPS["fig6"])
-    lmx = run_launch_matrix(via_fleet=True, **QUICK_SWEEPS["lmx"])
+def test_single_member_fleet_matches_direct_path_byte_for_byte(monkeypatch):
+    # the quick sweeps run serially, in this process, so every point
+    # measures through the patched module globals
+    for module, measure in ((fig6_mod, "measure_stat_startup"),
+                            (lmx_mod, "measure_launch_cell")):
+        monkeypatch.setattr(module, measure, partial(
+            getattr(module, measure), env_factory=make_fleet_member_env))
+    fig6 = run_fig6(**QUICK_SWEEPS["fig6"])
+    lmx = run_launch_matrix(**QUICK_SWEEPS["lmx"])
     rendered = (fig6.format_table() + "\n\n"
                 + lmx.format_table() + "\n\n")
     assert rendered == BASELINE.read_text()

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.lmonp import (
     FeToBe,
+    FeToMw,
     LmonpMessage,
     LmonpStream,
     MsgClass,
@@ -77,6 +78,34 @@ class TestStream:
         sim.process(left(sim))
         sim.process(right(sim))
         sim.run()
+
+    @pytest.mark.parametrize("sent_class, expected_type", [
+        (MsgClass.FE_BE, FeToMw.USRDATA),
+        (MsgClass.FE_MW, FeToBe.USRDATA),
+    ])
+    def test_expect_wrong_class_raises(self, sim, pipe, sent_class,
+                                       expected_type):
+        """FE_BE and FE_MW share type code 4 (USRDATA): the code alone
+        must not let one class's message pass for the other's."""
+        tok = security_token("s")
+        a = LmonpStream(pipe.a, tok, "a")
+        b = LmonpStream(pipe.b, tok, "b")
+        outcome = {}
+
+        def left(sim):
+            a.send(LmonpMessage(sent_class, int(expected_type)))
+            yield sim.timeout(0)
+
+        def right(sim):
+            try:
+                yield from b.expect(expected_type)
+            except ProtocolError as exc:
+                outcome["error"] = str(exc)
+
+        sim.process(left(sim))
+        sim.process(right(sim))
+        sim.run()
+        assert sent_class.name in outcome.get("error", "")
 
     def test_non_bytes_traffic_rejected(self, sim, pipe):
         tok = security_token("s")
