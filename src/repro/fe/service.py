@@ -63,6 +63,8 @@ class ProcessFuture:
 
     #: the simx.Process running the operation, set when it starts
     _proc = None
+    #: the event delivering the latest cancel's Interrupt
+    _cancel_ev = None
 
     def __init__(self, sim: Simulator, handle_id: int):
         self.sim = sim
@@ -94,11 +96,15 @@ class ProcessFuture:
         return self._proc.value
 
     def cancel(self, reason: Any = "cancelled by client") -> bool:
-        """Interrupt the operation (False if it already finished); the
-        interrupt surfaces as this future's ``exception``."""
-        if self.done:
+        """Interrupt the operation; the interrupt surfaces as this
+        future's ``exception``. False, and nothing scheduled, if the
+        operation already finished or an earlier cancel's interrupt has
+        not been delivered yet; an operation that survived a delivered
+        interrupt can be cancelled again."""
+        if self.done or (self._cancel_ev is not None
+                         and not self._cancel_ev.processed):
             return False
-        self._proc.interrupt(reason)
+        self._cancel_ev = self._proc.interrupt(reason)
         return True
 
     def settle(self) -> Generator[Any, Any, None]:

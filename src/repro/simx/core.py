@@ -243,8 +243,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+    def interrupt(self, cause: Any = None) -> Event:
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        Returns the event that delivers it: processed once the process
+        has taken the interrupt (or absorbed it, had it finished first).
+        """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         if self is self.sim._active_proc:
@@ -262,6 +266,7 @@ class Process(Event):
         if type(self._target) is not _Initialize:
             self._target = None
         self.sim._enqueue(interrupt_ev, 0.0, URGENT)
+        return interrupt_ev
 
     def kill(self) -> None:
         """Abandon the process *without* unwinding it (crash semantics).
@@ -443,7 +448,16 @@ class AllOf(_Condition):
 
 
 class AnyOf(_Condition):
-    """Triggers as soon as any child event is processed."""
+    """Triggers as soon as any child event is processed.
+
+    A child that has not fired yet keeps the condition referenced, with
+    its result dict and the other children, until that child fires --
+    however long ago the condition triggered. Racing many short waits
+    against one long-lived event (one that fires only on a repair or a
+    shutdown, say) thus keeps every one of them until it fires; have
+    the event's owner keep a registry of the waits still pending
+    instead, as a stream's repair epoch does (:mod:`repro.tbon.overlay`).
+    """
 
     __slots__ = ()
 

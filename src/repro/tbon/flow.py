@@ -116,10 +116,10 @@ class BoundedInbox:
         self.stats.t_stalled += self.sim.now - t0
 
     def credit_event(self):
-        """The raw credit-get event (for callers racing it against
-        another event, e.g. a repair-epoch change); pair with
-        :meth:`note_stall_started` / :meth:`note_stall_ended` and call
-        :meth:`note_acquired` when the credit is actually used."""
+        """The raw credit-get event (for a sender that may stop waiting
+        for another reason, e.g. a stream's repair epoch ending); pair
+        with :meth:`note_stall_started` / :meth:`note_stall_ended` and
+        call :meth:`note_acquired` when the credit is actually used."""
         return self._credits.get()
 
     def note_stall_started(self) -> None:

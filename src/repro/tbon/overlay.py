@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator, Optional
 
-from repro.simx import Channel, Simulator, Store
+from repro.simx import Channel, Event, Simulator, Store
 from repro.cluster import Node
 from repro.cluster.network import Network
 from repro.tbon.filters import make_filter
@@ -495,6 +495,47 @@ class Overlay:
         return report
 
 
+class _Epoch(Event):
+    """One routing plane of a persistent stream; fires when a repair or
+    close retires the plane.
+
+    A leaf send waiting for a credit registers here. The credit removes
+    it and fires the event the send waits on; the epoch's end releases
+    the sends still waiting, in the order they began to wait. Either way
+    the send resumes at the instant, priority and ``seq`` an ``AnyOf``
+    of its credit and the epoch would give it -- but an ``AnyOf`` stays
+    subscribed to the epoch until the epoch ends, so a plane that lives
+    for the whole stream would keep every send it ever made.
+    """
+
+    __slots__ = ("_waiting",)
+
+    def __init__(self, sim: Simulator):
+        super().__init__(sim)
+        #: credit event -> the event its send waits on, in wait order
+        self._waiting: dict[Event, Event] = {}
+        # the plain function: a bound method would make the epoch cyclic
+        self.callbacks.append(_Epoch._release)
+
+    def wait_credit(self, credit: Event) -> Event:
+        """The event a send waits on: fires after ``credit`` does, or
+        when this epoch ends, whichever comes first."""
+        wake = Event(self.sim)
+        self._waiting[credit] = wake
+        credit.callbacks.append(self._credited)
+        return wake
+
+    def _credited(self, credit: Event) -> None:
+        wake = self._waiting.pop(credit, None)
+        if wake is not None:  # None: the epoch ended first
+            wake.succeed()
+
+    def _release(self) -> None:
+        for wake in self._waiting.values():
+            wake.succeed()
+        self._waiting.clear()
+
+
 class Stream:
     """One persistent, credit-flow-controlled, stateful-filtered stream.
 
@@ -549,9 +590,8 @@ class Stream:
             stats=self.report.flow.setdefault(
                 -1, FlowStats(-1, spec.credit_limit)))
         self._procs: list = []
-        #: bumped on every repair/close; invalidates in-flight sends
-        self._epoch = 0
-        self._epoch_ev = self.sim.event()
+        #: replaced on every repair/close; invalidates in-flight sends
+        self._epoch = _Epoch(self.sim)
         self._start_plane()
 
     # -- plane ------------------------------------------------------------
@@ -690,13 +730,14 @@ class Stream:
             raise StreamError(
                 f"leaf {position} already published wave {wave}")
         pending[wave] = payload
-        self.report.waves.setdefault(
-            wave, WaveTiming(wave, t_published=self.sim.now))
+        waves = self.report.waves
+        if wave not in waves:
+            waves[wave] = WaveTiming(wave, t_published=self.sim.now)
         self.report.n_published += 1
         yield from self._send_from(position, wave, payload)
 
     def _send_from(self, position: int, wave: int, payload: Any,
-                   epoch: Optional[int] = None):
+                   epoch: Optional[_Epoch] = None):
         """One leaf contribution's hop into its parent's stream inbox.
 
         Epoch-guarded: the send belongs to ``epoch`` (the current one if
@@ -707,7 +748,7 @@ class Stream:
         """
         if epoch is None:
             epoch = self._epoch
-        if self._epoch != epoch:
+        if self._epoch is not epoch:
             return
         parent = self.overlay._parent[position]
         inbox = self._inboxes.get(parent)
@@ -715,17 +756,17 @@ class Stream:
             return
         pkt = Packet(self.spec.stream_id, wave, payload, "up")
         t0 = self.sim.now
-        ev = inbox.credit_event()
-        if not ev.triggered:
+        credit = inbox.credit_event()
+        if not credit.triggered:
             inbox.note_stall_started()
-        yield self.sim.any_of([ev, self._epoch_ev])
+        yield epoch.wait_credit(credit)
         inbox.note_stall_ended(t0)
-        if self._epoch != epoch:
+        if self._epoch is not epoch:
             return
         inbox.note_acquired()
         yield self.sim.timeout(self.overlay.network.transfer_time(
             pkt, size=pkt.wire_size()))
-        if self._epoch != epoch:
+        if self._epoch is not epoch:
             return
         inbox.commit(position, pkt)
 
@@ -820,9 +861,9 @@ class Stream:
         self.report.n_republished += n
         return n
 
-    def _republish(self, backlog: list, position: int, epoch: int):
+    def _republish(self, backlog: list, position: int, epoch: _Epoch):
         for wave, payload in backlog:
-            if self._epoch != epoch:
+            if self._epoch is not epoch:
                 return
             yield from self._send_from(position, wave, payload, epoch)
 
@@ -839,9 +880,8 @@ class Stream:
         # the next released credit -- one leak per repair would starve
         # the stream
         self._delivery.rebuild_gate()
-        self._epoch += 1
-        old_ev, self._epoch_ev = self._epoch_ev, self.sim.event()
-        old_ev.succeed()
+        ended, self._epoch = self._epoch, _Epoch(self.sim)
+        ended.succeed()
 
     def close(self) -> StreamReport:
         """Retire the stream's plane; returns the final report."""

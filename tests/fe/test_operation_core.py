@@ -10,10 +10,11 @@ import pytest
 
 from repro.apps import make_compute_app
 from repro.be import minimal_daemon
+from repro.fe.service import OperationCore, ProcessFuture
 from repro.fleet import FleetFrontDoor, FleetUnavailable, make_fleet_env
 from repro.rm import AllocationError, DaemonSpec
 from repro.runner import drive, make_service_env
-from repro.simx import Interrupt
+from repro.simx import Interrupt, Simulator
 
 SPEC = DaemonSpec("cored", main=minimal_daemon, image_mb=1.0)
 
@@ -107,8 +108,10 @@ def test_drain_skips_cancels_and_reraises_faults(build):
     assert len(summary["launch_latencies"]) == 1
 
 
-@DOORS
-def test_settle_never_raises_and_cancel_all_counts(build):
+def _sweep(build, sweeps):
+    """Three held sessions; ``sweeps`` cancel_all calls in one instant at
+    t=0.5 while a settle runs. Returns the env, door, handles and the
+    settle's outcome with each sweep's count."""
     env, door = build()
     handles = [door.submit_launch(_app(), SPEC, body=_hold(2.0))
                for _ in range(3)]
@@ -116,13 +119,54 @@ def test_settle_never_raises_and_cancel_all_counts(build):
 
     def canceller():
         yield env.sim.timeout(0.5)
-        out["cancelled"] = door.cancel_all("shutting down")
+        out["cancelled"] = tuple(door.cancel_all("shutting down")
+                                 for _ in range(sweeps))
 
     env.sim.process(canceller())
     env.sim.run()
+    return env, door, handles, out
+
+
+@DOORS
+def test_settle_never_raises_and_cancel_all_counts(build):
+    env, door, handles, out = _sweep(build, 2)
     assert out["exception"] is None
-    assert out["cancelled"] == 3
+    # a sweep in the instant of the first finds every interrupt still
+    # undelivered: it counts none and schedules nothing
+    assert out["cancelled"] == (3, 0)
     assert door.cancel_all("shutting down") == 0
     assert all(isinstance(h.exception, Interrupt) for h in handles)
     assert out["at"] == max(h.finished_at for h in handles)
+    once = _sweep(build, 1)[0]
+    assert env.sim.stats.events == once.sim.stats.events
 
+
+
+def test_an_operation_that_survived_an_interrupt_can_be_cancelled_again():
+    sim = Simulator()
+    core = OperationCore(sim, "core", max_in_flight=None)
+    taken = []
+
+    def stubborn():
+        while True:
+            try:
+                yield sim.timeout(10.0)
+                return
+            except Interrupt as exc:
+                taken.append((sim.now, exc.cause))
+
+    core._start(ProcessFuture(sim, 0), stubborn(), "stubborn")
+    counts = []
+
+    def client():
+        yield sim.timeout(1.0)
+        counts.append(core.cancel_all("first"))
+        counts.append(core.cancel_all("undelivered"))
+        yield sim.timeout(0)  # the interrupt is delivered before this
+        counts.append(core.cancel_all("second"))
+
+    sim.process(client())
+    sim.run()
+    assert counts == [1, 0, 1]
+    assert taken == [(1.0, "first"), (1.0, "second")]
+    assert sim.now == 11.0

@@ -14,6 +14,10 @@ compares a SHA-256 over them with the hashes committed in
   (ICCL wireup, gather, scatter, broadcast, barriers);
 * ``stream-histogram-1024`` -- one saturating ``measure_stream`` point
   (TBON fan-in, credit gates, cached packet sizes);
+* ``stream-double-repair-16`` -- a 16-leaf stream at credit limit 1
+  through two comm-node crashes, the second landing while the first
+  repair's re-publishers still wait for credits, so the repair epoch
+  releases waiting sends in the order they began to wait;
 * ``resilience-rm-bulk-128`` -- an RM bulk launch of 128 daemons with
   node crashes injected mid-launch, so the processes on crashed nodes
   are killed while messages to them are still in flight;
@@ -111,6 +115,58 @@ def _stream_point():
     return hashes
 
 
+def _stream_double_repair():
+    from repro.cluster import Cluster, ClusterSpec
+    from repro.simx import Simulator
+    from repro.tbon import Overlay, TBONTopology
+    from repro.tbon.overlay import StreamSpec
+
+    sim = Simulator()
+    sim.trace = hook = TraceHash()
+    topo = TBONTopology.balanced(16, fanout=4)
+    cluster = Cluster(sim, ClusterSpec(n_compute=topo.size, seed=3))
+    comms, leaves = topo.comm_positions(), topo.backends()
+    placement = {0: cluster.front_end}
+    placement.update(zip(comms, cluster.compute))
+    placement.update(zip(leaves, cluster.compute[len(comms):]))
+    overlay = Overlay(sim, cluster.network, topo, placement,
+                      streams={1: StreamSpec(1, "concat")})
+    overlay.start_routers()
+    stream = overlay.open_stream(StreamSpec(9, "concat", credit_limit=1))
+    n_waves = 8
+    delivered = []
+
+    def leaf(i, pos):
+        yield sim.timeout(0.001 * i)
+        for w in range(n_waves):
+            yield from stream.publish(pos, w, [[pos, w]])
+            yield sim.timeout(0.003)
+
+    def subscriber():
+        while len(delivered) < n_waves:
+            pkt = yield from stream.next_wave()
+            delivered.append(pkt.wave)
+            yield sim.timeout(0.03)
+
+    def chaos():
+        yield sim.timeout(0.03)
+        placement[comms[0]].fail("first")
+        yield from overlay.repair()
+        yield sim.timeout(0.002)
+        placement[comms[1]].fail("second")
+        yield from overlay.repair()
+
+    for i, pos in enumerate(leaves):
+        placement[pos].register_body(sim.process(leaf(i, pos)))
+    sim.process(subscriber())
+    sim.process(chaos())
+    sim.run(until=600)
+    assert sorted(delivered) == list(range(n_waves))
+    assert stream.report.n_repairs == 2
+    assert stream.report.n_republished == 150
+    return [hook]
+
+
 def _resilience_point():
     from repro.experiments import resilience
 
@@ -170,6 +226,7 @@ def _unrepaired_point(strategy, fault_rate, seed, error):
 RUNS = {
     "fig6-launchmon-1024": _fig6_launch,
     "stream-histogram-1024": _stream_point,
+    "stream-double-repair-16": _stream_double_repair,
     "resilience-rm-bulk-128": _resilience_point,
     "jobsnap-tbon-64": _jobsnap_tbon,
     "fig6-mrnet-512": _fig6_collapse,
