@@ -56,6 +56,14 @@ the AST:
     fight it (re-enabling collection mid-run, or leaving it off after).
     ``gc.collect()`` and ``gc.isenabled()`` are fine anywhere.
 
+``self-closure``
+    No nested ``def`` that refers to its own name (a recursive helper, or
+    one that registers or returns itself). The function holds the cell
+    that holds the function: a reference cycle per call that reference
+    counting never frees, and that waits for the cyclic collector
+    ``Simulator.run()`` pauses while it dispatches. Make the helper
+    module-level and pass it what it closed over.
+
 Suppression: append ``# simlint: allow[rule]`` (or ``allow[r1,r2]``, or
 bare ``# simlint: allow`` for all rules) to the flagged line, ideally
 with a short justification after it. Suppressions are per-line and per
@@ -90,6 +98,8 @@ RULES = {
                   "aggregate-aware leaves()/live_leaves()",
     "gc-policy": "collector policy (gc.disable/enable/freeze/unfreeze/"
                  "set_threshold) outside the kernel, which owns it",
+    "self-closure": "nested def that refers to its own name (a "
+                    "function <-> cell cycle per call)",
 }
 
 #: modules the kernel/launch hot path runs through: the places where an
@@ -229,6 +239,20 @@ def _scan_yields(fn: ast.AST) -> bool:
     return scan.found
 
 
+def _refers_to_itself(fn: ast.AST) -> bool:
+    """True if ``fn``'s body loads ``fn``'s own name as a free variable
+    (decorators and defaults run in the enclosing scope and are skipped)."""
+    args = fn.args
+    params = {a.arg for a in (*args.posonlyargs, *args.args,
+                              *args.kwonlyargs, args.vararg, args.kwarg)
+              if a is not None}
+    if fn.name in params:
+        return False
+    return any(isinstance(node, ast.Name) and node.id == fn.name
+               and isinstance(node.ctx, ast.Load)
+               for stmt in fn.body for node in ast.walk(stmt))
+
+
 class _ModuleLint(ast.NodeVisitor):
     """One module's lint pass (see the rule catalog in the module doc)."""
 
@@ -247,6 +271,8 @@ class _ModuleLint(ast.NodeVisitor):
         self.nested_defs: set[str] = set()
         self._func_depth = 0
         self._generator_depth = 0
+        #: the innermost enclosing scope is a function body
+        self._in_function = False
 
     # -- bookkeeping -----------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -267,11 +293,19 @@ class _ModuleLint(ast.NodeVisitor):
             self.module_defs.add(node.name)
         else:
             self.nested_defs.add(node.name)
+        if self._in_function and _refers_to_itself(node):
+            self._report(node, "self-closure",
+                         f"nested def {node.name!r} refers to its own "
+                         f"name, so it and its closure cell form a cycle "
+                         f"per call that waits for the paused collector; "
+                         f"make it module-level")
         is_gen = _scan_yields(node)
         self._func_depth += 1
         if is_gen:
             self._generator_depth += 1
+        outer, self._in_function = self._in_function, True
         self.generic_visit(node)
+        self._in_function = outer
         if is_gen:
             self._generator_depth -= 1
         self._func_depth -= 1
@@ -281,6 +315,12 @@ class _ModuleLint(ast.NodeVisitor):
 
     def visit_AsyncFunctionDef(self, node):  # noqa: N802
         self._visit_funcdef(node)
+
+    def visit_ClassDef(self, node):  # noqa: N802
+        # a method's bare name is not in scope inside its own body
+        outer, self._in_function = self._in_function, False
+        self.generic_visit(node)
+        self._in_function = outer
 
     # -- resolution ------------------------------------------------------
     def _dotted(self, node: ast.AST) -> Optional[str]:

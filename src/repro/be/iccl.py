@@ -170,6 +170,9 @@ class ICCLFabric:
 class ICCLEndpoint:
     """One daemon's handle on the fabric: wireup plus the four collectives."""
 
+    __slots__ = ("fabric", "rank", "_parent_end", "_child_ends", "wired",
+                 "collective_time")
+
     def __init__(self, fabric: ICCLFabric, rank: int):
         self.fabric = fabric
         self.rank = rank

@@ -73,6 +73,8 @@ class Sized:
 class PipeEnd:
     """One endpoint of a duplex pipe."""
 
+    __slots__ = ("_out", "_in", "peer_name")
+
     def __init__(self, out_chan: Channel, in_chan: Channel, peer_name: str):
         self._out = out_chan
         self._in = in_chan
@@ -92,6 +94,8 @@ class PipeEnd:
 
 class Pipe:
     """A duplex connection between two nodes with symmetric timing."""
+
+    __slots__ = ("a", "b")
 
     def __init__(self, sim: Simulator, a_name: str, b_name: str,
                  latency_fn):

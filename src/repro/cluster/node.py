@@ -75,6 +75,12 @@ class NodeDown(NodeTaggedError):
 class Node:
     """One host: name, cores, a bounded process table, optional rshd."""
 
+    __slots__ = ("sim", "name", "cores", "costs", "rng", "max_user_procs",
+                 "rshd_enabled", "cluster", "_next_pid", "procs",
+                 "_uid_counts", "max_uid_procs_seen", "failed",
+                 "fail_reason", "cost_factor", "_resident_bodies",
+                 "_prune_at")
+
     def __init__(self, sim: Simulator, name: str, cores: int = 8,
                  costs: Optional[CostModel] = None,
                  rng: Optional[SeededRNG] = None,

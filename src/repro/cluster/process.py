@@ -96,6 +96,11 @@ class SimProcess:
         triggers with the exit code when the process terminates.
     """
 
+    __slots__ = ("sim", "node", "pid", "executable", "args", "uid",
+                 "image_mb", "state", "stats", "call_stack", "memory",
+                 "children", "parent", "traced_by", "debug_events",
+                 "exit_event", "exit_code", "_resume_waiters")
+
     def __init__(self, sim: Simulator, node: "Node", pid: int,
                  executable: str, args: tuple = (),
                  uid: str = "user", image_mb: float = 2.0):
@@ -116,7 +121,6 @@ class SimProcess:
         self.debug_events: Store = Store(sim)
         self.exit_event: Event = sim.event()
         self.exit_code: Optional[int] = None
-        self._spawn_time = sim.now
         self._resume_waiters: list[Event] = []
 
     # -- identity ----------------------------------------------------------

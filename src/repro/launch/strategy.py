@@ -416,62 +416,68 @@ class TreeRshStrategy(LaunchStrategy):
         yield from self._prestage(req, report)
         t_spawn0 = sim.now
         busy0 = fs.busy_time
-
-        def spawn_subtree(origin: Node, targets: list):
-            """rsh the first target from origin; it spawns its slices.
-
-            ``targets`` holds ``(index, node)`` pairs so the per-index
-            request hooks (args_for / image_mb_for / post_spawn) see each
-            daemon's position in ``req.nodes`` despite the tree order.
-            A failed head's remaining targets re-root here at ``origin``
-            (the nearest live ancestor) unless the launch has stopped.
-            """
-            while targets:
-                if report.failure and req.on_failure != "continue":
-                    return
-                (idx, head), rest = targets[0], targets[1:]
-
-                def attempt(idx=idx, head=head, origin=origin):
-                    image = req.resolved_image_mb(idx, head)
-                    if req.stage_images:
-                        yield from fs.load_image(image, node=head,
-                                                 key=req.key)
-                    _client, proc = yield from origin.rsh_spawn(
-                        head, req.executable,
-                        args=req.resolved_args(idx, head),
-                        uid=req.uid, image_mb=image,
-                        hold_client=req.hold_clients)
-                    return proc
-
-                proc = yield from self._spawn(req, report, idx, head,
-                                              attempt)
-                if proc is None:
-                    # self-repair: origin adopts the failed head's
-                    # remaining subtree
-                    targets = rest
-                    continue
-                result.procs.append(proc)
-                result.slots[idx] = proc
-                yield from self._run_post_spawn(req, idx, head, proc)
-                if not rest:
-                    return
-                # split the remainder into fanout slices handled in parallel
-                slices = [rest[i::fanout]
-                          for i in range(min(fanout, len(rest)))]
-                procs = [sim.process(spawn_subtree(head, s), name="tree-rsh")
-                         for s in slices if s]
-                yield sim.all_of(procs)
-                return
-
         nodes = list(enumerate(req.nodes))
         roots = [nodes[i::fanout] for i in range(min(fanout, len(nodes)))]
-        top = [sim.process(spawn_subtree(src, s), name="tree-rsh-root")
+        top = [sim.process(self._spawn_subtree(req, result, src, s),
+                           name="tree-rsh-root")
                for s in roots if s]
         yield sim.all_of(top)
         window = sim.now - t_spawn0
         staged = self._attribute_fs_time(report, req, busy0, window)
         report.t_spawn = max(0.0, window - staged)
         return self._finish(result, req, t0)
+
+    def _spawn_subtree(self, req: LaunchRequest, result: LaunchResult,
+                       origin: Node, targets: list,
+                       ) -> Generator[Any, Any, None]:
+        """rsh the first target from origin; it spawns its slices.
+
+        ``targets`` holds ``(index, node)`` pairs so the per-index
+        request hooks (args_for / image_mb_for / post_spawn) see each
+        daemon's position in ``req.nodes`` despite the tree order.
+        A failed head's remaining targets re-root here at ``origin``
+        (the nearest live ancestor) unless the launch has stopped.
+        """
+        sim = req.cluster.sim
+        fs = req.cluster.fs
+        fanout = max(2, req.fanout)
+        report = result.report
+        while targets:
+            if report.failure and req.on_failure != "continue":
+                return
+            (idx, head), rest = targets[0], targets[1:]
+
+            def attempt(idx=idx, head=head, origin=origin):
+                image = req.resolved_image_mb(idx, head)
+                if req.stage_images:
+                    yield from fs.load_image(image, node=head,
+                                             key=req.key)
+                _client, proc = yield from origin.rsh_spawn(
+                    head, req.executable,
+                    args=req.resolved_args(idx, head),
+                    uid=req.uid, image_mb=image,
+                    hold_client=req.hold_clients)
+                return proc
+
+            proc = yield from self._spawn(req, report, idx, head, attempt)
+            if proc is None:
+                # self-repair: origin adopts the failed head's
+                # remaining subtree
+                targets = rest
+                continue
+            result.procs.append(proc)
+            result.slots[idx] = proc
+            yield from self._run_post_spawn(req, idx, head, proc)
+            if not rest:
+                return
+            # split the remainder into fanout slices handled in parallel
+            slices = [rest[i::fanout]
+                      for i in range(min(fanout, len(rest)))]
+            procs = [sim.process(self._spawn_subtree(req, result, head, s),
+                                 name="tree-rsh")
+                     for s in slices if s]
+            yield sim.all_of(procs)
+            return
 
 
 class RmBulkStrategy(LaunchStrategy):

@@ -8,18 +8,21 @@ network layer uses to model link latency.
 Memory contract: a primitive pays only for what it holds. A Store keeps
 its three FIFOs -- stored items, waiting getters, blocked putters -- as
 deques that exist only while occupied: each is allocated when the store
-first parks something in it and dropped when it drains. An idle Store is
-therefore just its slots, and an idle Channel just its own slots plus
-its Store's, however many a simulated daemon owns. A put that finds a
-waiting getter hands the item straight over, and a get that finds a
-stored item takes it at once, so the common one-message exchange
-allocates no queue at all.
+first parks something in it and dropped when it drains. A lone waiting
+getter, the usual state of a daemon blocked on its next message, needs
+no deque either: it sits in the getter slot itself, which becomes a
+deque only when a second getter parks. An idle Store is therefore just
+its slots, and an idle Channel just its own slots plus its Store's,
+however many a simulated daemon owns. A put that finds a waiting getter
+hands the item straight over, and a get that finds a stored item takes
+it at once, so the common one-message exchange allocates no queue at
+all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Union
 
 from repro.simx.core import NORMAL, URGENT, Event, SimulationError, Simulator
 
@@ -34,21 +37,24 @@ class Store:
     with the oldest item once one is available. Waiters are served strictly
     FIFO, which keeps all higher-level protocols deterministic.
 
-    Each FIFO is ``None`` while empty (see the module docstring). Between
-    calls at most one kind of waiter is parked: getters only while no
-    item is stored, putters only while the store is full. An accepted
-    item fires its put event before the getter it is handed to.
+    Each FIFO is ``None`` while empty, and one waiting getter is held
+    without a deque (see the module docstring). Between calls at most
+    one kind of waiter is parked: getters only while no item is stored,
+    putters only while the store is full. An accepted item fires its put
+    event before the getter it is handed to.
     """
 
     __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
 
     def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("Store capacity must be positive")
+        if not capacity > 0:  # NaN too: a second put could never land
+            raise SimulationError(
+                f"Store capacity must be positive, got {capacity!r}")
         self.sim = sim
         self.capacity = capacity
         self._items: Optional[Deque[Any]] = None
-        self._getters: Optional[Deque[Event]] = None
+        #: None, the one waiting getter, or a deque once a second waits
+        self._getters: Union[None, Event, Deque[Event]] = None
         self._putters: Optional[Deque[tuple[Event, Any]]] = None
 
     def __len__(self) -> int:
@@ -75,10 +81,13 @@ class Store:
         ev = Event(self.sim)
         items = self._items
         if items is None:
-            if self._getters is None:
-                self._getters = deque((ev,))
+            getters = self._getters
+            if getters is None:
+                self._getters = ev
+            elif isinstance(getters, deque):
+                getters.append(ev)
             else:
-                self._getters.append(ev)
+                self._getters = deque((getters, ev))
             return ev
         ev.succeed(items.popleft())
         putters = self._putters
@@ -102,8 +111,12 @@ class Store:
             else:
                 self._items.append(item)
             return
-        getter = getters.popleft()
-        if not getters:
+        if isinstance(getters, deque):
+            getter = getters.popleft()
+            if not getters:
+                self._getters = None
+        else:
+            getter = getters
             self._getters = None
         getter.succeed(item)
 
@@ -133,8 +146,9 @@ class Channel:
     def send(self, message: Any) -> Event:
         """Enqueue ``message`` for delivery; returns the delivery event."""
         delay = self._latency_fn(message) if self._latency_fn else 0.0
-        if delay < 0:
-            raise SimulationError("channel latency must be non-negative")
+        if not delay >= 0:  # NaN too: a NaN key breaks the heap order
+            raise SimulationError(
+                f"channel latency must be non-negative, got {delay!r}")
         self.sent_count += 1
         if delay == 0.0:
             self.delivered_count += 1

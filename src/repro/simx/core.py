@@ -185,8 +185,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # NaN too: a NaN key breaks the heap order
+            raise SimulationError(f"negative or NaN timeout delay {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._value = value
@@ -700,9 +700,10 @@ class Simulator:
         are acyclic once fired, so reference counting frees their garbage
         meanwhile. A caller that disabled the collector keeps it disabled.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
-                f"until={until} lies in the past (now={self._now})")
+                f"until={until} is NaN or lies in the past "
+                f"(now={self._now})")
         # local aliases: this loop is the whole program's hot path
         heap = self._heap
         fast_urgent = self._fast_urgent

@@ -20,8 +20,9 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
+        if not capacity >= 1:  # NaN too: no request could ever be granted
+            raise SimulationError(
+                f"Resource capacity must be >= 1, got {capacity!r}")
         self.sim = sim
         self.name = name
         self.capacity = capacity
@@ -76,8 +77,9 @@ class Resource:
         the new capacity until holders release, at which point the lower
         cap binds (no new grants until usage falls below it).
         """
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
+        if not capacity >= 1:  # NaN too: no request could ever be granted
+            raise SimulationError(
+                f"Resource capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
         while self._waiters and self._in_use < self.capacity:
             self._grant(self._waiters.popleft())

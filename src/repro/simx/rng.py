@@ -5,50 +5,93 @@ draws from a :class:`SeededRNG` stream derived from a root seed plus a string
 path, so adding a new consumer never perturbs the draws seen by existing
 consumers — experiments stay bit-for-bit reproducible as the code evolves.
 
-Memory contract: a stream holds no generator until it is drawn from.
-Its ``random.Random`` (a ~2.5 KiB Mersenne-Twister state) is derived from
-``seed`` and ``path`` and seeded on the first draw, so the many per-node
+Memory contract: a stream keeps a generator only once it draws more
+than a few values. Its ``random.Random`` (a ~2.5 KiB Mersenne-Twister
+state) is derived from ``seed`` and ``path``, so the many per-node
 streams a large cluster creates and never draws from cost no hash and
-only a few hundred bytes each. The draws do not depend on when that
-first draw happens.
+only their slots. On its first draw a stream seeds that generator,
+takes its next ``_DRAW_AHEAD`` ``random()`` values into a tuple and
+drops it: ``random``, ``uniform`` and ``jitter`` read from the tuple,
+which covers a node stream's few draws in a few hundred bytes. A draw
+past the tuple, or any other method, seeds the generator again, skips
+the values already taken and keeps it from then on. The values drawn
+are those of one generator seeded once, whenever each draw happens.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from functools import cached_property
 from typing import Optional
 
 __all__ = ["SeededRNG"]
+
+#: ``random()`` values a stream takes on its first draw (see the module
+#: docstring); a fig6 node stream draws two, the fork jitters of its MPI
+#: task and its tool daemon
+_DRAW_AHEAD = 4
 
 
 class SeededRNG:
     """A named, seeded random stream with child-stream derivation."""
 
+    __slots__ = ("seed", "path", "_ahead", "_taken", "_rng")
+
     def __init__(self, seed: int = 0, path: str = "root"):
         self.seed = int(seed)
         self.path = path
+        #: the values drawn ahead, or None before the first draw and
+        #: once the generator is kept
+        self._ahead: Optional[tuple] = None
+        #: values of ``_ahead`` handed out
+        self._taken = 0
+        self._rng: Optional[random.Random] = None
 
-    @cached_property
-    def _rng(self) -> random.Random:
-        """The stream's generator, derived and seeded on first draw."""
+    def _seeded(self) -> random.Random:
+        """A fresh generator at the start of this stream."""
         digest = hashlib.sha256(f"{self.seed}:{self.path}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
+
+    def _generator(self) -> random.Random:
+        """The stream's generator, past every value already handed out;
+        seeded on first use and kept from then on."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._seeded()
+            for _ in range(self._taken):
+                rng.random()
+            self._ahead = None
+        return rng
 
     def child(self, name: str) -> "SeededRNG":
         """Derive an independent stream identified by ``path/name``."""
         return SeededRNG(self.seed, f"{self.path}/{name}")
 
     # -- draws -------------------------------------------------------------
+    def random(self) -> float:
+        rng = self._rng
+        if rng is not None:
+            return rng.random()
+        taken = self._taken
+        if taken == _DRAW_AHEAD:
+            return self._generator().random()
+        ahead = self._ahead
+        if ahead is None:
+            rng = self._seeded()
+            ahead = self._ahead = tuple(
+                [rng.random() for _ in range(_DRAW_AHEAD)])
+        self._taken = taken + 1
+        return ahead[taken]
+
     def uniform(self, lo: float, hi: float) -> float:
-        return self._rng.uniform(lo, hi)
+        # random.Random.uniform's own formula, over this stream's values
+        return lo + (hi - lo) * self.random()
 
     def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
+        return self._generator().expovariate(rate)
 
     def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
+        return self._generator().gauss(mu, sigma)
 
     def jitter(self, base: float, rel: float = 0.05) -> float:
         """``base`` perturbed by a uniform relative jitter, never negative.
@@ -59,16 +102,13 @@ class SeededRNG:
         if base <= 0.0:
             return 0.0
         lo, hi = base * (1.0 - rel), base * (1.0 + rel)
-        return max(0.0, self._rng.uniform(lo, hi))
+        return max(0.0, lo + (hi - lo) * self.random())
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
+        return self._generator().randint(lo, hi)
 
     def choice(self, seq):
-        return self._rng.choice(seq)
+        return self._generator().choice(seq)
 
     def shuffle(self, seq) -> None:
-        self._rng.shuffle(seq)
-
-    def random(self) -> float:
-        return self._rng.random()
+        self._generator().shuffle(seq)

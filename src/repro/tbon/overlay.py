@@ -124,6 +124,8 @@ class RepairReport:
 class OverlayEndpoint:
     """One position's handle on the overlay."""
 
+    __slots__ = ("overlay", "position")
+
     def __init__(self, overlay: "Overlay", position: int):
         self.overlay = overlay
         self.position = position
@@ -166,6 +168,9 @@ class Overlay:
                  streams: dict[int, StreamSpec]):
         self.sim = sim
         self.network = network
+        #: every up channel's latency function: one bound method, not a
+        #: closure over the overlay per channel
+        self._transfer_time = network.transfer_time
         self.topology = topology
         self.placement = dict(placement)
         self.streams = dict(streams)
@@ -245,7 +250,7 @@ class Overlay:
         key = child_pos
         if key not in self._up_channels:
             self._up_channels[key] = Channel(
-                self.sim, lambda m: self.network.transfer_time(m),
+                self.sim, self._transfer_time,
                 name=f"up:{child_pos}->{parent}")
         return self._up_channels[key]
 

@@ -27,6 +27,43 @@ class _Node:
         self.children: dict[str, _Node] = {}
 
 
+# The recursive walks are module-level: a nested def that calls itself
+# closes over its own name, a function <-> cell cycle per call that only
+# the cyclic collector frees, and Simulator.run() pauses the collector.
+
+def _walk_paths(node: _Node, prefix: tuple[str, ...],
+                out: list[tuple[tuple[str, ...], RankRuns]]) -> None:
+    """Append :meth:`PrefixTree.paths` entries at and under ``node``."""
+    own = (subtract_runs(node.runs, union_runs(
+        child.runs for child in node.children.values()))
+        if node.children else node.runs)
+    if own:
+        out.append((prefix, RankRuns(own)))
+    for frame in sorted(node.children):
+        _walk_paths(node.children[frame], prefix + (frame,), out)
+
+
+def _fold(dst: _Node, src: _Node) -> None:
+    """Union ``src``'s subtree into ``dst``'s."""
+    dst.runs = union_runs((dst.runs, src.runs))
+    for frame, src_child in src.children.items():
+        _fold(dst.children.setdefault(frame, _Node()), src_child)
+
+
+def _node_to_dict(node: _Node) -> dict:
+    return {"r": list(node.runs),
+            "c": {f: _node_to_dict(ch) for f, ch in
+                  sorted(node.children.items())}}
+
+
+def _node_from_dict(data: dict, node: _Node) -> None:
+    node.runs = list(data["r"])
+    for frame, child_data in data["c"].items():
+        child = _Node()
+        node.children[frame] = child
+        _node_from_dict(child_data, child)
+
+
 class PrefixTree:
     """A mergeable call-graph prefix tree with rank-set annotations."""
 
@@ -63,18 +100,8 @@ class PrefixTree:
         :attr:`all_ranks`. Paths come out in sorted order.
         """
         out: list[tuple[tuple[str, ...], RankRuns]] = []
-
-        def walk(node: _Node, prefix: tuple[str, ...]):
-            own = (subtract_runs(node.runs, union_runs(
-                child.runs for child in node.children.values()))
-                if node.children else node.runs)
-            if own:
-                out.append((prefix, RankRuns(own)))
-            for frame in sorted(node.children):
-                walk(node.children[frame], prefix + (frame,))
-
         for frame in sorted(self._root.children):
-            walk(self._root.children[frame], (frame,))
+            _walk_paths(self._root.children[frame], (frame,), out)
         return out
 
     def equivalence_classes(self) -> list[tuple[tuple[str, ...], RankRuns]]:
@@ -107,14 +134,7 @@ class PrefixTree:
     # -- merging --------------------------------------------------------------------
     def merge(self, other: "PrefixTree") -> "PrefixTree":
         """In-place union with another tree; returns self."""
-
-        def fold(dst: _Node, src: _Node):
-            dst.runs = union_runs((dst.runs, src.runs))
-            for frame, src_child in src.children.items():
-                dst_child = dst.children.setdefault(frame, _Node())
-                fold(dst_child, src_child)
-
-        fold(self._root, other._root)
+        _fold(self._root, other._root)
         self._n_samples += other._n_samples
         return self
 
@@ -135,26 +155,12 @@ class PrefixTree:
     def to_dict(self) -> dict:
         """JSON-able form for TBON payloads: ``{"r": runs, "c": {...}}``
         per node, rank sets as run lists."""
-
-        def conv(node: _Node) -> dict:
-            return {"r": list(node.runs),
-                    "c": {f: conv(ch) for f, ch in
-                          sorted(node.children.items())}}
-
-        return {"tree": conv(self._root), "n": self._n_samples}
+        return {"tree": _node_to_dict(self._root), "n": self._n_samples}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PrefixTree":
         tree = cls()
-
-        def conv(data: dict, node: _Node):
-            node.runs = list(data["r"])
-            for frame, child_data in data["c"].items():
-                child = _Node()
-                node.children[frame] = child
-                conv(child_data, child)
-
-        conv(obj["tree"], tree._root)
+        _node_from_dict(obj["tree"], tree._root)
         tree._n_samples = obj.get("n", 0)
         return tree
 

@@ -83,6 +83,16 @@ class TestFixturesFire:
         assert rules_fired(elsewhere) == ["gc-policy"]
         assert len(elsewhere) == 2
 
+    def test_self_closure(self):
+        findings = lint_file(FIXTURES / "bad_self_closure.py")
+        assert rules_fired(findings) == ["self-closure"]
+        # a recursive helper, one that registers itself, one a nested
+        # lambda refers to, and a recursive helper inside a method;
+        # module-level recursion, methods, a parameter that shadows the
+        # name and the allowed def stay quiet
+        assert [f.message.split("'")[1] for f in findings] == [
+            "walk", "once", "relay", "visit"]
+
     def test_suppressions_silence_everything(self):
         assert lint_file(FIXTURES / "good_suppressed.py", hot=True) == []
 
@@ -140,7 +150,7 @@ class TestRealTree:
     def test_every_rule_has_a_description(self):
         assert set(RULES) == {"wall-clock", "unseeded-random",
                               "linear-scan", "sweep-pickle", "blocking-io",
-                              "agg-leaves", "gc-policy"}
+                              "agg-leaves", "gc-policy", "self-closure"}
         assert all(desc for desc in RULES.values())
 
 

@@ -103,6 +103,13 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
 
+    def test_nan_capacity_rejected(self):
+        # NaN passed `capacity <= 0`, and then every put after the
+        # first blocked forever
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            Store(sim, capacity=float("nan"))
+
     def test_len_and_items_snapshot(self):
         sim = Simulator()
         store = Store(sim)
@@ -179,6 +186,13 @@ class TestChannel:
     def test_negative_latency_rejected(self):
         sim = Simulator()
         chan = Channel(sim, latency_fn=lambda m: -1.0)
+        with pytest.raises(SimulationError):
+            chan.send("x")
+        assert chan.sent_count == 0
+
+    def test_nan_latency_rejected(self):
+        sim = Simulator()
+        chan = Channel(sim, latency_fn=lambda m: float("nan"))
         with pytest.raises(SimulationError):
             chan.send("x")
         assert chan.sent_count == 0

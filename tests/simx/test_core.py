@@ -82,6 +82,34 @@ class TestClock:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_nan_timeout_rejected_and_the_clock_never_runs_back(self):
+        # a NaN key in the heap broke its order: 3.0, NaN, 1.0, 2.0, 0.5
+        # fired at 1.0, 0.5, 2.0, NaN, 3.0
+        sim = Simulator()
+        fired = []
+        for delay in (3.0, float("nan"), 1.0, 2.0, 0.5):
+            try:
+                ev = sim.timeout(delay)
+            except SimulationError:
+                fired.append("rejected")
+                continue
+            ev.callbacks.append(lambda ev: fired.append(sim.now))
+        sim.run()
+        assert fired == ["rejected", 0.5, 1.0, 2.0, 3.0]
+
+    def test_infinite_timeout_stays_legal(self):
+        sim = Simulator()
+        sim.timeout(float("inf"))
+        sim.run(until=5.0)
+        assert sim.now == 5.0 and sim.peek() == float("inf")
+
+    def test_run_until_nan_raises(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0 and sim.peek() == 1.0
+
     def test_peek_reports_next_event_time(self):
         sim = Simulator()
         sim.timeout(3.0)

@@ -83,6 +83,16 @@ class TestResource:
         with pytest.raises(SimulationError):
             Resource(sim, capacity=0)
 
+    def test_nan_capacity_rejected(self):
+        # NaN passed `capacity < 1`, and then no request was ever granted
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            Resource(sim, capacity=float("nan"))
+        res = Resource(sim, capacity=1)
+        with pytest.raises(SimulationError):
+            res.set_capacity(float("nan"))
+        assert res.capacity == 1
+
     def test_high_water_mark(self):
         sim = Simulator()
         res = Resource(sim, capacity=4)

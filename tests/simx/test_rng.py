@@ -137,3 +137,87 @@ class TestLazySeeding:
         nodes[7].jitter(1.0)
         nodes[7].uniform(0.0, 1.0)
         assert len(made) == 1
+
+
+def _reference(seed, path):
+    """A plain generator seeded as a stream at ``path`` is."""
+    digest = hashlib.sha256(f"{seed}:{path}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _draw(source, method):
+    """One ``method`` draw from a stream, or the equivalent draw from a
+    plain ``random.Random``."""
+    if method == "jitter":
+        if isinstance(source, SeededRNG):
+            return source.jitter(1.5, 0.1)
+        return max(0.0, source.uniform(1.5 * (1.0 - 0.1), 1.5 * (1.0 + 0.1)))
+    if method == "shuffle":
+        seq = list(range(6))
+        source.shuffle(seq)
+        return seq
+    return {
+        "random": lambda: source.random(),
+        "uniform": lambda: source.uniform(-2.0, 3.0),
+        "randint": lambda: source.randint(1, 6),
+        "choice": lambda: source.choice("abcdef"),
+        "gauss": lambda: source.gauss(1.0, 0.5),
+        "expovariate": lambda: source.expovariate(2.0),
+    }[method]()
+
+
+#: the draws a stream serves from the values it drew ahead, and the rest
+TUPLE_DRAWS = ("random", "uniform", "jitter")
+GENERATOR_DRAWS = ("randint", "choice", "shuffle", "gauss", "expovariate")
+COPIES = {"pickle": lambda s: pickle.loads(pickle.dumps(s)),
+          "deepcopy": copy.deepcopy}
+
+
+class TestDrawAhead:
+    """A stream draws a few values ahead and drops its generator; what it
+    hands out must be what one generator seeded once would."""
+
+    @given(st.lists(
+        st.tuples(st.one_of(st.sampled_from(TUPLE_DRAWS),
+                            st.sampled_from(GENERATOR_DRAWS)),
+                  st.sampled_from((None, "pickle", "deepcopy"))),
+        max_size=3 * rng_module._DRAW_AHEAD))
+    @settings(max_examples=300, deadline=None)
+    def test_any_mix_of_draws_matches_one_generator(self, program):
+        stream = SeededRNG(7).child("node:3")
+        want = _reference(7, "root/node:3")
+        for method, copy_kind in program:
+            if copy_kind is not None:
+                stream = COPIES[copy_kind](stream)
+            assert _draw(stream, method) == _draw(want, method)
+
+    def _counting(self, monkeypatch):
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rng_module.random, "Random", CountingRandom)
+        return made
+
+    def test_a_draw_past_the_tuple_seeds_once_more_and_keeps_it(
+            self, monkeypatch):
+        made = self._counting(monkeypatch)
+        stream = SeededRNG(3).child("x")
+        for _ in range(rng_module._DRAW_AHEAD):
+            stream.random()
+        assert len(made) == 1
+        for _ in range(3 * rng_module._DRAW_AHEAD):
+            stream.random()
+        stream.randint(1, 6)
+        assert len(made) == 2
+
+    def test_another_method_first_seeds_once(self, monkeypatch):
+        made = self._counting(monkeypatch)
+        stream = SeededRNG(3).child("x")
+        stream.randint(1, 6)
+        for _ in range(3 * rng_module._DRAW_AHEAD):
+            stream.jitter(1.0)
+        assert len(made) == 1

@@ -155,6 +155,24 @@ program_strategy = st.fixed_dictionaries({
 })
 
 
+#: programs that park 2-4 getters on store 0 or channel 0 before any
+#: item arrives -- one process each, or one process's non-blocking gets
+#: -- so a lone getter's slot turns into a deque; the rest of the
+#: program (puts, sends, more gets) starts a step later
+parked_getters_strategy = st.builds(
+    lambda capacities, kind, n, one_process, rest: {
+        "capacities": capacities, "n_channels": 1,
+        "processes": ([[(kind, 0, False)] * n] if one_process
+                      else [[(kind, 0, True)] for _ in range(n)])
+        + [[("wait", 1, True)] + ops for ops in rest]},
+    st.lists(st.sampled_from((INF, 1, 2)), min_size=1, max_size=2),
+    st.sampled_from(("get", "recv")),
+    st.integers(2, 4),
+    st.booleans(),
+    st.lists(st.lists(_op, max_size=10), min_size=1, max_size=3),
+)
+
+
 def _latency(message):
     return LATENCIES[message[1] % len(LATENCIES)]
 
@@ -211,6 +229,14 @@ class TestStoreMatchesEagerReference:
             assert lazy[0] == eager[0]
             assert lazy[1] == eager[1]
             assert lazy[2] == eager[2]
+
+    @given(parked_getters_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_several_parked_getters(self, program):
+        for fast_lane in (True, False):
+            lazy = run_program(program, fast_lane, Store, Channel)
+            assert lazy == run_program(program, fast_lane, RefStore,
+                                       RefChannel)
 
     def test_reference_exercises_parked_putters_and_getters(self):
         # a fixed program that parks putters on a full store and a getter

@@ -1,5 +1,7 @@
 """Tests for STAT's call-graph prefix tree."""
 
+import gc
+
 import pytest
 
 from repro.tools.stat_tool import PrefixTree, merge_trees
@@ -127,3 +129,28 @@ class TestWireForm:
         merged = PrefixTree.from_dict(
             make_filter("prefix_tree_merge").merge([a, b]))
         assert merged.ranks_at(BARRIER) == {0, 1}
+
+
+def test_tree_operations_leave_no_cyclic_garbage():
+    # a STAT daemon merges and ships trees inside Simulator.run(), which
+    # pauses the collector: their garbage must go by reference counting
+    tree = build([(BARRIER, 0), (COMPUTE, 1), (RECV, 2)])
+    other = build([(BARRIER, 3), (RECV, 4)])
+    gc.collect()
+    gc.garbage.clear()
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        tree.merge(other)
+        PrefixTree.from_dict(tree.to_dict())
+        tree.paths()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(obj).__qualname__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []
