@@ -21,8 +21,9 @@ reproduce the substrate as a deterministic discrete-event model:
 * :mod:`repro.cluster.faults` -- the fault model: a :class:`FaultPlan` on
   the spec schedules node crashes, straggler slow-downs, transient
   rsh/link failures and shared-FS stall windows as simulation events, with
-  per-fault statistics (``cluster.faults.stats``). No plan, no hooks:
-  fault-free runs are bit-identical to a build without fault injection.
+  per-fault statistics (``cluster.faults.stats``). Every cluster carries
+  an injector; without a plan it runs the empty one, which schedules
+  nothing and draws nothing.
 
 All timing constants live in :class:`CostModel` (see ``costs.py``) and are
 calibrated against the paper's measured curves; DESIGN.md Section 2 records

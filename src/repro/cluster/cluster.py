@@ -29,7 +29,7 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.simx import Resource, SeededRNG, Simulator
 from repro.cluster.costs import CostModel
-from repro.cluster.faults import FaultInjector, FaultPlan
+from repro.cluster.faults import FaultInjector, FaultPlan, FaultStats
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 
@@ -57,7 +57,7 @@ class ClusterSpec:
     module docstring); ``shared-fs`` is the paper's measured behaviour.
     ``fault_plan`` attaches a :class:`~repro.cluster.faults.FaultPlan`
     (node crashes, stragglers, link flaps, FS stalls); None -- the default
-    -- injects nothing and keeps runs bit-identical to a fault-free build.
+    -- is the empty plan, which schedules nothing and draws nothing.
     """
 
     n_compute: int = 128
@@ -102,8 +102,11 @@ class SharedFilesystem:
         self._servers = Resource(sim, capacity=max(1, servers), name="fs")
         self.staging = staging
         self.bcast_fanout = max(2, bcast_fanout or costs.bcast_fanout)
-        #: fault injector hook (set by the owning Cluster; None = no faults)
-        self.faults = None
+        #: brown-out windows ``(t0, t1)`` in virtual time: a read starting
+        #: inside one stalls until it ends. A cluster's fault injector adds
+        #: them when it arms and counts the stalls in its own statistics.
+        self.stall_windows: list[tuple] = []
+        self.stall_stats = FaultStats()
         #: node name -> set of image keys resident in that node's cache
         self._node_cache: dict[str, set[str]] = {}
         self.loads = 0
@@ -171,12 +174,10 @@ class SharedFilesystem:
             self._servers.cancel(req)
             raise
         try:
-            if self.faults is not None:
-                # an FS brown-out window: reads starting inside it stall
-                # until it ends (per-daemon launch timeouts are the escape)
-                stall = self.faults.fs_stall_remaining()
-                if stall > 0.0:
-                    yield self.sim.timeout(stall)
+            # per-daemon launch timeouts are the escape from a brown-out
+            stall = self._stall_remaining()
+            if stall > 0.0:
+                yield self.sim.timeout(stall)
             nbytes = image_mb * 1024 * 1024
             self.loads += 1
             self.bytes_served += nbytes
@@ -186,6 +187,19 @@ class SharedFilesystem:
             yield self.sim.timeout(cost)
         finally:
             self._servers.release()
+
+    def _stall_remaining(self) -> float:
+        """Seconds a read starting now must stall (0 outside every stall
+        window)."""
+        now = self.sim.now
+        remaining = 0.0
+        for t0, t1 in self.stall_windows:
+            if t0 <= now < t1:
+                remaining = max(remaining, t1 - now)
+        if remaining > 0.0:
+            self.stall_stats.fs_stalled_loads += 1
+            self.stall_stats.fs_stall_time += remaining
+        return remaining
 
     # -- bulk staging ---------------------------------------------------------
     def stage_images(self, nodes: Sequence["Node"], image_mb: float,
@@ -285,14 +299,10 @@ class Cluster:
         #: callbacks invoked as fn(node) when any node fails -- resource
         #: managers subscribe to keep their free-node indexes exact
         self._failure_listeners: list = []
-        #: fault injector (None without a plan -- or with an empty one:
-        #: zero hooks fire, runs stay bit-identical to a fault-free build)
-        self.faults: Optional[FaultInjector] = None
-        if self.spec.fault_plan is not None and not self.spec.fault_plan.empty:
-            self.faults = FaultInjector(self, self.spec.fault_plan)
-            self.fs.faults = self.faults
-            if self.spec.fault_plan.auto_arm:
-                self.faults.arm()
+        #: fault injector; without a plan it runs the empty one
+        self.faults = FaultInjector(self, self.spec.fault_plan or FaultPlan())
+        if self.faults.plan.auto_arm:
+            self.faults.arm()
 
     # -- failure notification ------------------------------------------------
     def add_failure_listener(self, fn) -> None:

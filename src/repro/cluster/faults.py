@@ -32,10 +32,10 @@ Four fault kinds are modelled:
     server failover, RAID rebuild).
 
 Determinism contract: all fault randomness draws from a dedicated
-``SeededRNG(seed, "faults")`` stream, and every hook in the hot paths is
-guarded by ``cluster.faults is None`` -- with no plan set, no RNG stream is
-consulted and no event is scheduled, so fault-free runs are bit-identical
-to a build without this module.
+``SeededRNG(seed, "faults")`` stream. Every cluster carries an injector;
+without a plan it runs the empty plan, whose hooks schedule no event and
+draw nothing, so a fault-free run is the same run whatever the plan's
+absence is written as.
 
 **Fleet-level network faults.** The per-cluster faults above model one
 machine's weather; a federated fleet additionally suffers *network*
@@ -68,9 +68,8 @@ assertable convergence bounds):
 :class:`NetFaultInjector` turns the plan into per-round verdicts for the
 :class:`~repro.fleet.gossip.GossipMesh` plus :meth:`data_path_open`, the
 front door's honest connect check for submissions and fence delivery.
-Same guard as the node-level injector: a mesh without an injector
-consults nothing and draws nothing, so fault-free fleet runs stay
-byte-identical to the netfault-free build.
+Same contract as the node-level injector: every mesh carries one, and
+under the empty plan it blocks nothing and draws nothing.
 """
 
 from __future__ import annotations
@@ -189,11 +188,12 @@ class FaultStats:
 class FaultInjector:
     """Turns a :class:`FaultPlan` into scheduled simx events + live hooks.
 
-    Owned by the :class:`~repro.cluster.cluster.Cluster` (``cluster.faults``,
-    None when no plan is set). The hot-path hooks --
-    :meth:`rsh_attempt_fails` and :meth:`fs_stall_remaining` -- are consulted
-    by :meth:`Node.rsh_spawn` and the shared filesystem respectively;
-    crashes and stragglers act on the nodes directly.
+    Owned by the :class:`~repro.cluster.cluster.Cluster` (``cluster.faults``;
+    the empty plan when none is set). :meth:`Node.rsh_spawn` consults the
+    hot-path hook :meth:`rsh_attempt_fails`; FS stall windows are handed
+    to the shared filesystem at :meth:`arm`, which counts its stalls in
+    this injector's :attr:`stats`; crashes and stragglers act on the
+    nodes directly.
     """
 
     def __init__(self, cluster: "Cluster", plan: FaultPlan):
@@ -207,7 +207,7 @@ class FaultInjector:
         self.armed = False
         self._arm_at = 0.0
         self._flaps: list[LinkFlap] = list(plan.link_flaps)
-        self._fs_windows: list[tuple] = []
+        cluster.fs.stall_stats = self.stats
 
     # -- arming ------------------------------------------------------------
     def arm(self) -> None:
@@ -235,7 +235,7 @@ class FaultInjector:
                              f"{node.name} x{straggler.factor}"))
         for stall in self.plan.fs_stalls:
             t0 = self._arm_at + stall.at
-            self._fs_windows.append((t0, t0 + stall.duration))
+            self.cluster.fs.stall_windows.append((t0, t0 + stall.duration))
 
     def _resolve(self, ref: NodeRef) -> "Node":
         if isinstance(ref, int):
@@ -279,21 +279,6 @@ class FaultInjector:
                                  f"{src.name}->{dst.name}"))
                 return True
         return False
-
-    def fs_stall_remaining(self) -> float:
-        """Seconds a shared-FS read starting now must stall (0 outside
-        every stall window)."""
-        if not self._fs_windows:
-            return 0.0
-        now = self.sim.now
-        remaining = 0.0
-        for t0, t1 in self._fs_windows:
-            if t0 <= now < t1:
-                remaining = max(remaining, t1 - now)
-        if remaining > 0.0:
-            self.stats.fs_stalled_loads += 1
-            self.stats.fs_stall_time += remaining
-        return remaining
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FaultInjector armed={self.armed} "
@@ -454,12 +439,13 @@ class NetFaultStats:
 class NetFaultInjector:
     """Per-round verdicts for a :class:`NetFaultPlan`.
 
-    Attached to a :class:`~repro.fleet.gossip.GossipMesh` (``mesh.netfaults``,
-    None without a plan). The mesh calls :meth:`begin_round` once per
-    gossip round, then consults :meth:`edge_blocked` /
-    :meth:`digest_lost` / :meth:`digest_delay` / :meth:`digest_duplicated`
-    per pull edge; the front door consults :meth:`data_path_open` before
-    every direct send (submission, fence delivery).
+    Attached to a :class:`~repro.fleet.gossip.GossipMesh`
+    (``mesh.netfaults``; the empty plan when none is set). The mesh calls
+    :meth:`begin_round` once per gossip round, then consults
+    :meth:`edge_blocked` / :meth:`digest_lost` / :meth:`digest_delay` /
+    :meth:`digest_duplicated` per pull edge; the front door consults
+    :meth:`data_path_open` before every direct send (submission, fence
+    delivery).
 
     Topology verdicts (partitions, link-downs, flaps) are pure functions
     of the round number -- no RNG. Message weather (loss/delay/dup) draws

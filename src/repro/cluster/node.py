@@ -167,8 +167,7 @@ class Node:
 
     # -- fork/exec ---------------------------------------------------------------
     def fork_exec(self, executable: str, args: tuple = (),
-                  uid: str = "user", parent: Optional[SimProcess] = None,
-                  image_mb: float = 2.0,
+                  uid: str = "user", image_mb: float = 2.0,
                   ) -> Generator[Any, Any, SimProcess]:
         """fork+exec a new process; a generator costing virtual time.
 
@@ -208,9 +207,6 @@ class Node:
         self._next_pid += 1
         proc = SimProcess(self.sim, self, pid, executable, args,
                           uid=uid, image_mb=image_mb)
-        if parent is not None:
-            proc.parent = parent
-            parent.children.append(proc)
         self.procs[pid] = proc
         return proc
 
@@ -253,8 +249,8 @@ class Node:
         try:
             yield self.sim.timeout(
                 self.rng.jitter(self.costs.rsh_fork_overhead))
-            faults = self.cluster.faults if self.cluster is not None else None
-            if faults is not None and faults.rsh_attempt_fails(self, target):
+            if (self.cluster is not None
+                    and self.cluster.faults.rsh_attempt_fails(self, target)):
                 # transient link fault: the connect attempt is paid for,
                 # then resets; the client exits so its slot is not leaked
                 yield self.sim.timeout(

@@ -94,12 +94,17 @@ class SimProcess:
         :class:`ProcStats` for /proc reads.
     ``exit_event``
         triggers with the exit code when the process terminates.
+
+    Memory contract: the exit event and the list of resume waiters are
+    made on first use, so a process nothing waits on holds neither until
+    it exits. :meth:`exit` makes its event before triggering it, so every
+    exit still fires exactly one event.
     """
 
     __slots__ = ("sim", "node", "pid", "executable", "args", "uid",
                  "image_mb", "state", "stats", "call_stack", "memory",
-                 "children", "parent", "traced_by", "debug_events",
-                 "exit_event", "exit_code", "_resume_waiters")
+                 "traced_by", "debug_events", "exit_code", "_exit_event",
+                 "_resume_waiters")
 
     def __init__(self, sim: Simulator, node: "Node", pid: int,
                  executable: str, args: tuple = (),
@@ -115,13 +120,11 @@ class SimProcess:
         self.stats = ProcStats()
         self.call_stack: list[str] = ["_start", "main"]
         self.memory: dict[str, Any] = {}
-        self.children: list["SimProcess"] = []
-        self.parent: Optional["SimProcess"] = None
         self.traced_by: Optional[object] = None
         self.debug_events: Store = Store(sim)
-        self.exit_event: Event = sim.event()
         self.exit_code: Optional[int] = None
-        self._resume_waiters: list[Event] = []
+        self._exit_event: Optional[Event] = None
+        self._resume_waiters: Optional[list[Event]] = None
 
     # -- identity ----------------------------------------------------------
     @property
@@ -131,6 +134,13 @@ class SimProcess:
     @property
     def alive(self) -> bool:
         return self.exit_code is None
+
+    @property
+    def exit_event(self) -> Event:
+        ev = self._exit_event
+        if ev is None:
+            ev = self._exit_event = self.sim.event()
+        return ev
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SimProcess {self.executable} pid={self.pid} on {self.host}>"
@@ -147,8 +157,8 @@ class SimProcess:
     def resume(self) -> None:
         if self.alive and self.state is ProcState.STOPPED:
             self.state = ProcState.RUNNING
-            waiters, self._resume_waiters = self._resume_waiters, []
-            for ev in waiters:
+            waiters, self._resume_waiters = self._resume_waiters, None
+            for ev in waiters or ():
                 ev.succeed()
 
     def wait_resumed(self) -> Event:
@@ -160,6 +170,8 @@ class SimProcess:
         ev = self.sim.event()
         if self.state is not ProcState.STOPPED:
             ev.succeed()
+        elif self._resume_waiters is None:
+            self._resume_waiters = [ev]
         else:
             self._resume_waiters.append(ev)
         return ev
@@ -173,6 +185,7 @@ class SimProcess:
         self.state = ProcState.ZOMBIE
         self.node._reap(self)
         self.emit_debug_event(DebugEvent(DebugEventType.EXITED, self.pid, code))
+        # made here if nothing waited on it: every exit fires one event
         self.exit_event.succeed(code)
 
     # -- /proc-ish accounting --------------------------------------------------

@@ -100,20 +100,8 @@ class LaunchMONEngine:
         def on_spawned(event: LMONEvent) -> Generator[Any, Any, str]:
             # the paper's key handler: fetch RPDTAB, launch daemons,
             # forward the table to the front end
-            self.timeline.mark("e3_breakpoint", sim.now)
-            t3 = sim.now
-            rpdtab = yield from tracer.read_proctable()
-            self.timeline.mark("e4_rpdtab_fetched", sim.now)
-            self.times.t_rpdtab = sim.now - t3
-            self.timeline.mark("e5_daemon_spawn_req", sim.now)
-            t5 = sim.now
-            daemons, fabric = yield from self.rm.spawn_daemons(
+            results["spawned"] = yield from self._fetch_and_spawn(
                 job, daemon_spec, context_factory)
-            self.timeline.mark("e6_daemons_spawned", sim.now)
-            self.times.t_daemon = sim.now - t5
-            results["rpdtab"] = rpdtab
-            results["daemons"] = daemons
-            results["fabric"] = fabric
             return "spawned"
 
         self.handlers.register(LMONEventType.TASKS_SPAWNED, on_spawned)
@@ -148,8 +136,9 @@ class LaunchMONEngine:
 
         # let the application run past MPIR_Breakpoint
         yield from tracer.cont()
-        yield from self._send_proctab(results["rpdtab"])
-        return job, results["daemons"], results["fabric"], results["rpdtab"]
+        rpdtab, daemons, fabric = results["spawned"]
+        yield from self._send_proctab(rpdtab)
+        return job, daemons, fabric, rpdtab
 
     # -- attach mode -----------------------------------------------------------
     def attach_and_spawn(self, job: RMJob, daemon_spec: DaemonSpec,
@@ -169,17 +158,8 @@ class LaunchMONEngine:
         if state != MPIR_DEBUG_SPAWNED:
             raise EngineError(f"launcher MPIR_debug_state={state}; job not "
                               f"acquirable")
-        self.timeline.mark("e3_breakpoint", sim.now)
-        t3 = sim.now
-        rpdtab = yield from tracer.read_proctable()
-        self.timeline.mark("e4_rpdtab_fetched", sim.now)
-        self.times.t_rpdtab = sim.now - t3
-        self.timeline.mark("e5_daemon_spawn_req", sim.now)
-        t5 = sim.now
-        daemons, fabric = yield from self.rm.spawn_daemons(
+        rpdtab, daemons, fabric = yield from self._fetch_and_spawn(
             job, daemon_spec, context_factory)
-        self.timeline.mark("e6_daemons_spawned", sim.now)
-        self.times.t_daemon = sim.now - t5
         # resume the launcher; the job was never stopped in attach mode
         yield from tracer.cont()
         yield from self._send_proctab(rpdtab)
@@ -219,6 +199,26 @@ class LaunchMONEngine:
         self.job.state = JobState.FAILED
 
     # -- internals ---------------------------------------------------------------
+    def _fetch_and_spawn(self, job: RMJob, daemon_spec: DaemonSpec,
+                         context_factory: Callable[..., Any],
+                         ) -> Generator[Any, Any, tuple]:
+        """e3 -> e6, shared by both acquisition modes: read the RPDTAB
+        through the tracer, then co-locate the daemons. Returns
+        ``(rpdtab, daemons, fabric)``."""
+        sim = self.sim
+        self.timeline.mark("e3_breakpoint", sim.now)
+        t3 = sim.now
+        rpdtab = yield from self.tracer.read_proctable()
+        self.timeline.mark("e4_rpdtab_fetched", sim.now)
+        self.times.t_rpdtab = sim.now - t3
+        self.timeline.mark("e5_daemon_spawn_req", sim.now)
+        t5 = sim.now
+        daemons, fabric = yield from self.rm.spawn_daemons(
+            job, daemon_spec, context_factory)
+        self.timeline.mark("e6_daemons_spawned", sim.now)
+        self.times.t_daemon = sim.now - t5
+        return rpdtab, daemons, fabric
+
     def _send_proctab(self, rpdtab: RPDTAB) -> Generator[Any, Any, None]:
         """Forward the RPDTAB to the front end over LMONP."""
         if self.fe_stream is None:

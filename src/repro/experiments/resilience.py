@@ -107,8 +107,7 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         fe = ToolFrontEnd(env.cluster, env.rm, "res")
         yield from fe.init()
         job = yield from env.rm.launch_job(app, env.rm.allocate(n_daemons))
-        if env.cluster.faults is not None:
-            env.cluster.faults.arm()
+        env.cluster.faults.arm()
         t0 = env.sim.now
         session = fe.create_session()
         try:
@@ -128,7 +127,6 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         box.setdefault("state", "hung")
         box.setdefault("t_attach", CELL_DEADLINE)
     report: Optional[LaunchReport] = env.rm.last_launch_report
-    faults = env.cluster.faults
     state = box.get("state", "hung")
     # a failed cell has NO daemons up -- the below-fraction spawn reaped
     # its survivors before raising (report.n_daemons is the pre-reap count)
@@ -146,7 +144,7 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         "blacklisted": list(report.blacklisted) if report else [],
         "report": report.as_dict() if report else None,
         "outcomes": dict(report.outcomes) if report else {},
-        "fault_stats": asdict(faults.stats) if faults else None,
+        "fault_stats": asdict(env.cluster.faults.stats),
     }
 
 
@@ -262,8 +260,9 @@ def run_resilience(daemon_counts: Sequence[int] = (128,),
         "repair=True runs under LaunchPolicy (per-daemon timeout, bounded "
         "retry with backoff, node blacklisting, min_daemon_fraction=0.8): "
         "crashes during the spawn window leave the session DEGRADED with "
-        "every missing daemon attributed; repair=False is the legacy "
-        "contract, where any crash fails the whole session")
+        "every missing daemon attributed; repair=False runs with no "
+        "policy, so the launch stops at its first failed spawn and any "
+        "crash fails the whole session")
     result.notes.append(
         "crash windows cover 60% of each cell's measured fault-free spawn "
         "phase, so faults land where bulk launches are most exposed; "

@@ -224,7 +224,7 @@ def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
 
     # -- heal + anti-entropy tail: make sure the storm is over, then run
     # exactly the convergence budget the ISSUE's bound promises --------------
-    heal_round = mesh.netfaults.last_heal_round if mesh.netfaults else 0
+    heal_round = mesh.netfaults.last_heal_round
     if mesh.rounds_run < heal_round:
         mesh.run_rounds(heal_round - mesh.rounds_run)
         door.reconcile()

@@ -50,13 +50,13 @@ __all__ = ["Fleet", "FleetEnv", "audit_fleet", "make_fleet_env",
 
 
 class Fleet:
-    """The assembled federation: members, mesh, front door."""
+    """The assembled federation: members, front door and its mesh."""
 
     def __init__(self, members: Sequence[FleetCluster],
-                 door: FleetFrontDoor, mesh: Optional[GossipMesh] = None):
+                 door: FleetFrontDoor):
         self.members = tuple(members)
         self.door = door
-        self.mesh = mesh
+        self.mesh: GossipMesh = door.mesh
         self.sim: Simulator = door.sim
         self._by_name: Dict[str, FleetCluster] = {
             m.name: m for m in self.members}
@@ -122,9 +122,8 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
 
     ``net_fault_plan`` attaches network weather to the gossip mesh (its
     injector is seeded from ``seed``, so a chaos run is a pure function
-    of ``(seed, plan)``); the remaining knobs tune the front door's
-    partition-tolerance machinery and keep their PR 9-compatible
-    defaults when left alone.
+    of ``(seed, plan)``; None is the empty plan); the remaining knobs
+    tune the front door's partition-tolerance machinery.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
@@ -136,18 +135,17 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
             sim, f"c{i:0{width}d}", nodes_per_cluster, rm_cls=rm_cls,
             seed=seed + i, zone=f"z{i // shard_size}", costs=costs,
             **rm_kwargs))
-    netfaults = (NetFaultInjector(net_fault_plan, seed=seed)
-                 if net_fault_plan is not None else None)
+    netfaults = NetFaultInjector(net_fault_plan or NetFaultPlan(), seed=seed)
     mesh = GossipMesh(members, shard_size=shard_size,
                       suspect_rounds=suspect_rounds, netfaults=netfaults)
-    door = FleetFrontDoor(members, policy=policy, mesh=mesh,
+    door = FleetFrontDoor(members, mesh, policy=policy,
                           max_in_flight=max_in_flight,
                           gossip_period=gossip_period,
                           max_failovers=max_failovers,
                           breaker_threshold=breaker_threshold,
                           breaker_cooldown=breaker_cooldown,
                           abandon_after=abandon_after)
-    fleet = Fleet(members, door, mesh)
+    fleet = Fleet(members, door)
     return FleetEnv(sim=sim, cluster=members[0].cluster, rm=members[0].rm,
                     fleet=fleet)
 
@@ -172,9 +170,8 @@ def make_fleet_member_env(n_compute: int = 16,
     member = FleetCluster.build(sim, "c0", n_compute, rm_cls=rm_cls,
                                 seed=seed, spec=cluster_spec, costs=costs,
                                 **rm_kwargs)
-    mesh = GossipMesh([member])
-    door = FleetFrontDoor([member], policy="least-loaded", mesh=mesh)
-    fleet = Fleet([member], door, mesh)
+    door = FleetFrontDoor([member], GossipMesh([member]))
+    fleet = Fleet([member], door)
     return FleetEnv(sim=sim, cluster=member.cluster, rm=member.rm,
                     fleet=fleet)
 

@@ -29,9 +29,10 @@ link per shard, s_group style) and drives mesh rounds from a lazy
 background process that runs only while handles are in flight -- an idle
 fleet's simulation still terminates.
 
-**Partition tolerance** (active only when the mesh carries a
-:class:`~repro.cluster.faults.NetFaultInjector`; without one every hook
-below is dormant and the door behaves exactly as described above):
+**Partition tolerance** runs in every fleet; the mesh's
+:class:`~repro.cluster.faults.NetFaultInjector` decides what the network
+does (under the empty plan every member is reachable, so only crashes
+drive the quorum rule and fencing):
 
 * **Quorum rule.** The door holds a *majority view* when its gossiped
   view shows more than half the fleet routable. In a minority view it
@@ -152,8 +153,6 @@ class FleetFrontDoor(OperationCore):
     ``locality``). ``mesh`` is the fleet's gossip overlay; the door
     attaches itself as an observer and drives rounds every
     ``gossip_period`` of virtual time while requests are in flight.
-    Without a mesh the door still works -- its view then updates only
-    from registration records and its own direct evidence.
 
     A rejection (:class:`FleetUnavailable`) is an expected outcome, like a
     cancel: :meth:`drain` skips it and :meth:`summary` counts it as
@@ -162,9 +161,8 @@ class FleetFrontDoor(OperationCore):
 
     expected = (Interrupt, FleetUnavailable)
 
-    def __init__(self, members: Sequence[FleetCluster],
+    def __init__(self, members: Sequence[FleetCluster], mesh: GossipMesh,
                  policy: Union[PlacementPolicy, str] = "least-loaded",
-                 mesh: Optional[GossipMesh] = None,
                  max_in_flight: Optional[int] = None,
                  gossip_period: float = 0.25,
                  name: str = "frontdoor",
@@ -197,8 +195,7 @@ class FleetFrontDoor(OperationCore):
             reg = member.view.get(member.name)
             if reg is not None:
                 self.view.put(reg)
-        if mesh is not None:
-            mesh.attach_observer(self)
+        mesh.attach_observer(self)
         self.failovers = 0
         self.rejected = 0
         #: rejections issued while the door held only a minority view
@@ -284,14 +281,9 @@ class FleetFrontDoor(OperationCore):
         routable = sum(1 for rec in self.view.records() if rec.routable)
         return routable >= self.quorum
 
-    def _netfaulted(self) -> bool:
-        return self.mesh is not None and self.mesh.netfaults is not None
-
     def _reachable(self, member: str) -> bool:
         """Data-path probe door -> member under the current round's
-        network topology (always True without netfaults)."""
-        if self.mesh is None:
-            return True
+        network topology."""
         return self.mesh.data_path_open(self.name, member)
 
     def _breaker_open(self, member: str) -> bool:
@@ -348,7 +340,7 @@ class FleetFrontDoor(OperationCore):
         tripped: Set[str] = {name for name in self._members
                              if self._breaker_open(name)}
         unreachable: Set[str] = set()
-        if self._netfaulted() and not self.has_quorum():
+        if not self.has_quorum():
             unreachable = {name for name in self._members
                            if not self._reachable(name)}
         base: Set[str] = set(tried)
@@ -398,7 +390,7 @@ class FleetFrontDoor(OperationCore):
                 target = self._place(handle.request, tried)
                 if target is None:
                     self.rejected += 1
-                    if self._netfaulted() and not self.has_quorum():
+                    if not self.has_quorum():
                         self.minority_rejections += 1
                     raise FleetUnavailable(
                         f"no routable cluster for request "
@@ -482,8 +474,6 @@ class FleetFrontDoor(OperationCore):
 
     # -- gossip driving ------------------------------------------------------
     def _ensure_gossip_driver(self) -> None:
-        if self.mesh is None:
-            return
         if self._gossip_proc is not None and not self._gossip_proc.triggered:
             return
         self._gossip_proc = self.sim.process(
@@ -493,39 +483,33 @@ class FleetFrontDoor(OperationCore):
         """Run mesh rounds while any request is in flight; exit when the
         door goes quiescent (so ``sim.run()`` terminates).
 
-        Under netfaults each round is followed by a reconciliation pass,
-        and the driver outlives the last handle while fences are still
-        queued -- bounded by the plan's heal horizon plus the mesh's
-        convergence bound, so a never-healing plan cannot wedge the run.
+        Each round is followed by a reconciliation pass, and the driver
+        outlives the last handle while fences are still queued -- bounded
+        by the plan's heal horizon plus the mesh's convergence bound, so a
+        never-healing plan cannot wedge the run.
         """
         while self._driver_active():
             yield self.sim.timeout(self.gossip_period)
             self.mesh.run_round()
-            if self._netfaulted():
-                self._reconcile()
+            self.reconcile()
 
     def _driver_active(self) -> bool:
         if any(not h.done for h in self.handles):
             return True
-        if not self._netfaulted() or not self._pending_fences:
+        if not self._pending_fences:
             return False
         nf = self.mesh.netfaults
         limit = (nf.last_heal_round + self.mesh.suspect_rounds
                  + self.mesh.diameter() + 2)
         return self.mesh.rounds_run < limit
 
-    # -- anti-entropy reconciliation (netfault runs only) --------------------
+    # -- anti-entropy reconciliation ------------------------------------------
     def reconcile(self) -> None:
-        """Run one anti-entropy pass now (harnesses call this after
-        driving mesh rounds by hand; the gossip driver calls the same
-        pass after every round it runs). A no-op without netfaults."""
-        if self._netfaulted():
-            self._reconcile()
-
-    def _reconcile(self) -> None:
         """Post-round anti-entropy: deliver queued fences to reachable
         members, then fence + re-place in-flight attempts whose target
-        the (majority) view has held DOWN past the grace window."""
+        the (majority) view has held DOWN past the grace window. The
+        gossip driver runs it after every round; harnesses that drive
+        mesh rounds by hand call it themselves."""
         self._deliver_fences()
         now = self.sim.now
         fresh: Dict[tuple, float] = {}

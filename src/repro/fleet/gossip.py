@@ -27,21 +27,21 @@ synthesizes a versioned DOWN record for it (``suspect_down``), which then
 propagates like any other digest entry. A merely-slandered member keeps
 bumping its own version and out-gossips the rumor.
 
-Network weather comes from an optional
+Network weather comes from the mesh's
 :class:`~repro.cluster.faults.NetFaultInjector` (``mesh.netfaults``): a
 blocked edge or a lost digest is a missed contact (feeding the same
 suspicion path a crash does -- the listener cannot tell a partition from
 a death, by design), a delayed digest is this round's snapshot merged
 late, and a duplicated digest is merged twice (idempotent by the view's
-merge-by-version). Without an injector none of these hooks run, so
-fault-free meshes behave bit-identically to the pre-netfault build.
+merge-by-version). Every pull asks the injector; a mesh built without
+a plan carries the empty one, which blocks nothing and draws nothing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.faults import NetFaultInjector
+from repro.cluster.faults import NetFaultInjector, NetFaultPlan
 from repro.fleet.health import ClusterHealth, ClusterState
 
 __all__ = ["GossipMesh"]
@@ -58,7 +58,8 @@ class GossipMesh:
     * ``crashed`` -- truthy once the participant stops responding.
 
     Observers (the front door) join via :meth:`attach_observer`: they
-    merge and relay digests but never self-report.
+    merge and relay digests but never self-report. ``netfaults`` is the
+    mesh's network weather; None means the empty plan.
     """
 
     def __init__(self, members, shard_size: int = 4,
@@ -71,7 +72,7 @@ class GossipMesh:
                 f"suspect_rounds must be >= 1, got {suspect_rounds}")
         self.shard_size = shard_size
         self.suspect_rounds = suspect_rounds
-        self.netfaults = netfaults
+        self.netfaults = netfaults or NetFaultInjector(NetFaultPlan())
         self.rounds_run = 0
         #: in-flight delayed digests: (deliver_round, listener, snapshot)
         self._delayed: List[tuple] = []
@@ -182,12 +183,10 @@ class GossipMesh:
         news somewhere in the fleet (0 == quiescent *and* converged if
         nothing external changes)."""
         nf = self.netfaults
-        changed = 0
-        if nf is not None:
-            # round index is 0-based: the first round is round 0, so a
-            # plan with at_round=0 hits it
-            nf.begin_round(self.rounds_run)
-            changed += self._deliver_delayed(self.rounds_run)
+        # round index is 0-based: the first round is round 0, so a plan
+        # with at_round=0 hits it
+        nf.begin_round(self.rounds_run)
+        changed = self._deliver_delayed(self.rounds_run)
         self.rounds_run += 1
         participants = self._participants()
         crashed = {p.name for p in participants if self._is_crashed(p)}
@@ -205,31 +204,24 @@ class GossipMesh:
                 continue
             view = participant.view
             for peer_name in self._peers[listener]:
-                if peer_name in crashed:
+                if (peer_name in crashed
+                        or nf.edge_blocked(listener, peer_name)
+                        or nf.digest_lost(listener, peer_name)):
                     changed += self._note_missed(participant, peer_name)
                     continue
-                if nf is not None:
-                    if (nf.edge_blocked(listener, peer_name)
-                            or nf.digest_lost(listener, peer_name)):
-                        changed += self._note_missed(participant, peer_name)
-                        continue
-                    delay = nf.digest_delay(listener, peer_name)
-                    if delay:
-                        # contact made (counter resets), payload late:
-                        # this round's snapshot arrives `delay` rounds on
-                        missed[(listener, peer_name)] = 0
-                        self._delayed.append(
-                            (self.rounds_run - 1 + delay, listener,
-                             digests[peer_name]))
-                        continue
-                    missed[(listener, peer_name)] = 0
-                    changed += view.merge(digests[peer_name])
-                    if nf.digest_duplicated(listener, peer_name):
-                        # second merge must be a no-op (idempotence)
-                        changed += view.merge(digests[peer_name])
-                    continue
                 missed[(listener, peer_name)] = 0
+                delay = nf.digest_delay(listener, peer_name)
+                if delay:
+                    # contact made (counter reset), payload late: this
+                    # round's snapshot arrives `delay` rounds on
+                    self._delayed.append(
+                        (self.rounds_run - 1 + delay, listener,
+                         digests[peer_name]))
+                    continue
                 changed += view.merge(digests[peer_name])
+                if nf.digest_duplicated(listener, peer_name):
+                    # second merge must be a no-op (idempotence)
+                    changed += view.merge(digests[peer_name])
         return changed
 
     def _deliver_delayed(self, r: int) -> int:
@@ -251,10 +243,7 @@ class GossipMesh:
 
     def data_path_open(self, src: str, dst: str) -> bool:
         """Whether a direct send ``src -> dst`` (submission, fence) gets
-        through under the current round's network topology. Always True
-        without a netfault injector."""
-        if self.netfaults is None:
-            return True
+        through under the current round's network topology."""
         return self.netfaults.data_path_open(src, dst)
 
     def _note_missed(self, listener, peer_name: str) -> int:

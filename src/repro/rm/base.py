@@ -470,17 +470,27 @@ class ResourceManager:
     def launcher_executable(self) -> str:
         raise NotImplementedError
 
-    def launch_job(self, app: AppSpec, alloc: Allocation,
-                   being_debugged: bool = False,
-                   ) -> Generator[Any, Any, RMJob]:
-        """Launch ``app`` on ``alloc``; returns the job with MPIR published.
-
-        With ``being_debugged`` the launcher behaves as if
-        ``MPIR_being_debugged`` were set: it delivers debug events to its
-        tracer and stops at ``MPIR_Breakpoint`` once all tasks exist.
-        """
+    def create_launcher(self, app: AppSpec, alloc: Allocation,
+                        ) -> Generator[Any, Any, RMJob]:
+        """Fork the job's launcher process, stopped at entry."""
         raise NotImplementedError
         yield  # pragma: no cover
+
+    def run_launcher(self, job: RMJob) -> Generator[Any, Any, RMJob]:
+        """The launcher's body: start every task, publish MPIR."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def launch_job(self, app: AppSpec, alloc: Allocation,
+                   ) -> Generator[Any, Any, RMJob]:
+        """Launch ``app`` on ``alloc`` with no tracer attached: create the
+        launcher, resume it and run it; returns the job with MPIR
+        published. A tool that traces the launch (launchAndSpawn) drives
+        :meth:`create_launcher` and :meth:`run_launcher` itself."""
+        job = yield from self.create_launcher(app, alloc)
+        job.launcher.resume()
+        yield from self.run_launcher(job)
+        return job
 
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
                       context_factory: Callable[[LaunchedDaemon, Sequence[LaunchedDaemon]], Any],

@@ -90,14 +90,6 @@ class RshRM(ResourceManager):
         job.state = JobState.RUNNING
         return job
 
-    def launch_job(self, app: AppSpec, alloc: Allocation,
-                   being_debugged: bool = False,
-                   ) -> Generator[Any, Any, RMJob]:
-        job = yield from self.create_launcher(app, alloc)
-        job.launcher.resume()
-        yield from self.run_launcher(job)
-        return job
-
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
                       context_factory: Callable[..., Any],
                       topology=None) -> Generator[Any, Any, Any]:

@@ -193,17 +193,6 @@ class SlurmRM(ResourceManager):
         job.state = JobState.RUNNING
         return job
 
-    def launch_job(self, app: AppSpec, alloc: Allocation,
-                   being_debugged: bool = False,
-                   ) -> Generator[Any, Any, RMJob]:
-        """Convenience: create + run the launcher in one step (no tracer)."""
-        if being_debugged:
-            raise RMError("use create_launcher/run_launcher with a tracer")
-        job = yield from self.create_launcher(app, alloc)
-        job.launcher.resume()
-        yield from self.run_launcher(job)
-        return job
-
     # -- daemon launch ---------------------------------------------------------
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
                       context_factory: Callable[..., Any],

@@ -28,13 +28,6 @@ class TestForkExec:
         p2 = run_gen(sim, node.fork_exec("b"))
         assert p2.pid > p1.pid
 
-    def test_parent_child_links(self, sim):
-        node = Node(sim, "n0")
-        parent = run_gen(sim, node.fork_exec("srun"))
-        child = run_gen(sim, node.fork_exec("task", parent=parent))
-        assert child.parent is parent
-        assert child in parent.children
-
     def test_fork_limit_raises_eagain(self, sim):
         node = Node(sim, "n0", max_user_procs=3)
         for _ in range(3):

@@ -153,6 +153,26 @@ class TestAfterTheCrash:
         assert fleet.door.summary()["rejected"] == 1
         assert audit_fleet(fleet)["ok"]
 
+    def test_whole_fleet_down_is_a_minority_rejection(self):
+        """With every member crashed the door's view holds no majority,
+        so its rejection counts as a minority rejection too -- the quorum
+        rule runs in every fleet, not only under a netfault plan."""
+        env = make_fleet_env(n_clusters=3, nodes_per_cluster=4, seed=5)
+        fleet = env.fleet
+
+        def scenario():
+            for name in fleet.member_names:
+                fleet.crash(name)
+            handle = fleet.submit_launch(_app(), SPEC, tool_name="doomed")
+            yield from fleet.drain()
+            assert isinstance(handle.exception, FleetUnavailable)
+
+        drive(env, scenario())
+        summary = fleet.door.summary()
+        assert summary["rejected"] == 1
+        assert summary["minority_rejections"] == 1
+        assert env.sim.stats.events == 7
+
     def test_repeated_crashes_cascade_until_last_survivor(self):
         env = make_fleet_env(n_clusters=3, nodes_per_cluster=8,
                              shard_size=3, seed=11)

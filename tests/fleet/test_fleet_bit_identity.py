@@ -70,26 +70,32 @@ def test_fleet_of_one_fig6_point_is_exact(n_daemons):
 
 
 def test_empty_netfault_plan_is_inert():
-    """A fleet carrying the netfault and fencing machinery with an empty
-    plan serves a Poisson stream exactly like a fleet with no plan."""
+    """A fleet running the quorum rule, reconciliation and fencing under
+    an empty netfault plan serves a Poisson stream exactly as pinned.
 
-    def run(plan):
-        env = make_fleet_env(n_clusters=4, nodes_per_cluster=8,
-                             shard_size=2, net_fault_plan=plan, seed=7)
-        fleet = env.fleet
-        app = make_compute_app(n_tasks=8, tasks_per_node=4)
-        spec = DaemonSpec("inert_fleet_be", main=minimal_daemon,
-                          image_mb=1.0)
-        rng = SeededRNG(7, "inert")
+    The pinned values were captured from a build that ran that machinery
+    only when a plan was attached, so they hold a fault-free fleet's run
+    to what it was before every fleet ran it."""
+    env = make_fleet_env(n_clusters=4, nodes_per_cluster=8, shard_size=2,
+                         net_fault_plan=NetFaultPlan(), seed=7)
+    fleet = env.fleet
+    app = make_compute_app(n_tasks=8, tasks_per_node=4)
+    spec = DaemonSpec("inert_fleet_be", main=minimal_daemon, image_mb=1.0)
+    rng = SeededRNG(7, "inert")
 
-        def driver():
-            for i in range(12):
-                fleet.submit_launch(app, spec, tool_name=f"user{i:03d}",
-                                    body=_hold_and_detach)
-                yield env.sim.timeout(rng.expovariate(8.0))
-            yield from fleet.drain()
+    def driver():
+        for i in range(12):
+            fleet.submit_launch(app, spec, tool_name=f"user{i:03d}",
+                                body=_hold_and_detach)
+            yield env.sim.timeout(rng.expovariate(8.0))
+        yield from fleet.drain()
 
-        drive(env, driver())
-        return fleet.door.summary(), env.sim.stats.events
-
-    assert run(NetFaultPlan()) == run(None)
+    drive(env, driver())
+    summary = fleet.door.summary()
+    assert summary["completed"] == 12
+    assert summary["served_by"] == {"c0": 4, "c1": 3, "c2": 2, "c3": 3}
+    for counter in ("rejected", "failovers", "abandoned",
+                    "minority_rejections", "breaker_trips",
+                    "pending_fences", "readmissions"):
+        assert summary[counter] == 0, counter
+    assert env.sim.stats.events == 2859

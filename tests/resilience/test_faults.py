@@ -6,6 +6,7 @@ from repro.cluster import (
     Cluster,
     ClusterSpec,
     FaultPlan,
+    FaultStats,
     FsStall,
     LinkFlap,
     NodeCrash,
@@ -13,7 +14,7 @@ from repro.cluster import (
     Straggler,
 )
 from repro.launch import LaunchRequest, get_strategy
-from repro.simx import Simulator
+from repro.simx import SeededRNG, Simulator
 from tests.conftest import run_gen
 
 
@@ -73,10 +74,24 @@ class TestNodeFailure:
 
 
 class TestFaultInjector:
-    def test_no_plan_means_no_injector(self, sim):
+    def test_no_plan_gives_an_inert_injector(self, sim, monkeypatch):
+        seeded = []
+        seed = SeededRNG._seeded
+        monkeypatch.setattr(SeededRNG, "_seeded",
+                            lambda rng: seeded.append(rng.path) or seed(rng))
         cluster = _cluster(sim)
-        assert cluster.faults is None
-        assert cluster.fs.faults is None
+        faults = cluster.faults
+        assert faults.plan.empty and faults.armed
+        # an image read through the shared FS, then an rsh launch
+        run_gen(sim, cluster.fs.load_image(1.0))
+        res = run_gen(sim, get_strategy("serial-rsh").launch(
+            _request(cluster, cluster.compute)))
+        sim.run()
+        assert res.report.n_failed == 0
+        assert not any(node.failed for node in cluster.nodes)
+        assert faults.stats == FaultStats()
+        assert faults.log == []
+        assert seeded and "faults" not in seeded
 
     def test_scheduled_crash_fires(self, sim):
         plan = FaultPlan(node_crashes=(NodeCrash(node=1, at=2.0),))
