@@ -100,6 +100,9 @@ __all__ = [
     "NetLinkDown",
     "NetPartition",
     "NodeCrash",
+    "PULL_DUPLICATED",
+    "PULL_MISSED",
+    "PULL_ON_TIME",
     "Straggler",
 ]
 
@@ -164,12 +167,6 @@ class FaultPlan:
     #: crash times for the random face, uniform in this window
     crash_window: tuple = (0.0, 10.0)
     auto_arm: bool = True
-
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules nothing at all."""
-        return not (self.node_crashes or self.stragglers or self.link_flaps
-                    or self.fs_stalls or self.crash_rate > 0.0)
 
 
 @dataclass
@@ -400,12 +397,6 @@ class NetFaultPlan:
     dups: tuple = ()
 
     @property
-    def empty(self) -> bool:
-        """True when the plan schedules nothing at all."""
-        return not (self.partitions or self.link_downs or self.flaps
-                    or self.losses or self.delays or self.dups)
-
-    @property
     def last_heal_round(self) -> int:
         """Largest finite heal round in the plan (0 when none).
 
@@ -436,14 +427,22 @@ class NetFaultStats:
     data_sends_blocked: int = 0
 
 
+#: :meth:`NetFaultInjector.pull` verdicts; a positive verdict is a delay
+#: in rounds
+PULL_ON_TIME = 0
+PULL_MISSED = -1
+PULL_DUPLICATED = -2
+
+
 class NetFaultInjector:
     """Per-round verdicts for a :class:`NetFaultPlan`.
 
     Attached to a :class:`~repro.fleet.gossip.GossipMesh`
     (``mesh.netfaults``; the empty plan when none is set). The mesh calls
-    :meth:`begin_round` once per gossip round, then consults
-    :meth:`edge_blocked` / :meth:`digest_lost` / :meth:`digest_delay` /
-    :meth:`digest_duplicated` per pull edge; the front door consults
+    :meth:`begin_round` once per gossip round, then :meth:`pull` once per
+    pull edge -- the verdicts of :meth:`edge_blocked`,
+    :meth:`digest_lost`, :meth:`digest_delay` and
+    :meth:`digest_duplicated` in one call; the front door consults
     :meth:`data_path_open` before every direct send (submission, fence
     delivery).
 
@@ -463,6 +462,8 @@ class NetFaultInjector:
         self.round = 0
         #: directed pairs (src, dst) blocked during the current round
         self._blocked: frozenset = frozenset()
+        #: whether the plan has message weather (loss, delay, dup) at all
+        self._weather = bool(plan.losses or plan.delays or plan.dups)
         self._rebuild_blocked()
 
     # -- round clock -------------------------------------------------------
@@ -513,6 +514,29 @@ class NetFaultInjector:
             self.log.append((self.round, "send-blocked", f"{src}->{dst}"))
             return False
         return True
+
+    def pull(self, listener: str, peer: str) -> int:
+        """This round's whole verdict on the digest pull ``peer ->
+        listener``: :data:`PULL_MISSED` (blocked or lost), a delay in
+        rounds, :data:`PULL_DUPLICATED` or :data:`PULL_ON_TIME`.
+
+        Decides, draws, counts and logs exactly as :meth:`edge_blocked`,
+        :meth:`digest_lost` and :meth:`digest_delay` in turn, each only
+        if the ones before let the pull through, and then, for an
+        on-time pull, :meth:`digest_duplicated`. A round with no blocked
+        edge under a plan without weather answers at once.
+        """
+        if not (self._blocked or self._weather):
+            return PULL_ON_TIME
+        if (self.edge_blocked(listener, peer)
+                or self.digest_lost(listener, peer)):
+            return PULL_MISSED
+        delay = self.digest_delay(listener, peer)
+        if delay:
+            return delay
+        if self.digest_duplicated(listener, peer):
+            return PULL_DUPLICATED
+        return PULL_ON_TIME
 
     # -- message weather (seeded RNG, one draw per active rule) -----------
     def _window_active(self, window: tuple) -> bool:

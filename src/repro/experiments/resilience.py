@@ -232,6 +232,8 @@ def _res_block(strategy: str, n: int, fault_rates: tuple,
                 "n_failed": cell["n_failed"],
                 "n_retried": cell["n_retried"],
                 "t_attach": cell["t_attach"],
+                # JSON only: the table prints the columns above
+                "fault_stats": cell["fault_stats"],
             })
     return rows
 

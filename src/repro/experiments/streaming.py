@@ -77,8 +77,8 @@ def synthetic_aggregate_payload(filter_name: str, lo: int, hi: int,
     payload the collapsed subtree's router would have produced, so the
     root's delivered waves and final state stay *bit-exact* while the
     span's leaves are never simulated. Filters without a closed form fall
-    back to materializing the span's payloads and running the filter's
-    own reduce -- still exact, but linear in span size.
+    back to folding the span's payloads one by one through the filter's
+    own merge -- still exact, but linear in span size.
     """
     span = hi - lo
     if filter_name == "histogram":
@@ -103,11 +103,8 @@ def synthetic_aggregate_payload(filter_name: str, lo: int, hi: int,
         return items[:k]
     if filter_name == "ewma":
         return span  # the span's per-wave sum of 1s
-    filt = make_filter(filter_name, **dict(filter_params))
-    merged, _ = filt.reduce(
-        [synthetic_payload(filter_name, p, wave) for p in range(lo, hi)],
-        filt.initial_state())
-    return merged
+    return make_filter(filter_name, **dict(filter_params)).merge(
+        synthetic_payload(filter_name, p, wave) for p in range(lo, hi))
 
 
 def _build_overlay(n_leaves: int, fanout: int, seed: int, plan=None):

@@ -33,15 +33,22 @@ blocked edge or a lost digest is a missed contact (feeding the same
 suspicion path a crash does -- the listener cannot tell a partition from
 a death, by design), a delayed digest is this round's snapshot merged
 late, and a duplicated digest is merged twice (idempotent by the view's
-merge-by-version). Every pull asks the injector; a mesh built without
-a plan carries the empty one, which blocks nothing and draws nothing.
+merge-by-version). Every pull asks the injector once
+(:meth:`~repro.cluster.faults.NetFaultInjector.pull`); a mesh built
+without a plan carries the empty one, which blocks nothing and draws
+nothing.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.faults import NetFaultInjector, NetFaultPlan
+from repro.cluster.faults import (
+    PULL_DUPLICATED,
+    PULL_MISSED,
+    NetFaultInjector,
+    NetFaultPlan,
+)
 from repro.fleet.health import ClusterHealth, ClusterState
 
 __all__ = ["GossipMesh"]
@@ -204,22 +211,21 @@ class GossipMesh:
                 continue
             view = participant.view
             for peer_name in self._peers[listener]:
-                if (peer_name in crashed
-                        or nf.edge_blocked(listener, peer_name)
-                        or nf.digest_lost(listener, peer_name)):
+                verdict = (PULL_MISSED if peer_name in crashed
+                           else nf.pull(listener, peer_name))
+                if verdict == PULL_MISSED:
                     changed += self._note_missed(participant, peer_name)
                     continue
                 missed[(listener, peer_name)] = 0
-                delay = nf.digest_delay(listener, peer_name)
-                if delay:
+                if verdict > 0:
                     # contact made (counter reset), payload late: this
-                    # round's snapshot arrives `delay` rounds on
+                    # round's snapshot arrives `verdict` rounds on
                     self._delayed.append(
-                        (self.rounds_run - 1 + delay, listener,
+                        (self.rounds_run - 1 + verdict, listener,
                          digests[peer_name]))
                     continue
                 changed += view.merge(digests[peer_name])
-                if nf.digest_duplicated(listener, peer_name):
+                if verdict == PULL_DUPLICATED:
                     # second merge must be a no-op (idempotence)
                     changed += view.merge(digests[peer_name])
         return changed

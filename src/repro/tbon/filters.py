@@ -1,16 +1,34 @@
-"""TBON reduction filters: stateless wave reducers and stateful stream filters.
+"""TBON reduction filters: incremental wave folds and stateful stream filters.
 
-A filter reduces the payloads of one wave's child packets (plus the local
-contribution, if any) into a single upstream payload. Filters are
-registered by name so topologies/streams can reference them portably --
-mirroring MRNet's filter-id mechanism.
+A filter reduces the payloads of one wave's child packets into a single
+upstream payload. Filters are registered by name so topologies/streams
+can reference them portably -- mirroring MRNet's filter-id mechanism.
+One registry of factories serves one-shot waves and persistent streams
+alike: ``make_filter(name, window=..., **params)`` returns a
+:class:`Filter`.
 
-One registry of factories serves both uses: ``make_filter(name,
-window=..., **params)`` returns a :class:`Filter`. One-shot wave
-reductions call its ``merge(payloads)``, a single-wave merge with no
-state; persistent streams (:meth:`repro.tbon.Overlay.open_stream`) call
-``reduce(payloads, state)``, which both merges one wave *and* folds it
-into per-position running state.
+Fold contract: a router never buffers a wave's payloads. It folds each
+one into the wave's accumulator as it arrives, and until the last child
+has contributed it holds that running merge, a count and a weight. Every
+filter therefore has three methods:
+
+* ``start()`` -- a fresh, empty accumulator, owned by the router;
+* ``fold(acc, payload)`` -- the accumulator with one more payload folded
+  in (often ``acc`` itself, updated in place). A fold never writes into
+  ``payload``: a hybrid aggregate's payload shares one run list across
+  its nodes, and a merged payload may also be its sender's filter state;
+* ``finish(acc)`` -- the merged upstream payload. The router calls it
+  once and drops the accumulator, so it may hand out parts of ``acc``.
+
+``merge(payloads)`` is ``finish`` of the ``fold`` of ``payloads``, in
+order, over ``start()``: there is no second, batch merge. It equals the
+batch merge of the same list under ``==`` -- a sum adds in arrival order
+starting from ``0``, ``max`` keeps the first maximal payload, ``concat``
+keeps arrival order -- and ``tests/tbon/test_fold_oracle.py`` holds every
+registered filter to that. A persistent stream
+(:meth:`repro.tbon.Overlay.open_stream`) also folds each finished wave
+into per-position running state with ``update(state, merged)``;
+``reduce(payloads, state)`` is ``merge`` followed by ``update``.
 
 Algebraic contract (the executable spec lives in
 ``tests/tbon/test_filter_properties.py``): the per-wave merge of every
@@ -38,7 +56,7 @@ Built-in filters and their MRNet/paper correspondence:
 ``prefix_tree_merge``  STAT's call-graph prefix-tree union, promoted here
                     from ``repro.tools.stat_tool`` (pure dict merge, no
                     tool import needed): every node's rank set is a
-                    sorted run list, merged by :func:`union_runs`
+                    sorted run list, each payload run added by bisection
 ==================  ====================================================
 
 STAT rank sets live here too, because the TBON layer merges them without
@@ -52,17 +70,19 @@ value type the tool hands to callers.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import add
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Filter",
     "RankRuns",
     "StatelessFilter",
     "add_rank",
+    "add_run",
     "make_filter",
     "register_stream_filter",
     "stream_filter_names",
@@ -70,7 +90,7 @@ __all__ = [
     "union_runs",
 ]
 
-FilterFn = Callable[[Sequence[Any]], Any]
+FoldFn = Callable[[Any, Any], Any]
 
 #: filter factories: name -> factory(window=..., **params) -> Filter
 STREAM_FILTER_REGISTRY: dict[str, Callable[..., "Filter"]] = {}
@@ -103,73 +123,112 @@ def make_filter(name: str, window: int = 0, **params: Any) -> "Filter":
 
 
 class Filter:
-    """A TBON filter.
+    """A TBON filter: an incremental fold over one wave's payloads.
 
-    ``merge(payloads)`` reduces one wave's child payloads into the
-    upstream payload. ``reduce(payloads, state)`` does the same and folds
-    the merge into ``state`` (created by :meth:`initial_state`; one state
-    lives per (stream, position), passed back in on every wave). The
-    merge MUST be associative and commutative -- that is what makes the
-    root's result independent of tree shape and arrival order. Instances
-    carry no per-position data themselves, so one instance can serve a
-    whole stream.
+    ``start``/``fold``/``finish`` are the fold (see the module
+    docstring's contract); ``merge`` and ``reduce`` are built on them.
+    ``update(state, merged)`` folds one finished wave into a position's
+    running state (created by :meth:`initial_state`; one lives per
+    (stream, position) and is passed back in on every wave). The merge
+    MUST be associative and commutative -- that is what makes the root's
+    result independent of tree shape and arrival order. Instances carry
+    no per-wave or per-position data themselves, so one instance can
+    serve a whole stream.
     """
 
     name = "?"
 
+    def start(self) -> Any:
+        """A fresh accumulator for one wave."""
+        raise NotImplementedError
+
+    def fold(self, acc: Any, payload: Any) -> Any:
+        """``acc`` with ``payload`` folded in; ``payload`` is not written."""
+        raise NotImplementedError
+
+    def finish(self, acc: Any) -> Any:
+        """The merged payload an accumulator stands for."""
+        return acc
+
     def initial_state(self) -> Any:
         return None
 
-    def merge(self, payloads: Sequence[Any]) -> Any:
-        raise NotImplementedError
+    def update(self, state: Any, merged: Any) -> Any:
+        """``state`` with one finished wave folded in (no state: as is)."""
+        return state
 
-    def reduce(self, payloads: Sequence[Any],
+    def merge(self, payloads: Iterable[Any]) -> Any:
+        """One wave's merge: fold every payload, in order, then finish."""
+        acc = self.start()
+        for payload in payloads:
+            acc = self.fold(acc, payload)
+        return self.finish(acc)
+
+    def reduce(self, payloads: Iterable[Any],
                state: Any) -> tuple[Any, Any]:
-        raise NotImplementedError
+        """Merge one wave and fold it into ``state``."""
+        merged = self.merge(payloads)
+        return merged, self.update(state, merged)
+
+
+#: the accumulator of a fold that starts from its first payload, until
+#: that payload arrives
+_NOTHING = object()
 
 
 class StatelessFilter(Filter):
-    """A filter with no state: every wave is just ``fn(payloads)``."""
+    """A filter with no state, given by a binary fold ``fn(acc, payload)``.
 
-    def __init__(self, name: str, fn: FilterFn, window: int = 0,
-                 **params: Any):
+    ``start`` makes the empty accumulator (``int`` for a sum from 0,
+    ``list`` for a concatenation). Without it the first payload starts
+    the fold, so ``fn`` must then leave its ``acc`` unchanged and return
+    a new value or one of its arguments, as ``max`` and ``min`` do.
+    """
+
+    def __init__(self, name: str, fn: FoldFn,
+                 start: Optional[Callable[[], Any]] = None,
+                 window: int = 0, **params: Any):
         if params:
             raise KeyError(f"TBON filter {name!r} is stateless; it takes "
                            f"no parameters {sorted(params)}")
         self.name = name
         self.fn = fn
+        self._start = start
 
-    def merge(self, payloads: Sequence[Any]) -> Any:
-        return self.fn(payloads)
+    def start(self) -> Any:
+        return _NOTHING if self._start is None else self._start()
 
-    def reduce(self, payloads: Sequence[Any],
-               state: Any) -> tuple[Any, Any]:
-        return self.fn(payloads), state
+    def fold(self, acc: Any, payload: Any) -> Any:
+        return payload if acc is _NOTHING else self.fn(acc, payload)
+
+    def finish(self, acc: Any) -> Any:
+        if acc is _NOTHING:
+            raise ValueError(f"TBON filter {self.name!r} has no payload "
+                             f"to start its fold from")
+        return acc
 
 
 # -- stateless built-in filters ----------------------------------------------
 
-def _concat(payloads: Sequence[Any]) -> Any:
-    """Waitforall concatenation: list of all child payloads (no reduction)."""
-    out: list = []
-    for p in payloads:
-        if isinstance(p, list):
-            out.extend(p)
-        else:
-            out.append(p)
-    return out
+def _concat(acc: list, payload: Any) -> list:
+    """Waitforall concatenation: a list payload contributes its items, any
+    other payload itself, in arrival order (no reduction)."""
+    if isinstance(payload, list):
+        acc.extend(payload)
+    else:
+        acc.append(payload)
+    return acc
 
 
-def _sum(payloads: Sequence[Any]) -> Any:
-    return sum(payloads)
+def _max(acc: Any, payload: Any) -> Any:
+    # only a strictly greater payload replaces the running maximum, so
+    # the first maximal payload wins, as with max()
+    return payload if payload > acc else acc
 
 
-def _max(payloads: Sequence[Any]) -> Any:
-    return max(payloads)
-
-
-register_stream_filter("concat", partial(StatelessFilter, "concat", _concat))
-register_stream_filter("sum", partial(StatelessFilter, "sum", _sum))
+register_stream_filter("concat", partial(StatelessFilter, "concat",
+                                         _concat, list))
+register_stream_filter("sum", partial(StatelessFilter, "sum", add, int))
 register_stream_filter("max", partial(StatelessFilter, "max", _max))
 
 
@@ -179,10 +238,11 @@ class RunningHistogramFilter(Filter):
     """Pointwise-summed histograms with a running windowed total.
 
     Wave payloads are ``{bin: count}`` dicts; the merge is a pointwise sum
-    over all children (associative, commutative). ``state["running"]`` is
-    the pointwise sum of the last ``window`` merged waves (all waves when
-    ``window=0``) -- at the root that is the windowed histogram of every
-    leaf sample in flight-order-independent form.
+    over all children (associative, commutative), its bins ordered by
+    name. ``state["running"]`` is the pointwise sum of the last
+    ``window`` merged waves (all waves when ``window=0``) -- at the root
+    that is the windowed histogram of every leaf sample in
+    flight-order-independent form.
     """
 
     name = "histogram"
@@ -193,28 +253,27 @@ class RunningHistogramFilter(Filter):
     def initial_state(self) -> dict:
         return {"waves": [], "running": {}}
 
-    @staticmethod
-    def merge(payloads: Sequence[dict]) -> dict:
-        out: dict = {}
-        for p in payloads:
-            for b, c in p.items():
-                out[b] = out.get(b, 0) + c
-        return dict(sorted(out.items(), key=lambda kv: str(kv[0])))
+    def start(self) -> dict:
+        return {}
 
-    def reduce(self, payloads: Sequence[dict],
-               state: dict) -> tuple[dict, dict]:
-        merged = self.merge(payloads)
+    def fold(self, acc: dict, payload: dict) -> dict:
+        for b, c in payload.items():
+            acc[b] = acc.get(b, 0) + c
+        return acc
+
+    def finish(self, acc: dict) -> dict:
+        return dict(sorted(acc.items(), key=lambda kv: str(kv[0])))
+
+    def update(self, state: dict, merged: dict) -> dict:
         state["waves"].append(merged)
-        running = state["running"]
-        for b, c in merged.items():
-            running[b] = running.get(b, 0) + c
+        running = self.fold(state["running"], merged)
         if self.window and len(state["waves"]) > self.window:
             evicted = state["waves"].pop(0)
             for b, c in evicted.items():
                 running[b] -= c
                 if not running[b]:
                     del running[b]
-        return merged, state
+        return state
 
 
 class TopKFilter(Filter):
@@ -225,8 +284,9 @@ class TopKFilter(Filter):
     truncated merge exact: if an item belongs to the global top-k, fewer
     than k items beat it in any subtree, so its best instance survives
     every intermediate truncation (the associativity argument the property
-    tests pin down). ``state["running"]`` is the top-k over the last
-    ``window`` waves.
+    tests pin down). The fold keeps every key's best item, and only the
+    finish ranks and truncates. ``state["running"]`` is the top-k over the
+    last ``window`` waves.
     """
 
     name = "top_k"
@@ -240,36 +300,40 @@ class TopKFilter(Filter):
     def initial_state(self) -> dict:
         return {"waves": [], "running": []}
 
-    def merge(self, payloads: Sequence[list]) -> list:
-        best: dict = {}
-        for p in payloads:
-            for value, key in p:
-                kk = key if isinstance(key, (str, int, float, bool)) \
-                    else repr(key)
-                if kk not in best or value > best[kk][0]:
-                    best[kk] = [value, key]
-        ranked = sorted(best.values(), key=lambda it: (-it[0], str(it[1])))
-        return [list(it) for it in ranked[:self.k]]
+    def start(self) -> dict:
+        return {}
 
-    def reduce(self, payloads: Sequence[list],
-               state: dict) -> tuple[list, dict]:
-        merged = self.merge(payloads)
+    def fold(self, acc: dict, payload: list) -> dict:
+        for value, key in payload:
+            kk = key if isinstance(key, (str, int, float, bool)) \
+                else repr(key)
+            best = acc.get(kk)
+            if best is None or value > best[0]:
+                acc[kk] = [value, key]  # a new item: never the payload's
+        return acc
+
+    def finish(self, acc: dict) -> list:
+        ranked = sorted(acc.values(), key=lambda it: (-it[0], str(it[1])))
+        return ranked[:self.k]
+
+    def update(self, state: dict, merged: list) -> dict:
         state["waves"].append(merged)
         if self.window and len(state["waves"]) > self.window:
             state["waves"].pop(0)
         state["running"] = self.merge(state["waves"])
-        return merged, state
+        return state
 
 
 class EwmaRateFilter(Filter):
     """Per-wave aggregate sum with an EWMA rate estimate in state.
 
-    Wave payloads are numbers; the merge is their sum (associative,
-    commutative -- exactly so for ints, to float tolerance otherwise).
-    ``state["ewma"]`` tracks ``alpha * wave + (1-alpha) * ewma`` over this
-    position's subtree aggregates; ``state["last"]`` and ``state["waves"]``
-    expose the raw series tail for rate computations. ``window`` bounds the
-    retained raw series (the EWMA itself needs no window).
+    Wave payloads are numbers; the merge is their sum from ``0``, in
+    arrival order (associative, commutative -- exactly so for ints, to
+    float tolerance otherwise). ``state["ewma"]`` tracks ``alpha * wave +
+    (1-alpha) * ewma`` over this position's subtree aggregates;
+    ``state["last"]`` and ``state["waves"]`` expose the raw series tail
+    for rate computations. ``window`` bounds the retained raw series (the
+    EWMA itself needs no window).
     """
 
     name = "ewma"
@@ -283,12 +347,13 @@ class EwmaRateFilter(Filter):
     def initial_state(self) -> dict:
         return {"waves": [], "ewma": None, "last": None, "n_waves": 0}
 
-    def merge(self, payloads: Sequence[float]) -> float:
-        return sum(payloads)
+    def start(self) -> int:
+        return 0
 
-    def reduce(self, payloads: Sequence[float],
-               state: dict) -> tuple[float, dict]:
-        total = self.merge(payloads)
+    def fold(self, acc: float, payload: float) -> float:
+        return acc + payload
+
+    def update(self, state: dict, total: float) -> dict:
         prev = state["ewma"]
         state["ewma"] = total if prev is None else (
             self.alpha * total + (1.0 - self.alpha) * prev)
@@ -297,7 +362,7 @@ class EwmaRateFilter(Filter):
         state["waves"].append(total)
         if self.window and len(state["waves"]) > self.window:
             state["waves"].pop(0)
-        return total, state
+        return state
 
 
 # -- STAT rank runs -----------------------------------------------------------
@@ -340,21 +405,24 @@ def subtract_runs(runs: Sequence[int], minus: Sequence[int]) -> list[int]:
     return out
 
 
+def add_run(runs: list[int], lo: int, hi: int) -> None:
+    """Insert the run ``[lo, hi)`` into the run list ``runs`` in place,
+    joined with every run it overlaps or touches: two bisections and one
+    slice assignment."""
+    i = bisect_left(runs, lo)
+    j = bisect_right(runs, hi, i)
+    if i % 2:  # lo lies inside a run or at its end: start there
+        i -= 1
+        lo = runs[i]
+    if j % 2:  # hi lies inside a run or at its start: end where it does
+        hi = runs[j]
+        j += 1
+    runs[i:j] = (lo, hi)
+
+
 def add_rank(runs: list[int], rank: int) -> None:
     """Insert ``rank`` into the run list ``runs`` in place."""
-    i = bisect_right(runs, rank)
-    if i % 2:
-        return  # already inside [runs[i-1], runs[i])
-    joins_left = i > 0 and runs[i - 1] == rank
-    joins_right = i < len(runs) and runs[i] == rank + 1
-    if joins_left and joins_right:
-        del runs[i - 1:i + 1]
-    elif joins_left:
-        runs[i - 1] = rank + 1
-    elif joins_right:
-        runs[i] = rank
-    else:
-        runs[i:i] = (rank, rank + 1)
+    add_run(runs, rank, rank + 1)
 
 
 class RankRuns(Set):
@@ -399,38 +467,48 @@ class RankRuns(Set):
         return f"RankRuns({list(self.runs)})"
 
 
-def _merge_tree_nodes(nodes: Sequence[dict]) -> dict:
-    """Pointwise union of prefix-tree wire nodes (``{"r": runs, "c": {}}``)."""
-    children: dict = {}
-    for n in nodes:
-        for frame, child in n["c"].items():
-            children.setdefault(frame, []).append(child)
-    return {"r": union_runs([n["r"] for n in nodes]),
-            "c": {f: _merge_tree_nodes(children[f]) for f in sorted(children)}}
+# The recursive walks are module-level: a nested def that calls itself
+# closes over its own name, a cycle only the cyclic collector frees.
+
+def _fold_tree_node(acc: dict, node: dict) -> None:
+    """Union the wire node ``node`` (``{"r": runs, "c": {frame: node}}``)
+    into the router-owned node ``acc``: each run goes in by bisection,
+    each child into ``acc``'s child of the same frame, made empty on
+    first sight. Nothing of ``node`` is written or kept."""
+    runs = acc["r"]
+    theirs = node["r"]
+    for i in range(0, len(theirs), 2):
+        add_run(runs, theirs[i], theirs[i + 1])
+    children = acc["c"]
+    for frame, child in node["c"].items():
+        mine = children.get(frame)
+        if mine is None:
+            mine = children[frame] = {"r": [], "c": {}}
+        _fold_tree_node(mine, child)
 
 
-def prefix_tree_merge(payloads: Sequence[dict]) -> dict:
-    """Merge prefix-tree payloads (``PrefixTree.to_dict`` wire form).
-
-    Promoted from ``repro.tools.stat_tool.prefix_tree``: the union is
-    computed directly on the JSON-able dicts, equal to round-tripping
-    through :class:`~repro.tools.stat_tool.PrefixTree` (both call
-    :func:`union_runs`), so the TBON layer needs no tool import.
-    """
-    return {"tree": _merge_tree_nodes([p["tree"] for p in payloads]),
-            "n": sum(p.get("n", 0) for p in payloads)}
+def _finish_tree_node(node: dict) -> dict:
+    """A folded node in wire form, its children in frame order."""
+    children = node["c"]
+    return {"r": node["r"],
+            "c": {f: _finish_tree_node(children[f])
+                  for f in sorted(children)}}
 
 
 class PrefixTreeMergeFilter(Filter):
     """STAT's call-graph union as a stream filter with a windowed view.
 
-    The merge is a pointwise union of rank runs -- associative,
-    commutative and idempotent -- so any tree shape reduces losslessly.
+    Payloads are ``PrefixTree.to_dict`` wire dicts; the union is computed
+    on them directly, equal to round-tripping through
+    :class:`~repro.tools.stat_tool.PrefixTree`, so the TBON layer needs no
+    tool import. The merge is a pointwise union of rank runs --
+    associative, commutative and idempotent -- so any tree shape reduces
+    losslessly. The accumulator is a tree of the router's own nodes,
+    shaped like the payloads, with ``"n"`` the summed sample count.
     ``state["running"]`` unions the last ``window`` merged waves.
     """
 
     name = "prefix_tree_merge"
-    merge = staticmethod(prefix_tree_merge)
 
     def __init__(self, window: int = 0):
         self.window = max(0, int(window))
@@ -438,19 +516,29 @@ class PrefixTreeMergeFilter(Filter):
     def initial_state(self) -> dict:
         return {"waves": [], "running": None}
 
-    def reduce(self, payloads: Sequence[dict],
-               state: dict) -> tuple[dict, dict]:
-        merged = prefix_tree_merge(payloads)
-        state["waves"].append(merged)
+    def start(self) -> dict:
+        return {"tree": {"r": [], "c": {}}, "n": 0}
+
+    def fold(self, acc: dict, payload: dict) -> dict:
+        _fold_tree_node(acc["tree"], payload["tree"])
+        acc["n"] += payload.get("n", 0)
+        return acc
+
+    def finish(self, acc: dict) -> dict:
+        return {"tree": _finish_tree_node(acc["tree"]), "n": acc["n"]}
+
+    def update(self, state: dict, merged: dict) -> dict:
+        waves = state["waves"]
+        waves.append(merged)
         if self.window:
-            if len(state["waves"]) > self.window:
-                state["waves"].pop(0)
-            state["running"] = prefix_tree_merge(state["waves"])
+            if len(waves) > self.window:
+                waves.pop(0)
+            state["running"] = self.merge(waves)
         else:
-            state["running"] = (merged if state["running"] is None
-                                else prefix_tree_merge(
-                                    [state["running"], merged]))
-        return merged, state
+            running = state["running"]
+            state["running"] = (merged if running is None
+                                else self.merge((running, merged)))
+        return state
 
 
 register_stream_filter("histogram", RunningHistogramFilter)

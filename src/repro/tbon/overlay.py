@@ -4,9 +4,11 @@ Structure: every position owns one upstream inbox (a Store its children
 send into through latency-modelled channels) and one downstream channel per
 child. Internal positions run a router process that
 
-* collects one packet per child (+ its own contribution slot) for each
-  ``(stream, wave)``, applies the stream's filter, and forwards the merged
-  packet upward;
+* folds each child's packet for a ``(stream, wave)`` into that wave's
+  running merge as it arrives (the fold contract of
+  :mod:`repro.tbon.filters`), so it holds no contribution it has folded,
+  and once every child has contributed forwards the merged packet
+  upward;
 * fans every downstream packet out to all children.
 
 The root's merged packets land in a delivery store the front-end endpoint
@@ -20,9 +22,10 @@ Section 3.4 exists to carry) need *streams*: :meth:`Overlay.open_stream`
 turns a :class:`StreamSpec` with a ``credit_limit`` into a :class:`Stream`
 -- a multi-wave pipeline with its own routing plane in which
 
-* every internal position applies a **stateful**
-  :class:`~repro.tbon.filters.Filter` (``reduce(payloads, state)``), so
-  each level holds a live windowed view of its subtree;
+* every internal position folds its children's payloads like a one-shot
+  router, then folds each merged wave into a **stateful**
+  :class:`~repro.tbon.filters.Filter`'s state (``update(state,
+  merged)``), so each level holds a live windowed view of its subtree;
 * every hop is **credit-gated** (:class:`~repro.tbon.flow.BoundedInbox`):
   inbox depth never exceeds the credit limit and a slow consumer
   backpressures publishers instead of queueing unboundedly;
@@ -58,7 +61,7 @@ from typing import Any, Generator, Optional
 from repro.simx import Channel, Event, Simulator, Store
 from repro.cluster import Node
 from repro.cluster.network import Network
-from repro.tbon.filters import make_filter
+from repro.tbon.filters import Filter, make_filter
 from repro.tbon.flow import (
     BoundedInbox,
     FlowStats,
@@ -158,6 +161,38 @@ class OverlayEndpoint:
             raise RuntimeError("collect_wave only at the root position")
         pkt = yield self.overlay.root_delivery.get()
         return pkt
+
+
+def _pump(chan: Channel, inbox: Store):
+    """Forward one child's up channel into its parent's inbox, forever.
+
+    The forwarded item lives only on the generator's stack between the
+    two yields, so a pump waiting for its next item holds none it sent.
+    """
+    while True:
+        yield inbox.put((yield chan.recv()))
+
+
+class _WaveFold:
+    """One wave's running merge at one router: the filter's accumulator,
+    the contributions folded into it and the physical messages they
+    stand in for -- never the contributions themselves."""
+
+    __slots__ = ("filter", "acc", "n", "weight")
+
+    def __init__(self, filt: Filter):
+        self.filter = filt
+        self.acc = filt.start()
+        self.n = 0
+        self.weight = 0
+
+    def add(self, payload: Any, weight: int) -> None:
+        self.acc = self.filter.fold(self.acc, payload)
+        self.n += 1
+        self.weight += weight
+
+    def finish(self) -> Any:
+        return self.filter.finish(self.acc)
 
 
 class Overlay:
@@ -347,45 +382,40 @@ class Overlay:
             inbox = Store(self.sim)
             self._inboxes[pos] = inbox
             for child in self.children_of(pos):
-                chan = self._up_channel(child)
-
-                def pump(chan=chan, inbox=inbox):
-                    while True:
-                        item = yield chan.recv()
-                        yield inbox.put(item)
-
-                self._start_plane_proc(pos, pump(), f"tbon-pump:{pos}")
+                self._start_plane_proc(
+                    pos, _pump(self._up_channel(child), inbox),
+                    f"tbon-pump:{pos}")
         return self._inboxes[pos]
 
     def _route_up(self, pos: int):
-        """Collect per-(stream, wave) child contributions; filter; forward."""
-        children = self.children_of(pos)
-        expected = len(children)
+        """Fold each child contribution into its (stream, wave)'s running
+        merge on arrival; once every child has contributed, charge the
+        merge, finish it and forward it."""
+        expected = len(self.children_of(pos))
         contrib = self.topology.contrib_weight
-        buffers: dict[tuple[int, int], list] = {}
-        weights: dict[tuple[int, int], int] = {}
+        waves: dict[tuple[int, int], _WaveFold] = {}
         inbox = self._inbox(pos)
         while True:
             sender, pkt = yield inbox.get()
             self.packets_routed += 1
             key = (pkt.stream_id, pkt.wave)
-            buffers.setdefault(key, []).append(pkt.payload)
-            weights[key] = weights.get(key, 0) + contrib(sender)
-            if len(buffers[key]) < expected:
+            wave = waves.get(key)
+            if wave is None:
+                spec = self.streams.get(pkt.stream_id)
+                wave = waves[key] = _WaveFold(
+                    make_filter(spec.filter_name if spec else "concat"))
+            wave.add(pkt.payload, contrib(sender))
+            if wave.n < expected:
                 continue
-            payloads = buffers.pop(key)
-            wsum = weights.pop(key)
-            spec = self.streams.get(pkt.stream_id)
-            filt = make_filter(spec.filter_name if spec else "concat")
+            del waves[key]
             # per-payload merge processing at this position, weighted by
             # the physical messages each contribution stands in for (an
             # aggregate child counts as its whole collapsed fan-in; every
             # simulated child weighs 1, so non-hybrid trees charge the
-            # bit-identical max(1, len(payloads)) they always did)
+            # bit-identical max(1, children) they always did)
             yield self.sim.timeout(
-                self.network.costs.msg_overhead * max(1, wsum))
-            merged = filt.merge(payloads)
-            out = Packet(pkt.stream_id, pkt.wave, merged, "up")
+                self.network.costs.msg_overhead * max(1, wave.weight))
+            out = Packet(pkt.stream_id, pkt.wave, wave.finish(), "up")
             if pos == 0:
                 yield self.root_delivery.put(out)
             else:
@@ -405,7 +435,7 @@ class Overlay:
         dead, and reconnects every orphaned *live* position to its nearest
         live ancestor (all reconnects in parallel -- each pays one TCP
         connect between the actual nodes). The routing plane is then
-        restarted over the repaired tree. Wave state buffered in routers is
+        restarted over the repaired tree. Waves half folded in routers are
         dropped (re-issue outstanding waves after a repair). A pass that
         finds nothing newly dead costs nothing and changes nothing.
 
@@ -561,7 +591,7 @@ class Stream:
     stream until the merged wave is *banked* into the root delivery queue
     (which survives repairs -- the root is the tool front end). A repair
     rebuilds the plane and re-publishes every surviving leaf's unbanked
-    payloads; partial router buffers died with the old plane, so nothing
+    payloads; partial wave folds died with the old plane, so nothing
     is duplicated, and banked waves are never re-sent.
     """
 
@@ -618,14 +648,16 @@ class Stream:
                 node.register_body(proc)
 
     def _router(self, pos: int):
-        """Per-position stream router: assemble, filter, forward/bank."""
+        """Per-position stream router: fold each contribution into its
+        wave's running merge on arrival; once every child has
+        contributed, charge the merge, finish it, fold it into this
+        position's state and forward or bank it."""
         sim = self.sim
         inbox = self._inboxes[pos]
         expected = len(self.overlay.children_of(pos))
         contrib = self.overlay.topology.contrib_weight
         costs = self.overlay.network.costs
-        buffers: dict[int, list] = {}
-        weights: dict[int, int] = {}
+        waves: dict[int, _WaveFold] = {}
         seen: dict[int, set] = {}
         if pos not in self.states:
             self.states[pos] = self.filter.initial_state()
@@ -639,13 +671,15 @@ class Stream:
                     f"{pkt.wave} contribution from position {sender} "
                     f"at position {pos}")
             contributors.add(sender)
-            buffers.setdefault(pkt.wave, []).append(pkt.payload)
-            weights[pkt.wave] = weights.get(pkt.wave, 0) + contrib(sender)
-            if len(buffers[pkt.wave]) < expected:
+            wave = waves.get(pkt.wave)
+            if wave is None:
+                wave = waves[pkt.wave] = _WaveFold(self.filter)
+            wave.add(pkt.payload, contrib(sender))
+            if wave.n < expected:
                 continue
-            payloads = buffers.pop(pkt.wave)
-            wsum = weights.pop(pkt.wave)
+            del waves[pkt.wave]
             seen.pop(pkt.wave)
+            wsum = wave.weight
             wt = self.report.waves.get(pkt.wave)
             if pos == 0 and wt is not None:
                 wt.t_assembled = sim.now
@@ -654,7 +688,7 @@ class Stream:
             # the physical fan-in each contribution models (1 for every
             # simulated child, so non-hybrid charges are bit-identical)
             yield sim.timeout(costs.msg_overhead * max(1, wsum))
-            if wsum > len(payloads):
+            if wsum > wave.n:
                 # virtual feeding serialization: the collapsed children an
                 # aggregate stands in for would each have committed through
                 # this credit gate; charge the commits the hybrid tree
@@ -662,21 +696,18 @@ class Stream:
                 # simulated plane's RNG stream and message accounting are
                 # untouched.
                 k = max(1, self.spec.credit_limit)
-                extra = (-(-wsum // k)) - (-(-len(payloads) // k))
+                extra = (-(-wsum // k)) - (-(-wave.n // k))
                 if extra > 0:
                     yield sim.timeout(
                         extra * costs.transfer_time(pkt.wire_size()))
+            merged = wave.finish()
             folded = self._folded.setdefault(pos, set())
-            if pkt.wave in folded:
-                # a repair re-delivered a wave this position already
-                # folded into its state: merge again (the payload must
-                # still flow upward) but leave the windowed aggregates
-                # alone -- history is never double-counted
-                merged, _scratch = self.filter.reduce(
-                    payloads, self.filter.initial_state())
-            else:
-                merged, self.states[pos] = self.filter.reduce(
-                    payloads, self.states[pos])
+            # a wave a repair re-delivered after this position folded it
+            # into its state still flows upward, but the windowed
+            # aggregates are left alone -- history is never double-counted
+            if pkt.wave not in folded:
+                self.states[pos] = self.filter.update(self.states[pos],
+                                                      merged)
                 folded.add(pkt.wave)
             tap = self._taps.get(pos)
             if tap is not None:

@@ -1,7 +1,10 @@
 """Tests for the experiment runners: paper-shape assertions at small scale."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.cluster import FaultStats
 from repro.experiments import (
     ExperimentResult,
     run_ablation_iccl,
@@ -303,6 +306,18 @@ class TestResilience:
         if repaired["state"] == "degraded":
             assert repaired["n_failed"] > 0
             assert repaired["up"] + repaired["n_failed"] == 16
+
+    def test_json_rows_carry_fault_stats(self, result):
+        """``--json`` writes ``as_dict()``: every row carries its cell's
+        fault statistics, which the printed table leaves out."""
+        rows = result.as_dict()["rows"]
+        fields = set(asdict(FaultStats()))
+        assert all(set(row["fault_stats"]) == fields for row in rows)
+        assert all(row["fault_stats"]["crashes"] == 0
+                   for row in rows if row["fault_rate"] == 0.0)
+        assert any(row["fault_stats"]["crashes"] > 0
+                   for row in rows if row["fault_rate"] > 0.0)
+        assert "fault_stats" not in result.format_table()
 
 
 class TestResilientLaunch512:

@@ -24,7 +24,12 @@ from repro.cluster import (
     NetLinkDown,
     NetPartition,
 )
-from repro.cluster.faults import NEVER
+from repro.cluster.faults import (
+    NEVER,
+    PULL_DUPLICATED,
+    PULL_MISSED,
+    PULL_ON_TIME,
+)
 from repro.fleet import ClusterHealth, ClusterState, FleetView, GossipMesh
 
 
@@ -128,9 +133,8 @@ class TestInjectorTopology:
         assert kinds == {"digest-delayed", "digest-dup"}
 
     def test_empty_plan_draws_nothing_and_blocks_nothing(self):
-        plan = NetFaultPlan()
-        assert plan.empty and plan.last_heal_round == 0
-        nf = NetFaultInjector(plan, seed=3)
+        nf = NetFaultInjector(NetFaultPlan(), seed=3)
+        assert nf.plan == NetFaultPlan() and nf.last_heal_round == 0
         for r in range(5):
             nf.begin_round(r)
             assert not nf.edge_blocked("a", "b")
@@ -138,10 +142,41 @@ class TestInjectorTopology:
             assert not nf.digest_lost("a", "b")
             assert nf.digest_delay("a", "b") == 0
             assert not nf.digest_duplicated("a", "b")
+            assert nf.pull("a", "b") == PULL_ON_TIME
         assert asdict(nf.stats) == {
             "blocked_edges": 0, "lost_digests": 0, "delayed_digests": 0,
             "duplicated_digests": 0, "data_sends_blocked": 0}
         assert nf.all_healed() and not nf.log
+
+    def test_one_pull_call_decides_draws_and_logs_as_the_four(self):
+        """``pull`` is the four single verdicts in the order the mesh
+        asked them: the same verdict, draws, counters and log."""
+        plan = NetFaultPlan(
+            link_downs=(NetLinkDown("b", "a", at_round=1, heal_round=3),),
+            losses=(GossipLoss(rate=0.3),),
+            delays=(GossipDelay(rate=0.3, rounds=2),),
+            dups=(GossipDup(rate=0.5),))
+        one = NetFaultInjector(plan, seed=7)
+        four = NetFaultInjector(plan, seed=7)
+        verdicts = []
+        for r in range(6):
+            one.begin_round(r)
+            four.begin_round(r)
+            for listener, peer in (("a", "b"), ("b", "a"), ("a", "c")):
+                if (four.edge_blocked(listener, peer)
+                        or four.digest_lost(listener, peer)):
+                    expected = PULL_MISSED
+                else:
+                    expected = four.digest_delay(listener, peer) or (
+                        PULL_DUPLICATED
+                        if four.digest_duplicated(listener, peer)
+                        else PULL_ON_TIME)
+                verdicts.append(one.pull(listener, peer))
+                assert verdicts[-1] == expected
+        assert one.stats == four.stats and one.log == four.log
+        assert one.rng.random() == four.rng.random()
+        assert set(verdicts) == {PULL_MISSED, PULL_ON_TIME,
+                                 PULL_DUPLICATED, 2}
 
     def test_verdicts_are_a_pure_function_of_plan_and_seed(self):
         plan = NetFaultPlan(

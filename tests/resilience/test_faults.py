@@ -81,7 +81,7 @@ class TestFaultInjector:
                             lambda rng: seeded.append(rng.path) or seed(rng))
         cluster = _cluster(sim)
         faults = cluster.faults
-        assert faults.plan.empty and faults.armed
+        assert faults.plan == FaultPlan() and faults.armed
         # an image read through the shared FS, then an rsh launch
         run_gen(sim, cluster.fs.load_image(1.0))
         res = run_gen(sim, get_strategy("serial-rsh").launch(

@@ -5,19 +5,24 @@ does a Store with one waiting getter, and a
 :class:`~repro.simx.SeededRNG` stream holds no generator, undrawn or
 after a few draws, so each stays a few hundred bytes however many a
 cluster creates. A persistent stream holds only the sends in flight, so
-its footprint does not grow with the waves it carries. The guards measure with
-``tracemalloc``, which counts the bytes Python allocates after it
+its footprint does not grow with the waves it carries, and a one-shot
+wave holds only what its routers have not merged yet. The guards measure
+with ``tracemalloc``, which counts the bytes Python allocates after it
 starts, so they depend on no clock and on no other process.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
 
+from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.fig6 import measure_stat_startup
 from repro.experiments.streaming import measure_stream
 from repro.simx import Channel, SeededRNG, Simulator, Store
+from repro.tbon import Overlay, StreamSpec, TBONTopology
+from repro.tools.stat_tool import PrefixTree
 
 #: bytes per idle channel, undrawn stream, stream drawn twice or store
 #: with one waiting getter; on CPython 3.11 these are ~160, ~160, ~310
@@ -26,11 +31,24 @@ from repro.simx import Channel, SeededRNG, Simulator, Store
 #: before that state became lazy
 OBJECT_BOUND_B = 512
 
-#: tracemalloc peak per daemon of a 1024-daemon fig6 LaunchMON launch;
-#: 11.9 KiB on CPython 3.11, 11.7 on 3.12 and 14.7 on 3.9 (17.0 and
-#: 19.8 on 3.11 and 3.9 with a generator per drawn node stream and a
-#: deque per waiting getter, ~29 KiB with eager queues and streams)
-DAEMON_BOUND_KIB = 15
+#: tracemalloc peak per daemon of a 1024-daemon fig6 LaunchMON launch,
+#: by CPython version: 9.1 KiB on 3.11, 9.0 on 3.12 and 11.5 on 3.9
+#: since the root folds each daemon's prefix tree on arrival and no pump
+#: keeps what it forwarded (11.4, 11.2 and 14.2 while the root held the
+#: whole wave; 17.0 and 19.8 on 3.11 and 3.9 with a generator per drawn
+#: node stream and a deque per waiting getter, ~29 KiB with eager queues
+#: and streams). A version not listed gets the 3.9 bound.
+DAEMON_BOUND_KIB = {(3, 11): 10.25, (3, 12): 10.0}.get(
+    sys.version_info[:2], 12.75)
+
+#: tracemalloc peak of a 32-leaf one-shot wave whose leaves send one at a
+#: time, in payloads: ~3.3 (the running merge, the payload being built
+#: and folded, the merged result), and ~23 while the root kept every
+#: payload until the last arrived and every pump kept its last item
+WAVE_PAYLOAD_BOUND = 5
+
+#: a 100-frame call path: each leaf's prefix tree is 100 nodes deep
+STACK = tuple(f"frame{i}" for i in range(100))
 
 #: tracemalloc peak of a 256-leaf histogram stream over 40 waves against
 #: 5: ~1.05 on CPython 3.11, ~3.1 when every send stayed referenced
@@ -90,6 +108,47 @@ def test_fig6_launch_peak_per_daemon():
         tracemalloc.stop()
     assert box["n_tasks"] == n
     assert peak / n / 1024 <= DAEMON_BOUND_KIB
+
+
+def _tree_payload(rank: int) -> dict:
+    tree = PrefixTree()
+    tree.insert(STACK, rank)
+    return tree.to_dict()
+
+
+def test_one_shot_wave_holds_only_what_is_unmerged(traced):
+    """32 leaves of a one-deep overlay send prefix trees that differ
+    only in their rank, one second apart, so about one payload is in
+    flight at a time. The root's running merge stays the size of one
+    payload, and the wave's peak a small multiple of it."""
+    n = 32
+    sim = Simulator()
+    topo = TBONTopology.one_deep(n)
+    cluster = Cluster(sim, ClusterSpec(n_compute=n, seed=1))
+    placement = {0: cluster.front_end}
+    placement.update(zip(topo.backends(), cluster.compute))
+    overlay = Overlay(sim, cluster.network, topo, placement,
+                      {1: StreamSpec(1, "prefix_tree_merge")})
+    overlay.start_routers()
+
+    def leaf(i, pos):
+        yield sim.timeout(1.0 * i)
+        yield from overlay.endpoint(pos).send_wave(1, 0, _tree_payload(i))
+
+    for i, pos in enumerate(topo.backends()):
+        sim.process(leaf(i, pos))
+    root = sim.process(overlay.endpoint(0).collect_wave())
+    base = tracemalloc.get_traced_memory()[0]
+    payload = _tree_payload(0)
+    one = tracemalloc.get_traced_memory()[0] - base
+    del payload
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    sim.run()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    merged = root.value.payload
+    assert merged["n"] == n and merged["tree"]["r"] == [0, n]
+    assert peak <= WAVE_PAYLOAD_BOUND * one, f"{peak / one:.1f} payloads"
 
 
 def _stream_peak(n_waves: int) -> int:

@@ -25,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.simx import Simulator
-from repro.tbon import Overlay, TBONTopology, make_filter
-from repro.tbon.filters import RunningHistogramFilter, TopKFilter
+from repro.tbon import Overlay, TBONTopology
 from repro.tbon.overlay import StreamSpec
 from repro.tools.stat_tool.prefix_tree import PrefixTree, merge_trees
+from tests.tbon.batch_merges import histogram_merge, top_k_merge
 
 
 def _build_overlay(n_be, fanout, seed=3):
@@ -99,7 +99,7 @@ class TestFlatEqualsTree:
         delivered, _ = _stream_rootwise("histogram", payloads, fanout,
                                         delays)
         for wave in range(n_waves):
-            flat = RunningHistogramFilter.merge(payloads[wave])
+            flat = histogram_merge(payloads[wave])
             assert delivered[wave] == flat
 
     @settings(max_examples=25, deadline=None)
@@ -114,7 +114,7 @@ class TestFlatEqualsTree:
         delivered, _ = _stream_rootwise(
             "top_k", payloads, fanout, delays,
             filter_params=(("k", k),))
-        flat = TopKFilter(k=k).merge(payloads[0])
+        flat = top_k_merge(payloads[0], k=k)
         assert delivered[0] == flat
 
     @settings(max_examples=25, deadline=None)
@@ -188,6 +188,5 @@ class TestWindowedState:
         _, state = _stream_rootwise("histogram", payloads, fanout,
                                     delays, window=window)
         tail = payloads[-window:]
-        flat = RunningHistogramFilter.merge(
-            [p for wave in tail for p in wave])
+        flat = histogram_merge([p for wave in tail for p in wave])
         assert state["running"] == flat

@@ -37,7 +37,7 @@ class TestRegistryErrorPaths:
         original = STREAM_FILTER_REGISTRY["sum"]
         try:
             register_stream_filter(
-                "sum", partial(StatelessFilter, "sum", lambda payloads: -1))
+                "sum", partial(StatelessFilter, "sum", lambda acc, p: -1))
             assert make_filter("sum").merge([1, 2, 3]) == -1
         finally:
             register_stream_filter("sum", original)

@@ -21,13 +21,8 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from repro.tbon import RankRuns
-from repro.tbon.filters import (
-    add_rank,
-    prefix_tree_merge,
-    subtract_runs,
-    union_runs,
-)
+from repro.tbon import RankRuns, make_filter
+from repro.tbon.filters import add_rank, subtract_runs, union_runs
 from repro.tools.stat_tool import PrefixTree, merge_trees
 from repro.tools.stat_tool.tool import HANG_BULK_STACK
 
@@ -133,6 +128,10 @@ spans = st.tuples(frames, st.integers(-1, 40),
                   st.integers(1, 12)).map(
     lambda t: (t[0], t[1], t[1] + t[2]))
 rank_sets = st.frozensets(st.integers(min_value=-5, max_value=60))
+
+
+#: the TBON router's prefix-tree merge (a fold over the payloads)
+prefix_tree_merge = make_filter("prefix_tree_merge").merge
 
 
 def build(tree_cls, sample_list):
