@@ -82,23 +82,6 @@ _ADOPT_STATES = {
 }
 
 
-def _reap_job_procs(job: RMJob, code: int = 9) -> int:
-    """End a dead job's remaining processes (tasks, daemons, launcher)."""
-    killed = 0
-    for task in job.tasks:
-        if task.alive:
-            task.exit(code)
-            killed += 1
-    for d in job.daemons:
-        if d.proc is not None and d.proc.alive:
-            d.proc.exit(code)
-            killed += 1
-    if job.launcher is not None and job.launcher.alive:
-        job.launcher.exit(code)
-        killed += 1
-    return killed
-
-
 def _reap_allocation(rm: ResourceManager, alloc: Allocation,
                      code: int = 9) -> int:
     """The RM epilogue: end every process still on the allocation's
@@ -120,7 +103,7 @@ def reap_session_resources(rm: ResourceManager, session: LMONSession,
     processes, sweep its allocations' nodes, release the allocations."""
     killed = 0
     if session.job is not None:
-        killed += _reap_job_procs(session.job, code=code)
+        killed += session.job.end(code)
     while session.owned_allocs:
         alloc = session.owned_allocs.pop()
         killed += _reap_allocation(rm, alloc, code=code)
@@ -197,7 +180,7 @@ def restore(daemon, cp: Checkpoint) -> RestoreReport:
         if rec.state == "spawning":
             # died with its launcher; sweep what the abort left behind
             if job is not None:
-                rep.stray_procs_killed += _reap_job_procs(job)
+                rep.stray_procs_killed += job.end(9)
             for alloc in allocs:
                 rep.orphan_nodes_reaped += len(alloc.nodes)
                 rep.stray_procs_killed += _reap_allocation(rm, alloc)
@@ -208,7 +191,7 @@ def restore(daemon, cp: Checkpoint) -> RestoreReport:
             d.proc is not None and d.proc.alive for d in job.daemons)
         if not tree_alive or not allocs:
             if job is not None:
-                rep.stray_procs_killed += _reap_job_procs(job)
+                rep.stray_procs_killed += job.end(9)
             for alloc in allocs:
                 rep.orphan_nodes_reaped += len(alloc.nodes)
                 rep.stray_procs_killed += _reap_allocation(rm, alloc)
@@ -229,7 +212,7 @@ def restore(daemon, cp: Checkpoint) -> RestoreReport:
         alloc = rm.live_allocations[alloc_id]
         job = jobs_by_alloc.get(alloc_id)
         if job is not None:
-            rep.stray_procs_killed += _reap_job_procs(job)
+            rep.stray_procs_killed += job.end(9)
         rep.orphan_allocs_reaped += 1
         rep.orphan_nodes_reaped += len(alloc.nodes)
         rep.stray_procs_killed += _reap_allocation(rm, alloc)

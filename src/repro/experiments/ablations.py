@@ -92,25 +92,21 @@ def _a4_point(n: int, n_waves: int) -> dict:
     app = make_compute_app(n_tasks=8 * n, tasks_per_node=8)
 
     env = make_env(n_compute=n)
-    box: dict = {}
 
-    def classic(env=env, box=box, app=app, n=n):
+    def classic(env=env, app=app, n=n):
         job = yield from env.rm.launch_job(app, env.rm.allocate(n))
-        box["r"] = yield from run_jobsnap(env.cluster, env.rm, job)
+        return (yield from run_jobsnap(env.cluster, env.rm, job))
 
-    drive(env, classic())
-    c = box["r"]
+    c = drive(env, classic())
 
     env = make_env(n_compute=n + max(2, n // 16))
-    box = {}
 
-    def tbon(env=env, box=box, app=app, n=n):
+    def tbon(env=env, app=app, n=n):
         job = yield from env.rm.launch_job(app, env.rm.allocate(n))
-        box["r"] = yield from run_jobsnap_tbon(
-            env.cluster, env.rm, job, n_waves=n_waves)
+        return (yield from run_jobsnap_tbon(
+            env.cluster, env.rm, job, n_waves=n_waves))
 
-    drive(env, tbon())
-    t = box["r"]
+    t = drive(env, tbon())
     iccl_collect = c.t_total - c.t_launchmon
     tbon_collect = t.component_times["t_collect_per_wave"]
     return {
@@ -157,34 +153,29 @@ def _idle_daemon(ctx):
 def _a3_point(n: int) -> dict:
     # sequential rsh
     env = make_env(n_compute=n)
-    box = {}
 
-    def seq(env=env, box=box):
+    def seq(env=env):
         r = yield from sequential_rsh_launch(
             env.cluster, env.cluster.compute, image_mb=1.0)
-        box["t"] = None if r.report.n_failed else r.report.total
+        return None if r.report.n_failed else r.report.total
 
-    drive(env, seq())
-    t_seq = box.get("t")
+    t_seq = drive(env, seq())
 
     # tree rsh
     env = make_env(n_compute=n)
-    box = {}
 
-    def tree(env=env, box=box):
+    def tree(env=env):
         r = yield from tree_rsh_launch(
             env.cluster, env.cluster.compute, image_mb=1.0)
-        box["t"] = None if r.report.n_failed else r.report.total
+        return None if r.report.n_failed else r.report.total
 
-    drive(env, tree())
-    t_tree = box.get("t")
+    t_tree = drive(env, tree())
 
     # RM native spawn (through a full attachAndSpawn minus handshake)
     env = make_env(n_compute=n)
     app = make_compute_app(n_tasks=8 * n, tasks_per_node=8)
-    box = {}
 
-    def native(env=env, app=app, box=box):
+    def native(env=env, app=app):
         job = yield from env.rm.launch_job(app, env.rm.allocate(
             app.nodes_needed()))
         spec = DaemonSpec("toold", main=_idle_daemon, image_mb=1.0)
@@ -196,11 +187,10 @@ def _a3_point(n: int) -> dict:
 
         t0 = env.sim.now
         yield from env.rm.spawn_daemons(job, spec, factory)
-        box["t"] = env.sim.now - t0
+        return env.sim.now - t0
 
-    drive(env, native())
     return {"daemons": n, "rsh_sequential": t_seq, "rsh_tree": t_tree,
-            "rm_native": box["t"]}
+            "rm_native": drive(env, native())}
 
 
 def run_ablation_launchers(daemon_counts: Sequence[int] = (16, 64, 256),

@@ -39,19 +39,17 @@ def measure_launch_and_spawn(n_daemons: int,
                            tasks_per_node=tasks_per_daemon)
     spec = DaemonSpec("lmon_bench_be", main=minimal_daemon,
                       image_mb=DAEMON_IMAGE_MB)
-    box = {}
 
     def tool(env):
         fe = ToolFrontEnd(env.cluster, env.rm, "bench")
         yield from fe.init()
         session = fe.create_session()
         yield from fe.launch_and_spawn(session, app, spec)
-        box["times"] = session.times
-        box["timeline"] = session.timeline
         yield from fe.detach(session)
+        return session.times, session.timeline
 
-    drive(env, tool(env))
-    return box["times"], box["timeline"], env
+    times, timeline = drive(env, tool(env))
+    return times, timeline, env
 
 
 def _fig3_point(n: int, tasks_per_daemon: int) -> dict:

@@ -28,15 +28,12 @@ def measure_jobsnap(n_daemons: int, tasks_per_daemon: int = TASKS_PER_DAEMON,
     env = make_env(n_compute=n_daemons, seed=seed)
     app = make_compute_app(n_tasks=n_daemons * tasks_per_daemon,
                            tasks_per_node=tasks_per_daemon)
-    box = {}
 
     def scenario(env):
         job = yield from env.rm.launch_job(app, env.rm.allocate(n_daemons))
-        result = yield from run_jobsnap(env.cluster, env.rm, job)
-        box["result"] = result
+        return (yield from run_jobsnap(env.cluster, env.rm, job))
 
-    drive(env, scenario(env))
-    return box["result"]
+    return drive(env, scenario(env))
 
 
 def _fig5_point(n: int, tasks_per_daemon: int) -> dict:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from repro.apps import make_hang_app
 from repro.perfmodel import fit_component_scaling
 from repro.runner import drive, make_env
-from repro.simx import AggregationPlan, auto_expand
+from repro.simx import AggregationPlan
 from repro.tbon import StartupFailure
 from repro.tools.stat_tool import run_stat_launchmon, run_stat_mrnet_native
 from repro.experiments.common import ExperimentResult
@@ -49,8 +49,8 @@ def measure_stat_startup(n_daemons: int, mechanism: str,
     ``hybrid=True`` (launchmon only) simulates only ``exact_head`` daemons
     plus every special position exactly and charges the rest from the
     validated launch-model terms -- virtual totals within the model's
-    error band, class counts exact. The exactness boundary auto-expands
-    around the scenario's special ranks.
+    error band, class counts exact. The exact region also holds the
+    daemons of the scenario's special ranks.
 
     ``env_factory`` must match :func:`~repro.runner.make_env`'s signature
     (e.g. :func:`repro.fleet.make_fleet_member_env`): the bit-identity
@@ -64,15 +64,13 @@ def measure_stat_startup(n_daemons: int, mechanism: str,
     if hybrid:
         plan = AggregationPlan.build(
             n_daemons, exact_head=min(exact_head, n_daemons))
-        plan = auto_expand(
-            plan, fault_leaves=(r // tasks_per_daemon
-                                for r in HANG_SPECIAL_RANKS))
+        plan = plan.with_special(
+            *(r // tasks_per_daemon for r in HANG_SPECIAL_RANKS))
         n_exact = plan.n_exact
     env = env_factory(n_compute=n_exact, seed=seed)
     app = make_hang_app(n_tasks=n_exact * tasks_per_daemon,
                         tasks_per_node=tasks_per_daemon,
                         stuck_ranks=(1,), deadlocked_pair=True)
-    box: dict = {}
 
     def scenario(env):
         job = yield from env.rm.launch_job(app, env.rm.allocate(n_exact))
@@ -83,18 +81,16 @@ def measure_stat_startup(n_daemons: int, mechanism: str,
             else:
                 res = yield from run_stat_launchmon(env.cluster, env.rm,
                                                     job, plan=plan)
-            box["startup"] = res.startup
-            box["classes"] = len(res.classes)
-            box["n_tasks"] = res.n_tasks
         except StartupFailure as exc:
-            box["failure"] = str(exc)
-            box["spawned"] = exc.spawned
+            return {"failure": str(exc), "spawned": exc.spawned}
+        return {"startup": res.startup, "classes": len(res.classes),
+                "n_tasks": res.n_tasks}
 
-    drive(env, scenario(env))
+    out = drive(env, scenario(env))
     # kernel work done for this point -- scalecheck fits its growth
     # exponent alongside the virtual phase totals
-    box["sim_events"] = env.sim.stats.events
-    return box
+    out["sim_events"] = env.sim.stats.events
+    return out
 
 
 def _fig6_point(n: int, tasks_per_daemon: int,

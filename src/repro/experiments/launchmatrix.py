@@ -91,18 +91,13 @@ def measure_launch_cell(strategy: str, staging: str, n_daemons: int,
         n_compute=n_daemons,
         spec=ClusterSpec(n_compute=n_daemons, staging_mode=staging,
                          seed=seed))
-    box: dict = {}
 
     def scenario(env):
         if strategy == "rm-bulk":
-            cold, warm = yield from _measure_rm_bulk(env, n_daemons, image_mb)
-        else:
-            cold, warm = yield from _measure_rsh(env, strategy, n_daemons,
-                                                 image_mb)
-        box["cold"], box["warm"] = cold, warm
+            return (yield from _measure_rm_bulk(env, n_daemons, image_mb))
+        return (yield from _measure_rsh(env, strategy, n_daemons, image_mb))
 
-    drive(env, scenario(env))
-    cold, warm = box["cold"], box["warm"]
+    cold, warm = drive(env, scenario(env))
     return {
         "strategy": strategy, "staging": staging, "daemons": n_daemons,
         "image_mb": image_mb,

@@ -101,7 +101,6 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
     app = make_compute_app(n_tasks=n_daemons * 2, tasks_per_node=2)
     spec = DaemonSpec("res_toold", main=minimal_daemon,
                       image_mb=image_mb)
-    box: dict = {}
 
     def scenario(env):
         fe = ToolFrontEnd(env.cluster, env.rm, "res")
@@ -113,21 +112,17 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         try:
             yield from fe.attach_and_spawn(session, job, spec)
         except Exception as exc:
-            box["state"] = "failed"
-            box["error"] = str(exc)
-            box["t_attach"] = env.sim.now - t0
-            return
-        box["state"] = session.state.value
-        box["t_attach"] = env.sim.now - t0
+            return "failed", str(exc), env.sim.now - t0
+        attached = session.state.value, "", env.sim.now - t0
         yield from fe.detach(session, reclaim_job=True)
+        return attached
 
     try:
-        drive(env, scenario(env), until=CELL_DEADLINE)
+        state, error, t_attach = drive(env, scenario(env),
+                                       until=CELL_DEADLINE)
     except RuntimeError:
-        box.setdefault("state", "hung")
-        box.setdefault("t_attach", CELL_DEADLINE)
+        state, error, t_attach = "hung", "", CELL_DEADLINE
     report: Optional[LaunchReport] = env.rm.last_launch_report
-    state = box.get("state", "hung")
     # a failed cell has NO daemons up -- the below-fraction spawn reaped
     # its survivors before raising (report.n_daemons is the pre-reap count)
     up = report.n_daemons if (report and state not in ("failed", "hung")) \
@@ -136,8 +131,8 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
         "strategy": strategy, "daemons": n_daemons,
         "fault_rate": fault_rate, "repair": repair,
         "state": state,
-        "error": box.get("error", ""),
-        "t_attach": box.get("t_attach", 0.0),
+        "error": error,
+        "t_attach": t_attach,
         "up": up,
         "n_failed": report.n_failed if report else 0,
         "n_retried": report.n_retried if report else 0,
@@ -172,7 +167,6 @@ def measure_tbon_repair(n_backends: int = 64, fanout: int = 8,
     overlay.start_routers()
     report = LaunchReport("tbon-repair", n_daemons=topo.size - 1,
                           requested=topo.size - 1)
-    box: dict = {}
 
     def scenario(env):
         for pos in comms[:n_comm_kill]:
@@ -185,11 +179,9 @@ def measure_tbon_repair(n_backends: int = 64, fanout: int = 8,
             env.sim.process(overlay.endpoint(pos).send_wave(1, 1, [pos]),
                             name=f"wave:{pos}")
         pkt = yield from root.collect_wave()
-        box["merged"] = len(pkt.payload)
-        box["repair"] = repair
+        return repair, len(pkt.payload)
 
-    drive(env, scenario(env), until=CELL_DEADLINE)
-    repair = box["repair"]
+    repair, merged = drive(env, scenario(env), until=CELL_DEADLINE)
     return {
         "backends": n_backends, "fanout": fanout,
         "comm_killed": n_comm_kill,
@@ -197,7 +189,7 @@ def measure_tbon_repair(n_backends: int = 64, fanout: int = 8,
         "t_repair": repair.t_repair,
         "leaves_before": n_backends,
         "leaves_after": len(overlay.live_backends()),
-        "wave_merged": box["merged"],
+        "wave_merged": merged,
         "report": report.as_dict(),
     }
 

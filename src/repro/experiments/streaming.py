@@ -260,18 +260,15 @@ def measure_monitor(n_daemons: int = 16, n_waves: int = 8,
     env = make_env(n_compute=n_daemons, seed=seed)
     app = make_compute_app(n_tasks=n_daemons * tasks_per_daemon,
                            tasks_per_node=tasks_per_daemon)
-    box: dict = {}
 
     def scenario(env):
         job = yield from env.rm.launch_job(app, env.rm.allocate(n_daemons))
-        res = yield from run_monitor(
+        return (yield from run_monitor(
             env.cluster, env.rm, job, n_waves=n_waves,
             interval=interval, filter_name=filter_name,
-            window=window, credit_limit=credit_limit)
-        box["res"] = res
+            window=window, credit_limit=credit_limit))
 
-    drive(env, scenario(env), until=CELL_DEADLINE)
-    res = box["res"]
+    res = drive(env, scenario(env), until=CELL_DEADLINE)
     return {
         "daemons": n_daemons, "n_tasks": res.n_tasks,
         "delivered": res.report.n_delivered,

@@ -30,7 +30,6 @@ def measure_apai_access(n_nodes: int, tasks_per_node: int = TASKS_PER_NODE,
     env = make_env(n_compute=n_nodes, seed=seed)
     app = make_compute_app(n_tasks=n_nodes * tasks_per_node,
                            tasks_per_node=tasks_per_node)
-    box: dict = {}
 
     def scenario(env):
         # admin action, before any tool session (not timed): root daemons
@@ -45,11 +44,9 @@ def measure_apai_access(n_nodes: int, tasks_per_node: int = TASKS_PER_NODE,
         r_lmon = yield from new.acquire_apai(job)
 
         assert r_dpcl.proctable == r_lmon.proctable
-        box["dpcl"] = r_dpcl
-        box["launchmon"] = r_lmon
+        return {"dpcl": r_dpcl, "launchmon": r_lmon}
 
-    drive(env, scenario(env))
-    return box
+    return drive(env, scenario(env))
 
 
 def _table1_point(n: int, tasks_per_node: int) -> dict:

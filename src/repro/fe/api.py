@@ -59,7 +59,7 @@ from repro.lmonp import (
     security_token,
 )
 from repro.mpir import RPDTAB
-from repro.rm.base import DaemonSpec, JobState, ResourceManager, RMJob
+from repro.rm.base import DaemonSpec, ResourceManager, RMJob
 from repro.simx import Store, run_bounded
 
 __all__ = ["FrontEndError", "ToolFrontEnd"]
@@ -427,18 +427,9 @@ class ToolFrontEnd:
             return
         if not any(a is job.allocation for a in session.owned_allocs):
             return  # attach mode: the job belongs to someone else
-        for task in job.tasks:
-            if task.alive:
-                task.exit(0)
-        # daemons spawned but not yet bound to the session (a failure
-        # between e6 and _bind) are reachable only through the job
-        for daemon in job.daemons:
-            if daemon.proc is not None and daemon.proc.alive:
-                daemon.proc.exit(0)
-        if job.launcher.alive:
-            job.launcher.exit(0)
-        if job.state not in (JobState.COMPLETED, JobState.FAILED):
-            job.state = JobState.COMPLETED
+        # ending the job also ends daemons spawned but not yet bound to
+        # the session (a failure between e6 and _bind)
+        job.end(0)
 
     def _context_factory(self, session: LMONSession, rendezvous: Store):
         """The RM's per-daemon context builder for one BE or MW set."""

@@ -42,10 +42,8 @@ from repro.launch import (
     get_strategy,
 )
 from repro.mpir import (
-    MPIR_BEING_DEBUGGED,
     MPIR_DEBUG_SPAWNED,
     MPIR_DEBUG_STATE,
-    MPIR_NULL,
     MPIR_PROCTABLE,
     MPIR_PROCTABLE_SIZE,
     ProcDesc,
@@ -160,26 +158,53 @@ class RMJob:
         #: ``overlay`` for the same re-adoption purpose
         self.mw_runtimes: list = []
 
+    @property
+    def hosts(self) -> list[str]:
+        """The distinct task hosts in first-task order: one daemon per
+        host, placed in this order."""
+        return list(dict.fromkeys(t.host for t in self.tasks))
+
+    def add_task(self, proc: SimProcess, rank: int) -> None:
+        """Register a started task: stamp its rank, give it the app's
+        behaviour and add it to the task set."""
+        proc.memory["_rank"] = rank
+        self.app.apply_behavior(proc, rank)
+        self.tasks.append(proc)
+
+    def _proc_descs(self) -> list[ProcDesc]:
+        return [ProcDesc(rank=i, host_name=t.host,
+                         executable_name=t.executable, pid=t.pid)
+                for i, t in enumerate(self.tasks)]
+
     def build_proctable(self) -> RPDTAB:
         """Assemble the RPDTAB from the live task set."""
-        return RPDTAB(
-            ProcDesc(rank=i, host_name=t.host,
-                     executable_name=t.executable, pid=t.pid)
-            for i, t in enumerate(self.tasks))
+        return RPDTAB(self._proc_descs())
 
-    def publish_mpir(self, stopped: bool = True) -> None:
+    def publish_mpir(self) -> None:
         """Write the MPIR symbols into the launcher's address space.
 
         ``MPIR_debug_state`` is SPAWNED once all tasks exist -- this is what
         makes later *attach* acquisition possible without stopping the job.
         """
-        table = [ProcDesc(rank=i, host_name=t.host,
-                          executable_name=t.executable, pid=t.pid)
-                 for i, t in enumerate(self.tasks)]
+        table = self._proc_descs()
         mem = self.launcher.memory
         mem[MPIR_PROCTABLE] = table
         mem[MPIR_PROCTABLE_SIZE] = len(table)
         mem[MPIR_DEBUG_STATE] = MPIR_DEBUG_SPAWNED
+
+    def end(self, code: int = 0) -> int:
+        """End the job: exit its tasks, then its daemons, then its
+        launcher, and mark it COMPLETED unless it already ended. Returns
+        how many of those processes were still alive (0 when called
+        again)."""
+        ended = 0
+        for proc in (*self.tasks, *(d.proc for d in self.daemons),
+                     self.launcher):
+            ended += proc.alive
+            proc.exit(code)
+        if self.state not in (JobState.COMPLETED, JobState.FAILED):
+            self.state = JobState.COMPLETED
+        return ended
 
 
 class _ObservedBlacklist:

@@ -19,7 +19,6 @@ from typing import Any, Callable, Generator
 
 from repro.apps import AppSpec
 from repro.launch import LaunchRequest, SerialRshStrategy
-from repro.mpir import MPIR_BEING_DEBUGGED
 from repro.rm.base import (
     Allocation,
     DaemonSpec,
@@ -70,23 +69,16 @@ class RshRM(ResourceManager):
         placement = self._place_tasks(app, job.allocation)
         ranks = [rank for _, rank in placement]
 
-        def imprint(i, node, proc):
-            proc.memory["_rank"] = ranks[i]
-            app.apply_behavior(proc, ranks[i])
-            job.tasks.append(proc)
-
-        result = yield from self.task_strategy.launch(LaunchRequest(
+        yield from self.task_strategy.launch(LaunchRequest(
             cluster=self.cluster,
             nodes=[node for node, _ in placement],
             executable=app.executable,
             args_for=lambda i, node: (f"rank={ranks[i]}",),
             image_mb_for=lambda i, node: (
                 app.image_mb if ranks[i] % app.tasks_per_node == 0 else 0.0),
-            post_spawn=imprint,
+            post_spawn=lambda i, node, proc: job.add_task(proc, ranks[i]),
             on_failure="raise"))
-        self.last_launch_report = result.report
-        traced = launcher.memory.get(MPIR_BEING_DEBUGGED, 0)
-        job.publish_mpir(stopped=bool(traced))
+        job.publish_mpir()
         job.state = JobState.RUNNING
         return job
 

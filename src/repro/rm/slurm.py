@@ -184,9 +184,8 @@ class SlurmRM(ResourceManager):
         # PMI wireup of the application's own fabric
         yield sim.timeout(self.rng.jitter(cfg.pmi_per_task * app.n_tasks))
 
-        traced = launcher.memory.get(MPIR_BEING_DEBUGGED, 0)
-        job.publish_mpir(stopped=bool(traced))
-        if traced:
+        job.publish_mpir()
+        if launcher.memory.get(MPIR_BEING_DEBUGGED, 0):
             job.state = JobState.STOPPED_AT_BREAKPOINT
             yield from self._emit_and_wait(
                 launcher, DebugEventType.BREAKPOINT, detail="MPIR_Breakpoint")
@@ -201,10 +200,7 @@ class SlurmRM(ResourceManager):
         """Co-locate one tool daemon per node of a running job (e5 -> e6)."""
         if job.state not in (JobState.RUNNING, JobState.STOPPED_AT_BREAKPOINT):
             raise RMError(f"job {job.jobid} not launchable-into: {job.state}")
-        hosts: dict[str, None] = {}
-        for t in job.tasks:
-            hosts.setdefault(t.host)
-        nodes = [self.cluster.node(h) for h in hosts]
+        nodes = [self.cluster.node(h) for h in job.hosts]
         daemons, fabric = yield from self._spawn_set(
             nodes, spec, context_factory, topology)
         job.daemons.extend(daemons)
@@ -306,9 +302,7 @@ class SlurmRM(ResourceManager):
         for rank in ranks:
             proc = yield from node.fork_exec(
                 app.executable, args=(f"rank={rank}",), image_mb=0.0)
-            proc.memory["_rank"] = rank
-            app.apply_behavior(proc, rank)
-            job.tasks.append(proc)
+            job.add_task(proc, rank)
 
     def _emit_and_wait(self, launcher, etype: DebugEventType,
                        detail: Any = None):

@@ -22,7 +22,7 @@ Resource
     Counted FIFO resource with request/release (:mod:`repro.simx.resources`).
 SeededRNG
     Deterministic hierarchical random streams (:mod:`repro.simx.rng`).
-AggregationPlan, AggregateSubtree, auto_expand
+AggregationPlan, AggregateSubtree
     Hybrid analytic/discrete aggregation plans (:mod:`repro.simx.aggregate`).
 """
 
@@ -30,7 +30,6 @@ from repro.simx.aggregate import (
     AggregateSubtree,
     AggregationError,
     AggregationPlan,
-    auto_expand,
 )
 from repro.simx.core import (
     AllOf,
@@ -65,6 +64,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "auto_expand",
     "run_bounded",
 ]

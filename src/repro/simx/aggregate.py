@@ -9,10 +9,10 @@ leaf (fault-injection site, stream tap, blacklisted/crashed node,
 repair site) -- stays fully simulated.
 
 This module is pure bookkeeping: it decides *which* leaves aggregate
-and owns the auto-expanding exactness boundary.  It deliberately knows
-nothing about tbon topologies, overlays or the perfmodel so that any
-layer (topology builders, experiments, tests) can depend on it without
-cycles.
+and owns the exactness boundary, which ``with_special`` grows.  It
+deliberately knows nothing about tbon topologies, overlays or the
+perfmodel so that any layer (topology builders, experiments, tests) can
+depend on it without cycles.
 
 Leaves are identified by their dense index in ``0..n_total-1`` (the
 order of ``TBONTopology.backends()`` for a full tree).  Plans may be
@@ -55,9 +55,6 @@ class AggregateSubtree:
     def n_leaves(self) -> int:
         return self.leaf_hi - self.leaf_lo
 
-    def covers(self, leaf: int) -> bool:
-        return self.leaf_lo <= leaf < self.leaf_hi
-
 
 @dataclass(frozen=True)
 class AggregationPlan:
@@ -69,7 +66,7 @@ class AggregationPlan:
     * ``exact`` and the subtree spans partition ``0..n_total-1``.
     * every subtree span is aligned to ``group`` boundaries and every
       group is either fully exact or fully aggregated.
-    * ``special`` (the auto-expansion driver) is a subset of ``exact``.
+    * ``special`` (the leaves pinned exact) is a subset of ``exact``.
     """
 
     n_total: int
@@ -194,37 +191,3 @@ class AggregationPlan:
     @property
     def n_exact(self) -> int:
         return len(self.exact)
-
-    @property
-    def n_aggregated(self) -> int:
-        return self.n_total - self.n_exact
-
-    def is_exact(self, leaf: int) -> bool:
-        return all(not sub.covers(leaf) for sub in self.subtrees)
-
-    def subtree_of(self, leaf: int):
-        for sub in self.subtrees:
-            if sub.covers(leaf):
-                return sub
-        return None
-
-
-def auto_expand(
-    plan: AggregationPlan,
-    fault_leaves: Iterable[int] = (),
-    tap_leaves: Iterable[int] = (),
-    repair_leaves: Iterable[int] = (),
-    blacklisted: Iterable[int] = (),
-) -> AggregationPlan:
-    """Expand the exactness boundary around every special position.
-
-    Any leaf named by a fault plan, stream tap subscription, repair
-    site or blacklist entry is forced into the exact region, pulling
-    its whole group (and therefore its comm subtree, for balanced
-    plans) out of aggregation.  Fault-path semantics are then simulated
-    exactly; the plan only ever grows its exact region.
-    """
-    special = (
-        set(fault_leaves) | set(tap_leaves) | set(repair_leaves) | set(blacklisted)
-    )
-    return plan.with_special(*special)

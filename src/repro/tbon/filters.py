@@ -37,9 +37,13 @@ delivers is independent of fanout, depth, and child arrival order --
 reducing through any tree shape equals one flat reduction over all leaf
 payloads. The *state* is where windowing lives: each position folds its
 subtree's per-wave merges into a running aggregate over the last
-``window`` waves (0 = unbounded). Emitting the wave *delta* upstream while
-keeping the running aggregate in local state is what lets every level hold
-a live windowed view of its subtree without ever double-counting history.
+``window`` waves (0 = unbounded). A state keeps only its window: at
+``window=0`` the histogram, top-k and prefix-tree states hold no waves,
+and each merged wave folds straight into the running aggregate, which
+the merge's associativity keeps exact (``ewma`` keeps its raw series).
+Emitting the wave *delta* upstream while keeping the running aggregate in
+local state is what lets every level hold a live windowed view of its
+subtree without ever double-counting history.
 
 Built-in filters and their MRNet/paper correspondence:
 
@@ -83,6 +87,8 @@ __all__ = [
     "StatelessFilter",
     "add_rank",
     "add_run",
+    "finish_tree_node",
+    "fold_tree_node",
     "make_filter",
     "register_stream_filter",
     "stream_filter_names",
@@ -234,6 +240,23 @@ register_stream_filter("max", partial(StatelessFilter, "max", _max))
 
 # -- stateful built-in filters ------------------------------------------------
 
+def _update_running(filt: Filter, state: dict, merged: Any) -> dict:
+    """Set ``state["running"]`` to the merge of the last ``filt.window``
+    waves, kept in ``state["waves"]``; at ``window=0`` fold ``merged``
+    into the running merge and keep no waves."""
+    if filt.window:
+        waves = state["waves"]
+        waves.append(merged)
+        if len(waves) > filt.window:
+            waves.pop(0)
+        state["running"] = filt.merge(waves)
+    else:
+        running = state["running"]
+        state["running"] = (merged if running is None
+                            else filt.merge((running, merged)))
+    return state
+
+
 class RunningHistogramFilter(Filter):
     """Pointwise-summed histograms with a running windowed total.
 
@@ -265,14 +288,15 @@ class RunningHistogramFilter(Filter):
         return dict(sorted(acc.items(), key=lambda kv: str(kv[0])))
 
     def update(self, state: dict, merged: dict) -> dict:
-        state["waves"].append(merged)
         running = self.fold(state["running"], merged)
-        if self.window and len(state["waves"]) > self.window:
-            evicted = state["waves"].pop(0)
-            for b, c in evicted.items():
-                running[b] -= c
-                if not running[b]:
-                    del running[b]
+        if self.window:
+            waves = state["waves"]
+            waves.append(merged)
+            if len(waves) > self.window:
+                for b, c in waves.pop(0).items():
+                    running[b] -= c
+                    if not running[b]:
+                        del running[b]
         return state
 
 
@@ -286,7 +310,7 @@ class TopKFilter(Filter):
     every intermediate truncation (the associativity argument the property
     tests pin down). The fold keeps every key's best item, and only the
     finish ranks and truncates. ``state["running"]`` is the top-k over the
-    last ``window`` waves.
+    last ``window`` waves (all waves when ``window=0``).
     """
 
     name = "top_k"
@@ -317,11 +341,7 @@ class TopKFilter(Filter):
         return ranked[:self.k]
 
     def update(self, state: dict, merged: list) -> dict:
-        state["waves"].append(merged)
-        if self.window and len(state["waves"]) > self.window:
-            state["waves"].pop(0)
-        state["running"] = self.merge(state["waves"])
-        return state
+        return _update_running(self, state, merged)
 
 
 class EwmaRateFilter(Filter):
@@ -470,7 +490,7 @@ class RankRuns(Set):
 # The recursive walks are module-level: a nested def that calls itself
 # closes over its own name, a cycle only the cyclic collector frees.
 
-def _fold_tree_node(acc: dict, node: dict) -> None:
+def fold_tree_node(acc: dict, node: dict) -> None:
     """Union the wire node ``node`` (``{"r": runs, "c": {frame: node}}``)
     into the router-owned node ``acc``: each run goes in by bisection,
     each child into ``acc``'s child of the same frame, made empty on
@@ -484,14 +504,14 @@ def _fold_tree_node(acc: dict, node: dict) -> None:
         mine = children.get(frame)
         if mine is None:
             mine = children[frame] = {"r": [], "c": {}}
-        _fold_tree_node(mine, child)
+        fold_tree_node(mine, child)
 
 
-def _finish_tree_node(node: dict) -> dict:
+def finish_tree_node(node: dict) -> dict:
     """A folded node in wire form, its children in frame order."""
     children = node["c"]
     return {"r": node["r"],
-            "c": {f: _finish_tree_node(children[f])
+            "c": {f: finish_tree_node(children[f])
                   for f in sorted(children)}}
 
 
@@ -520,25 +540,15 @@ class PrefixTreeMergeFilter(Filter):
         return {"tree": {"r": [], "c": {}}, "n": 0}
 
     def fold(self, acc: dict, payload: dict) -> dict:
-        _fold_tree_node(acc["tree"], payload["tree"])
+        fold_tree_node(acc["tree"], payload["tree"])
         acc["n"] += payload.get("n", 0)
         return acc
 
     def finish(self, acc: dict) -> dict:
-        return {"tree": _finish_tree_node(acc["tree"]), "n": acc["n"]}
+        return {"tree": finish_tree_node(acc["tree"]), "n": acc["n"]}
 
     def update(self, state: dict, merged: dict) -> dict:
-        waves = state["waves"]
-        waves.append(merged)
-        if self.window:
-            if len(waves) > self.window:
-                waves.pop(0)
-            state["running"] = self.merge(waves)
-        else:
-            running = state["running"]
-            state["running"] = (merged if running is None
-                                else self.merge((running, merged)))
-        return state
+        return _update_running(self, state, merged)
 
 
 register_stream_filter("histogram", RunningHistogramFilter)

@@ -833,15 +833,14 @@ class Stream:
         the reduction. Taps survive repairs while the position lives.
 
         Aggregate positions cannot be tapped: they have no router to
-        observe. De-aggregate the subtree first (rebuild the hybrid
-        topology from a plan whose special set names the tapped leaf --
-        see :func:`repro.simx.aggregate.auto_expand`).
+        observe. De-aggregate the subtree first: rebuild the hybrid
+        topology from ``plan.with_special(leaf)``.
         """
         if self.overlay.topology.kind[position] == "agg":
             raise StreamError(
                 f"cannot tap aggregate position {position}: rebuild the "
-                f"plan with this leaf marked special (auto_expand) so the "
-                f"subtree is simulated exactly")
+                f"plan with this leaf marked special (with_special) so "
+                f"the subtree is simulated exactly")
         if position not in self._taps:
             self._taps[position] = Store(self.sim)
         return self._taps[position]

@@ -177,10 +177,7 @@ def launchmon_startup(fe_api, session, job: RMJob,
     report = StartupReport("launchmon", n_daemons=0)
     t0 = sim.now
 
-    hosts: dict[str, None] = {}
-    for t in job.tasks:
-        hosts.setdefault(t.host)
-    n_be = len(hosts)
+    n_be = len(job.hosts)
     topo = topology or TBONTopology.one_deep(n_be)
     # the RPDTAB hosts place only the *simulated* back ends, so aggregate
     # positions are deliberately absent from this count

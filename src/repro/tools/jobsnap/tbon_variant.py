@@ -52,10 +52,7 @@ def run_jobsnap_tbon(cluster: Cluster, rm: ResourceManager, job: RMJob,
     yield from fe.init()
     session = fe.create_session()
 
-    hosts: dict[str, None] = {}
-    for t in job.tasks:
-        hosts.setdefault(t.host)
-    n_be = len(hosts)
+    n_be = len(job.hosts)
     topology = TBONTopology.balanced(n_be, fanout)
 
     def collect_body(be, ctx, endpoint):

@@ -65,11 +65,11 @@ class DpclInstrumentor:
         per_entry = 3 * self.cluster.costs.ptrace_word_read * 2  # RPC x2
         yield sim.timeout(per_entry * len(table))
         # per-node daemon connection bookkeeping (the small slope in Table 1)
-        hosts = {t.host for t in job.tasks}
-        yield sim.timeout(0.028 * len(hosts))
+        n_nodes = len(job.hosts)
+        yield sim.timeout(0.028 * n_nodes)
         proctable = RPDTAB(table)
         return ApaiAccessResult(
-            mechanism="dpcl", n_nodes=len(hosts), n_tasks=len(proctable),
+            mechanism="dpcl", n_nodes=n_nodes, n_tasks=len(proctable),
             t_access=sim.now - t0, proctable=proctable,
             used_root_daemons=True)
 
@@ -97,8 +97,7 @@ class LaunchmonInstrumentor:
         proctable = yield from tracer.read_proctable()
         yield from tracer.detach()
         engine_proc.exit(0)
-        hosts = {t.host for t in job.tasks}
         return ApaiAccessResult(
-            mechanism="launchmon", n_nodes=len(hosts),
+            mechanism="launchmon", n_nodes=len(job.hosts),
             n_tasks=len(proctable), t_access=sim.now - t0,
             proctable=proctable, used_root_daemons=False)

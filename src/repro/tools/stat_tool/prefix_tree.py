@@ -4,71 +4,52 @@ Each node represents one call path prefix; its rank set records every
 task whose sampled stack passes through that prefix. Rank sets are run
 lists (:mod:`repro.tbon.filters`): sorted, disjoint, half-open runs, so a
 node's cost follows the number of runs, not the number of tasks -- a
-contiguous span of a million ranks is two integers. Merging two trees is
-a pointwise union -- associative, commutative and idempotent
-(property-tested), which is exactly what makes the structure reduce
-losslessly through a TBON in any tree shape.
+contiguous span of a million ranks is two integers. The tree's nodes are
+the TBON wire nodes ``{"r": runs, "c": {frame: node}}``, and merging two
+trees is the ``prefix_tree_merge`` filter's fold: a pointwise union --
+associative, commutative and idempotent (property-tested), which is
+exactly what makes the structure reduce losslessly through a TBON in any
+tree shape.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.tbon.filters import RankRuns, add_rank, subtract_runs, union_runs
+from repro.tbon.filters import (
+    RankRuns,
+    add_rank,
+    finish_tree_node,
+    fold_tree_node,
+    subtract_runs,
+    union_runs,
+)
 
 __all__ = ["PrefixTree", "merge_trees"]
 
 
-class _Node:
-    __slots__ = ("runs", "children")
-
-    def __init__(self) -> None:
-        self.runs: list[int] = []
-        self.children: dict[str, _Node] = {}
-
-
-# The recursive walks are module-level: a nested def that calls itself
+# The recursive walk is module-level: a nested def that calls itself
 # closes over its own name, a function <-> cell cycle per call that only
 # the cyclic collector frees, and Simulator.run() pauses the collector.
 
-def _walk_paths(node: _Node, prefix: tuple[str, ...],
+def _walk_paths(node: dict, prefix: tuple[str, ...],
                 out: list[tuple[tuple[str, ...], RankRuns]]) -> None:
     """Append :meth:`PrefixTree.paths` entries at and under ``node``."""
-    own = (subtract_runs(node.runs, union_runs(
-        child.runs for child in node.children.values()))
-        if node.children else node.runs)
+    children = node["c"]
+    own = (subtract_runs(node["r"], union_runs(
+        child["r"] for child in children.values()))
+        if children else node["r"])
     if own:
         out.append((prefix, RankRuns(own)))
-    for frame in sorted(node.children):
-        _walk_paths(node.children[frame], prefix + (frame,), out)
-
-
-def _fold(dst: _Node, src: _Node) -> None:
-    """Union ``src``'s subtree into ``dst``'s."""
-    dst.runs = union_runs((dst.runs, src.runs))
-    for frame, src_child in src.children.items():
-        _fold(dst.children.setdefault(frame, _Node()), src_child)
-
-
-def _node_to_dict(node: _Node) -> dict:
-    return {"r": list(node.runs),
-            "c": {f: _node_to_dict(ch) for f, ch in
-                  sorted(node.children.items())}}
-
-
-def _node_from_dict(data: dict, node: _Node) -> None:
-    node.runs = list(data["r"])
-    for frame, child_data in data["c"].items():
-        child = _Node()
-        node.children[frame] = child
-        _node_from_dict(child_data, child)
+    for frame in sorted(children):
+        _walk_paths(children[frame], prefix + (frame,), out)
 
 
 class PrefixTree:
     """A mergeable call-graph prefix tree with rank-set annotations."""
 
     def __init__(self) -> None:
-        self._root = _Node()
+        self._root: dict = {"r": [], "c": {}}
         self._n_samples = 0
 
     # -- construction --------------------------------------------------------
@@ -78,18 +59,18 @@ class PrefixTree:
             raise ValueError("empty stack trace")
         self._n_samples += 1
         node = self._root
-        add_rank(node.runs, rank)
+        add_rank(node["r"], rank)
         for frame in stack:
-            child = node.children.get(frame)
-            if child is None:
-                child = node.children[frame] = _Node()
-            node = child
-            add_rank(node.runs, rank)
+            children = node["c"]
+            node = children.get(frame)
+            if node is None:
+                node = children[frame] = {"r": [], "c": {}}
+            add_rank(node["r"], rank)
 
     # -- queries ------------------------------------------------------------------
     @property
     def all_ranks(self) -> RankRuns:
-        return RankRuns(self._root.runs)
+        return RankRuns(self._root["r"])
 
     def paths(self) -> list[tuple[tuple[str, ...], RankRuns]]:
         """Every call path some rank's stack ends at, with those ranks.
@@ -100,8 +81,9 @@ class PrefixTree:
         :attr:`all_ranks`. Paths come out in sorted order.
         """
         out: list[tuple[tuple[str, ...], RankRuns]] = []
-        for frame in sorted(self._root.children):
-            _walk_paths(self._root.children[frame], (frame,), out)
+        children = self._root["c"]
+        for frame in sorted(children):
+            _walk_paths(children[frame], (frame,), out)
         return out
 
     def equivalence_classes(self) -> list[tuple[tuple[str, ...], RankRuns]]:
@@ -118,23 +100,22 @@ class PrefixTree:
         while stack:
             node = stack.pop()
             count += 1
-            stack.extend(node.children.values())
+            stack.extend(node["c"].values())
         return count - 1  # exclude synthetic root
 
     def ranks_at(self, path: Sequence[str]) -> RankRuns:
         """Rank set at an interior prefix (empty set if path absent)."""
         node = self._root
         for frame in path:
-            child = node.children.get(frame)
-            if child is None:
+            node = node["c"].get(frame)
+            if node is None:
                 return RankRuns()
-            node = child
-        return RankRuns(node.runs)
+        return RankRuns(node["r"])
 
     # -- merging --------------------------------------------------------------------
     def merge(self, other: "PrefixTree") -> "PrefixTree":
         """In-place union with another tree; returns self."""
-        _fold(self._root, other._root)
+        fold_tree_node(self._root, other._root)
         self._n_samples += other._n_samples
         return self
 
@@ -149,18 +130,22 @@ class PrefixTree:
         """
         if not isinstance(other, PrefixTree):
             return NotImplemented
-        return self.to_dict()["tree"] == other.to_dict()["tree"]
+        return self._root == other._root
 
     # -- wire form ---------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-able form for TBON payloads: ``{"r": runs, "c": {...}}``
-        per node, rank sets as run lists."""
-        return {"tree": _node_to_dict(self._root), "n": self._n_samples}
+        """JSON-able form for TBON payloads: a finished copy of the
+        nodes, children in frame order, so later inserts leave it as
+        it is."""
+        return {"tree": finish_tree_node(self.copy()._root),
+                "n": self._n_samples}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PrefixTree":
+        """The tree of a wire dict, folded into an empty tree: growing
+        it never writes into ``obj``."""
         tree = cls()
-        _node_from_dict(obj["tree"], tree._root)
+        fold_tree_node(tree._root, obj["tree"])
         tree._n_samples = obj.get("n", 0)
         return tree
 

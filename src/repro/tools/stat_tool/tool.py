@@ -84,10 +84,10 @@ def run_stat_launchmon(cluster: Cluster, rm: ResourceManager, job: RMJob,
     with :meth:`TBONTopology.hybrid_one_deep`; every aggregate subtree
     contributes the collapsed span's sample wave (all its ranks on
     ``bulk_stack`` -- special ranks must be in the exact region, which
-    :func:`repro.simx.aggregate.auto_expand` guarantees) and its launch
-    phases are folded from the validated :class:`LaunchModel` terms, so
-    the merged tree and class counts are *exact* while the phase totals
-    carry the model's error band.
+    :meth:`~repro.simx.aggregate.AggregationPlan.with_special` puts them
+    in) and its launch phases are folded from the validated
+    :class:`LaunchModel` terms, so the merged tree and class counts are
+    *exact* while the phase totals carry the model's error band.
     """
     sim = cluster.sim
     t0 = sim.now
@@ -100,10 +100,7 @@ def run_stat_launchmon(cluster: Cluster, rm: ResourceManager, job: RMJob,
     yield from fe.init()
     session = fe.create_session()
 
-    hosts: dict[str, None] = {}
-    for t in job.tasks:
-        hosts.setdefault(t.host)
-    tasks_per_daemon = len(job.tasks) // max(1, len(hosts))
+    tasks_per_daemon = len(job.tasks) // max(1, len(job.hosts))
 
     def stat_daemon_body(be, ctx, endpoint):
         tree = yield from _sample_local_tasks(ctx, be.get_my_proctab())
@@ -185,10 +182,7 @@ def run_stat_mrnet_native(cluster: Cluster, rm: ResourceManager, job: RMJob,
     t0 = sim.now
 
     # manual partition identification: read the job's node list by hand
-    hosts: dict[str, None] = {}
-    for t in job.tasks:
-        hosts.setdefault(t.host)
-    backend_nodes = [cluster.node(h) for h in hosts]
+    backend_nodes = [cluster.node(h) for h in job.hosts]
 
     overlay, report = yield from native_startup(
         cluster, backend_nodes, daemon_executable="stat_be",

@@ -319,6 +319,14 @@ class TestResilience:
                    for row in rows if row["fault_rate"] > 0.0)
         assert "fault_stats" not in result.format_table()
 
+    def test_unfinished_cell_reports_hung(self, monkeypatch):
+        import repro.experiments.resilience as res
+        monkeypatch.setattr(res, "CELL_DEADLINE", 0.01)
+        cell = res.measure_resilient_launch("tree-rsh", 16, 0.0, repair=True)
+        assert (cell["state"], cell["error"], cell["t_attach"]) == (
+            "hung", "", 0.01)
+        assert cell["up"] == 0
+
 
 class TestResilientLaunch512:
     """A 512-daemon launch at a 2% node-failure rate: tree-rsh with

@@ -162,6 +162,44 @@ class TestDaemonSpawn:
         assert {d.node.name for d in daemons} == {n.name for n in alloc.nodes}
 
 
+class TestJobRecord:
+    @staticmethod
+    def waiting_daemon(ctx):
+        yield ctx.sim.event()  # runs until ended
+
+    @pytest.mark.parametrize("tasks_per_node", [1, 4])
+    def test_hosts_are_distinct_in_first_task_order(self, sim, rm,
+                                                    tasks_per_node):
+        app = make_compute_app(n_tasks=4 * tasks_per_node,
+                               tasks_per_node=tasks_per_node)
+        job = run_gen(sim, rm.launch_job(app, rm.allocate(4)))
+        first_seen = []
+        for t in job.tasks:
+            if t.host not in first_seen:
+                first_seen.append(t.host)
+        assert job.hosts == first_seen
+        assert len(job.hosts) == 4
+        assert job.hosts == job.build_proctable().hosts
+
+    def test_end_ends_tasks_then_daemons_then_launcher(self, sim, rm):
+        app = make_compute_app(n_tasks=8, tasks_per_node=4)
+        job = run_gen(sim, rm.launch_job(app, rm.allocate(2)))
+        spec = DaemonSpec("toold", main=self.waiting_daemon)
+        run_gen(sim, rm.spawn_daemons(
+            job, spec, TestDaemonSpawn.make_factory([])))
+        procs = [*job.tasks, *(d.proc for d in job.daemons), job.launcher]
+        assert len(procs) == 8 + 2 + 1 and all(p.alive for p in procs)
+        order = []
+        for p in procs:
+            p.exit_event.callbacks.append(lambda ev, p=p: order.append(p))
+        assert job.end(3) == len(procs)
+        sim.run()
+        assert order == procs
+        assert all(not p.alive and p.exit_code == 3 for p in procs)
+        assert job.state is JobState.COMPLETED
+        assert job.end(3) == 0
+
+
 class TestDebugEvents:
     def test_well_designed_event_count_is_scale_independent(self):
         """The paper: SLURM has no events that grow with scale (post-fix)."""

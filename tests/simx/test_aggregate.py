@@ -3,8 +3,8 @@
 Three layers of guarantee, cheapest first:
 
 * **plan algebra** -- :class:`AggregationPlan` partitions the leaf space,
-  respects group alignment, keeps ragged tails exact, and its
-  auto-expanded exact region always contains every special position
+  respects group alignment, keeps ragged tails exact, and its exact
+  region, grown by ``with_special``, always contains every special position
   (property-tested over random fault/tap placements); its interval
   build and validator agree field for field and message for message
   with the per-group build and set-based check kept here as oracles,
@@ -23,9 +23,26 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simx import (AggregateSubtree, AggregationError, AggregationPlan,
-                        auto_expand)
+from repro.simx import AggregateSubtree, AggregationError, AggregationPlan
 from repro.tbon import TBONTopology
+
+
+# Plan queries no production path needs: the tests' own views of a plan.
+
+def covers(sub, leaf):
+    return sub.leaf_lo <= leaf < sub.leaf_hi
+
+
+def n_aggregated(plan):
+    return plan.n_total - plan.n_exact
+
+
+def subtree_of(plan, leaf):
+    return next((sub for sub in plan.subtrees if covers(sub, leaf)), None)
+
+
+def is_exact(plan, leaf):
+    return subtree_of(plan, leaf) is None
 
 
 def per_group_build(n_total, exact_head=0, special=(), group=1):
@@ -107,14 +124,14 @@ class TestPlanBuild:
         # head rounds up to a group boundary
         assert plan.exact_head == 8
         assert set(plan.exact) == set(range(8))
-        assert plan.n_exact + plan.n_aggregated == 64
+        assert plan.n_exact + n_aggregated(plan) == 64
         [sub] = plan.subtrees
         assert (sub.leaf_lo, sub.leaf_hi, sub.n_contrib) == (8, 64, 14)
 
     def test_special_deaggregates_its_whole_group(self):
         plan = AggregationPlan.build(64, exact_head=8, special=(42,), group=8)
         assert set(range(40, 48)) <= set(plan.exact)
-        assert all(not sub.covers(42) for sub in plan.subtrees)
+        assert all(not covers(sub, 42) for sub in plan.subtrees)
         # the runs on either side of the special group stay aggregated
         assert {(s.leaf_lo, s.leaf_hi) for s in plan.subtrees} == \
             {(8, 40), (48, 64)}
@@ -127,7 +144,7 @@ class TestPlanBuild:
 
     def test_fully_exact_when_head_covers_everything(self):
         plan = AggregationPlan.build(32, exact_head=32, group=4)
-        assert plan.n_aggregated == 0 and not plan.subtrees
+        assert n_aggregated(plan) == 0 and not plan.subtrees
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(AggregationError):
@@ -141,7 +158,7 @@ class TestPlanBuild:
         plan = AggregationPlan.build(256, exact_head=16, group=16)
         grown = plan.with_special(200)
         assert set(plan.exact) <= set(grown.exact)
-        assert grown.is_exact(200)
+        assert is_exact(grown, 200)
         # already-exact specials are a no-op (same object back)
         assert grown.with_special(200) is grown
 
@@ -243,14 +260,14 @@ class TestIntervalPlanMatchesOracle:
         else:
             assert want is None
             for leaf in range(-1, n_total + 1):
-                sub = next((s for s in spans if s.covers(leaf)), None)
-                assert plan.subtree_of(leaf) == sub
-                assert plan.is_exact(leaf) == (sub is None)
+                sub = next((s for s in spans if covers(s, leaf)), None)
+                assert subtree_of(plan, leaf) == sub
+                assert is_exact(plan, leaf) == (sub is None)
 
 
 class TestScaleGuard:
     def test_trillion_leaf_plans_cost_exact_plus_spans(self):
-        """A 2**40-leaf plan builds, auto-expands and yields hybrid trees
+        """A 2**40-leaf plan builds, grows and yields hybrid trees
         in memory bounded by its exact region and span count. A per-leaf
         build or check could not run this at all."""
         n = 2 ** 40
@@ -262,8 +279,8 @@ class TestScaleGuard:
                                              special=specials, group=group)
                 assert len(plan.subtrees) == 3
                 assert plan.n_exact == 1024 + len(specials) * group
-                grown = auto_expand(plan, fault_leaves=[n // 4])
-                assert grown.is_exact(n // 4)
+                grown = plan.with_special(n // 4)
+                assert is_exact(grown, n // 4)
                 assert grown.n_exact == plan.n_exact + group
                 assert len(grown.subtrees) == 4
                 trees = [TBONTopology.hybrid_one_deep(grown)]
@@ -290,11 +307,9 @@ class TestAutoExpandProperties:
         repairs = data.draw(st.lists(leaves, max_size=3))
         black = data.draw(st.lists(leaves, max_size=3))
 
-        plan = auto_expand(
-            AggregationPlan.build(n_total, exact_head=exact_head,
-                                  group=group),
-            fault_leaves=faults, tap_leaves=taps,
-            repair_leaves=repairs, blacklisted=black)
+        plan = AggregationPlan.build(
+            n_total, exact_head=exact_head, group=group).with_special(
+                *faults, *taps, *repairs, *black)
 
         specials = set(faults) | set(taps) | set(repairs) | set(black)
         exact = set(plan.exact)
@@ -308,7 +323,7 @@ class TestAutoExpandProperties:
             leaf for sub in plan.subtrees
             for leaf in range(sub.leaf_lo, sub.leaf_hi)})
         assert covered == list(range(n_total))
-        assert plan.n_exact + plan.n_aggregated == n_total
+        assert plan.n_exact + n_aggregated(plan) == n_total
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -322,18 +337,16 @@ class TestAutoExpandProperties:
         specials = data.draw(st.lists(
             st.integers(min_value=0, max_value=n_total - 1), max_size=4))
 
-        flat_plan = auto_expand(
-            AggregationPlan.build(n_total, exact_head=exact_head),
-            tap_leaves=specials)
+        flat_plan = AggregationPlan.build(
+            n_total, exact_head=exact_head).with_special(*specials)
         flat = TBONTopology.hybrid_one_deep(flat_plan)
         assert flat.virtual_leaf_count() == n_total
         assert flat.virtual_daemon_count() == n_total
         assert len(flat.backends()) == flat_plan.n_exact
 
-        grouped = auto_expand(
-            AggregationPlan.build(n_total, exact_head=exact_head,
-                                  group=fanout),
-            tap_leaves=specials)
+        grouped = AggregationPlan.build(
+            n_total, exact_head=exact_head,
+            group=fanout).with_special(*specials)
         tree = TBONTopology.hybrid_balanced(grouped, fanout)
         assert tree.virtual_leaf_count() == n_total
         full = TBONTopology.balanced(n_total, fanout)

@@ -5,10 +5,14 @@ from functools import partial
 import pytest
 
 from repro.cluster.network import message_size
+from repro.cluster import Cluster, ClusterSpec
 from repro.tbon import (
     Filter,
+    Overlay,
     Packet,
     StatelessFilter,
+    StreamSpec,
+    TBONTopology,
     make_filter,
     register_stream_filter,
     stream_filter_names,
@@ -111,6 +115,61 @@ class TestStatefulFilterValidation:
         assert make_filter("ewma").merge([2, 3]) == 5
         assert make_filter("top_k").merge(
             [[[5, "x"]], [[9, "y"]]])[0] == [9, "y"]
+
+
+class TestWindowZeroKeepsNoWaves:
+    """At ``window=0`` a stream state keeps its running aggregate only:
+    each merged wave folds into it, and no state grows with the waves."""
+
+    N_WAVES = 30
+
+    @staticmethod
+    def payload(name, pos, wave):
+        if name == "histogram":
+            return {f"b{(pos + wave) % 5}": pos + 1}
+        if name == "top_k":
+            return [[(pos * 7 + wave * 13) % 97, f"k{(pos + wave) % 20}"],
+                    [(pos * wave) % 89, f"k{(3 * pos + wave) % 20}"]]
+        runs = [pos, pos + 1]
+        return {"tree": {"r": runs, "c": {
+            f"f{(pos + wave) % 3}": {"r": runs, "c": {}}}}, "n": 1}
+
+    @pytest.mark.parametrize("name",
+                             ["histogram", "top_k", "prefix_tree_merge"])
+    def test_thirty_waves_leave_no_state_holding_waves(self, sim, name):
+        topo = TBONTopology.balanced(8, fanout=4)
+        cluster = Cluster(sim, ClusterSpec(n_compute=topo.size, seed=4))
+        placement = {0: cluster.front_end}
+        for pos in range(1, topo.size):
+            placement[pos] = cluster.compute[pos]
+        ov = Overlay(sim, cluster.network, topo, placement, {})
+        ov.start_routers()
+        stream = ov.open_stream(StreamSpec(1, name, window=0))
+        delivered = []
+
+        def leaf(pos):
+            for wave in range(self.N_WAVES):
+                yield from stream.publish(pos, wave,
+                                          self.payload(name, pos, wave))
+
+        def root():
+            for _ in range(self.N_WAVES):
+                pkt = yield from stream.next_wave()
+                delivered.append(pkt.payload)
+
+        for pos in topo.backends():
+            sim.process(leaf(pos))
+        sim.process(root())
+        sim.run()
+        assert len(delivered) == self.N_WAVES
+        states = [stream.state_at(pos) for pos in range(topo.size)]
+        states = [st for st in states if st is not None]
+        assert states
+        assert all(st["waves"] == [] for st in states)
+        if name == "top_k":
+            # exact: the merge is associative and commutative
+            running = stream.state_at(0)["running"]
+            assert running == make_filter("top_k").merge(delivered)
 
 
 class TestPacketInvariants:

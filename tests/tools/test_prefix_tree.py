@@ -1,5 +1,6 @@
 """Tests for STAT's call-graph prefix tree."""
 
+import copy
 import gc
 
 import pytest
@@ -121,6 +122,27 @@ class TestWireForm:
         import json
         t = build([(BARRIER, 0)])
         assert json.loads(json.dumps(t.to_dict())) == t.to_dict()
+
+    def test_tree_from_dict_never_writes_its_payload(self):
+        payload = build([(BARRIER, 0), (COMPUTE, 1)]).to_dict()
+        before = copy.deepcopy(payload)
+        tree = PrefixTree.from_dict(payload)
+        tree.insert(BARRIER, 5)
+        tree.insert(RECV, 2)
+        tree.merge(build([(COMPUTE, 7)]))
+        assert payload == before
+        assert tree.ranks_at(BARRIER) == {0, 5}
+
+    def test_to_dict_result_is_unchanged_by_later_inserts(self):
+        tree = build([(BARRIER, 0), (COMPUTE, 1)])
+        payload = tree.to_dict()
+        before = copy.deepcopy(payload)
+        tree.insert(BARRIER, 2)
+        tree.insert(RECV, 3)
+        tree.merge(build([(COMPUTE, 9)]))
+        assert payload == before
+        assert PrefixTree.from_dict(payload) == build(
+            [(BARRIER, 0), (COMPUTE, 1)])
 
     def test_filter_registered(self):
         from repro.tbon import make_filter
