@@ -10,22 +10,22 @@ Run:  python examples/scaling_study.py
 """
 
 from repro import drive, make_env
-from repro.adhoc import sequential_rsh_launch, tree_rsh_launch
+from repro.cluster import ClusterSpec
 from repro.experiments.fig3 import DAEMON_IMAGE_MB, measure_launch_and_spawn
+from repro.launch import LaunchRequest, get_strategy
 from repro.perfmodel import LaunchModel, ModelInputs
 
 
-def time_adhoc(launcher, n):
-    env = make_env(n_compute=n)
-    box = {}
+def rsh_launch(env, strategy, image_mb):
+    """rsh a ``toold`` daemon onto every compute node of ``env``; the
+    serial loop holds each client open, as MRNet does."""
+    return drive(env, get_strategy(strategy).launch(LaunchRequest(
+        cluster=env.cluster, nodes=env.cluster.compute, executable="toold",
+        image_mb=image_mb, hold_clients=strategy == "serial-rsh")))
 
-    def scenario(env):
-        r = yield from launcher(env.cluster, env.cluster.compute,
-                                image_mb=1.0)
-        box["r"] = r
 
-    drive(env, scenario(env))
-    r = box["r"]
+def time_adhoc(strategy, n):
+    r = rsh_launch(make_env(n_compute=n), strategy, 1.0)
     return None if r.report.n_failed else r.report.total, r
 
 
@@ -35,8 +35,8 @@ def main():
           f"{'launchmon':>10} {'model':>10}")
     model = LaunchModel()
     for n in (8, 32, 128, 512):
-        t_seq, seq_res = time_adhoc(sequential_rsh_launch, n)
-        t_tree, _ = time_adhoc(tree_rsh_launch, n)
+        t_seq, seq_res = time_adhoc("serial-rsh", n)
+        t_tree, _ = time_adhoc("tree-rsh", n)
         measured, _, _ = measure_launch_and_spawn(n)
         predicted = model.predict(
             ModelInputs(n, daemon_image_mb=DAEMON_IMAGE_MB))
@@ -55,18 +55,9 @@ def main():
     print(" * model: the Section 4 closed-form prediction for launchAndSpawn")
 
     print("\n=== portability: the same tool on an MPP (no compute rshd) ===")
-    from repro.cluster import ClusterSpec
     env = make_env(n_compute=8, spec=ClusterSpec(n_compute=8,
                                                  compute_rshd=False))
-    box = {}
-
-    def scenario(env):
-        r = yield from sequential_rsh_launch(env.cluster,
-                                             env.cluster.compute)
-        box["r"] = r
-
-    drive(env, scenario(env))
-    failure = box["r"].report.failure
+    failure = rsh_launch(env, "serial-rsh", 4.0).report.failure
     print(f"  ad-hoc rsh:  FAILED ({failure.split(':')[-1].strip()})")
     m, _, _ = measure_launch_and_spawn(8)
     print(f"  launchmon:   works unchanged ({m.total:.2f} s) -- the RM's "

@@ -170,12 +170,12 @@ class LaunchMONEngine:
                   context_factory: Callable[..., Any],
                   topology: Optional[str] = None,
                   ) -> Generator[Any, Any, tuple]:
-        """Spawn middleware daemons on a dedicated allocation."""
-        t0 = self.sim.now
-        daemons, fabric = yield from self.rm.spawn_on_allocation(
-            alloc, spec, context_factory, topology=topology)
-        self.times.t_daemon += self.sim.now - t0
-        return daemons, fabric
+        """Spawn middleware daemons on a dedicated allocation; returns
+        the RM's ``(daemons, fabric, report)``. The spawn is not part of
+        the back-end launch, so ``times`` -- the breakdown of one
+        launchAndSpawn/attachAndSpawn -- does not change."""
+        return (yield from self.rm.spawn_on_allocation(
+            alloc, spec, context_factory, topology=topology))
 
     # -- teardown / control --------------------------------------------------------
     def detach(self) -> Generator[Any, Any, None]:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.adhoc import sequential_rsh_launch, tree_rsh_launch
 from repro.apps import make_compute_app
 from repro.be import BackEnd
 from repro.fe import ToolFrontEnd
+from repro.launch import LaunchRequest, get_strategy
 from repro.rm import DaemonSpec, SlurmConfig, SlurmRM
 from repro.runner import drive, make_env
 from repro.experiments.common import ExperimentResult
@@ -151,25 +151,15 @@ def _idle_daemon(ctx):
 
 
 def _a3_point(n: int) -> dict:
-    # sequential rsh
-    env = make_env(n_compute=n)
-
-    def seq(env=env):
-        r = yield from sequential_rsh_launch(
-            env.cluster, env.cluster.compute, image_mb=1.0)
-        return None if r.report.n_failed else r.report.total
-
-    t_seq = drive(env, seq())
-
-    # tree rsh
-    env = make_env(n_compute=n)
-
-    def tree(env=env):
-        r = yield from tree_rsh_launch(
-            env.cluster, env.cluster.compute, image_mb=1.0)
-        return None if r.report.n_failed else r.report.total
-
-    t_tree = drive(env, tree())
+    # sequential rsh holding every client open (the MRNet way), then tree
+    # rsh; a launch that stopped short has no time
+    t_rsh = {}
+    for strategy, hold_clients in (("serial-rsh", True), ("tree-rsh", False)):
+        env = make_env(n_compute=n)
+        r = drive(env, get_strategy(strategy).launch(LaunchRequest(
+            cluster=env.cluster, nodes=env.cluster.compute,
+            executable="toold", image_mb=1.0, hold_clients=hold_clients)))
+        t_rsh[strategy] = None if r.report.n_failed else r.report.total
 
     # RM native spawn (through a full attachAndSpawn minus handshake)
     env = make_env(n_compute=n)
@@ -189,8 +179,8 @@ def _a3_point(n: int) -> dict:
         yield from env.rm.spawn_daemons(job, spec, factory)
         return env.sim.now - t0
 
-    return {"daemons": n, "rsh_sequential": t_seq, "rsh_tree": t_tree,
-            "rm_native": drive(env, native())}
+    return {"daemons": n, "rsh_sequential": t_rsh["serial-rsh"],
+            "rsh_tree": t_rsh["tree-rsh"], "rm_native": drive(env, native())}
 
 
 def run_ablation_launchers(daemon_counts: Sequence[int] = (16, 64, 256),

@@ -67,9 +67,9 @@ def _measure_rm_bulk(env, n_daemons: int, image_mb: float,
     reports = []
     for _ in range(2):
         alloc = env.rm.allocate(n_daemons)
-        daemons, _fabric = yield from env.rm.spawn_on_allocation(
+        daemons, _fabric, report = yield from env.rm.spawn_on_allocation(
             alloc, spec, factory)
-        reports.append(env.rm.last_launch_report)
+        reports.append(report)
         for d in daemons:
             if d.proc is not None and d.proc.alive:
                 d.proc.exit(0)

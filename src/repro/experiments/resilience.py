@@ -10,9 +10,9 @@ fraction of the compute nodes while the daemon set is spawning. The
 with backoff, node blacklisting, a ``min_daemon_fraction`` acceptance
 threshold, and -- for ``tree-rsh`` -- launch-time subtree re-rooting):
 
-* **repair off** (no policy, ``on_failure="stop"``): any node crash fails
-  the whole launch -- the rsh strategies stop at the first dead node,
-  ``rm-bulk`` aborts the set, and the session lands in ``FAILED``;
+* **repair off** (no policy): any node crash fails the whole launch --
+  the rsh strategies stop at the first dead node, ``rm-bulk`` aborts the
+  set, and the session lands in ``FAILED``;
 * **repair on**: the launch absorbs the crashes (retry, blacklist, route
   around), completes with the surviving daemons, and the session lands in
   ``DEGRADED`` -- with every missing daemon index attributed in
@@ -122,7 +122,11 @@ def measure_resilient_launch(strategy: str, n_daemons: int,
                                        until=CELL_DEADLINE)
     except RuntimeError:
         state, error, t_attach = "hung", "", CELL_DEADLINE
-    report: Optional[LaunchReport] = env.rm.last_launch_report
+    # the spawn report is filed on the job before the set is judged, so
+    # a rejected set is attributed too
+    jobs = env.rm.jobs
+    report: Optional[LaunchReport] = (jobs[0].daemon_spawn_report
+                                      if jobs else None)
     # a failed cell has NO daemons up -- the below-fraction spawn reaped
     # its survivors before raising (report.n_daemons is the pre-reap count)
     up = report.n_daemons if (report and state not in ("failed", "hung")) \

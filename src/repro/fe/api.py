@@ -234,7 +234,7 @@ class ToolFrontEnd:
         try:
             rendezvous = Store(self.sim)
             factory = self._context_factory(session, rendezvous)
-            new_daemons, fabric = yield from session.engine.launch_mw(
+            new_daemons, fabric, _report = yield from session.engine.launch_mw(
                 alloc, mw_spec, factory, topology=topology)
             mw_stream, _ready = yield from self._handshake(
                 session, "mw", rendezvous, usr_data)
@@ -540,9 +540,8 @@ class ToolFrontEnd:
         session.job = job
         session.daemons = daemons
         session.fabric = fabric
-        # the RM just spawned this session's daemon set; keep its per-phase
-        # launch breakdown with the session (spawn / image-stage / ...).
-        # The report is job-scoped: the RM-wide last_launch_report can be
-        # overwritten by a concurrent session's spawn, and the report
+        # the RM just spawned this session's daemon set and filed its
+        # per-phase launch breakdown (spawn / image-stage / ...) on the
+        # job, the report's one home; keep it with the session, where it
         # decides READY vs DEGRADED.
         session.launch_report = job.daemon_spawn_report

@@ -196,8 +196,6 @@ class FleetFrontDoor(OperationCore):
             if reg is not None:
                 self.view.put(reg)
         mesh.attach_observer(self)
-        self.failovers = 0
-        self.rejected = 0
         #: rejections issued while the door held only a minority view
         self.minority_rejections = 0
         #: fenced re-placements initiated (each bumped a handle's epoch)
@@ -382,14 +380,12 @@ class FleetFrontDoor(OperationCore):
                 if (self.max_failovers is not None
                         and len(handle.attempts) > self.max_failovers):
                     # failover budget spent: bounded rejection, not a storm
-                    self.rejected += 1
                     raise FleetUnavailable(
                         f"failover budget exhausted for request "
                         f"{handle.request.key!r} "
                         f"({self.max_failovers} after {handle.attempts})")
                 target = self._place(handle.request, tried)
                 if target is None:
-                    self.rejected += 1
                     if not self.has_quorum():
                         self.minority_rejections += 1
                     raise FleetUnavailable(
@@ -397,7 +393,6 @@ class FleetFrontDoor(OperationCore):
                         f"{handle.request.key!r} (tried {sorted(tried)})")
                 if handle.attempts:
                     handle.failovers += 1
-                    self.failovers += 1
                 handle.attempts.append(target)
                 member = self._members[target]
                 if not self._reachable(target):

@@ -24,12 +24,13 @@ PAPERS.md), not bolted on by callers:
   killed mid-handshake fails the session instead of hanging it forever
   (``0`` = wait forever, the classic behaviour).
 
-The all-defaults policy (``LaunchPolicy()``) is *not* the same as no policy:
-it still demands a complete daemon set (min fraction 1.0) but launches
-past failures (``on_failure="continue"``), so every index is attempted
-and attributed before the verdict. ``ResourceManager(policy=None)`` -- the
-default everywhere -- spawns each daemon once and stops at the first
-failure (``rm-bulk`` aborts the set).
+A :class:`~repro.launch.LaunchRequest` carries the policy to the launch
+layer. The all-defaults policy (``LaunchPolicy()``) is *not* the same as no
+policy: it still demands a complete daemon set (min fraction 1.0) but
+launches past failures, so every index is attempted and attributed before
+the verdict. ``ResourceManager(policy=None)`` -- the default everywhere --
+spawns each daemon once and stops at the first failure (``rm-bulk`` aborts
+the set).
 """
 
 from __future__ import annotations

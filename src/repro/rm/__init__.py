@@ -20,9 +20,11 @@ machinery for three platform archetypes:
 Every capable RM spawns daemon sets through the unified launch layer
 (:meth:`ResourceManager._launch_daemon_procs`; ``launch_strategy`` selects
 ``rm-bulk`` -- the default, Section 3.1's efficient path -- or an rsh
-strategy for ad-hoc platforms and the resilience sweep) and records the
-per-phase :class:`~repro.launch.LaunchReport` in ``last_launch_report``.
-With a :class:`~repro.launch.LaunchPolicy` set, spawns run under its
+strategy for ad-hoc platforms and the resilience sweep). A spawn's
+per-phase :class:`~repro.launch.LaunchReport` has one home: the job it
+spawned into (``RMJob.daemon_spawn_report``, filed before the set is
+judged), or the ``(daemons, fabric, report)`` that ``spawn_on_allocation``
+returns. With a :class:`~repro.launch.LaunchPolicy` set, spawns run under its
 timeout / bounded retry / blacklisting and launch past failures (the
 partial set is judged by ``min_daemon_fraction``), ``node_blacklist``
 holds the condemned nodes, and ``free_nodes()`` refuses to re-allocate

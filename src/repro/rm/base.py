@@ -38,7 +38,6 @@ from repro.launch import (
     LaunchReport,
     LaunchRequest,
     LaunchResult,
-    RmBulkStrategy,
     get_strategy,
 )
 from repro.mpir import (
@@ -144,8 +143,9 @@ class RMJob:
         self.state = JobState.PENDING
         self.daemons: list[LaunchedDaemon] = []
         #: per-phase report of the most recent daemon set spawned into this
-        #: job -- unlike the RM-wide ``last_launch_report`` it cannot be
-        #: overwritten by a concurrent session's spawn
+        #: job, filed before the RM judges the set (so a rejected set's
+        #: attribution is here too); a concurrent session's spawn into
+        #: another job cannot overwrite it
         self.daemon_spawn_report: Optional[LaunchReport] = None
         #: the TBON overlay built over this job's daemon set, recorded by
         #: the startup path (:func:`repro.tbon.launchmon_startup`). The
@@ -252,8 +252,6 @@ class ResourceManager:
     supports_daemon_launch = True
     #: whether the RM wires a fabric the ICCL can bootstrap from
     provides_fabric = True
-    #: the shared per-node spawn machinery every capable RM launches through
-    bulk_strategy = RmBulkStrategy()
 
     def __init__(self, cluster: Cluster, seed: int = 7,
                  policy: Optional[LaunchPolicy] = None,
@@ -302,8 +300,6 @@ class ResourceManager:
         self.alloc_waits: list[float] = []
         #: diagnostics: high-water mark of simultaneously queued requests
         self.alloc_queue_peak = 0
-        #: per-phase breakdown of the most recent daemon spawn (any session)
-        self.last_launch_report: Optional[LaunchReport] = None
 
     # -- allocation ---------------------------------------------------------
     @property
@@ -518,34 +514,41 @@ class ResourceManager:
         return job
 
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
-                      context_factory: Callable[[LaunchedDaemon, Sequence[LaunchedDaemon]], Any],
-                      ) -> Generator[Any, Any, list[LaunchedDaemon]]:
-        """Co-locate one daemon per job node via the native launcher.
+                      context_factory: Callable[..., Any],
+                      ) -> Generator[Any, Any, tuple]:
+        """Co-locate one daemon per job node via the native launcher;
+        returns ``(daemons, fabric)`` and files the spawn's report as
+        ``job.daemon_spawn_report``.
 
-        ``context_factory(daemon, all_daemons)`` builds the context object
-        handed to ``spec.main``; the RM starts each body as a sim process.
+        ``context_factory(daemon, all_daemons, fabric)`` builds the
+        context object handed to ``spec.main``; the RM starts each body as
+        a sim process.
         """
         raise NotImplementedError
         yield  # pragma: no cover
 
     def spawn_on_allocation(self, alloc: Allocation, spec: DaemonSpec,
-                            context_factory: Callable[[LaunchedDaemon, Sequence[LaunchedDaemon]], Any],
-                            ) -> Generator[Any, Any, list[LaunchedDaemon]]:
-        """Launch daemons onto a fresh allocation (middleware/TBON nodes)."""
+                            context_factory: Callable[..., Any],
+                            ) -> Generator[Any, Any, tuple]:
+        """Launch daemons onto a fresh allocation (middleware/TBON nodes);
+        returns ``(daemons, fabric, report)``, the report being this
+        spawn's :class:`LaunchReport`."""
         raise NotImplementedError
         yield  # pragma: no cover
 
     # -- shared helpers ------------------------------------------------------
     def _launch_daemon_procs(self, nodes: Sequence[Node], spec: DaemonSpec,
+                             job: Optional[RMJob],
                              ) -> Generator[Any, Any, LaunchResult]:
         """Fork one daemon per node through the configured launch strategy.
 
         Stages ``spec.image_mb`` through the cluster's storage layer (so the
         active staging mode -- shared-fs, per-node cache, or cooperative
-        broadcast -- governs the image-distribution cost), spawns through
-        :attr:`launch_strategy` (``rm-bulk`` by default: all nodes fork in
-        parallel), and records the per-phase :class:`LaunchReport` in
-        :attr:`last_launch_report`. Protocol costs the RM pays *before*
+        broadcast -- governs the image-distribution cost) and spawns
+        through :attr:`launch_strategy` (``rm-bulk`` by default: all nodes
+        fork in parallel). The per-phase :class:`LaunchReport` is filed as
+        ``job.daemon_spawn_report`` when the set is spawned into a job,
+        before the set is judged. Protocol costs the RM pays *before*
         calling this (controller bookkeeping, tree descent) should be added
         to the report's spawn phase by the caller.
 
@@ -557,24 +560,23 @@ class ResourceManager:
         without a policy) the survivors are reaped and :class:`RMError`
         raises, so a failed set cannot leave orphans squatting on nodes.
         """
-        strat_name = self.launch_strategy or "rm-bulk"
-        strat = (self.bulk_strategy if strat_name == "rm-bulk"
-                 else get_strategy(strat_name))
-        req = LaunchRequest(
+        policy = self.policy
+        strat = get_strategy(self.launch_strategy or "rm-bulk")
+        result = yield from strat.launch(LaunchRequest(
             cluster=self.cluster, nodes=nodes, executable=spec.executable,
             image_mb=spec.image_mb, args=spec.args, uid=spec.uid,
-            stage_images=True, image_key=spec.executable,
-            hold_clients=False)
-        if self.policy is not None:
-            req.apply_policy(self.policy, self.node_blacklist)
-        result = yield from strat.launch(req)
+            stage_images=True, policy=policy,
+            blacklist=(self.node_blacklist
+                       if policy is not None and policy.blacklist_nodes
+                       else None)))
         report = result.report
         report.mechanism = f"{strat.name}({self.name})"
-        self.last_launch_report = report
+        if job is not None:
+            job.daemon_spawn_report = report
         requested = len(nodes)
         survivors = [p for p in result.procs if p.alive]
-        need = (self.policy.min_daemons(requested)
-                if self.policy is not None else requested)
+        need = (policy.min_daemons(requested)
+                if policy is not None else requested)
         if len(survivors) < need:
             for p in result.procs:
                 if p.alive:

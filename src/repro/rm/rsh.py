@@ -18,12 +18,13 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.apps import AppSpec
-from repro.launch import LaunchRequest, SerialRshStrategy
+from repro.launch import LaunchRequest, get_strategy
 from repro.rm.base import (
     Allocation,
     DaemonSpec,
     JobState,
     ResourceManager,
+    RMError,
     RMJob,
     UnsupportedOperation,
 )
@@ -37,8 +38,6 @@ class RshRM(ResourceManager):
     name = "rsh-only"
     supports_daemon_launch = False
     provides_fabric = False
-    #: the fallback job-launch mechanism (daemon launch stays unsupported)
-    task_strategy = SerialRshStrategy()
 
     def launcher_executable(self) -> str:
         return "mpirun-rsh"
@@ -59,7 +58,9 @@ class RshRM(ResourceManager):
 
         Routed through the unified ``serial-rsh``
         :class:`~repro.launch.LaunchStrategy` with per-rank argument/image
-        hooks; spawn failures propagate (``on_failure="raise"``).
+        hooks and no policy: the loop stops at the first failed spawn, and
+        :class:`~repro.rm.base.RMError` raises with the report's first
+        failure.
         """
         launcher = job.launcher
         if launcher.state.value == "T":
@@ -69,15 +70,19 @@ class RshRM(ResourceManager):
         placement = self._place_tasks(app, job.allocation)
         ranks = [rank for _, rank in placement]
 
-        yield from self.task_strategy.launch(LaunchRequest(
+        result = yield from get_strategy("serial-rsh").launch(LaunchRequest(
             cluster=self.cluster,
             nodes=[node for node, _ in placement],
             executable=app.executable,
             args_for=lambda i, node: (f"rank={ranks[i]}",),
             image_mb_for=lambda i, node: (
                 app.image_mb if ranks[i] % app.tasks_per_node == 0 else 0.0),
-            post_spawn=lambda i, node, proc: job.add_task(proc, ranks[i]),
-            on_failure="raise"))
+            post_spawn=lambda i, node, proc: job.add_task(proc, ranks[i])))
+        report = result.report
+        if report.failure:
+            raise RMError(
+                f"{self.name}: task launch stopped at {result.n_spawned}/"
+                f"{report.requested} -- {report.failure}")
         job.publish_mpir()
         job.state = JobState.RUNNING
         return job
@@ -87,7 +92,7 @@ class RshRM(ResourceManager):
                       topology=None) -> Generator[Any, Any, Any]:
         raise UnsupportedOperation(
             f"{self.name}: no native tool-daemon launch service; "
-            f"use an ad-hoc launcher (repro.adhoc) or a capable RM")
+            f"use an rsh launch strategy (repro.launch) or a capable RM")
         yield  # pragma: no cover
 
     def spawn_on_allocation(self, alloc: Allocation, spec: DaemonSpec,

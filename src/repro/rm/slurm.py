@@ -8,8 +8,9 @@ one). Executable images load through the storage layer
 (:class:`~repro.cluster.SharedFilesystem`), which is where most real launch
 time goes; daemon co-location runs through the unified ``rm-bulk``
 :class:`~repro.launch.LaunchStrategy` (the SLURM protocol costs are added
-to its spawn phase), so the RM's :attr:`last_launch_report` carries the
-per-phase breakdown of every spawn.
+to its spawn phase), and every spawn's per-phase breakdown lives in one
+place: on the job it spawned into (``RMJob.daemon_spawn_report``), or in
+what ``spawn_on_allocation`` returns.
 
 Debug-event behaviour matches the paper's account exactly: a *well-designed*
 SLURM delivers a scale-independent number of events to a tracer (the paper
@@ -34,6 +35,7 @@ from repro.apps import AppSpec
 from repro.be.iccl import ICCLFabric, TreeTopology
 from repro.cluster import Cluster, Node
 from repro.cluster.process import DebugEvent, DebugEventType, ProcState
+from repro.launch import LaunchReport
 from repro.mpir import MPIR_BEING_DEBUGGED
 from repro.rm.base import (
     Allocation,
@@ -201,26 +203,25 @@ class SlurmRM(ResourceManager):
         if job.state not in (JobState.RUNNING, JobState.STOPPED_AT_BREAKPOINT):
             raise RMError(f"job {job.jobid} not launchable-into: {job.state}")
         nodes = [self.cluster.node(h) for h in job.hosts]
-        daemons, fabric = yield from self._spawn_set(
-            nodes, spec, context_factory, topology)
+        daemons, fabric, _report = yield from self._spawn_set(
+            nodes, spec, context_factory, topology, job)
         job.daemons.extend(daemons)
-        job.daemon_spawn_report = self.last_launch_report
         return daemons, fabric
 
     def spawn_on_allocation(self, alloc: Allocation, spec: DaemonSpec,
                             context_factory: Callable[..., Any],
                             topology: Optional[str] = None,
-                            ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric]]:
-        """Launch middleware daemons onto a dedicated allocation."""
-        daemons, fabric = yield from self._spawn_set(
-            alloc.nodes, spec, context_factory, topology)
-        return daemons, fabric
+                            ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric, LaunchReport]]:
+        """Launch middleware daemons onto a dedicated allocation; returns
+        ``(daemons, fabric, report)``."""
+        return (yield from self._spawn_set(
+            alloc.nodes, spec, context_factory, topology, None))
 
     # -- internals ---------------------------------------------------------------
     def _spawn_set(self, nodes: Sequence[Node], spec: DaemonSpec,
                    context_factory: Callable[..., Any],
-                   topology: Optional[str],
-                   ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric]]:
+                   topology: Optional[str], job: Optional[RMJob],
+                   ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric, LaunchReport]]:
         cfg = self.config
         sim = self.sim
         n = len(nodes)
@@ -246,7 +247,7 @@ class SlurmRM(ResourceManager):
         # layer; a failed set is reaped by the strategy, the transient
         # launcher is this RM's to retire
         try:
-            result = yield from self._launch_daemon_procs(nodes, spec)
+            result = yield from self._launch_daemon_procs(nodes, spec, job)
         except BaseException:
             if launcher.alive:
                 launcher.exit(9)
@@ -281,7 +282,7 @@ class SlurmRM(ResourceManager):
                 spec.main(ctx), name=f"{spec.executable}[{d.rank}]")
             d.node.register_body(d.sim_proc)
         launcher.exit(0)
-        return daemons, fabric
+        return daemons, fabric, result.report
 
     def _tree_descent_time(self, n: int) -> float:
         depth = max(1, math.ceil(math.log(max(2, n), self.config.fanout)))

@@ -53,7 +53,6 @@ from repro.tbon.overlay import (
 from repro.tbon.startup import (
     MRNET_PER_BE_HANDSHAKE,
     StartupFailure,
-    StartupReport,
     launchmon_startup,
     native_startup,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "RepairReport",
     "STREAM_PHASES",
     "StartupFailure",
-    "StartupReport",
     "StatelessFilter",
     "Stream",
     "StreamError",

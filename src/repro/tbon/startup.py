@@ -20,20 +20,17 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.be import BackEnd
 from repro.cluster import Cluster, Node
-from repro.launch import LaunchReport, LaunchRequest, SerialRshStrategy
+from repro.launch import LaunchReport, LaunchRequest, get_strategy
 from repro.rm.base import DaemonSpec, RMJob
 from repro.tbon.overlay import Overlay, StreamSpec
 from repro.tbon.topology import TBONTopology
 
-__all__ = ["StartupFailure", "StartupReport", "launchmon_startup",
-           "native_startup", "MRNET_PER_BE_HANDSHAKE"]
+__all__ = ["StartupFailure", "launchmon_startup", "native_startup",
+           "MRNET_PER_BE_HANDSHAKE"]
 
 #: per-backend stream/port setup cost at the front end (calibrated against
 #: the paper's 0.77 s MRNet handshake at 256 back ends)
 MRNET_PER_BE_HANDSHAKE = 0.003
-
-#: TBON startups report through the unified launch layer's per-phase report
-StartupReport = LaunchReport
 
 
 class StartupFailure(RuntimeError):
@@ -64,7 +61,7 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
                    comm_nodes: Optional[list[Node]] = None,
                    stream_filter: str = "concat",
                    per_be_handshake: float = MRNET_PER_BE_HANDSHAKE,
-                   ) -> Generator[Any, Any, tuple[Overlay, StartupReport]]:
+                   ) -> Generator[Any, Any, tuple[Overlay, LaunchReport]]:
     """Launch and connect a TBON the ad-hoc way (sequential rsh).
 
     Raises :class:`StartupFailure` if the front end can no longer fork rsh
@@ -100,15 +97,14 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
     def read_topo_file(i, node, proc):
         yield from cluster.fs.load_image(topo_file_mb)
 
-    launch = yield from SerialRshStrategy().launch(LaunchRequest(
+    launch = yield from get_strategy("serial-rsh").launch(LaunchRequest(
         cluster=cluster,
         nodes=[placement[pos] for pos in range(1, topo.size)],
         executable=daemon_executable,
         args_for=lambda i, node: (f"pos={i + 1}",),
         image_mb=image_mb,
         hold_clients=True,
-        post_spawn=read_topo_file,
-        source=fe))
+        post_spawn=read_topo_file))
     report = launch.report
     report.mechanism = "mrnet-rsh"
     if report.n_failed:
@@ -117,7 +113,6 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
             f"{report.failure}", spawned=launch.n_spawned)
     report.n_daemons = topo.size - 1
     report.t_topo_dist = t_topo_dist
-    report.fe_procs_peak = fe.max_uid_procs_seen
 
     # daemons connect to their parents (parallel) and FE handshakes streams
     t_conn0 = sim.now
@@ -154,7 +149,7 @@ def launchmon_startup(fe_api, session, job: RMJob,
                       per_be_handshake: float = MRNET_PER_BE_HANDSHAKE,
                       daemon_body: Optional[Callable] = None,
                       aggregate_body: Optional[Callable] = None,
-                      ) -> Generator[Any, Any, tuple[Overlay, StartupReport]]:
+                      ) -> Generator[Any, Any, tuple[Overlay, LaunchReport]]:
     """Launch and connect a TBON through LaunchMON (attachAndSpawn path).
 
     ``fe_api`` is a :class:`repro.fe.ToolFrontEnd`; ``session`` a fresh
@@ -174,7 +169,7 @@ def launchmon_startup(fe_api, session, job: RMJob,
     """
     cluster = fe_api.cluster
     sim = cluster.sim
-    report = StartupReport("launchmon", n_daemons=0)
+    report = LaunchReport("launchmon", n_daemons=0)
     t0 = sim.now
 
     n_be = len(job.hosts)

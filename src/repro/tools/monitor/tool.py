@@ -18,8 +18,9 @@ from typing import Any, Generator, Optional
 
 from repro.cluster import Cluster
 from repro.fe import ToolFrontEnd
+from repro.launch import LaunchReport
 from repro.rm.base import ResourceManager, RMJob
-from repro.tbon import StartupReport, StreamReport, TBONTopology, launchmon_startup
+from repro.tbon import StreamReport, TBONTopology, launchmon_startup
 from repro.tbon.overlay import StreamSpec
 from repro.tools.stat_tool.prefix_tree import PrefixTree
 
@@ -47,7 +48,7 @@ class MonitorResult:
     #: the root filter state at the end (running windowed aggregates)
     final_state: Any = None
     #: the launch-side report (how the daemons came up)
-    startup: Optional[StartupReport] = None
+    startup: Optional[LaunchReport] = None
     n_tasks: int = 0
     t_total: float = 0.0
 

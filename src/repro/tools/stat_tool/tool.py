@@ -7,6 +7,7 @@ from typing import Any, Generator, Optional
 
 from repro.cluster import Cluster
 from repro.fe import ToolFrontEnd
+from repro.launch import LaunchReport
 from repro.mpir import RPDTAB
 from repro.perfmodel import LaunchModel
 from repro.rm.base import ResourceManager, RMJob
@@ -15,7 +16,6 @@ from repro.tbon import (
     MRNET_PER_BE_HANDSHAKE,
     RankRuns,
     StartupFailure,
-    StartupReport,
     TBONTopology,
     launchmon_startup,
     native_startup,
@@ -51,7 +51,7 @@ class StatResult:
     #: largest class first; the ranks compare equal to a ``frozenset``
     classes: list[tuple[tuple[str, ...], RankRuns]] = field(
         default_factory=list)
-    startup: Optional[StartupReport] = None
+    startup: Optional[LaunchReport] = None
     t_total: float = 0.0
     n_tasks: int = 0
 

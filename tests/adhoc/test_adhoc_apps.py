@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.adhoc import sequential_rsh_launch, tree_rsh_launch
 from repro.apps import (
     AppSpec,
     make_compute_app,
@@ -12,21 +11,27 @@ from repro.apps import (
 )
 from repro.cluster import ClusterSpec
 from repro.cluster.process import ProcState
+from repro.launch import LaunchRequest, get_strategy
 from repro.runner import drive, make_env
 from repro.simx import Simulator
+
+
+def rsh_launch(env, strategy, **kw):
+    """rsh a 4 MB ``toold`` daemon onto every compute node of ``env``."""
+    return drive(env, get_strategy(strategy).launch(LaunchRequest(
+        cluster=env.cluster, nodes=env.cluster.compute, executable="toold",
+        image_mb=4.0, **kw)))
+
+
+def serial_launch(env, hold_clients=True):
+    """The sequential loop, holding each rsh client open (MRNet)."""
+    return rsh_launch(env, "serial-rsh", hold_clients=hold_clients)
 
 
 class TestSequentialRsh:
     def test_spawns_one_daemon_per_node(self):
         env = make_env(n_compute=6)
-        box = {}
-
-        def s(env):
-            box["r"] = yield from sequential_rsh_launch(
-                env.cluster, env.cluster.compute)
-
-        drive(env, s(env))
-        r = box["r"]
+        r = serial_launch(env)
         assert not r.report.n_failed
         assert r.n_spawned == 6
         assert {p.node.name for p in r.procs} == {
@@ -34,100 +39,50 @@ class TestSequentialRsh:
 
     def test_elapsed_linear(self):
         def t(n):
-            env = make_env(n_compute=n)
-            box = {}
-
-            def s(env):
-                box["r"] = yield from sequential_rsh_launch(
-                    env.cluster, env.cluster.compute)
-
-            drive(env, s(env))
-            return box["r"].report.total
+            return serial_launch(make_env(n_compute=n)).report.total
 
         assert t(16) == pytest.approx(2 * t(8), rel=0.15)
 
     def test_fails_when_fe_table_full(self):
         env = make_env(n_compute=12,
                        spec=ClusterSpec(n_compute=12, fe_max_user_procs=5))
-        box = {}
-
-        def s(env):
-            box["r"] = yield from sequential_rsh_launch(
-                env.cluster, env.cluster.compute)
-
-        drive(env, s(env))
-        assert box["r"].report.n_failed
-        assert "process limit" in box["r"].report.failure
-        assert box["r"].n_spawned == 5
+        r = serial_launch(env)
+        assert r.report.n_failed
+        assert "process limit" in r.report.failure
+        assert r.n_spawned == 5
 
     def test_without_holding_clients_no_limit(self):
         env = make_env(n_compute=12,
                        spec=ClusterSpec(n_compute=12, fe_max_user_procs=5))
-        box = {}
-
-        def s(env):
-            box["r"] = yield from sequential_rsh_launch(
-                env.cluster, env.cluster.compute, hold_clients=False)
-
-        drive(env, s(env))
-        assert not box["r"].report.n_failed
-        assert box["r"].n_spawned == 12
+        r = serial_launch(env, hold_clients=False)
+        assert not r.report.n_failed
+        assert r.n_spawned == 12
 
     def test_fails_on_mpp(self):
         env = make_env(n_compute=4,
                        spec=ClusterSpec(n_compute=4, compute_rshd=False))
-        box = {}
-
-        def s(env):
-            box["r"] = yield from sequential_rsh_launch(
-                env.cluster, env.cluster.compute)
-
-        drive(env, s(env))
-        assert box["r"].report.n_failed
-        assert "refused" in box["r"].report.failure
+        r = serial_launch(env)
+        assert r.report.n_failed
+        assert "refused" in r.report.failure
 
 
 class TestTreeRsh:
     def test_spawns_all(self):
-        env = make_env(n_compute=20)
-        box = {}
-
-        def s(env):
-            box["r"] = yield from tree_rsh_launch(
-                env.cluster, env.cluster.compute, fanout=4)
-
-        drive(env, s(env))
-        assert not box["r"].report.n_failed
-        assert box["r"].n_spawned == 20
+        r = rsh_launch(make_env(n_compute=20), "tree-rsh", fanout=4)
+        assert not r.report.n_failed
+        assert r.n_spawned == 20
 
     def test_much_faster_than_sequential(self):
         n = 64
-        times = {}
-        for name, launcher in (("seq", sequential_rsh_launch),
-                               ("tree", tree_rsh_launch)):
-            env = make_env(n_compute=n)
-            box = {}
-
-            def s(env=env, box=box, launcher=launcher):
-                box["r"] = yield from launcher(env.cluster,
-                                               env.cluster.compute)
-
-            drive(env, s())
-            times[name] = box["r"].report.total
-        assert times["seq"] > 10 * times["tree"]
+        t_seq = serial_launch(make_env(n_compute=n)).report.total
+        t_tree = rsh_launch(make_env(n_compute=n), "tree-rsh").report.total
+        assert t_seq > 10 * t_tree
 
     def test_depth_scaling(self):
         """Tree launch grows ~logarithmically, not linearly."""
         def t(n):
-            env = make_env(n_compute=n)
-            box = {}
-
-            def s(env=env, box=box):
-                box["r"] = yield from tree_rsh_launch(
-                    env.cluster, env.cluster.compute, fanout=8)
-
-            drive(env, s())
-            return box["r"].report.total
+            return rsh_launch(make_env(n_compute=n), "tree-rsh",
+                              fanout=8).report.total
 
         assert t(64) < 2.5 * t(8)
 

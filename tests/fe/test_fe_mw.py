@@ -105,6 +105,29 @@ class TestMiddlewarePath:
         mw_nodes = {d.node.name for d in s.mw_daemons}
         assert not be_nodes & mw_nodes  # disjoint allocations
 
+    def test_mw_launch_keeps_the_launch_breakdown_summing_to_total(self):
+        # times break down the back-end launchAndSpawn alone: a later MW
+        # spawn must not add to T(daemon) once e11 has fixed the total
+        env = make_env(n_compute=12)
+        app = make_compute_app(n_tasks=64, tasks_per_node=8)
+
+        def tool(env):
+            fe = ToolFrontEnd(env.cluster, env.rm, "t")
+            yield from fe.init()
+            s = fe.create_session()
+            yield from fe.launch_and_spawn(
+                s, app, DaemonSpec("be_d", main=quiet_be))
+            before = s.times.as_dict()
+            yield from fe.launch_mw_daemons(
+                s, DaemonSpec("mw_d", main=quiet_mw), n_nodes=4)
+            yield from fe.detach(s)
+            return before, s.times
+
+        before, times = drive(env, tool(env))
+        assert times.as_dict() == before
+        parts = times.rm_time() + times.launchmon_time()
+        assert parts == pytest.approx(times.total)
+
     def test_mw_state_transition(self):
         env = make_env(n_compute=4)
         app = make_compute_app(n_tasks=16, tasks_per_node=8)

@@ -197,7 +197,7 @@ class TestDoorFencing:
         with pytest.raises(FleetUnavailable):
             handle.result()
         assert fleet.door.minority_rejections >= 1
-        assert fleet.door.rejected >= 1
+        assert fleet.door.summary()["rejected"] >= 1
 
     def test_failover_budget_turns_storms_into_bounded_rejection(self):
         env = make_fleet_env(n_clusters=3, nodes_per_cluster=4,
@@ -212,7 +212,7 @@ class TestDoorFencing:
         with pytest.raises(FleetUnavailable, match="failover budget"):
             handle.result()
         assert len(handle.attempts) == 1  # budget 0: one attempt, no storm
-        assert fleet.door.rejected == 1
+        assert fleet.door.summary()["rejected"] == 1
 
     def test_breakers_trip_exclude_and_half_open_fallback(self):
         env = make_fleet_env(n_clusters=2, nodes_per_cluster=4,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, ForkError, RemoteExecError
+from repro.cluster import Cluster, ClusterSpec
 from repro.launch import (
     LaunchReport,
     LaunchRequest,
@@ -70,19 +70,6 @@ class TestSerialRsh:
         assert "process limit" in res.report.failure
         assert 0 < res.n_spawned < 8
 
-    def test_on_failure_raise_propagates(self, sim):
-        cluster = Cluster(sim, ClusterSpec(n_compute=8, seed=2,
-                                           fe_max_user_procs=4))
-        with pytest.raises(ForkError):
-            run_gen(sim, get_strategy("serial-rsh").launch(_request(
-                cluster, cluster.compute, hold_clients=True,
-                on_failure="raise")))
-
-    def test_unknown_on_failure_rejected(self, sim):
-        cluster = Cluster(sim, ClusterSpec(n_compute=2, seed=2))
-        with pytest.raises(ValueError, match="on_failure"):
-            _request(cluster, cluster.compute, on_failure="ignore")
-
 
 class TestTreeRsh:
     def test_spawns_all_logarithmically(self):
@@ -103,13 +90,6 @@ class TestTreeRsh:
             _request(cluster, cluster.compute)))
         assert res.report.n_failed
         assert "refused" in res.report.failure
-
-    def test_on_failure_raise_propagates(self, sim):
-        cluster = Cluster(sim, ClusterSpec(n_compute=4, seed=2,
-                                           compute_rshd=False))
-        with pytest.raises(RemoteExecError):
-            run_gen(sim, get_strategy("tree-rsh").launch(_request(
-                cluster, cluster.compute, on_failure="raise")))
 
     def test_per_index_hooks_see_request_order(self, sim):
         """args_for/post_spawn receive each node's index in req.nodes even
@@ -150,6 +130,7 @@ class TestRmBulk:
         assert rep.t_spawn + rep.t_image_stage == pytest.approx(rep.total)
 
     def test_rm_records_last_launch_report(self):
+        """spawn_on_allocation returns its spawn's report."""
         env = make_env(n_compute=4)
         spec = DaemonSpec("toold", main=_noop_daemon, image_mb=2.0)
 
@@ -160,10 +141,11 @@ class TestRmBulk:
 
         def scenario(env):
             alloc = env.rm.allocate(4)
-            yield from env.rm.spawn_on_allocation(alloc, spec, factory)
+            _daemons, _fabric, report = yield from env.rm.spawn_on_allocation(
+                alloc, spec, factory)
+            return report
 
-        drive(env, scenario(env))
-        rep = env.rm.last_launch_report
+        rep = drive(env, scenario(env))
         assert isinstance(rep, LaunchReport)
         assert rep.mechanism == "rm-bulk(slurm)"
         assert rep.n_daemons == 4

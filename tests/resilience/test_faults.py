@@ -13,7 +13,7 @@ from repro.cluster import (
     NodeDown,
     Straggler,
 )
-from repro.launch import LaunchRequest, get_strategy
+from repro.launch import LaunchPolicy, LaunchRequest, get_strategy
 from repro.simx import SeededRNG, Simulator
 from tests.conftest import run_gen
 
@@ -151,8 +151,9 @@ class TestResilientSerialRsh:
         cluster = _cluster(sim)
         cluster.compute[3].fail()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, max_retries=1, retry_backoff=0.01,
-            blacklist=set(), on_failure="continue")))
+            cluster, cluster.compute,
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=set())))
         report = res.report
         assert res.n_spawned == 7
         assert report.outcomes[3] == "failed"
@@ -176,7 +177,8 @@ class TestResilientSerialRsh:
         plan = FaultPlan(link_flaps=(LinkFlap(rate=1.0, window=(0.0, 0.4)),))
         cluster = _cluster(sim, n=4, plan=plan)
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, max_retries=6, retry_backoff=0.2)))
+            cluster, cluster.compute,
+            policy=LaunchPolicy(max_retries=6, retry_backoff=0.2))))
         assert res.n_spawned == 4  # everything recovered after the window
         assert res.report.n_retried > 0
         assert cluster.faults.stats.rsh_faults > 0
@@ -192,8 +194,8 @@ class TestResilientSerialRsh:
         condemned: set = set()
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, hold_clients=True,
-            max_retries=1, retry_backoff=0.01, blacklist=condemned,
-            on_failure="continue")))
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=condemned)))
         assert 0 < res.n_spawned < 8  # the table did fill mid-launch
         assert res.report.n_failed > 0
         assert condemned == set()  # no healthy target condemned
@@ -208,9 +210,10 @@ class TestResilientSerialRsh:
         cluster = Cluster(sim, ClusterSpec(n_compute=2, fault_plan=plan,
                                            seed=3))
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
-            cluster, cluster.compute, per_daemon_timeout=0.5,
-            max_retries=2, retry_backoff=0.01, blacklist=set(),
-            on_failure="continue")))
+            cluster, cluster.compute,
+            policy=LaunchPolicy(per_daemon_timeout=0.5, max_retries=2,
+                                retry_backoff=0.01),
+            blacklist=set())))
         assert res.report.outcomes[0] == "failed"
         assert res.report.retries[0] == 2
         assert res.n_spawned == 1
@@ -222,7 +225,8 @@ class TestResilientSerialRsh:
         cluster = _cluster(sim, n=2, plan=plan)
         res = run_gen(sim, get_strategy("serial-rsh").launch(_request(
             cluster, cluster.compute, stage_images=True, image_mb=4.0,
-            per_daemon_timeout=0.5, max_retries=3, retry_backoff=1.0)))
+            policy=LaunchPolicy(per_daemon_timeout=0.5, max_retries=3,
+                                retry_backoff=1.0))))
         assert res.n_spawned == 2  # retried past the stall window
         assert res.report.n_retried >= 1
 
@@ -234,8 +238,9 @@ class TestResilientTreeRsh:
         # whole subtree unless the strategy re-roots it
         cluster.compute[0].fail()
         res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
-            cluster, cluster.compute, fanout=2, max_retries=1,
-            retry_backoff=0.01, blacklist=set(), on_failure="continue")))
+            cluster, cluster.compute, fanout=2,
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=set())))
         report = res.report
         assert res.n_spawned == 15
         assert report.outcomes[0] == "failed"
@@ -247,17 +252,19 @@ class TestResilientTreeRsh:
         cluster.compute[0].fail()
         res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
             cluster, cluster.compute, fanout=2)))
-        # the default on_failure="stop": the first failure ends the launch
+        # no policy: the first failure ends the launch
         assert res.report.outcomes[0] == "failed"
         assert res.n_spawned < 15
 
     def test_raise_stops_sibling_subtrees(self, sim):
         cluster = _cluster(sim, n=16)
         cluster.compute[0].fail()
-        with pytest.raises(NodeDown):
-            run_gen(sim, get_strategy("tree-rsh").launch(_request(
-                cluster, cluster.compute, fanout=2, on_failure="raise")))
-        sim.run()  # drain the subtrees still pending at the raise
+        res = run_gen(sim, get_strategy("tree-rsh").launch(_request(
+            cluster, cluster.compute, fanout=2)))
+        assert "no route to host" in res.report.failure  # the NodeDown
+        assert res.report.outcomes == {0: "failed"}  # nothing else tried
+        assert res.n_spawned == 0
+        sim.run()  # drain anything still pending after the stop
         # no sibling subtree starts a spawn once the failure is recorded
         assert sum(n.user_proc_count("user") for n in cluster.compute) == 0
 
@@ -269,8 +276,8 @@ class TestResilientRmBulk:
         cluster.compute[5].fail()
         res = run_gen(sim, get_strategy("rm-bulk").launch(_request(
             cluster, cluster.compute, stage_images=True, image_mb=2.0,
-            max_retries=1, retry_backoff=0.01, blacklist=set(),
-            on_failure="continue")))
+            policy=LaunchPolicy(max_retries=1, retry_backoff=0.01),
+            blacklist=set())))
         assert res.n_spawned == 6
         assert sorted(res.report.failed_indices()) == [1, 5]
         assert set(res.slots) == {0, 2, 3, 4, 6, 7}
@@ -290,8 +297,7 @@ class TestResilientRmBulk:
         cluster = _cluster(sim, plan=plan)
         with pytest.raises(NodeDown):
             run_gen(sim, get_strategy("rm-bulk").launch(_request(
-                cluster, cluster.compute, stage_images=True, image_mb=2.0,
-                on_failure="raise")))
+                cluster, cluster.compute, stage_images=True, image_mb=2.0)))
         assert cluster.compute[0].max_uid_procs_seen == 1
         # the daemons already forked were reaped
         assert all(n.user_proc_count("user") == 0 for n in cluster.compute)
@@ -325,5 +331,6 @@ class TestBitIdentity:
                 **knobs)))
             return res.report.total
 
-        assert total() == total(per_daemon_timeout=30.0, max_retries=2,
-                                blacklist=set())
+        assert total() == total(
+            policy=LaunchPolicy(per_daemon_timeout=30.0, max_retries=2),
+            blacklist=set())

@@ -5,6 +5,7 @@ import pytest
 from repro.apps import make_compute_app
 from repro.be import BackEnd
 from repro.cluster import Cluster, ClusterSpec
+from repro.launch import LaunchPolicy
 from repro.mpir import MPIR_DEBUG_STATE, MPIR_PROCTABLE, MPIR_PROCTABLE_SIZE
 from repro.rm import DaemonSpec, JobState, RMError, SlurmConfig, SlurmRM
 from repro.simx import Simulator
@@ -156,10 +157,29 @@ class TestDaemonSpawn:
     def test_spawn_on_allocation_for_mw(self, sim, rm):
         spec = DaemonSpec("commd", main=self.trivial_daemon)
         alloc = rm.allocate(3)
-        daemons, fabric = run_gen(
+        daemons, fabric, report = run_gen(
             sim, rm.spawn_on_allocation(alloc, spec, self.make_factory([])))
         assert len(daemons) == 3
         assert {d.node.name for d in daemons} == {n.name for n in alloc.nodes}
+        assert report.n_daemons == 3
+
+    def test_rejected_set_is_attributed_on_the_job(self, sim, cluster):
+        # two of four daemon nodes are down: 2/4 up misses the policy's
+        # 75% floor, so the set is rejected -- and the job still holds
+        # the report that says which daemons failed
+        rm = SlurmRM(cluster, policy=LaunchPolicy(
+            max_retries=1, retry_backoff=0.01, min_daemon_fraction=0.75))
+        app = make_compute_app(n_tasks=4, tasks_per_node=1)
+        job = run_gen(sim, rm.launch_job(app, rm.allocate(4)))
+        for name in job.hosts[1::2]:
+            cluster.node(name).fail()
+        spec = DaemonSpec("toold", main=self.trivial_daemon)
+        with pytest.raises(RMError, match="daemon set incomplete"):
+            run_gen(sim, rm.spawn_daemons(job, spec, self.make_factory([])))
+        report = job.daemon_spawn_report
+        assert report is not None
+        assert sorted(report.failed_indices()) == [1, 3]
+        assert report.requested == 4
 
 
 class TestJobRecord:
