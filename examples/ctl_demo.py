@@ -14,7 +14,7 @@ Run:  python examples/ctl_demo.py
 
 from repro import make_env
 from repro.cluster import ClusterSpec
-from repro.ctl import CTL_STREAM_ID, ControlPlane, CtlClient
+from repro.ctl import CTL_STREAM_ID, ControlPlane
 
 
 def run_gen(env, gen):
@@ -28,20 +28,19 @@ def main():
                    seed=7)
     sim = env.sim
     control = ControlPlane(env.cluster, env.rm, max_in_flight=3)
-    client = CtlClient(control)
 
     print("=== generation 1: start, launch, serve ===\n")
-    st = client.start()
+    st = control.cmd_start()
     print(f"daemon {st['state']}, generation {st['generation']}")
-    id_be = client.launch("generic-be", 3)
-    id_ov = client.launch("overlay", 3, waves=2)
-    run_gen(env, client.wait(id_be))
-    run_gen(env, client.wait(id_ov))
+    id_be = control.launch("generic-be", 3)
+    id_ov = control.launch("overlay", 3, waves=2)
+    run_gen(env, control.wait(id_be))
+    run_gen(env, control.wait(id_ov))
     for ctl_id in (id_be, id_ov):
-        info = client.info(ctl_id)
+        info = control.info(ctl_id)
         print(f"ctl{ctl_id}: {info['tool']} -> {info['state']}")
     # a second start against a live daemon is an idempotent no-op
-    st = client.start()
+    st = control.cmd_start()
     print(f"start again: already_running={st['already_running']}")
 
     daemons_before = {
@@ -58,7 +57,7 @@ def main():
           f"{alive}")
 
     print("\n=== generation 2: restart + restore ===\n")
-    st = client.start()
+    st = control.cmd_start()
     report = control.daemon.restore_report
     print(f"daemon {st['state']}, generation {st['generation']}")
     print(f"restore: adopted={report.adopted} resubmitted="
@@ -71,7 +70,7 @@ def main():
               f"processes={same}")
 
     # data-plane continuity: read the waves published before the crash
-    stream = client.open_stream(id_ov, stream_id=CTL_STREAM_ID)
+    stream = control.open_stream(id_ov, stream_id=CTL_STREAM_ID)
 
     def read_waves():
         got = []
@@ -85,8 +84,8 @@ def main():
 
     print("\n=== teardown ===\n")
     for ctl_id in (id_be, id_ov):
-        run_gen(env, client.end(ctl_id))
-    st = run_gen(env, client.stop())
+        run_gen(env, control.end(ctl_id))
+    st = run_gen(env, control.cmd_stop())
     print(f"daemon {st['state']}; allocated nodes left: "
           f"{len(env.rm.allocated_node_names)} (must be 0)")
 

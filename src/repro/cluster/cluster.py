@@ -69,7 +69,6 @@ class ClusterSpec:
     compute_prefix: str = "atlas"
     fs_servers: int = 1
     staging_mode: str = "shared-fs"
-    bcast_fanout: int = 0  # 0 = take CostModel.bcast_fanout
     fault_plan: Optional[FaultPlan] = None
     seed: int = 1
 
@@ -91,8 +90,7 @@ class SharedFilesystem:
     """
 
     def __init__(self, sim: Simulator, costs: CostModel, rng: SeededRNG,
-                 servers: int = 1, staging: str = "shared-fs",
-                 bcast_fanout: int = 0):
+                 servers: int = 1, staging: str = "shared-fs"):
         if staging not in STAGING_MODES:
             raise StagingError(
                 f"unknown staging mode {staging!r}; one of {STAGING_MODES}")
@@ -101,7 +99,6 @@ class SharedFilesystem:
         self.rng = rng.child("sharedfs")
         self._servers = Resource(sim, capacity=max(1, servers), name="fs")
         self.staging = staging
-        self.bcast_fanout = max(2, bcast_fanout or costs.bcast_fanout)
         #: brown-out windows ``(t0, t1)`` in virtual time: a read starting
         #: inside one stalls until it ends. A cluster's fault injector adds
         #: them when it arms and counts the stalls in its own statistics.
@@ -243,7 +240,7 @@ class SharedFilesystem:
         nbytes = image_mb * 1024 * 1024
         c = self.costs
         have, cold = 1, len(missing) - 1
-        fanout = self.bcast_fanout
+        fanout = max(2, c.bcast_fanout)
         staged = 1
         while cold > 0:
             fresh = min(have * (fanout - 1), cold)
@@ -280,8 +277,7 @@ class Cluster:
         self.network = Network(sim, self.costs, self.rng)
         self.fs = SharedFilesystem(sim, self.costs, self.rng,
                                    servers=self.spec.fs_servers,
-                                   staging=self.spec.staging_mode,
-                                   bcast_fanout=self.spec.bcast_fanout)
+                                   staging=self.spec.staging_mode)
         self.front_end = Node(
             sim, self.spec.fe_name, cores=self.spec.cores_per_node,
             costs=self.costs, rng=self.rng,

@@ -3,12 +3,21 @@
 Two layers, mirroring how long-running launch services are actually run:
 
 :class:`ControlPlane`
-    The supervisor (init/systemd + the checkpoint file). It owns the
-    durable :class:`~repro.ctl.store.CheckpointStore` and hands out
-    daemon *generations*: ``cmd_start`` is idempotent ("ensure the
-    daemon runs" -- a second start reports the live instance instead of
-    spawning a rival), ``cmd_stop`` drains by default, ``crash`` models
-    the OS killing the daemon process group mid-flight.
+    The supervisor (init/systemd + the checkpoint file) and the one verb
+    surface. It owns the durable :class:`~repro.ctl.store.CheckpointStore`
+    and hands out daemon *generations*: ``cmd_start`` is idempotent
+    ("ensure the daemon runs" -- a second start reports the live
+    instance instead of spawning a rival), ``cmd_stop`` drains by
+    default, ``crash`` models the OS killing the daemon process group
+    mid-flight. The session verbs (``launch``, ``info``, ``wait``,
+    ``cancel``, ``open_stream``, ``end``) address the supervisor, not a
+    generation, so a client's ticket (``ctl_id``) stays valid across
+    restarts while :class:`~repro.fe.service.SessionHandle` objects --
+    one generation's in-memory promises -- do not. A verb that needs a
+    live daemon raises :class:`~repro.ctl.errors.CtlUnavailable` when
+    there is none; retrying after ``cmd_start`` is the client's job (the
+    harness's submitter does exactly that, like a CLI looping on
+    "connection refused" during a rolling upgrade).
 
 :class:`CtlDaemon`
     One generation of the daemon process. It fronts a private
@@ -51,12 +60,13 @@ from typing import Any, Dict, Optional
 from repro.cluster import Cluster
 from repro.ctl.checkpoint import (Checkpoint, QueueRecord, SessionRecord,
                                   encode_checkpoint)
-from repro.ctl.errors import CtlError, CtlUnavailable
-from repro.ctl.registry import LaunchSpec, get_tool
+from repro.ctl.errors import CtlError, CtlUnavailable, UnknownToolError
+from repro.ctl.registry import RECIPES, LaunchSpec
 from repro.ctl.store import CheckpointStore
 from repro.fe.service import SessionHandle, ToolService
 from repro.fe.session import LIVE_STATES, LMONSession, SessionState
 from repro.rm.base import ResourceManager
+from repro.simx import Interrupt
 
 __all__ = ["ControlPlane", "CtlDaemon", "CtlSession", "DaemonState"]
 
@@ -99,7 +109,8 @@ class CtlSession:
         self.submitted_at = submitted_at
         self.handle: Optional[SessionHandle] = None
         self.session: Optional[LMONSession] = None
-        #: rebound to a surviving daemon tree by a restore
+        #: rebound to a surviving daemon tree by a restore: the session
+        #: has no engine, so only the engine-free teardown can end it
         self.adopted = False
         #: re-submitted from a checkpoint record (no tree existed yet)
         self.resubmitted = False
@@ -134,7 +145,6 @@ class CtlDaemon:
         self.state = DaemonState.STOPPED
         #: tickets by ctl id (insertion == submission/adoption order)
         self.sessions: Dict[int, CtlSession] = {}
-        self._by_session: Dict[int, CtlSession] = {}
         self._next_ctl_id = 1
         self.started_at: Optional[float] = None
         #: the restore's audit trail (None for a cold start)
@@ -170,7 +180,12 @@ class CtlDaemon:
         if self.state not in (DaemonState.RUNNING, DaemonState.STARTING):
             raise CtlUnavailable(
                 f"control plane is {self.state.value}; not admitting")
-        op_factory = get_tool(spec.tool)(spec)
+        try:
+            recipe = RECIPES[spec.tool]
+        except KeyError:
+            raise UnknownToolError(
+                f"no tool recipe {spec.tool!r} (known: {sorted(RECIPES)})")
+        op_factory = recipe(spec)
         if ctl_id is None:
             ctl_id = self._next_ctl_id
         if ctl_id in self.sessions:
@@ -184,7 +199,6 @@ class CtlDaemon:
         cs.handle = handle
         cs.session = handle.session
         self.sessions[ctl_id] = cs
-        self._by_session[handle.session.id] = cs
         handle.session.register_status_cb(self._on_transition)
         self.checkpoint()
         return cs
@@ -195,32 +209,26 @@ class CtlDaemon:
         except KeyError:
             raise CtlError(f"no session with ctl id {ctl_id}")
 
-    def cancel(self, ctl_id: int) -> bool:
-        """Withdraw an in-flight operation (no-op for finished/adopted)."""
-        cs = self.get(ctl_id)
-        if cs.handle is None:
-            return False
-        return cs.handle.cancel(f"ctl{ctl_id} cancelled")
-
     def end_session(self, ctl_id: int) -> Optional[SessionHandle]:
         """Tear a session down and release its resources.
 
         For a session this generation launched, the teardown is a chained
         ``detach(reclaim_job=True)`` operation (returns its handle). For
         an *adopted* session there is no engine to detach through: the
-        teardown is the engine-free reap (returns None, effective now).
+        teardown is the engine-free one of :mod:`repro.ctl.restore`, and
+        it releases the session's allocations last first, as each release
+        pumps the RM's FIFO queue (returns None, effective now).
         """
-        if self.state not in (DaemonState.RUNNING, DaemonState.DRAINING):
-            raise CtlUnavailable(
-                f"control plane is {self.state.value}; not accepting ops")
         cs = self.get(ctl_id)
-        if cs.session is None:
+        session = cs.session
+        if session is None:
             raise CtlError(f"ctl{ctl_id} has no bound session yet")
         if cs.adopted:
-            from repro.ctl.restore import reap_session_resources
-            cs.session.require_state(*LIVE_STATES)
-            reap_session_resources(self.rm, cs.session)
-            cs.session.state = SessionState.DETACHED
+            from repro.ctl.restore import teardown
+            session.require_state(*LIVE_STATES)
+            teardown(self.rm, session.job, session.owned_allocs[::-1], 0)
+            session.owned_allocs.clear()
+            session.state = SessionState.DETACHED
             return None
         return self.service.submit_chained(cs.handle, _detach_op,
                                            op_name=f"ctl{ctl_id}:end")
@@ -379,7 +387,7 @@ class CtlDaemon:
     def checkpoint(self) -> Checkpoint:
         """Serialize current state into the store; returns the snapshot."""
         cp = self.build_checkpoint()
-        self.store.write(encode_checkpoint(cp), at=self.sim.now)
+        self.store.write(encode_checkpoint(cp))
         return cp
 
     # -- introspection -------------------------------------------------------
@@ -414,7 +422,8 @@ def _detach_op(fe, session):
 
 
 class ControlPlane:
-    """Supervisor: durable store + the current daemon generation."""
+    """Supervisor: durable store + the current daemon generation, and
+    the operator (``cmd_*``) and session verbs clients address."""
 
     def __init__(self, cluster: Cluster, rm: ResourceManager,
                  max_in_flight: Optional[int] = None,
@@ -481,6 +490,84 @@ class ControlPlane:
             return self.cmd_status()
         result = yield from self.daemon.stop(drain=drain)
         return result
+
+    # -- session verbs -------------------------------------------------------
+
+    def _daemon(self, *states: DaemonState) -> CtlDaemon:
+        """The current generation, if it is in one of ``states``
+        (default: RUNNING); otherwise :class:`CtlUnavailable`."""
+        daemon = self.daemon
+        allowed = states or (DaemonState.RUNNING,)
+        if daemon is None or daemon.state not in allowed:
+            have = "down" if daemon is None else daemon.state.value
+            raise CtlUnavailable(f"control plane is {have}; retry later")
+        return daemon
+
+    def launch(self, tool: str, n_nodes: int, **params: Any) -> int:
+        """Submit a launch; returns its restart-stable ctl id."""
+        spec = LaunchSpec(tool, n_nodes, tuple(sorted(params.items())))
+        return self._daemon().submit(spec).ctl_id
+
+    def session(self, ctl_id: int) -> CtlSession:
+        """The ticket, from a running, draining or stopped generation
+        (not from a crashed one)."""
+        return self._daemon(DaemonState.RUNNING, DaemonState.DRAINING,
+                            DaemonState.STOPPING,
+                            DaemonState.STOPPED).get(ctl_id)
+
+    def info(self, ctl_id: int) -> dict:
+        cs = self.session(ctl_id)
+        return {
+            "ctl_id": cs.ctl_id,
+            "tool": cs.spec.tool,
+            "n_nodes": cs.spec.n_nodes,
+            "state": cs.state_name,
+            "adopted": cs.adopted,
+            "resubmitted": cs.resubmitted,
+            "submitted_at": cs.submitted_at,
+        }
+
+    def wait(self, ctl_id: int):
+        """Generator: wait until the ticket's current operation settles;
+        returns the session's state name (an adopted session is already
+        settled)."""
+        cs = self.session(ctl_id)
+        if cs.handle is not None:
+            yield from cs.handle.settle()
+        return cs.state_name
+
+    def cancel(self, ctl_id: int) -> bool:
+        """Withdraw an in-flight operation (False for finished/adopted)."""
+        cs = self._daemon(DaemonState.RUNNING,
+                          DaemonState.DRAINING).get(ctl_id)
+        return cs.handle is not None and cs.handle.cancel(
+            f"ctl{ctl_id} cancelled")
+
+    def open_stream(self, ctl_id: int, **kwargs: Any):
+        """The data-plane face: open/reattach a persistent stream over
+        the session's overlay (works on adopted sessions -- that is the
+        point)."""
+        cs = self.session(ctl_id)
+        if cs.session is None:
+            raise CtlError(f"ctl{ctl_id} has no bound session yet")
+        return cs.session.open_stream(**kwargs)
+
+    def end(self, ctl_id: int):
+        """Generator: tear the session down and wait for the teardown.
+
+        Cancellation of the teardown op surfaces as False; success as
+        True (an adopted session's teardown is synchronous)."""
+        daemon = self._daemon(DaemonState.RUNNING, DaemonState.DRAINING)
+        handle = daemon.end_session(ctl_id)
+        if handle is None:
+            return True
+        yield from handle.settle()
+        exc = handle.exception
+        if exc is None:
+            return True
+        if isinstance(exc, Interrupt):
+            return False
+        raise exc
 
     def stop_async(self, drain: bool = True):
         """Spawn ``cmd_stop`` as a sim process (registered with the daemon

@@ -34,7 +34,6 @@ from typing import List, Optional
 
 from repro.audit import Violation, ledger_violations, total
 from repro.cluster import ClusterSpec, FaultPlan
-from repro.ctl.client import CtlClient
 from repro.ctl.daemon import ControlPlane
 from repro.ctl.errors import CtlUnavailable
 from repro.fe.session import LIVE_STATES, TERMINAL_STATES, SessionState
@@ -161,8 +160,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     sim, rm, cluster = env.sim, env.rm, env.cluster
 
     control = ControlPlane(cluster, rm, max_in_flight=cfg.max_in_flight)
-    client = CtlClient(control)
-    client.start()
+    control.cmd_start()
 
     res = CrashResult(seed=cfg.seed)
     tickets: List[int] = []
@@ -176,7 +174,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
                            and idx % cfg.overlay_every == cfg.overlay_every - 1)
             tool = "overlay" if use_overlay else "generic-be"
             try:
-                ctl_id = client.launch(tool, cfg.nodes_per_session)
+                ctl_id = control.launch(tool, cfg.nodes_per_session)
             except CtlUnavailable:
                 res.rejected_submits += 1
                 yield sim.timeout(0.3)
@@ -226,7 +224,7 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
     pre_jobs = {ctl_id: entry for ctl_id, entry in pre_jobs.items()
                 if any(d.proc is not None and d.proc.alive
                        for d in entry[0].daemons)}
-    client.start()
+    control.cmd_start()
     daemon = control.daemon
     res.generations = control.generation
     report = daemon.restore_report
@@ -282,19 +280,19 @@ def run_crash_restart(cfg: CrashScenario) -> CrashResult:
                               if cs.session is not None
                               and cs.session.state is SessionState.FAILED)
 
-    # phase 5: tear everything down through the client, then stop
+    # phase 5: tear everything down through the session verbs, then stop
     def ender():
         for ctl_id in sorted(daemon.sessions):
             cs = daemon.sessions[ctl_id]
             if cs.session is not None and cs.session.state in LIVE_STATES:
                 try:
-                    yield from client.end(ctl_id)
+                    yield from control.end(ctl_id)
                 except Exception as exc:
                     # a failed teardown is not a scenario abort: the final
                     # node-accounting audit is the arbiter of whether it
                     # actually leaked anything
                     res.notes.append(f"ctl{ctl_id}: teardown failed: {exc}")
-        result = yield from client.stop(drain=True)
+        result = yield from control.cmd_stop(drain=True)
         return result
 
     drive(env, ender())

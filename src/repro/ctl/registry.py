@@ -1,15 +1,14 @@
-"""Launch specs and the tool-recipe registry.
+"""Launch specs and the tool recipes.
 
 The control plane cannot checkpoint a Python callable. What it *can*
-checkpoint is a :class:`LaunchSpec`: a registered recipe name plus
-jsonable parameters. The registry maps the name back to an operation
-factory, so a restarted daemon can resubmit a launch that had not
-produced a daemon tree yet from its checkpoint record alone.
+checkpoint is a :class:`LaunchSpec`: a recipe name plus jsonable
+parameters. :data:`RECIPES` maps the name back to an operation factory,
+so a restarted daemon can resubmit a launch that had not produced a
+daemon tree yet from its checkpoint record alone.
 
 A recipe factory takes the spec and returns an op generator function
 ``op(fe, session)`` suitable for
-:meth:`~repro.fe.service.ToolService.submit_op`. Two recipes are built
-in:
+:meth:`~repro.fe.service.ToolService.submit_op`. There are two recipes:
 
 ``generic-be``
     ``launch_and_spawn`` with a *parked* daemon body: daemons signal
@@ -33,14 +32,12 @@ from typing import Any, Callable, Dict, Tuple
 
 from repro.apps.scenarios import make_compute_app
 from repro.be import BackEnd
-from repro.ctl.errors import UnknownToolError
 from repro.fe.session import SessionState
 from repro.rm.base import DaemonSpec
 from repro.tbon.overlay import StreamSpec
 from repro.tbon.startup import launchmon_startup
 
-__all__ = ["CTL_STREAM_ID", "LaunchSpec", "get_tool", "register_tool",
-           "tool_names"]
+__all__ = ["CTL_STREAM_ID", "LaunchSpec", "RECIPES"]
 
 #: persistent stream id the ``overlay`` recipe publishes into (distinct
 #: from the overlay's one-shot wave stream id 1)
@@ -63,34 +60,6 @@ class LaunchSpec:
         return default
 
 
-_TOOLS: Dict[str, Callable[[LaunchSpec], Callable]] = {}
-
-
-def register_tool(name: str):
-    """Decorator: register ``factory(spec) -> op(fe, session)`` under
-    ``name``."""
-    def deco(factory):
-        _TOOLS[name] = factory
-        return factory
-    return deco
-
-
-def get_tool(name: str) -> Callable[[LaunchSpec], Callable]:
-    try:
-        return _TOOLS[name]
-    except KeyError:
-        raise UnknownToolError(
-            f"no tool recipe {name!r} (registered: {sorted(_TOOLS)})")
-
-
-def tool_names() -> Tuple[str, ...]:
-    return tuple(sorted(_TOOLS))
-
-
-# ---------------------------------------------------------------------------
-# built-in recipes
-# ---------------------------------------------------------------------------
-
 def _parked_daemon(ctx):
     """BE body that stays resident: init, ready, then wait to be exited.
 
@@ -104,7 +73,6 @@ def _parked_daemon(ctx):
     yield ctx.proc.exit_event
 
 
-@register_tool("generic-be")
 def _generic_be(spec: LaunchSpec):
     tasks_per_node = int(spec.param("tasks_per_node", 2))
     image_mb = float(spec.param("image_mb", 2.0))
@@ -131,7 +99,6 @@ def _make_stream_body(n_waves: int):
     return body
 
 
-@register_tool("overlay")
 def _overlay_tool(spec: LaunchSpec):
     tasks_per_node = int(spec.param("tasks_per_node", 2))
     image_mb = float(spec.param("image_mb", 4.0))
@@ -164,3 +131,10 @@ def _overlay_tool(spec: LaunchSpec):
             raise
 
     return op
+
+
+#: recipe name -> ``factory(spec) -> op(fe, session)``
+RECIPES: Dict[str, Callable[[LaunchSpec], Callable]] = {
+    "generic-be": _generic_be,
+    "overlay": _overlay_tool,
+}

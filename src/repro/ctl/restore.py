@@ -23,7 +23,8 @@ describe:
 **Reapable** (``spawning``)
     Mid-launch at the crash: the set died with its traced launcher (the
     RM aborted the job -- see the crash policy in
-    :mod:`repro.ctl.daemon`). Whatever that abort left behind is swept.
+    :mod:`repro.ctl.daemon`). Whatever that abort left behind is swept,
+    as is an adoptable record whose tree died during the outage.
 
 **Orphan allocations** (in no record)
     A crash freezes queued async requesters *without* withdrawing their
@@ -31,10 +32,14 @@ describe:
     handed to a waiter that no longer exists. The RM-side
     ``live_allocations`` ledger (the RM outlives the control plane,
     like a real SLURM controller) is the ground truth: after claims,
-    every unclaimed allocation is reaped -- stray processes on its nodes
-    ended (the RM epilogue) and the nodes released. The restore
-    therefore assumes the control plane is the sole allocation client
-    of its RM, which is the deployment model throughout this repo.
+    every unclaimed allocation is reaped. The restore therefore assumes
+    the control plane is the sole allocation client of its RM, which is
+    the deployment model throughout this repo.
+
+Every sweep is the one engine-free :func:`teardown`: end the job, then
+run the RM epilogue (:meth:`~repro.rm.base.ResourceManager.reap`) on
+each allocation. Ending an adopted session
+(:meth:`~repro.ctl.daemon.CtlDaemon.end_session`) is the same teardown.
 
 The restore runs synchronously at daemon start, before the daemon
 admits new work, so no new allocation can race the sweep.
@@ -43,15 +48,14 @@ admits new work, so no new allocation can race the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Iterable, List, Optional
 
 from repro.ctl.checkpoint import Checkpoint, SessionRecord, decode_checkpoint
 from repro.ctl.registry import LaunchSpec
 from repro.fe.session import LMONSession, SessionState
 from repro.rm.base import Allocation, ResourceManager, RMJob
 
-__all__ = ["RestoreReport", "reap_session_resources", "restore",
-           "restore_from_store"]
+__all__ = ["RestoreReport", "restore", "restore_from_store", "teardown"]
 
 
 @dataclass
@@ -82,32 +86,14 @@ _ADOPT_STATES = {
 }
 
 
-def _reap_allocation(rm: ResourceManager, alloc: Allocation,
-                     code: int = 9) -> int:
-    """The RM epilogue: end every process still on the allocation's
-    nodes, then return the nodes to the free pool. Idempotent."""
-    killed = 0
-    for node in alloc.nodes:
-        for proc in list(node.processes_of("")):
-            if proc.alive:
-                proc.exit(code)
-                killed += 1
-    if alloc.alloc_id in rm.live_allocations:
-        rm.release(alloc)
-    return killed
-
-
-def reap_session_resources(rm: ResourceManager, session: LMONSession,
-                           code: int = 0) -> int:
-    """Engine-free teardown of an adopted session: end its job's
-    processes, sweep its allocations' nodes, release the allocations."""
-    killed = 0
-    if session.job is not None:
-        killed += session.job.end(code)
-    while session.owned_allocs:
-        alloc = session.owned_allocs.pop()
-        killed += _reap_allocation(rm, alloc, code=code)
-    return killed
+def teardown(rm: ResourceManager, job: Optional[RMJob],
+             allocs: Iterable[Allocation], code: int) -> int:
+    """The engine-free teardown: end the job (if any), then reap each
+    allocation in the given order. Returns how many processes it ended."""
+    ended = job.end(code) if job is not None else 0
+    for alloc in allocs:
+        ended += rm.reap(alloc, code)
+    return ended
 
 
 def _adopt(daemon, rec: SessionRecord, job: RMJob,
@@ -116,7 +102,6 @@ def _adopt(daemon, rec: SessionRecord, job: RMJob,
     from repro.ctl.daemon import CtlSession
 
     session = LMONSession(rec.tool_name)
-    session.adopted = True
     session.job = job
     session.daemons = list(job.daemons)
     session.owned_allocs = list(allocs)
@@ -132,7 +117,6 @@ def _adopt(daemon, rec: SessionRecord, job: RMJob,
     cs.session = session
     cs.adopted = True
     daemon.sessions[rec.ctl_id] = cs
-    daemon._by_session[session.id] = cs
     daemon._next_ctl_id = max(daemon._next_ctl_id, rec.ctl_id + 1)
     session.register_status_cb(daemon._on_transition)
     return cs
@@ -177,27 +161,18 @@ def restore(daemon, cp: Checkpoint) -> RestoreReport:
         job = jobs_by_id.get(rec.jobid)
         allocs = [rm.live_allocations[a] for a in rec.alloc_ids
                   if a in rm.live_allocations]
-        if rec.state == "spawning":
-            # died with its launcher; sweep what the abort left behind
-            if job is not None:
-                rep.stray_procs_killed += job.end(9)
-            for alloc in allocs:
-                rep.orphan_nodes_reaped += len(alloc.nodes)
-                rep.stray_procs_killed += _reap_allocation(rm, alloc)
-            rep.reaped_sessions += 1
-            continue
-        # ready / degraded / mw-ready: adopt iff the tree still lives
+        # ready / degraded / mw-ready: adopt iff the tree still lives;
+        # a spawning set died with its launcher
+        spawning = rec.state == "spawning"
         tree_alive = job is not None and any(
             d.proc is not None and d.proc.alive for d in job.daemons)
-        if not tree_alive or not allocs:
-            if job is not None:
-                rep.stray_procs_killed += job.end(9)
-            for alloc in allocs:
-                rep.orphan_nodes_reaped += len(alloc.nodes)
-                rep.stray_procs_killed += _reap_allocation(rm, alloc)
+        if spawning or not tree_alive or not allocs:
+            rep.stray_procs_killed += teardown(rm, job, allocs, 9)
+            rep.orphan_nodes_reaped += sum(len(a.nodes) for a in allocs)
             rep.reaped_sessions += 1
-            rep.notes.append(
-                f"ctl{rec.ctl_id}: tree died while control plane was down")
+            if not spawning:
+                rep.notes.append(f"ctl{rec.ctl_id}: tree died while "
+                                 f"control plane was down")
             continue
         _adopt(daemon, rec, job, allocs)
         claimed.update(alloc.alloc_id for alloc in allocs)
@@ -210,11 +185,9 @@ def restore(daemon, cp: Checkpoint) -> RestoreReport:
         if alloc_id in claimed:
             continue
         alloc = rm.live_allocations[alloc_id]
-        job = jobs_by_alloc.get(alloc_id)
-        if job is not None:
-            rep.stray_procs_killed += job.end(9)
         rep.orphan_allocs_reaped += 1
         rep.orphan_nodes_reaped += len(alloc.nodes)
-        rep.stray_procs_killed += _reap_allocation(rm, alloc)
+        rep.stray_procs_killed += teardown(
+            rm, jobs_by_alloc.get(alloc_id), [alloc], 9)
 
     return rep

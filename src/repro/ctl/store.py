@@ -26,14 +26,12 @@ class CheckpointStore:
         #: bytes -- with the canonical codec this means the transition
         #: changed nothing client-visible
         self.identical_writes = 0
-        #: virtual time of the last write
-        self.last_write_at: Optional[float] = None
 
     @property
     def empty(self) -> bool:
         return self._data is None
 
-    def write(self, data: bytes, at: float = 0.0) -> None:
+    def write(self, data: bytes) -> None:
         if not isinstance(data, bytes):
             raise TypeError(f"checkpoint store takes bytes, got "
                             f"{type(data).__name__}")
@@ -41,7 +39,6 @@ class CheckpointStore:
             self.identical_writes += 1
         self._data = data
         self.writes += 1
-        self.last_write_at = at
 
     def read(self) -> Optional[bytes]:
         """The latest checkpoint bytes, or None if never written."""

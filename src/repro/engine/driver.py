@@ -88,7 +88,7 @@ class LaunchMONEngine:
         sim = self.sim
         job = yield from self.rm.create_launcher(app, alloc)
         self.job = job
-        tracer = TracedProcess(job.launcher, "lmon-engine")
+        tracer = TracedProcess(job.launcher)
         self.tracer = tracer
         self.manager = EventManager(tracer)
         yield from tracer.attach()
@@ -149,7 +149,7 @@ class LaunchMONEngine:
         if job.state is not JobState.RUNNING:
             raise EngineError(f"cannot attach: job {job.jobid} is {job.state}")
         self.job = job
-        tracer = TracedProcess(job.launcher, "lmon-engine")
+        tracer = TracedProcess(job.launcher)
         self.tracer = tracer
         self.manager = EventManager(tracer)
         yield from tracer.attach()

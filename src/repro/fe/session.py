@@ -62,6 +62,13 @@ must not block (they are plain functions, not generators) -- use them to
 record timestamps, wake waiters, or drive external bookkeeping, exactly as
 LaunchMON tools use the status-callback hook for responsiveness instead of
 polling.
+
+A restarted control plane (:mod:`repro.ctl.restore`) may rebind a fresh
+session to a daemon tree that outlived the engine that launched it. Such
+a session has no engine and no LMONP streams, so it supports overlay
+streaming and the control plane's engine-free teardown, not
+``send_usrdata_be``/``kill``; the control plane's own ticket
+(:class:`~repro.ctl.daemon.CtlSession`) records the adoption.
 """
 
 from __future__ import annotations
@@ -138,13 +145,6 @@ class LMONSession:
         self.mw_runtimes: list = []
         #: allocations this session obtained itself (returned on detach/kill)
         self.owned_allocs: list = []
-        #: True for a session rebound to a live daemon tree by a restarted
-        #: control plane (see :mod:`repro.ctl.restore`). Adopted sessions
-        #: have no engine and no LMONP streams -- the processes behind
-        #: those died with the previous control-plane generation -- so
-        #: they support overlay streaming and engine-free teardown, not
-        #: ``send_usrdata_be``/``kill``
-        self.adopted: bool = False
         # data-transfer registration (jsonable-structure transforms)
         self.pack_fe_to_be: Optional[Callable[[Any], Any]] = None
         self.unpack_be_to_fe: Optional[Callable[[Any], Any]] = None

@@ -118,7 +118,6 @@ class FleetHandle(ProcessFuture):
         self.request = request
         #: member names tried, in order (last one served, if any succeeded)
         self.attempts: List[str] = []
-        self.failovers = 0
         #: placement epoch; bumped by the door on every fenced re-place
         self.epoch = 0
         #: attempts the door fenced: (member, fenced_to_epoch, at_time)
@@ -134,6 +133,10 @@ class FleetHandle(ProcessFuture):
     def cluster(self) -> Optional[str]:
         """The member that (last) served this request."""
         return self.attempts[-1] if self.attempts else None
+
+    @property
+    def failovers(self) -> int:
+        return max(0, len(self.attempts) - 1)
 
     def _launch_marks(self) -> Optional[dict]:
         sub = self.session_handle
@@ -198,8 +201,6 @@ class FleetFrontDoor(OperationCore):
         mesh.attach_observer(self)
         #: rejections issued while the door held only a minority view
         self.minority_rejections = 0
-        #: fenced re-placements initiated (each bumped a handle's epoch)
-        self.abandoned = 0
         #: failover budget per request (None: unlimited, PR 9 behavior)
         self.max_failovers = max_failovers
         #: consecutive failed attempts that trip a member's breaker
@@ -296,6 +297,17 @@ class FleetFrontDoor(OperationCore):
             entry[1] = self.sim.now + self.breaker_cooldown
             self._member_stats[member]["breaker_trips"] += 1
 
+    def _attempt_failed(self, target: str, tried: Set[str], stat: str,
+                        down: bool = False, breaker: bool = True) -> None:
+        """Mark ``target`` down, count toward its breaker, bump its
+        ``stat`` counter and exclude it from this request, in order."""
+        if down:
+            self.view.mark_down(target)
+        if breaker:
+            self._breaker_failure(target)
+        self._member_stats[target][stat] += 1
+        tried.add(target)
+
     def _breaker_success(self, member: str) -> None:
         entry = self._breakers.get(member)
         if entry is not None:
@@ -391,17 +403,12 @@ class FleetFrontDoor(OperationCore):
                     raise FleetUnavailable(
                         f"no routable cluster for request "
                         f"{handle.request.key!r} (tried {sorted(tried)})")
-                if handle.attempts:
-                    handle.failovers += 1
                 handle.attempts.append(target)
                 member = self._members[target]
                 if not self._reachable(target):
                     # connect probe fails: partitioned off, same direct
                     # evidence as a refused submission
-                    self.view.mark_down(target)
-                    self._breaker_failure(target)
-                    self._member_stats[target]["refusals"] += 1
-                    tried.add(target)
+                    self._attempt_failed(target, tried, "refusals", down=True)
                     continue
                 try:
                     sub = member.submit_launch(
@@ -411,15 +418,12 @@ class FleetFrontDoor(OperationCore):
                 except StaleEpoch:
                     # a fence outran this attempt; the member is healthy,
                     # this epoch just must not start there
-                    self._member_stats[target]["refusals"] += 1
-                    tried.add(target)
+                    self._attempt_failed(target, tried, "refusals",
+                                         breaker=False)
                     continue
                 except ClusterUnavailable:
                     # dead on contact: direct evidence beats gossip
-                    self.view.mark_down(target)
-                    self._breaker_failure(target)
-                    self._member_stats[target]["refusals"] += 1
-                    tried.add(target)
+                    self._attempt_failed(target, tried, "refusals", down=True)
                     continue
                 handle.session_handle = sub
                 handle._attempt_target = target
@@ -434,29 +438,20 @@ class FleetFrontDoor(OperationCore):
                         # past the grace window): leave the stale session
                         # to the fence and re-place the request
                         handle.abandoned_sessions.append(sub)
-                        self._breaker_failure(target)
-                        self._member_stats[target]["failed_attempts"] += 1
-                        tried.add(target)
+                        self._attempt_failed(target, tried, "failed_attempts")
                         continue
                     if not (sub.done and sub.exception is exc):
                         # the *supervisor* was interrupted (fleet-level
                         # cancel): take the live session down with it
                         sub.cancel(reason="fleet request cancelled")
                         raise
-                    if member.crashed:
-                        # the member died under this session
-                        self.view.mark_down(target)
-                        self._breaker_failure(target)
-                        self._member_stats[target]["failed_attempts"] += 1
-                        tried.add(target)
-                        continue
-                    if isinstance(exc, RMError):
-                        # cluster-level resource refusal: worth a failover
-                        self._breaker_failure(target)
-                        self._member_stats[target]["failed_attempts"] += 1
-                        tried.add(target)
-                        continue
-                    raise  # tool-level failure: failover would not help
+                    if not (member.crashed or isinstance(exc, RMError)):
+                        raise  # tool-level failure: failover would not help
+                    # the member died under this session (direct evidence
+                    # it is down), or a cluster-level resource refusal
+                    self._attempt_failed(target, tried, "failed_attempts",
+                                         down=member.crashed)
+                    continue
                 finally:
                     handle._attempt_target = None
                     self._note_finished(target, handle.request.n_nodes)
@@ -533,7 +528,6 @@ class FleetFrontDoor(OperationCore):
             self._pending_fences.append((target, handle.id, handle.epoch))
             handle.fenced_attempts.append((target, handle.epoch, now))
             self._member_stats[target]["fenced"] += 1
-            self.abandoned += 1
             del fresh[key]
             handle._proc.interrupt(_Abandon(target))
         self._suspect_since = fresh
@@ -551,6 +545,11 @@ class FleetFrontDoor(OperationCore):
                 continue
             member.fence(request, epoch)
         self._pending_fences = keep
+
+    @property
+    def abandoned(self) -> int:
+        """Fenced re-placements initiated (each bumped a handle's epoch)."""
+        return sum(len(h.fenced_attempts) for h in self.handles)
 
     @property
     def pending_fences(self) -> int:

@@ -33,9 +33,8 @@ class TracedProcess:
     tracer may hold a process at a time (matching ptrace semantics).
     """
 
-    def __init__(self, target: SimProcess, tracer_name: str = "tracer"):
+    def __init__(self, target: SimProcess):
         self.target = target
-        self.tracer_name = tracer_name
         self.attached = False
         #: count of word-granular remote reads performed (model validation)
         self.words_read = 0

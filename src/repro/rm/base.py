@@ -468,6 +468,20 @@ class ResourceManager:
                     heapq.heappush(self._free_heap, pos)
         self._pump_alloc_queue()
 
+    def reap(self, alloc: Allocation, code: int) -> int:
+        """The epilogue: end every live process on the allocation's
+        nodes with ``code``, release the allocation if it is still
+        granted, and return how many processes were ended (0, releasing
+        nothing, when called again)."""
+        ended = 0
+        for node in alloc.nodes:
+            for proc in node.processes_of(""):
+                ended += proc.alive
+                proc.exit(code)
+        if alloc.alloc_id in self.live_allocations:
+            self.release(alloc)
+        return ended
+
     def _grant(self, nodes: list[Node]) -> Allocation:
         """Record ``nodes`` (already removed from the free index by
         :meth:`_take_free`) as allocated."""

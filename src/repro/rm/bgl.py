@@ -33,19 +33,17 @@ class BglMpirunRM(SlurmRM):
     name = "bgl-mpirun"
 
     def __init__(self, cluster: Cluster, config: Optional[SlurmConfig] = None,
-                 seed: int = 7, spawn_factor: float = BGL_SPAWN_FACTOR,
-                 **rm_kwargs: Any):
+                 seed: int = 7, **rm_kwargs: Any):
         base = config or SlurmConfig()
         scaled = replace(
             base,
-            ctl_job_setup=base.ctl_job_setup * spawn_factor,
-            ctl_per_node_job=base.ctl_per_node_job * spawn_factor,
-            ctl_daemon_setup=base.ctl_daemon_setup * spawn_factor,
-            ctl_per_node_daemon=base.ctl_per_node_daemon * spawn_factor,
+            ctl_job_setup=base.ctl_job_setup * BGL_SPAWN_FACTOR,
+            ctl_per_node_job=base.ctl_per_node_job * BGL_SPAWN_FACTOR,
+            ctl_daemon_setup=base.ctl_daemon_setup * BGL_SPAWN_FACTOR,
+            ctl_per_node_daemon=base.ctl_per_node_daemon * BGL_SPAWN_FACTOR,
             hop_cost=base.hop_cost * 2.0,
         )
         super().__init__(cluster, config=scaled, seed=seed, **rm_kwargs)
-        self.spawn_factor = spawn_factor
 
     def launcher_executable(self) -> str:
         return "mpirun"

@@ -58,9 +58,12 @@ class RshRM(ResourceManager):
 
         Routed through the unified ``serial-rsh``
         :class:`~repro.launch.LaunchStrategy` with per-rank argument/image
-        hooks and no policy: the loop stops at the first failed spawn, and
-        :class:`~repro.rm.base.RMError` raises with the report's first
-        failure.
+        hooks and no policy: the loop stops at the first failed spawn,
+        the job is marked FAILED and ended (its started tasks and the
+        launcher exit, so a tracer sees the launcher's EXITED event, as
+        under SLURM's abort), and :class:`~repro.rm.base.RMError` raises
+        with the report's first failure. The allocation stays with its
+        owner.
         """
         launcher = job.launcher
         if launcher.state.value == "T":
@@ -80,6 +83,8 @@ class RshRM(ResourceManager):
             post_spawn=lambda i, node, proc: job.add_task(proc, ranks[i])))
         report = result.report
         if report.failure:
+            job.state = JobState.FAILED
+            job.end(1)
             raise RMError(
                 f"{self.name}: task launch stopped at {result.n_spawned}/"
                 f"{report.requested} -- {report.failure}")

@@ -60,7 +60,6 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
                    topology: Optional[TBONTopology] = None,
                    comm_nodes: Optional[list[Node]] = None,
                    stream_filter: str = "concat",
-                   per_be_handshake: float = MRNET_PER_BE_HANDSHAKE,
                    ) -> Generator[Any, Any, tuple[Overlay, LaunchReport]]:
     """Launch and connect a TBON the ad-hoc way (sequential rsh).
 
@@ -129,7 +128,7 @@ def native_startup(cluster: Cluster, backend_nodes: list[Node],
 
     t_hs0 = sim.now
     n_be = len(topo.backends())  # simlint: allow[agg-leaves] -- mrnet path, never hybrid
-    yield sim.timeout(per_be_handshake * n_be)
+    yield sim.timeout(MRNET_PER_BE_HANDSHAKE * n_be)
     report.t_handshake = sim.now - t_hs0
 
     overlay = _build_overlay(cluster, topo, placement, stream_filter)
@@ -146,7 +145,6 @@ def launchmon_startup(fe_api, session, job: RMJob,
                       daemon_executable: str = "stat_be",
                       image_mb: float = 18.0,
                       stream_filter: str = "concat",
-                      per_be_handshake: float = MRNET_PER_BE_HANDSHAKE,
                       daemon_body: Optional[Callable] = None,
                       aggregate_body: Optional[Callable] = None,
                       ) -> Generator[Any, Any, tuple[Overlay, LaunchReport]]:
@@ -299,7 +297,7 @@ def launchmon_startup(fe_api, session, job: RMJob,
                 name=f"tbon-agg:{pos}")
 
     t_hs0 = sim.now
-    yield sim.timeout(per_be_handshake * n_be)
+    yield sim.timeout(MRNET_PER_BE_HANDSHAKE * n_be)
     report.t_handshake = sim.now - t_hs0
 
     report.fe_procs_peak = cluster.front_end.max_uid_procs_seen

@@ -88,7 +88,7 @@ class LaunchmonInstrumentor:
         # LaunchMON engine process + debugger-style attach to the launcher
         engine_proc = yield from self.cluster.front_end.fork_exec(
             "launchmon-engine", image_mb=3.0)
-        tracer = TracedProcess(job.launcher, "oss-lmon")
+        tracer = TracedProcess(job.launcher)
         yield from tracer.attach()
         state = yield from tracer.read_symbol(MPIR_DEBUG_STATE)
         assert state is not None

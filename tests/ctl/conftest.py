@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.ctl import ControlPlane, CtlClient
+from repro.ctl import ControlPlane
 from repro.runner import make_env
 
 
@@ -15,7 +15,7 @@ def ctl_env():
     env = make_env(n_compute=12, spec=ClusterSpec(n_compute=12, seed=3),
                    seed=3)
     control = ControlPlane(env.cluster, env.rm, max_in_flight=3)
-    return env, control, CtlClient(control)
+    return env, control
 
 
 def drain_to(env, until=None):

@@ -10,7 +10,7 @@ the drain itself.
 from __future__ import annotations
 
 from repro.cluster import ClusterSpec
-from repro.ctl import ControlPlane, CtlClient, DaemonState, decode_checkpoint
+from repro.ctl import ControlPlane, DaemonState, decode_checkpoint
 from repro.fe.session import SessionState
 from repro.runner import make_env
 from repro.simx import Interrupt
@@ -22,22 +22,22 @@ def _gated_env(n_compute=12, max_in_flight=1):
     env = make_env(n_compute=n_compute,
                    spec=ClusterSpec(n_compute=n_compute, seed=5), seed=5)
     control = ControlPlane(env.cluster, env.rm, max_in_flight=max_in_flight)
-    return env, control, CtlClient(control)
+    return env, control
 
 
 def test_cancel_of_admission_queued_launch_during_drain():
-    env, control, client = _gated_env()
+    env, control = _gated_env()
     sim = env.sim
-    client.start()
-    id1 = client.launch("generic-be", 3)
-    id2 = client.launch("generic-be", 3)  # behind the admission gate
+    control.cmd_start()
+    id1 = control.launch("generic-be", 3)
+    id2 = control.launch("generic-be", 3)  # behind the admission gate
 
     def scenario():
         stop_proc = control.stop_async(drain=True)
         yield sim.timeout(0.001)
         assert control.daemon.state is DaemonState.DRAINING
         assert control.daemon.service.pending_admissions == 1
-        assert client.cancel(id2) is True
+        assert control.cancel(id2) is True
         yield stop_proc
 
     run_gen(env, scenario())
@@ -66,23 +66,23 @@ def test_cancel_of_rm_queued_launch_during_drain():
     """The cancelled launch already holds an RM queue entry (nodes, not
     admission): cancelling must withdraw that entry, or the drain's
     final accounting leaks a phantom request."""
-    env, control, client = _gated_env(n_compute=4, max_in_flight=3)
+    env, control = _gated_env(n_compute=4, max_in_flight=3)
     sim = env.sim
-    client.start()
-    id1 = client.launch("generic-be", 3)
+    control.cmd_start()
+    id1 = control.launch("generic-be", 3)
 
     def scenario():
         # wait until id1 holds nodes, then queue id2 behind it at the RM
-        while client.info(id1)["state"] in ("created", "queued"):
+        while control.info(id1)["state"] in ("created", "queued"):
             yield sim.timeout(0.005)
-        id2 = client.launch("generic-be", 3)
+        id2 = control.launch("generic-be", 3)
         yield sim.timeout(0.01)
-        assert client.info(id2)["state"] == "queued"
+        assert control.info(id2)["state"] == "queued"
         assert env.rm.queued_requests == 1
         stop_proc = control.stop_async(drain=True)
         yield sim.timeout(0.001)
         assert control.daemon.state is DaemonState.DRAINING
-        assert client.cancel(id2) is True
+        assert control.cancel(id2) is True
         yield stop_proc
         return id2
 
@@ -96,16 +96,16 @@ def test_cancel_of_rm_queued_launch_during_drain():
 
 
 def test_drain_completes_when_every_handle_is_cancelled():
-    env, control, client = _gated_env()
+    env, control = _gated_env()
     sim = env.sim
-    client.start()
-    ids = [client.launch("generic-be", 3) for _ in range(3)]
+    control.cmd_start()
+    ids = [control.launch("generic-be", 3) for _ in range(3)]
 
     def scenario():
         stop_proc = control.stop_async(drain=True)
         yield sim.timeout(0.001)
         for ctl_id in ids:
-            client.cancel(ctl_id)
+            control.cancel(ctl_id)
         yield stop_proc
 
     run_gen(env, scenario())

@@ -16,7 +16,7 @@ import repro.audit
 from repro.apps import make_compute_app
 from repro.audit import Violation, fleet_violations, ledger_violations
 from repro.be import minimal_daemon
-from repro.ctl import CtlClient
+from repro.ctl import ControlPlane
 from repro.ctl.harness import CrashScenario, run_crash_restart
 from repro.fleet import FenceToken, chaos, make_fleet_env
 from repro.fleet.frontdoor import FleetFrontDoor
@@ -162,13 +162,13 @@ class TestFleetViolations:
 
 class TestWholeRunLeaks:
     def test_crash_restart_run_with_a_leak_fails(self, monkeypatch):
-        stop = CtlClient.stop
+        stop = ControlPlane.cmd_stop
 
-        def leaky_stop(client, drain=True):
-            client.control.rm.allocate(1)  # never released
-            return (yield from stop(client, drain=drain))
+        def leaky_stop(control, drain=True):
+            control.rm.allocate(1)  # never released
+            return (yield from stop(control, drain=drain))
 
-        monkeypatch.setattr(CtlClient, "stop", leaky_stop)
+        monkeypatch.setattr(ControlPlane, "cmd_stop", leaky_stop)
         res = run_crash_restart(CrashScenario(seed=11, t_kill=1.0))
         assert not res.ok
         assert res.leaked_nodes_final == 1
