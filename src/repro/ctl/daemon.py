@@ -132,15 +132,13 @@ class CtlDaemon:
 
     def __init__(self, cluster: Cluster, rm: ResourceManager,
                  store: CheckpointStore, generation: int = 1,
-                 max_in_flight: Optional[int] = None,
-                 keep_warm: Optional[int] = 64):
+                 max_in_flight: Optional[int] = None):
         self.cluster = cluster
         self.rm = rm
         self.sim = cluster.sim
         self.store = store
         self.generation = generation
         self.service = ToolService(cluster, rm, max_in_flight=max_in_flight,
-                                   keep_warm=keep_warm,
                                    name=f"ctl-g{generation}")
         self.state = DaemonState.STOPPED
         #: tickets by ctl id (insertion == submission/adoption order)
@@ -426,8 +424,7 @@ class ControlPlane:
     the operator (``cmd_*``) and session verbs clients address."""
 
     def __init__(self, cluster: Cluster, rm: ResourceManager,
-                 max_in_flight: Optional[int] = None,
-                 keep_warm: Optional[int] = 64):
+                 max_in_flight: Optional[int] = None):
         self.cluster = cluster
         self.rm = rm
         self.sim = cluster.sim
@@ -435,7 +432,6 @@ class ControlPlane:
         #: configuration of record -- what the next generation boots with;
         #: ``cmd_reload`` updates it alongside the live daemon
         self.max_in_flight = max_in_flight
-        self.keep_warm = keep_warm
         self.generation = 0
         self.daemon: Optional[CtlDaemon] = None
         self.restarts = 0
@@ -460,8 +456,7 @@ class ControlPlane:
             self.restarts += 1
         self.daemon = CtlDaemon(self.cluster, self.rm, self.store,
                                 generation=self.generation,
-                                max_in_flight=self.max_in_flight,
-                                keep_warm=self.keep_warm)
+                                max_in_flight=self.max_in_flight)
         st = self.daemon.start()
         st["started"] = True
         st["already_running"] = False

@@ -16,16 +16,12 @@ __all__ = ["CheckpointStore"]
 
 
 class CheckpointStore:
-    """Holds the latest encoded checkpoint plus write diagnostics."""
+    """Holds the latest encoded checkpoint and counts its writes."""
 
     def __init__(self) -> None:
         self._data: Optional[bytes] = None
         #: total write count (checkpoint churn diagnostic)
         self.writes = 0
-        #: number of writes that replaced the document with identical
-        #: bytes -- with the canonical codec this means the transition
-        #: changed nothing client-visible
-        self.identical_writes = 0
 
     @property
     def empty(self) -> bool:
@@ -35,15 +31,9 @@ class CheckpointStore:
         if not isinstance(data, bytes):
             raise TypeError(f"checkpoint store takes bytes, got "
                             f"{type(data).__name__}")
-        if data == self._data:
-            self.identical_writes += 1
         self._data = data
         self.writes += 1
 
     def read(self) -> Optional[bytes]:
         """The latest checkpoint bytes, or None if never written."""
         return self._data
-
-    def clear(self) -> None:
-        """Discard the stored checkpoint (operator reset)."""
-        self._data = None

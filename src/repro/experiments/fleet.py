@@ -62,7 +62,6 @@ def run_fleet_once(n_clusters: int, arrival_rate: float,
                    nodes_per_cluster: int = 8,
                    nodes_per_session: int = 2,
                    tasks_per_node: int = 4,
-                   policy: str = "least-loaded",
                    shard_size: int = 4,
                    fault: bool = True,
                    fault_arrival: Optional[int] = None,
@@ -74,7 +73,7 @@ def run_fleet_once(n_clusters: int, arrival_rate: float,
     """
     env = make_fleet_env(n_clusters=n_clusters,
                          nodes_per_cluster=nodes_per_cluster,
-                         policy=policy, shard_size=shard_size, seed=seed)
+                         shard_size=shard_size, seed=seed)
     fleet = env.fleet
     app = make_compute_app(n_tasks=nodes_per_session * tasks_per_node,
                            tasks_per_node=tasks_per_node)
@@ -110,15 +109,15 @@ def run_fleet_once(n_clusters: int, arrival_rate: float,
 
 def _fleet_point(n_clusters: int, arrival_rate: float, n_arrivals: int,
                  nodes_per_cluster: int, nodes_per_session: int,
-                 tasks_per_node: int, policy: str, shard_size: int,
+                 tasks_per_node: int, shard_size: int,
                  fault: bool) -> dict:
     """One grid point, reduced to row scalars (worker-safe)."""
     env, handles, info = run_fleet_once(
         n_clusters, arrival_rate, n_arrivals=n_arrivals,
         nodes_per_cluster=nodes_per_cluster,
         nodes_per_session=nodes_per_session,
-        tasks_per_node=tasks_per_node, policy=policy,
-        shard_size=shard_size, fault=fault)
+        tasks_per_node=tasks_per_node, shard_size=shard_size,
+        fault=fault)
     summary = env.fleet.door.summary()
     latencies = summary["launch_latencies"]
     audit = info["audit"]
@@ -148,16 +147,16 @@ def run_fleet(cluster_counts: Sequence[int] = (2, 4, 8),
               nodes_per_cluster: int = 8,
               nodes_per_session: int = 2,
               tasks_per_node: int = 4,
-              policy: str = "least-loaded",
               shard_size: int = 4,
               fault: bool = True,
               jobs: int = 1) -> ExperimentResult:
     """Sweep clusters x arrival rate; audit failover and leaks."""
+    # the title names the placement rule (repro.fleet.placement)
     result = ExperimentResult(
         exp_id="fleet",
         title=f"federated fleet front door: clusters x arrival rate "
               f"({nodes_per_cluster} nodes/cluster, "
-              f"{nodes_per_session} nodes/session, policy={policy}, "
+              f"{nodes_per_session} nodes/session, policy=least-loaded, "
               f"{'one cluster crashed mid-stream' if fault else 'no faults'})",
         columns=["clusters", "rate", "arrivals", "completed", "cancelled",
                  "rejected", "failovers", "p50_latency", "p99_latency",
@@ -172,8 +171,8 @@ def run_fleet(cluster_counts: Sequence[int] = (2, 4, 8),
     grid = [dict(n_clusters=c, arrival_rate=r, n_arrivals=n_arrivals,
                  nodes_per_cluster=nodes_per_cluster,
                  nodes_per_session=nodes_per_session,
-                 tasks_per_node=tasks_per_node, policy=policy,
-                 shard_size=shard_size, fault=fault)
+                 tasks_per_node=tasks_per_node, shard_size=shard_size,
+                 fault=fault)
             for c in cluster_counts for r in arrival_rates]
     result.rows = map_grid(_fleet_point, grid, jobs=jobs)
     leaked = sum(r["leaked"] for r in result.rows)

@@ -9,10 +9,10 @@ means many clusters behind a routing tier. This package is that tier:
   :class:`~repro.cluster.Cluster`, resource manager and
   :class:`~repro.fe.service.ToolService`, all sharing the fleet's single
   :class:`~repro.simx.Simulator` timeline;
-* :mod:`repro.fleet.placement` -- pluggable placement policies
-  (consistent hashing, least-loaded, locality-aware) choosing a member
-  per incoming session request from the front door's *gossiped* view --
-  never from ground truth;
+* :func:`least_loaded` (:mod:`repro.fleet.placement`) -- the one
+  placement rule: each incoming session request goes to the least-loaded
+  member of the front door's *gossiped* view -- never ground truth --
+  avoiding saturated or DEGRADED members while any other remains;
 * :mod:`repro.fleet.gossip` -- s_group-style partitioned peering
   (*Scaling Reliably*'s SD Erlang lineage): members exchange versioned
   health/load digests only with their shard neighbors plus one bridge
@@ -28,17 +28,7 @@ Build a whole fleet with :func:`make_fleet_env`; the ``fleet`` experiment
 """
 
 from repro.fleet.health import ClusterHealth, ClusterState, FleetView
-from repro.fleet.placement import (
-    ConsistentHashPolicy,
-    HashRing,
-    LeastLoadedPolicy,
-    LocalityAwarePolicy,
-    PlacementError,
-    PlacementPolicy,
-    PlacementRequest,
-    get_policy,
-    policy_names,
-)
+from repro.fleet.placement import least_loaded
 from repro.fleet.gossip import GossipMesh
 from repro.fleet.member import (
     ClusterUnavailable,
@@ -71,7 +61,6 @@ __all__ = [
     "ClusterHealth",
     "ClusterState",
     "ClusterUnavailable",
-    "ConsistentHashPolicy",
     "FenceToken",
     "Fleet",
     "FleetEnv",
@@ -80,18 +69,11 @@ __all__ = [
     "FleetUnavailable",
     "FleetView",
     "GossipMesh",
-    "HashRing",
-    "LeastLoadedPolicy",
-    "LocalityAwarePolicy",
-    "PlacementError",
-    "PlacementPolicy",
-    "PlacementRequest",
     "StaleEpoch",
     "audit_fleet",
-    "get_policy",
+    "least_loaded",
     "make_fleet_env",
     "make_fleet_member_env",
-    "policy_names",
     "run_fleet_chaos",
     "scenario_for_seed",
 ]

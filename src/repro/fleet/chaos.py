@@ -88,7 +88,6 @@ class ChaosScenario:
     arrival_rate: float = 8.0
     nodes_per_session: int = 2
     tasks_per_node: int = 2
-    policy: str = "least-loaded"
     max_failovers: int = 4
     breaker_threshold: int = 3
     breaker_cooldown: float = 1.0
@@ -190,7 +189,7 @@ def run_fleet_chaos(scenario: ChaosScenario) -> ChaosResult:
     env = make_fleet_env(
         n_clusters=scenario.n_clusters,
         nodes_per_cluster=scenario.nodes_per_cluster,
-        policy=scenario.policy, shard_size=scenario.shard_size,
+        shard_size=scenario.shard_size,
         suspect_rounds=scenario.suspect_rounds,
         gossip_period=scenario.gossip_period, seed=scenario.seed,
         net_fault_plan=scenario.plan,

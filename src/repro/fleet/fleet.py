@@ -5,8 +5,8 @@
 timeline, N member clusters (each with its own RM and ToolService,
 disjoint node namespaces ``c0n000...``), an s_group-partitioned
 :class:`~repro.fleet.gossip.GossipMesh`, and a
-:class:`~repro.fleet.frontdoor.FleetFrontDoor` routing through a chosen
-placement policy. The returned :class:`FleetEnv` is a
+:class:`~repro.fleet.frontdoor.FleetFrontDoor` routing each request to
+the least-loaded member. The returned :class:`FleetEnv` is a
 :class:`~repro.runner.SimEnv`, so :func:`repro.runner.drive` works on it
 unchanged (its ``cluster``/``rm`` are member 0's, which keeps the
 stall diagnostics meaningful).
@@ -27,7 +27,7 @@ acceptance gate of the fleet experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Type, Union
+from typing import Any, Dict, Generator, List, Optional, Sequence, Type
 
 from repro.audit import fleet_violations
 from repro.cluster import (
@@ -40,7 +40,6 @@ from repro.fe.service import ToolService
 from repro.fleet.frontdoor import FleetFrontDoor, FleetHandle
 from repro.fleet.gossip import GossipMesh
 from repro.fleet.member import FleetCluster
-from repro.fleet.placement import PlacementPolicy
 from repro.rm import ResourceManager, SlurmRM
 from repro.runner import SimEnv
 from repro.simx import Simulator
@@ -81,8 +80,7 @@ class Fleet:
         return self._by_name[name].crash()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Fleet {len(self.members)} members "
-                f"policy={self.door.policy.name}>")
+        return f"<Fleet {len(self.members)} members>"
 
 
 @dataclass
@@ -98,7 +96,6 @@ class FleetEnv(SimEnv):
 
 
 def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
-                   policy: Union[PlacementPolicy, str] = "least-loaded",
                    shard_size: int = 4, suspect_rounds: int = 3,
                    max_in_flight: Optional[int] = None,
                    gossip_period: float = 0.25,
@@ -116,9 +113,7 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
     Member ``i`` is named ``c{i}`` (zero-padded so lexicographic order is
     numeric order -- shard membership depends on it), seeded ``seed + i``
     so clusters are statistically independent but the whole fleet is a
-    pure function of ``seed``. Each shard is one zone (``z0``, ``z1``,
-    ...), which makes the locality policy's preference coincide with
-    gossip adjacency.
+    pure function of ``seed``.
 
     ``net_fault_plan`` attaches network weather to the gossip mesh (its
     injector is seeded from ``seed``, so a chaos run is a pure function
@@ -133,13 +128,11 @@ def make_fleet_env(n_clusters: int = 4, nodes_per_cluster: int = 16,
     for i in range(n_clusters):
         members.append(FleetCluster.build(
             sim, f"c{i:0{width}d}", nodes_per_cluster, rm_cls=rm_cls,
-            seed=seed + i, zone=f"z{i // shard_size}", costs=costs,
-            **rm_kwargs))
+            seed=seed + i, costs=costs, **rm_kwargs))
     netfaults = NetFaultInjector(net_fault_plan or NetFaultPlan(), seed=seed)
     mesh = GossipMesh(members, shard_size=shard_size,
                       suspect_rounds=suspect_rounds, netfaults=netfaults)
-    door = FleetFrontDoor(members, mesh, policy=policy,
-                          max_in_flight=max_in_flight,
+    door = FleetFrontDoor(members, mesh, max_in_flight=max_in_flight,
                           gossip_period=gossip_period,
                           max_failovers=max_failovers,
                           breaker_threshold=breaker_threshold,

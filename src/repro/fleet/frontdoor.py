@@ -10,9 +10,10 @@ a supervisor process
 1. acquires the **fleet-wide admission gate** (``max_in_flight``) -- the
    stampede guard in front of every cluster, on top of each member
    ToolService's own gate;
-2. asks the placement policy for a member, *reading only the door's
-   gossiped view*; a pick the view says is saturated or DEGRADED is
-   spilled past while any healthy candidate remains (this is what
+2. places the request on the least-loaded member
+   (:func:`~repro.fleet.placement.least_loaded`), *reading only the
+   door's gossiped view*; a member the view says is saturated or
+   DEGRADED is taken only when every candidate is (this is what
    "failover when a cluster is saturated or DEGRADED" means at the
    routing tier -- load failover before anything has been launched);
 3. submits to the member and waits. A dead member -- refusing the
@@ -59,7 +60,7 @@ drive the quorum rule and fencing):
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.fe.service import OperationCore, ProcessFuture, SessionHandle
 from repro.fe.session import LMONSession
@@ -72,11 +73,7 @@ from repro.fleet.member import (
     FleetCluster,
     StaleEpoch,
 )
-from repro.fleet.placement import (
-    PlacementPolicy,
-    PlacementRequest,
-    get_policy,
-)
+from repro.fleet.placement import least_loaded
 from repro.rm import RMError
 from repro.simx import Interrupt, Simulator
 
@@ -112,10 +109,14 @@ class FleetHandle(ProcessFuture):
     whichever member session is in flight.
     """
 
-    def __init__(self, sim: Simulator, handle_id: int,
-                 request: PlacementRequest):
+    def __init__(self, sim: Simulator, handle_id: int, tool_name: str,
+                 n_nodes: int):
         super().__init__(sim, handle_id)
-        self.request = request
+        #: the tool this request launches (each attempt's session name,
+        #: and the request's name in rejection messages)
+        self.tool_name = tool_name
+        #: nodes the request's app needs (charged by ``_note_routed``)
+        self.n_nodes = n_nodes
         #: member names tried, in order (last one served, if any succeeded)
         self.attempts: List[str] = []
         #: placement epoch; bumped by the door on every fenced re-place
@@ -144,18 +145,16 @@ class FleetHandle(ProcessFuture):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         status = "done" if self.done else "in-flight"
-        return (f"<FleetHandle {self.id} key={self.request.key!r} "
+        return (f"<FleetHandle {self.id} tool={self.tool_name!r} "
                 f"attempts={self.attempts} {status}>")
 
 
 class FleetFrontDoor(OperationCore):
     """Route sessions across member clusters; fail over; admit fleet-wide.
 
-    ``policy`` is a :class:`~repro.fleet.placement.PlacementPolicy`
-    instance or a registered name (``hash`` / ``least-loaded`` /
-    ``locality``). ``mesh`` is the fleet's gossip overlay; the door
-    attaches itself as an observer and drives rounds every
-    ``gossip_period`` of virtual time while requests are in flight.
+    ``mesh`` is the fleet's gossip overlay; the door attaches itself as
+    an observer and drives rounds every ``gossip_period`` of virtual time
+    while requests are in flight.
 
     A rejection (:class:`FleetUnavailable`) is an expected outcome, like a
     cancel: :meth:`drain` skips it and :meth:`summary` counts it as
@@ -165,7 +164,6 @@ class FleetFrontDoor(OperationCore):
     expected = (Interrupt, FleetUnavailable)
 
     def __init__(self, members: Sequence[FleetCluster], mesh: GossipMesh,
-                 policy: Union[PlacementPolicy, str] = "least-loaded",
                  max_in_flight: Optional[int] = None,
                  gossip_period: float = 0.25,
                  name: str = "frontdoor",
@@ -184,11 +182,6 @@ class FleetFrontDoor(OperationCore):
             if member.name in self._members:
                 raise ValueError(f"duplicate member name {member.name!r}")
             self._members[member.name] = member
-        if isinstance(policy, str):
-            policy = get_policy(
-                policy, sorted(self._members),
-                zones={m.name: m.zone for m in members})
-        self.policy = policy
         self.mesh = mesh
         self.gossip_period = gossip_period
         #: the door's own gossiped picture of the fleet, seeded from each
@@ -238,21 +231,16 @@ class FleetFrontDoor(OperationCore):
     def submit_launch(self, app, daemon_spec, usr_data: Any = None,
                       tool_name: str = "tool",
                       body: Optional[Callable[..., Generator]] = None,
-                      key: Optional[str] = None, zone: str = "",
                       ) -> FleetHandle:
         """Non-blocking fleet launch; returns a handle immediately.
 
         Arguments mirror :meth:`~repro.fe.service.ToolService.submit_launch`
-        -- existing service sessions route through unchanged -- plus the
-        routing ``key`` (defaults to the tool name: one tool's sessions
-        stick to one cluster under the hash policy) and a locality
-        ``zone`` preference.
+        -- existing service sessions route through unchanged.
         """
-        request = PlacementRequest(key=key if key is not None else tool_name,
-                                   zone=zone, n_nodes=app.nodes_needed())
-        handle = FleetHandle(self.sim, len(self.handles), request)
+        handle = FleetHandle(self.sim, len(self.handles), tool_name,
+                             app.nodes_needed())
         self._start(handle, self._supervise(handle, app, daemon_spec,
-                                            usr_data, tool_name, body),
+                                            usr_data, body),
                     name=f"{self.name}:req{handle.id}")
         self._ensure_gossip_driver()
         return handle
@@ -317,7 +305,7 @@ class FleetFrontDoor(OperationCore):
         """The gossiped view with the door's own outstanding requests
         charged on top: each member's record loses the nodes the door has
         routed at it but not yet seen finish, and gains their in-flight
-        count. Policies read this, so a same-instant burst spreads
+        count. Placement reads this, so a same-instant burst spreads
         instead of piling onto whichever member gossip last flattered."""
         view = FleetView()
         for rec in self.view.records():
@@ -328,15 +316,10 @@ class FleetFrontDoor(OperationCore):
             view.put(rec)
         return view
 
-    def _place(self, request: PlacementRequest,
-               tried: Set[str]) -> Optional[str]:
-        """One placement decision against the current view.
-
-        The policy's pick is final unless the view says it is shunned
-        (saturated/DEGRADED); then the door spills deterministically to
-        the policy's next choices while a healthy candidate exists --
-        sticky policies keep their affinity in the healthy case and
-        still avoid sick clusters under pressure.
+    def _place(self, tried: Set[str]) -> Optional[str]:
+        """One placement decision against the current view: the
+        least-loaded member outside ``tried``, shunned (saturated or
+        DEGRADED) only when every candidate is.
 
         Two partition-tolerance overlays narrow the candidate set:
         members behind an open circuit breaker are excluded while any
@@ -353,36 +336,17 @@ class FleetFrontDoor(OperationCore):
         if not self.has_quorum():
             unreachable = {name for name in self._members
                            if not self._reachable(name)}
-        base: Set[str] = set(tried)
-        base.update(tripped)
-        base.update(unreachable)
-        choice = self.policy.choose(request, view, base)
+        base = tried | unreachable
+        choice = least_loaded(view, base | tripped)
         if choice is None and tripped - tried:
             # half-open fallback: drop only the breaker exclusions (the
             # minority door's local-only rule is safety, not damping)
-            base = set(tried)
-            base.update(unreachable)
-            choice = self.policy.choose(request, view, base)
-        if choice is None:
-            return None
-        rec = view.get(choice)
-        if rec is None or not rec.shunned:
-            return choice
-        spill = set(base)
-        spill.add(choice)
-        while True:
-            alt = self.policy.choose(request, view, spill)
-            if alt is None:
-                return choice  # whole fleet shunned: original pick
-            alt_rec = view.get(alt)
-            if alt_rec is None or not alt_rec.shunned:
-                return alt
-            spill.add(alt)
+            choice = least_loaded(view, base)
+        return choice
 
     # -- the per-request supervisor ------------------------------------------
     def _supervise(self, handle: FleetHandle, app, daemon_spec,
-                   usr_data: Any, tool_name: str,
-                   body: Optional[Callable[..., Generator]],
+                   usr_data: Any, body: Optional[Callable[..., Generator]],
                    ) -> Generator[Any, Any, LMONSession]:
         yield from self._admit()
         self._inflight[handle.id] = handle
@@ -394,15 +358,15 @@ class FleetFrontDoor(OperationCore):
                     # failover budget spent: bounded rejection, not a storm
                     raise FleetUnavailable(
                         f"failover budget exhausted for request "
-                        f"{handle.request.key!r} "
+                        f"{handle.tool_name!r} "
                         f"({self.max_failovers} after {handle.attempts})")
-                target = self._place(handle.request, tried)
+                target = self._place(tried)
                 if target is None:
                     if not self.has_quorum():
                         self.minority_rejections += 1
                     raise FleetUnavailable(
                         f"no routable cluster for request "
-                        f"{handle.request.key!r} (tried {sorted(tried)})")
+                        f"{handle.tool_name!r} (tried {sorted(tried)})")
                 handle.attempts.append(target)
                 member = self._members[target]
                 if not self._reachable(target):
@@ -413,7 +377,7 @@ class FleetFrontDoor(OperationCore):
                 try:
                     sub = member.submit_launch(
                         app, daemon_spec, usr_data=usr_data,
-                        tool_name=tool_name, body=body,
+                        tool_name=handle.tool_name, body=body,
                         fence_token=FenceToken(handle.id, handle.epoch))
                 except StaleEpoch:
                     # a fence outran this attempt; the member is healthy,
@@ -427,7 +391,7 @@ class FleetFrontDoor(OperationCore):
                     continue
                 handle.session_handle = sub
                 handle._attempt_target = target
-                self._note_routed(target, handle.request.n_nodes)
+                self._note_routed(target, handle.n_nodes)
                 try:
                     session = yield from sub.wait()
                 except BaseException as exc:
@@ -454,7 +418,7 @@ class FleetFrontDoor(OperationCore):
                     continue
                 finally:
                     handle._attempt_target = None
-                    self._note_finished(target, handle.request.n_nodes)
+                    self._note_finished(target, handle.n_nodes)
                 self._breaker_success(target)
                 self._member_stats[target]["served"] += 1
                 return session
@@ -580,4 +544,4 @@ class FleetFrontDoor(OperationCore):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FleetFrontDoor {self.name} members={len(self._members)} "
-                f"policy={self.policy.name} handles={len(self.handles)}>")
+                f"handles={len(self.handles)}>")

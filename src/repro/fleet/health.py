@@ -27,7 +27,7 @@ class ClusterState(enum.Enum):
 
     UP = "up"
     #: admission-relevant pressure: no free nodes, or requests queued at
-    #: the member's RM -- routable, but a load-aware policy avoids it
+    #: the member's RM -- routable, but placement avoids it
     SATURATED = "saturated"
     #: serving, but with condemned nodes / partial launches behind it
     DEGRADED = "degraded"
@@ -51,8 +51,6 @@ class ClusterHealth:
     in_flight: int
     #: allocation requests queued at the member's RM
     queued: int
-    #: locality tag (rack/region) for locality-aware placement
-    zone: str = ""
 
     @property
     def saturated(self) -> bool:
@@ -61,7 +59,7 @@ class ClusterHealth:
 
     @property
     def routable(self) -> bool:
-        """Whether a placement policy may target this member at all."""
+        """Whether placement may target this member at all."""
         return self.state is not ClusterState.DOWN
 
     @property
@@ -125,7 +123,7 @@ class FleetView:
         return tuple([records[name] for name in self.clusters])
 
     def routable(self) -> tuple:
-        """Members a policy may target (not DOWN), sorted by name."""
+        """Members placement may target (not DOWN), sorted by name."""
         return tuple(r for r in self.records() if r.routable)
 
     def __contains__(self, cluster: str) -> bool:

@@ -68,9 +68,8 @@ class FleetCluster:
     """
 
     def __init__(self, name: str, cluster: Cluster, rm: ResourceManager,
-                 service: ToolService, zone: str = ""):
+                 service: ToolService):
         self.name = name
-        self.zone = zone
         self.cluster = cluster
         self.rm = rm
         self.service = service
@@ -98,7 +97,7 @@ class FleetCluster:
     @classmethod
     def build(cls, sim: Simulator, name: str, n_compute: int,
               rm_cls: Type[ResourceManager] = SlurmRM, seed: int = 1,
-              zone: str = "", spec: Optional[ClusterSpec] = None,
+              spec: Optional[ClusterSpec] = None,
               costs: Optional[CostModel] = None,
               max_in_flight: Optional[int] = None,
               **rm_kwargs: Any) -> "FleetCluster":
@@ -109,7 +108,7 @@ class FleetCluster:
         rm = rm_cls(cluster, **rm_kwargs)
         service = ToolService(cluster, rm, max_in_flight=max_in_flight,
                               name=f"{name}-svc")
-        return cls(name, cluster, rm, service, zone=zone)
+        return cls(name, cluster, rm, service)
 
     # -- gossip persona ------------------------------------------------------
     def state(self) -> ClusterState:
@@ -134,7 +133,6 @@ class FleetCluster:
             n_total=self.rm.n_total,
             in_flight=self.service.in_flight,
             queued=self.rm.queued_requests,
-            zone=self.zone,
         )
 
     # -- serving -------------------------------------------------------------
@@ -232,6 +230,6 @@ class FleetCluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " CRASHED" if self.crashed else ""
-        return (f"<FleetCluster {self.name} zone={self.zone!r} "
+        return (f"<FleetCluster {self.name} "
                 f"free={self.n_free}/{self.n_total} "
                 f"in_flight={self.in_flight}{flag}>")

@@ -1,200 +1,26 @@
-"""Pluggable placement: which member cluster serves a session request.
+"""The fleet's placement rule: route each request to the least-loaded member.
 
-Policies choose from the front door's **gossiped view** (a
-:class:`~repro.fleet.health.FleetView`), never from simulator ground
-truth -- a stale view routing a request to a cluster that just crashed is
-exactly the case the failover path exists for.
+The rule reads the front door's **gossiped view** (a
+:class:`~repro.fleet.health.FleetView`), never simulator ground truth --
+a stale view routing a request to a cluster that just crashed is exactly
+the case the failover path exists for.
 
-Three built-ins:
-
-``hash`` -- :class:`ConsistentHashPolicy`
-    Sticky, state-free routing over a balanced slot ring
-    (:class:`HashRing`): the key space is divided into ``n_slots`` fixed
-    slots; each member owns a near-equal share of slots, and membership
-    changes move only the slots the joining member must take over (or the
-    leaving member orphaned) -- never a full reshuffle. Excluded or DOWN
-    members are skipped by walking the ring forward from the key's slot.
-
-``least-loaded`` -- :class:`LeastLoadedPolicy`
-    Pick the routable member with the lowest load score ``(queued,
-    utilization, in_flight)``; a *saturated* member (no free nodes, or an
-    RM queue formed) is never chosen while a non-saturated one exists.
-
-``locality`` -- :class:`LocalityAwarePolicy`
-    Prefer members in the request's zone (least-loaded within the zone);
-    spill to the global least-loaded member when the zone has no
-    non-saturated member left.
-
-All choices are pure functions of (view, request, exclusions): same
-inputs, same member -- the determinism the sweep engine's byte-identical
-``--jobs`` contract rides on. Hashing uses ``blake2b``, never Python's
-salted ``hash()``.
+:func:`least_loaded` picks the routable member outside the exclusions
+with the lowest ``(queued, utilization, in_flight, name)``; a *shunned*
+member (saturated: no free nodes or an RM queue formed; or DEGRADED) is
+chosen only when every candidate is shunned -- requests go somewhere
+rather than nowhere. The name tail makes the order total, so the choice
+is a pure function of (view, exclusions): the determinism the sweep
+engine's byte-identical ``--jobs`` contract rides on.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional
 
 from repro.fleet.health import ClusterHealth, FleetView
 
-__all__ = [
-    "ConsistentHashPolicy",
-    "HashRing",
-    "LeastLoadedPolicy",
-    "LocalityAwarePolicy",
-    "PlacementError",
-    "PlacementPolicy",
-    "PlacementRequest",
-    "get_policy",
-    "policy_names",
-]
-
-
-class PlacementError(ValueError):
-    """Unknown policy name or malformed placement configuration."""
-
-
-@dataclass(frozen=True)
-class PlacementRequest:
-    """What a policy may condition on: a stable routing key (the hash
-    policy's stickiness), a locality zone, and the node demand."""
-
-    key: str
-    zone: str = ""
-    n_nodes: int = 0
-
-
-def _stable_hash(text: str) -> int:
-    """Deterministic 64-bit hash (Python's ``hash`` is salted per run)."""
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class HashRing:
-    """A balanced consistent-hash ring over ``n_slots`` fixed slots.
-
-    Keys map to slots by stable hash; slots map to member clusters. The
-    two structural guarantees the placement property tests pin:
-
-    * **balance** -- member slot counts never differ by more than one;
-    * **minimal disruption** -- :meth:`join` moves only slots the joiner
-      takes over (exactly ``floor(S / N_new)``, at most ``ceil(S / N)``
-      of the previous owners' slots); :meth:`leave` moves only the
-      leaver's own slots (at most ``ceil(S / N)``). No other key changes
-      owner.
-
-    All tie-breaks are lexicographic on member name, so ring contents are
-    a pure function of the join/leave history.
-    """
-
-    def __init__(self, clusters: Sequence[str] = (), n_slots: int = 4096):
-        if n_slots < 1:
-            raise PlacementError(f"n_slots must be >= 1, got {n_slots}")
-        self.n_slots = n_slots
-        self._owner: list = [None] * n_slots
-        self._owned: Dict[str, Set[int]] = {}
-        for name in clusters:
-            self.join(name)
-
-    # -- membership ----------------------------------------------------------
-    @property
-    def clusters(self) -> tuple:
-        return tuple(sorted(self._owned))
-
-    def slots_of(self, cluster: str) -> frozenset:
-        return frozenset(self._owned[cluster])
-
-    def join(self, cluster: str) -> int:
-        """Add a member; returns how many slots it took over.
-
-        The joiner steals one slot at a time from the currently
-        largest owner (lowest name among ties, highest slot index within
-        the victim) until it owns its balanced share ``floor(S / N)``.
-        """
-        if cluster in self._owned:
-            raise PlacementError(f"cluster {cluster!r} already on the ring")
-        taken: Set[int] = set()
-        self._owned[cluster] = taken
-        if len(self._owned) == 1:
-            taken.update(range(self.n_slots))
-            for slot in range(self.n_slots):
-                self._owner[slot] = cluster
-            return self.n_slots
-        share = self.n_slots // len(self._owned)
-        while len(taken) < share:
-            victim = min(self._owned,
-                         key=lambda c: (-len(self._owned[c]), c))
-            slot = max(self._owned[victim])
-            self._owned[victim].discard(slot)
-            taken.add(slot)
-            self._owner[slot] = cluster
-        return len(taken)
-
-    def leave(self, cluster: str) -> int:
-        """Remove a member; returns how many slots were redistributed.
-
-        Each orphaned slot (ascending) goes to the smallest remaining
-        owner (lowest name among ties), restoring balance.
-        """
-        orphans = self._owned.pop(cluster, None)
-        if orphans is None:
-            raise PlacementError(f"cluster {cluster!r} not on the ring")
-        if not self._owned:
-            for slot in orphans:
-                self._owner[slot] = None
-            return len(orphans)
-        for slot in sorted(orphans):
-            heir = min(self._owned,
-                       key=lambda c: (len(self._owned[c]), c))
-            self._owned[heir].add(slot)
-            self._owner[slot] = heir
-        return len(orphans)
-
-    # -- lookup --------------------------------------------------------------
-    def slot_of(self, key: str) -> int:
-        return _stable_hash(key) % self.n_slots
-
-    def owner_of(self, key: str) -> Optional[str]:
-        """The member owning ``key``'s slot (None on an empty ring)."""
-        return self._owner[self.slot_of(key)]
-
-    def owner_walking(self, key: str,
-                      excluded: Iterable[str] = ()) -> Optional[str]:
-        """The key's owner, walking the ring forward past ``excluded``
-        members (failover stays deterministic and sticky: the same key
-        with the same exclusions always lands on the same survivor)."""
-        banned = set(excluded)
-        start = self.slot_of(key)
-        for step in range(self.n_slots):
-            owner = self._owner[(start + step) % self.n_slots]
-            if owner is not None and owner not in banned:
-                return owner
-        return None
-
-    def assignment(self, keys: Iterable[str]) -> Dict[str, Optional[str]]:
-        """Map every key to its owner (property-test helper)."""
-        return {key: self.owner_of(key) for key in keys}
-
-
-class PlacementPolicy:
-    """Interface: a deterministic choice of member for one request."""
-
-    name = "abstract"
-
-    def choose(self, request: PlacementRequest, view: FleetView,
-               exclude: Iterable[str] = ()) -> Optional[str]:
-        """The chosen member's name, or None when no routable member
-        remains outside ``exclude`` (the front door reports the fleet
-        unavailable)."""
-        raise NotImplementedError
-
-
-def _candidates(view: FleetView,
-                exclude: Iterable[str]) -> list:
-    banned = set(exclude)
-    return [r for r in view.routable() if r.cluster not in banned]
+__all__ = ["least_loaded"]
 
 
 def _load_score(rec: ClusterHealth) -> tuple:
@@ -203,92 +29,14 @@ def _load_score(rec: ClusterHealth) -> tuple:
     return (rec.queued, utilization, rec.in_flight, rec.cluster)
 
 
-class ConsistentHashPolicy(PlacementPolicy):
-    """Sticky placement by request key over a balanced slot ring."""
-
-    name = "hash"
-
-    def __init__(self, clusters: Sequence[str], n_slots: int = 4096):
-        self.ring = HashRing(sorted(clusters), n_slots=n_slots)
-
-    def choose(self, request: PlacementRequest, view: FleetView,
-               exclude: Iterable[str] = ()) -> Optional[str]:
-        banned = set(exclude)
-        for rec in view.records():
-            if not rec.routable:
-                banned.add(rec.cluster)
-        return self.ring.owner_walking(request.key, banned)
-
-
-class LeastLoadedPolicy(PlacementPolicy):
-    """Route to the least-loaded member; shun saturated members while any
-    non-saturated one exists (the property the fleet tests pin)."""
-
-    name = "least-loaded"
-
-    def choose(self, request: PlacementRequest, view: FleetView,
-               exclude: Iterable[str] = ()) -> Optional[str]:
-        candidates = _candidates(view, exclude)
-        if not candidates:
-            return None
-        healthy = [r for r in candidates if not r.shunned]
-        pool = healthy or candidates
-        return min(pool, key=_load_score).cluster
-
-
-class LocalityAwarePolicy(PlacementPolicy):
-    """Prefer the request's zone; spill out only under zone saturation.
-
-    Within the zone the choice is least-loaded; when every zone member is
-    saturated (or DOWN, or excluded) the request spills to the global
-    least-loaded member -- locality is a preference, not a cage.
-    """
-
-    name = "locality"
-
-    def __init__(self, clusters: Sequence[str] = (),
-                 zones: Optional[Dict[str, str]] = None):
-        #: member -> zone (falls back to each record's gossiped zone)
-        self.zones = dict(zones or {})
-
-    def _zone_of(self, rec: ClusterHealth) -> str:
-        return self.zones.get(rec.cluster, rec.zone)
-
-    def choose(self, request: PlacementRequest, view: FleetView,
-               exclude: Iterable[str] = ()) -> Optional[str]:
-        candidates = _candidates(view, exclude)
-        if not candidates:
-            return None
-        if request.zone:
-            local = [r for r in candidates
-                     if self._zone_of(r) == request.zone and not r.shunned]
-            if local:
-                return min(local, key=_load_score).cluster
-        healthy = [r for r in candidates if not r.shunned]
-        pool = healthy or candidates
-        return min(pool, key=_load_score).cluster
-
-
-_POLICIES = {
-    ConsistentHashPolicy.name: ConsistentHashPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-    LocalityAwarePolicy.name: LocalityAwarePolicy,
-}
-
-
-def policy_names() -> tuple:
-    return tuple(sorted(_POLICIES))
-
-
-def get_policy(name: str, clusters: Sequence[str],
-               zones: Optional[Dict[str, str]] = None) -> PlacementPolicy:
-    """Instantiate a registered policy for a fixed member set."""
-    cls = _POLICIES.get(name)
-    if cls is None:
-        raise PlacementError(
-            f"unknown placement policy {name!r}; one of {policy_names()}")
-    if cls is LocalityAwarePolicy:
-        return cls(clusters, zones=zones)
-    if cls is ConsistentHashPolicy:
-        return cls(clusters)
-    return cls()
+def least_loaded(view: FleetView,
+                 exclude: Iterable[str] = ()) -> Optional[str]:
+    """The least-loaded routable member outside ``exclude``, preferring
+    members that are not shunned; None when no routable member remains
+    (the front door reports the fleet unavailable)."""
+    banned = set(exclude)
+    candidates = [r for r in view.routable() if r.cluster not in banned]
+    if not candidates:
+        return None
+    healthy = [r for r in candidates if not r.shunned]
+    return min(healthy or candidates, key=_load_score).cluster

@@ -30,7 +30,6 @@ from repro.tbon.filters import (
     RankRuns,
     StatelessFilter,
     make_filter,
-    register_stream_filter,
     stream_filter_names,
 )
 from repro.tbon.flow import (
@@ -81,6 +80,5 @@ __all__ = [
     "launchmon_startup",
     "make_filter",
     "native_startup",
-    "register_stream_filter",
     "stream_filter_names",
 ]

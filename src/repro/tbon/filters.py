@@ -1,11 +1,10 @@
 """TBON reduction filters: incremental wave folds and stateful stream filters.
 
 A filter reduces the payloads of one wave's child packets into a single
-upstream payload. Filters are registered by name so topologies/streams
-can reference them portably -- mirroring MRNet's filter-id mechanism.
-One registry of factories serves one-shot waves and persistent streams
-alike: ``make_filter(name, window=..., **params)`` returns a
-:class:`Filter`.
+upstream payload. Filters are named so topologies/streams can reference
+them portably -- mirroring MRNet's filter-id mechanism. One table of
+built-in factories serves one-shot waves and persistent streams alike:
+``make_filter(name, window=..., **params)`` returns a :class:`Filter`.
 
 Fold contract: a router never buffers a wave's payloads. It folds each
 one into the wave's accumulator as it arrives, and until the last child
@@ -25,7 +24,7 @@ order, over ``start()``: there is no second, batch merge. It equals the
 batch merge of the same list under ``==`` -- a sum adds in arrival order
 starting from ``0``, ``max`` keeps the first maximal payload, ``concat``
 keeps arrival order -- and ``tests/tbon/test_fold_oracle.py`` holds every
-registered filter to that. A persistent stream
+built-in filter to that. A persistent stream
 (:meth:`repro.tbon.Overlay.open_stream`) also folds each finished wave
 into per-position running state with ``update(state, merged)``;
 ``reduce(payloads, state)`` is ``merge`` followed by ``update``.
@@ -90,42 +89,12 @@ __all__ = [
     "finish_tree_node",
     "fold_tree_node",
     "make_filter",
-    "register_stream_filter",
     "stream_filter_names",
     "subtract_runs",
     "union_runs",
 ]
 
 FoldFn = Callable[[Any, Any], Any]
-
-#: filter factories: name -> factory(window=..., **params) -> Filter
-STREAM_FILTER_REGISTRY: dict[str, Callable[..., "Filter"]] = {}
-
-
-def register_stream_filter(name: str,
-                           factory: Callable[..., "Filter"]) -> None:
-    """Register (or replace) a filter factory."""
-    STREAM_FILTER_REGISTRY[name] = factory
-
-
-def stream_filter_names() -> list[str]:
-    """Every registered filter name."""
-    return sorted(STREAM_FILTER_REGISTRY)
-
-
-def make_filter(name: str, window: int = 0, **params: Any) -> "Filter":
-    """Instantiate filter ``name``.
-
-    Stateful built-ins honour ``window`` (and filter-specific ``params``
-    like ``k`` or ``alpha``); a stateless filter ignores ``window`` and
-    rejects ``params``.
-    """
-    try:
-        factory = STREAM_FILTER_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown TBON filter {name!r}; registered: "
-                       f"{stream_filter_names()}") from None
-    return factory(window=window, **params)
 
 
 class Filter:
@@ -230,12 +199,6 @@ def _max(acc: Any, payload: Any) -> Any:
     # only a strictly greater payload replaces the running maximum, so
     # the first maximal payload wins, as with max()
     return payload if payload > acc else acc
-
-
-register_stream_filter("concat", partial(StatelessFilter, "concat",
-                                         _concat, list))
-register_stream_filter("sum", partial(StatelessFilter, "sum", add, int))
-register_stream_filter("max", partial(StatelessFilter, "max", _max))
 
 
 # -- stateful built-in filters ------------------------------------------------
@@ -551,7 +514,33 @@ class PrefixTreeMergeFilter(Filter):
         return _update_running(self, state, merged)
 
 
-register_stream_filter("histogram", RunningHistogramFilter)
-register_stream_filter("top_k", TopKFilter)
-register_stream_filter("ewma", EwmaRateFilter)
-register_stream_filter("prefix_tree_merge", PrefixTreeMergeFilter)
+#: the built-in filters: name -> factory(window=..., **params) -> Filter
+_FILTERS: dict[str, Callable[..., Filter]] = {
+    "concat": partial(StatelessFilter, "concat", _concat, list),
+    "sum": partial(StatelessFilter, "sum", add, int),
+    "max": partial(StatelessFilter, "max", _max),
+    "histogram": RunningHistogramFilter,
+    "top_k": TopKFilter,
+    "ewma": EwmaRateFilter,
+    "prefix_tree_merge": PrefixTreeMergeFilter,
+}
+
+
+def stream_filter_names() -> list[str]:
+    """Every built-in filter name."""
+    return sorted(_FILTERS)
+
+
+def make_filter(name: str, window: int = 0, **params: Any) -> Filter:
+    """Instantiate filter ``name``.
+
+    Stateful built-ins honour ``window`` (and filter-specific ``params``
+    like ``k`` or ``alpha``); a stateless filter ignores ``window`` and
+    rejects ``params``.
+    """
+    try:
+        factory = _FILTERS[name]
+    except KeyError:
+        raise KeyError(f"unknown TBON filter {name!r}; known: "
+                       f"{stream_filter_names()}") from None
+    return factory(window=window, **params)

@@ -22,7 +22,6 @@ from repro.fleet import (
     FenceToken,
     FleetCluster,
     FleetUnavailable,
-    PlacementRequest,
     StaleEpoch,
     audit_fleet,
     make_fleet_env,
@@ -219,17 +218,16 @@ class TestDoorFencing:
                              shard_size=1, breaker_threshold=2,
                              breaker_cooldown=5.0)
         door = env.fleet.door
-        request = PlacementRequest(key="k", n_nodes=2)
         door._breaker_failure("c0")
         assert not door._breaker_open("c0")  # one failure is not a trip
         door._breaker_failure("c0")
         assert door._breaker_open("c0")
         assert door.summary()["breaker_trips"] == 1
-        assert door._place(request, set()) == "c1"
+        assert door._place(set()) == "c1"
         # every candidate breaker-open: half-open fallback still routes
         door._breaker_failure("c1")
         door._breaker_failure("c1")
-        assert door._place(request, set()) is not None
+        assert door._place(set()) is not None
         # cooldown expiry closes the breaker
         def clock():
             yield env.sim.timeout(6.0)

@@ -12,6 +12,12 @@ actually exercised. A failure here after a fleet change means the fleet
 layer leaked into the single-cluster path (an extra process, an eager
 gossip round, an RNG draw at construction): fix the leak, not the
 baseline.
+
+The fleet's own printed face is pinned the same way: ``python -m
+repro.experiments fleetchaos fleet --quick`` must print
+``tests/baselines/fleetchaos_fleet_quick.txt``, which holds the routing,
+failover and fencing counts of sixteen chaos storms and the quick
+clusters x arrival-rate grid.
 """
 
 from functools import partial
@@ -25,7 +31,12 @@ from repro.cluster import NetFaultPlan
 from repro.experiments import fig6 as fig6_mod
 from repro.experiments import launchmatrix as lmx_mod
 from repro.experiments.cli import QUICK_SWEEPS
-from repro.experiments import run_fig6, run_launch_matrix
+from repro.experiments import (
+    run_fig6,
+    run_fleet,
+    run_fleetchaos,
+    run_launch_matrix,
+)
 from repro.experiments.fig6 import measure_stat_startup
 from repro.experiments.fleet import _hold_and_detach
 from repro.fleet import make_fleet_env, make_fleet_member_env
@@ -33,8 +44,8 @@ from repro.rm import DaemonSpec
 from repro.runner import drive, make_env
 from repro.simx import SeededRNG
 
-BASELINE = Path(__file__).parent.parent / "baselines" \
-    / "pr3_fig6_lmx_quick.txt"
+BASELINES = Path(__file__).parent.parent / "baselines"
+BASELINE = BASELINES / "pr3_fig6_lmx_quick.txt"
 
 
 def test_single_member_fleet_matches_direct_path_byte_for_byte(monkeypatch):
@@ -49,6 +60,16 @@ def test_single_member_fleet_matches_direct_path_byte_for_byte(monkeypatch):
     rendered = (fig6.format_table() + "\n\n"
                 + lmx.format_table() + "\n\n")
     assert rendered == BASELINE.read_text()
+
+
+def test_fleetchaos_fleet_quick_matches_baseline_byte_for_byte():
+    # exactly what `python -m repro.experiments fleetchaos fleet --quick`
+    # prints: each table followed by a blank line
+    rendered = "".join(
+        result.format_table() + "\n\n"
+        for result in (run_fleetchaos(**QUICK_SWEEPS["fleetchaos"]),
+                       run_fleet(**QUICK_SWEEPS["fleet"])))
+    assert rendered == (BASELINES / "fleetchaos_fleet_quick.txt").read_text()
 
 
 def test_fleet_member_env_runs_zero_events_at_construction():

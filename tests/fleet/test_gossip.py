@@ -21,9 +21,8 @@ from repro.fleet import ClusterHealth, ClusterState, FleetView, GossipMesh
 class FakeMember:
     """The minimal gossip persona: versioned self-reports plus a view."""
 
-    def __init__(self, name, zone=""):
+    def __init__(self, name):
         self.name = name
-        self.zone = zone
         self.view = FleetView()
         self.crashed = False
         self.degraded = False
@@ -36,7 +35,7 @@ class FakeMember:
                  else ClusterState.UP)
         return ClusterHealth(cluster=self.name, state=state,
                              version=self._version, n_free=4, n_total=4,
-                             in_flight=0, queued=0, zone=self.zone)
+                             in_flight=0, queued=0)
 
 
 class FakeObserver:

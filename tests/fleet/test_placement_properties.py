@@ -1,177 +1,24 @@
-"""Hypothesis property tests for fleet placement (ring + policies).
+"""Hypothesis property tests for the fleet's placement rule.
 
-The consistent-hash move bound is tested the only way it can be *exact*:
-with a key set that covers every ring slot exactly once (one blake2b
-preimage per slot, found deterministically at import). For such a
-keyspace-covering key set, keys moved == slots moved, and the balanced
-slot ring guarantees structurally that a join or leave relocates at most
-``ceil(K / N)`` of the ``K`` keys -- no statistical slack needed. For
-arbitrary session keys the bound degrades gracefully into the *minimal
-disruption* property (only keys whose slot changed hands move, and only
-to the joiner / from the leaver), which is also pinned here.
+:func:`~repro.fleet.least_loaded` is called directly over drawn gossiped
+views: it never picks a shunned (saturated or DEGRADED) member while an
+unshunned one is routable, never picks a DOWN or excluded member, and is
+a pure function of (view, exclusions).
 
 All tests run derandomized: placement must be a pure function of its
 inputs, so its property tests may as well be pure functions of the
 source tree.
 """
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
-from repro.fleet import (
-    ClusterHealth,
-    ClusterState,
-    ConsistentHashPolicy,
-    FleetView,
-    HashRing,
-    LeastLoadedPolicy,
-    LocalityAwarePolicy,
-    PlacementRequest,
-    get_policy,
-    policy_names,
-)
-
-# -- a keyspace-covering key set (one preimage key per slot) ------------------
-
-N_SLOTS = 256
+from repro.fleet import ClusterHealth, ClusterState, FleetView, least_loaded
 
 
-def _slot_covering_keys(n_slots):
-    """Deterministic session-style keys, exactly one per ring slot."""
-    probe = HashRing(["seed"], n_slots=n_slots)
-    found = {}
-    i = 0
-    while len(found) < n_slots:
-        key = f"session-{i}"
-        slot = probe.slot_of(key)
-        if slot not in found:
-            found[slot] = key
-        i += 1
-    return tuple(found[slot] for slot in range(n_slots))
-
-
-SLOT_KEYS = _slot_covering_keys(N_SLOTS)
-
-members_counts = st.integers(min_value=2, max_value=12)
-session_keys = st.lists(
-    st.integers(min_value=0, max_value=10_000).map("session-{}".format),
-    min_size=1, max_size=64, unique=True)
-
-
-def _ring(n):
-    return HashRing([f"c{i}" for i in range(n)], n_slots=N_SLOTS)
-
-
-# -- the move bound, exact ----------------------------------------------------
-
-class TestRingMoveBound:
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts)
-    def test_join_moves_at_most_ceil_K_over_N_keys(self, n):
-        before = _ring(n).assignment(SLOT_KEYS)
-        ring = _ring(n)
-        ring.join("joiner")
-        after = ring.assignment(SLOT_KEYS)
-        moved = [k for k in SLOT_KEYS if after[k] != before[k]]
-        assert len(moved) <= math.ceil(len(SLOT_KEYS) / (n + 1))
-        # minimal disruption: every moved key went *to the joiner*
-        assert all(after[k] == "joiner" for k in moved)
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts, victim=st.integers(min_value=0, max_value=11))
-    def test_leave_moves_at_most_ceil_K_over_N_keys(self, n, victim):
-        victim = f"c{victim % n}"
-        before = _ring(n).assignment(SLOT_KEYS)
-        ring = _ring(n)
-        ring.leave(victim)
-        after = ring.assignment(SLOT_KEYS)
-        moved = [k for k in SLOT_KEYS if after[k] != before[k]]
-        assert len(moved) <= math.ceil(len(SLOT_KEYS) / n)
-        # minimal disruption: only the leaver's keys moved
-        assert all(before[k] == victim for k in moved)
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts, keys=session_keys)
-    def test_arbitrary_keys_move_only_to_joiner(self, n, keys):
-        before = _ring(n).assignment(keys)
-        ring = _ring(n)
-        ring.join("joiner")
-        after = ring.assignment(keys)
-        assert all(after[k] == "joiner"
-                   for k in keys if after[k] != before[k])
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts, keys=session_keys,
-           victim=st.integers(min_value=0, max_value=11))
-    def test_arbitrary_keys_move_only_from_leaver(self, n, keys, victim):
-        victim = f"c{victim % n}"
-        before = _ring(n).assignment(keys)
-        ring = _ring(n)
-        ring.leave(victim)
-        after = ring.assignment(keys)
-        assert all(before[k] == victim
-                   for k in keys if after[k] != before[k])
-
-
-# -- ring structure -----------------------------------------------------------
-
-class TestRingStructure:
-    @settings(derandomize=True, max_examples=40)
-    @given(ops=st.lists(st.integers(min_value=0, max_value=19),
-                        min_size=1, max_size=24))
-    def test_balance_within_one_slot_under_any_history(self, ops):
-        """After any join/leave sequence, member slot counts never differ
-        by more than one (op i joins member ``m{i}`` if absent, else
-        leaves it -- a deterministic churn schedule)."""
-        ring = HashRing(["c0"], n_slots=N_SLOTS)
-        for op in ops:
-            name = f"m{op}"
-            if name in ring.clusters:
-                ring.leave(name)
-            else:
-                ring.join(name)
-            sizes = [len(ring.slots_of(c)) for c in ring.clusters]
-            if sizes:
-                assert max(sizes) - min(sizes) <= 1
-                assert sum(sizes) == N_SLOTS
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts)
-    def test_slots_moved_equal_reported_and_bounded(self, n):
-        ring = _ring(n)
-        taken = ring.join("joiner")
-        assert taken == len(ring.slots_of("joiner"))
-        assert taken <= math.ceil(N_SLOTS / n)
-        given_back = ring.leave("joiner")
-        assert given_back == taken
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts, keys=session_keys)
-    def test_ring_is_pure_function_of_history(self, n, keys):
-        assert _ring(n).assignment(keys) == _ring(n).assignment(keys)
-
-    @settings(derandomize=True, max_examples=40)
-    @given(n=members_counts, keys=session_keys,
-           excluded=st.sets(st.integers(min_value=0, max_value=11),
-                            max_size=11))
-    def test_walking_never_lands_on_excluded(self, n, keys, excluded):
-        ring = _ring(n)
-        banned = {f"c{i % n}" for i in excluded}
-        for key in keys:
-            got = ring.owner_walking(key, banned)
-            if len(banned) >= n:
-                assert got is None
-            else:
-                assert got is not None and got not in banned
-
-
-# -- policies over views ------------------------------------------------------
-
-def _record(i, state, n_free, queued=0, in_flight=0, zone=""):
+def _record(i, state, n_free, queued=0, in_flight=0):
     return ClusterHealth(cluster=f"c{i}", state=state, version=1,
                          n_free=n_free, n_total=8, in_flight=in_flight,
-                         queued=queued, zone=zone)
+                         queued=queued)
 
 
 @st.composite
@@ -183,8 +30,7 @@ def fleet_views(draw):
         n_free = draw(st.integers(min_value=0, max_value=8))
         queued = draw(st.integers(min_value=0, max_value=3))
         in_flight = draw(st.integers(min_value=0, max_value=5))
-        zone = draw(st.sampled_from(["za", "zb", ""]))
-        records.append(_record(i, state, n_free, queued, in_flight, zone))
+        records.append(_record(i, state, n_free, queued, in_flight))
     return FleetView(records)
 
 
@@ -193,8 +39,7 @@ class TestPolicyProperties:
     @given(view=fleet_views())
     def test_least_loaded_never_saturated_while_alternative_exists(
             self, view):
-        choice = LeastLoadedPolicy().choose(
-            PlacementRequest(key="k"), view)
+        choice = least_loaded(view)
         routable = view.routable()
         if not routable:
             assert choice is None
@@ -203,42 +48,21 @@ class TestPolicyProperties:
         if any(not r.shunned for r in routable):
             assert not chosen.shunned
 
-    @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(view=fleet_views(), key=st.text(min_size=1, max_size=16),
-           zone=st.sampled_from(["za", "zb", ""]))
-    def test_every_policy_is_deterministic_and_routable_only(
-            self, view, key, zone):
-        request = PlacementRequest(key=key, zone=zone)
-        clusters = view.clusters
-        for name in policy_names():
-            first = get_policy(name, clusters).choose(request, view)
-            again = get_policy(name, clusters).choose(request, view)
-            assert first == again
-            if first is not None:
-                assert view.health(first).routable
-            else:
-                assert not view.routable()
-
-    @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(view=fleet_views(), key=st.text(min_size=1, max_size=16))
-    def test_hash_policy_sticky_and_respects_exclusions(self, view, key):
-        policy = ConsistentHashPolicy(view.clusters)
-        request = PlacementRequest(key=key)
-        first = policy.choose(request, view)
-        assert first == policy.choose(request, view)
-        if first is not None:
-            rerouted = policy.choose(request, view, exclude={first})
-            assert rerouted != first
-
     @settings(derandomize=True, max_examples=100)
-    @given(view=fleet_views())
-    def test_locality_prefers_healthy_zone_member(self, view):
-        policy = LocalityAwarePolicy()
-        choice = policy.choose(PlacementRequest(key="k", zone="za"), view)
-        local_healthy = [r for r in view.routable()
-                         if r.zone == "za" and not r.shunned]
-        if local_healthy:
-            assert view.health(choice).zone == "za"
-            assert not view.health(choice).shunned
-        elif view.routable():
-            assert choice is not None
+    @given(view=fleet_views(),
+           excluded=st.sets(st.integers(min_value=0, max_value=9),
+                            max_size=10))
+    def test_every_policy_is_deterministic_and_routable_only(
+            self, view, excluded):
+        """The one rule, least-loaded, is a pure function of (view,
+        exclusions) and lands only on a routable, unexcluded member."""
+        exclude = {f"c{i}" for i in excluded}
+        first = least_loaded(view, exclude)
+        assert first == least_loaded(view, set(exclude))
+        candidates = [r for r in view.routable()
+                      if r.cluster not in exclude]
+        if first is None:
+            assert not candidates
+        else:
+            assert first not in exclude
+            assert view.health(first).routable

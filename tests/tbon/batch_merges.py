@@ -2,7 +2,7 @@
 
 Each takes one wave's whole payload list, in arrival order, and returns
 the merged payload. They are the reference ``test_fold_oracle.py`` holds
-every registered filter's fold to, and the flat reductions the tree-shape
+every built-in filter's fold to, and the flat reductions the tree-shape
 properties of ``test_filter_properties.py`` compare against.
 
 A sum is spelled out as a left fold from ``0``: the built-in ``sum()``
@@ -75,7 +75,7 @@ def prefix_tree_merge(payloads):
             "n": sum(p.get("n", 0) for p in payloads)}
 
 
-#: registered filter name -> its batch merge (filter params as keywords)
+#: built-in filter name -> its batch merge (filter params as keywords)
 REFERENCE = {
     "concat": concat_merge,
     "sum": sum_merge,

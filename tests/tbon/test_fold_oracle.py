@@ -1,10 +1,10 @@
-"""The fold oracle: every registered filter's fold equals its batch merge.
+"""The fold oracle: every built-in filter's fold equals its batch merge.
 
 A router folds each payload into its wave's accumulator as it arrives
 (``start``/``fold``/``finish``, the contract in :mod:`repro.tbon.filters`)
 instead of buffering the wave. The batch merges that fold replaced are
 kept in ``batch_merges.py`` as the reference, and Hypothesis drives every
-registered filter with random payload lists in random arrival order. The
+built-in filter with random payload lists in random arrival order. The
 fold must equal the reference under ``==`` and print the same ``repr``,
 so types and dict order count too: a sum adds in arrival order from
 ``0``, floats included; ``max`` keeps the first maximal payload;
@@ -60,7 +60,7 @@ def tree_payloads(draw):
     return {"tree": node, "n": hi - lo}
 
 
-#: registered filter name -> (payload strategy, filter-params strategy)
+#: built-in filter name -> (payload strategy, filter-params strategy)
 CASES = {
     "concat": (st.one_of(st.lists(st.integers(), max_size=3),
                          st.integers(), st.text(max_size=2)),
