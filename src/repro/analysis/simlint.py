@@ -26,6 +26,13 @@ the AST:
     (``Process.interrupt``'s old ``list.remove`` was exactly this).
     ``set.remove(...)`` via the explicit class is exempt (O(1)).
 
+``eager-default``
+    No ``x.setdefault(key, <call or container display>)`` in the
+    registered hot-path modules: the default is built on every call,
+    also when the key is already there, so a per-packet
+    ``setdefault(wave, set())`` allocates and drops a set per packet.
+    Look the key up and build the default only when it is missing.
+
 ``sweep-pickle``
     Point functions handed to :func:`repro.experiments.sweep.map_grid`
     must be module-level: a lambda or nested def pickles with ``--jobs N``
@@ -91,6 +98,8 @@ RULES = {
     "unseeded-random": "global/unseeded random (use the seeded "
                        "repro.simx.rng streams)",
     "linear-scan": "O(N) list scan/shift in a registered hot-path module",
+    "eager-default": "setdefault() builds its default on every call in a "
+                     "registered hot-path module",
     "sweep-pickle": "map_grid point function is not module-level picklable",
     "blocking-io": "blocking I/O inside a simx process (generator) body",
     "agg-leaves": "simulated-only leaf iteration (backends()/"
@@ -176,6 +185,11 @@ _BLOCKING_CALLS = frozenset({
 })
 _BLOCKING_PREFIXES = ("subprocess.", "requests.", "urllib.request.",
                       "http.client.")
+
+#: a ``setdefault`` default of these node types is built on every call (a
+#: constant, a name or an attribute costs nothing: the object exists)
+_BUILT_DEFAULTS = (ast.Call, ast.List, ast.Dict, ast.Set, ast.ListComp,
+                   ast.SetComp, ast.DictComp)
 
 _SUPPRESS = re.compile(
     r"#\s*simlint:\s*allow(?:\[(?P<rules>[a-z\-, ]+)\])?")
@@ -394,6 +408,13 @@ class _ModuleLint(ast.NodeVisitor):
                 self._report(node, "linear-scan",
                              ".insert(0, ...) shifts the whole list; use "
                              "collections.deque")
+            if attr == "setdefault" and len(node.args) == 2 and \
+                    isinstance(node.args[1], _BUILT_DEFAULTS):
+                self._report(node, "eager-default",
+                             ".setdefault() builds its default on every "
+                             "call, also when the key is there; get() the "
+                             "key and build the default only when it is "
+                             "missing")
 
         if self.agg_aware and isinstance(node.func, ast.Attribute) and \
                 node.func.attr in ("backends", "live_backends"):

@@ -23,16 +23,18 @@ __all__ = ["SEQ_FRAMING", "Network", "Pipe", "Sized", "message_size"]
 SEQ_FRAMING = 16
 
 
-#: scalar types that are always sized as an opaque 64-byte control word;
-#: exact types (not subclasses), so a subclass with ``wire_size`` still
-#: reports its own size
-_OPAQUE_SCALARS = frozenset((int, float, type(None)))
+#: types that are always sized as an opaque 64-byte control word: the
+#: scalars (ranks, counters, None) and the plain ``dict``, which can carry
+#: no ``wire_size`` and so would fall through every check below to the
+#: same 64; exact types (not subclasses), so a subclass with
+#: ``wire_size`` still reports its own size
+_OPAQUE_TYPES = frozenset((int, float, type(None), dict))
 
 
 def message_size(message: Any) -> int:
     """Best-effort byte size of a message for transfer-time computation."""
-    if type(message) in _OPAQUE_SCALARS:
-        return 64  # opaque control word: ranks, counters, None
+    if type(message) in _OPAQUE_TYPES:
+        return 64  # opaque control word: ranks, counters, None, dicts
     if isinstance(message, (bytes, bytearray, memoryview)):
         return len(message)
     if isinstance(message, str):

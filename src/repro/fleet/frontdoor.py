@@ -247,7 +247,9 @@ class FleetFrontDoor(OperationCore):
 
     # -- placement -----------------------------------------------------------
     def _note_routed(self, target: str, n_nodes: int) -> None:
-        entry = self._outstanding.setdefault(target, [0, 0])
+        entry = self._outstanding.get(target)
+        if entry is None:
+            entry = self._outstanding[target] = [0, 0]
         entry[0] += 1
         entry[1] += n_nodes
 
@@ -278,7 +280,9 @@ class FleetFrontDoor(OperationCore):
         return entry is not None and self.sim.now < entry[1]
 
     def _breaker_failure(self, member: str) -> None:
-        entry = self._breakers.setdefault(member, [0, 0.0])
+        entry = self._breakers.get(member)
+        if entry is None:
+            entry = self._breakers[member] = [0, 0.0]
         entry[0] += 1
         if entry[0] >= self.breaker_threshold:
             entry[0] = 0

@@ -256,6 +256,9 @@ class ResourceManager:
     def __init__(self, cluster: Cluster, seed: int = 7,
                  policy: Optional[LaunchPolicy] = None,
                  launch_strategy: Optional[str] = None):
+        if policy is not None and not isinstance(policy, LaunchPolicy):
+            raise TypeError(
+                f"policy must be a LaunchPolicy or None, got {policy!r}")
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.rng = SeededRNG(seed, f"rm:{self.name}")

@@ -26,8 +26,8 @@ starting from ``0``, ``max`` keeps the first maximal payload, ``concat``
 keeps arrival order -- and ``tests/tbon/test_fold_oracle.py`` holds every
 built-in filter to that. A persistent stream
 (:meth:`repro.tbon.Overlay.open_stream`) also folds each finished wave
-into per-position running state with ``update(state, merged)``;
-``reduce(payloads, state)`` is ``merge`` followed by ``update``.
+into per-position running state with ``update(state, merged)``; a
+router calls ``update`` itself once ``finish`` has merged the wave.
 
 Algebraic contract (the executable spec lives in
 ``tests/tbon/test_filter_properties.py``): the per-wave merge of every
@@ -101,7 +101,7 @@ class Filter:
     """A TBON filter: an incremental fold over one wave's payloads.
 
     ``start``/``fold``/``finish`` are the fold (see the module
-    docstring's contract); ``merge`` and ``reduce`` are built on them.
+    docstring's contract); ``merge`` is built on them.
     ``update(state, merged)`` folds one finished wave into a position's
     running state (created by :meth:`initial_state`; one lives per
     (stream, position) and is passed back in on every wave). The merge
@@ -138,12 +138,6 @@ class Filter:
         for payload in payloads:
             acc = self.fold(acc, payload)
         return self.finish(acc)
-
-    def reduce(self, payloads: Iterable[Any],
-               state: Any) -> tuple[Any, Any]:
-        """Merge one wave and fold it into ``state``."""
-        merged = self.merge(payloads)
-        return merged, self.update(state, merged)
 
 
 #: the accumulator of a fold that starts from its first payload, until

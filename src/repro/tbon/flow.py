@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.simx import Simulator, Store
+from repro.simx import Event, Simulator, Store
 
 __all__ = ["BoundedInbox", "FlowStats", "StreamError", "StreamReport",
            "WaveTiming", "STREAM_PHASES"]
@@ -84,7 +84,10 @@ class BoundedInbox:
     :meth:`commit` (non-blocking -- the credit already reserved the
     slot). The consumer yields :meth:`get` and calls :meth:`release`
     for every dequeued packet, recycling the credit to the oldest waiting
-    sender (FIFO-fair, so no child starves).
+    sender (FIFO-fair, so no child starves). :meth:`acquire` is the pair
+    :meth:`request_credit` then :meth:`granted`; a sender that may stop
+    waiting for another reason (a stream's repair epoch ending) calls
+    the two itself.
     """
 
     def __init__(self, sim: Simulator, position: int, credit_limit: int,
@@ -108,38 +111,30 @@ class BoundedInbox:
     def acquire(self) -> Generator[Any, Any, None]:
         """Obtain one send credit (blocks while the inbox is saturated)."""
         t0 = self.sim.now
+        yield self.request_credit()
+        self.granted(t0)
+
+    def request_credit(self) -> Event:
+        """The event that grants one send credit; a send that finds none
+        free counts as a stall."""
         ev = self._credits.get()
         if not ev.triggered:
             self.stats.n_stalls += 1
-        yield ev
-        self._outstanding += 1
+        return ev
+
+    def granted(self, t0: float) -> None:
+        """Record a send's wait for its credit since ``t0``, and the
+        credit as outstanding until the consumer releases it."""
         self.stats.t_stalled += self.sim.now - t0
-
-    def credit_event(self):
-        """The raw credit-get event (for a sender that may stop waiting
-        for another reason, e.g. a stream's repair epoch ending); pair
-        with :meth:`note_stall_started` / :meth:`note_stall_ended` and
-        call :meth:`note_acquired` when the credit is actually used."""
-        return self._credits.get()
-
-    def note_stall_started(self) -> None:
-        self.stats.n_stalls += 1
-
-    def note_stall_ended(self, t0: float) -> None:
-        self.stats.t_stalled += self.sim.now - t0
-
-    def note_acquired(self) -> None:
-        """Record that a raw :meth:`credit_event` credit went into use."""
         self._outstanding += 1
 
     def commit(self, sender: int, item: Any) -> None:
         """Enqueue after a successful :meth:`acquire` (never blocks)."""
-        before = len(self._queue)
-        self._queue.put((sender, item))
         # a packet handed straight to a waiting consumer still occupied
         # the queue for an instant: count it, so high_water reflects the
         # deepest momentary occupancy (bounded by the credit limit)
-        depth = max(len(self._queue), before + 1)
+        depth = len(self._queue) + 1
+        self._queue.put((sender, item))
         if depth > self.stats.high_water:
             self.stats.high_water = depth
         self.stats.n_packets += 1

@@ -46,11 +46,11 @@ cost (parallel TCP reconnects) is returned in a :class:`RepairReport` so
 callers can land it in a :class:`~repro.launch.LaunchReport`'s ``t_repair``
 phase. Waves in flight during a repair are dropped for the *one-shot*
 plane -- exactly like a real TBON, the tool re-issues its outstanding
-snapshot wave after a repair. Persistent streams are stronger: every leaf
-keeps its published-but-undelivered payloads until the root banks the
-merged wave, so a repair re-credits and re-publishes the in-flight waves
-of every surviving leaf -- delivered exactly once, with the filter window
-state carried across the repair.
+snapshot wave after a repair. Persistent streams are stronger: the stream
+keeps every published-but-undelivered payload, by wave, until the root
+banks the merged wave, so a repair re-credits and re-publishes the
+in-flight waves of every surviving leaf -- delivered exactly once, with
+the filter window state carried across the repair.
 """
 
 from __future__ import annotations
@@ -583,13 +583,17 @@ class Stream:
 
         yield from stream.publish(my_position, wave, payload)
 
+    (``publish`` checks and records the contribution at the call and
+    returns the hop itself, so a publisher resumes through one frame.)
+
     Root side (the front end)::
 
         pkt = yield from stream.next_wave()   # merged wave, in order
 
     Exactly-once across repairs: a published payload is retained by the
-    stream until the merged wave is *banked* into the root delivery queue
-    (which survives repairs -- the root is the tool front end). A repair
+    stream, filed under its wave, until the merged wave is *banked* into
+    the root delivery queue (which survives repairs -- the root is the
+    tool front end), and banking drops the whole wave at once. A repair
     rebuilds the plane and re-publishes every surviving leaf's unbanked
     payloads; partial wave folds died with the old plane, so nothing
     is duplicated, and banked waves are never re-sent.
@@ -609,21 +613,25 @@ class Stream:
             credit_limit=spec.credit_limit, window=spec.window,
             t_open=self.sim.now)
         self.closed = False
-        #: leaf position -> {wave: payload} published but not yet banked
+        #: wave -> {leaf position: payload} published but not yet banked
         self._unacked: dict[int, dict[int, Any]] = {}
-        #: position -> waves already folded into its filter state, so a
+        #: live leaves that have published: a repair gives each its own
+        #: re-publisher, also when the root banked all it sent
+        self._publishers: set[int] = set()
+        #: wave -> positions that folded it into their filter state, so a
         #: wave re-delivered after a repair merges again but never
-        #: double-counts the windowed aggregates (pruned on bank)
+        #: double-counts the windowed aggregates (dropped on bank)
         self._folded: dict[int, set] = {}
         #: internal position -> its credit-gated stream inbox (per epoch)
         self._inboxes: dict[int, BoundedInbox] = {}
         #: local wave taps: position -> Store of merged wave payloads
         self._taps: dict[int, Store] = {}
         #: the root delivery queue -- persists across repairs
-        self._delivery = BoundedInbox(
-            self.sim, -1, spec.credit_limit,
-            stats=self.report.flow.setdefault(
-                -1, FlowStats(-1, spec.credit_limit)))
+        stats = self.report.flow[-1] = FlowStats(-1, spec.credit_limit)
+        self._delivery = BoundedInbox(self.sim, -1, spec.credit_limit,
+                                      stats=stats)
+        #: every leaf hop's latency function
+        self._transfer_time = overlay.network.transfer_time
         self._procs: list = []
         #: replaced on every repair/close; invalidates in-flight sends
         self._epoch = _Epoch(self.sim)
@@ -632,11 +640,13 @@ class Stream:
     # -- plane ------------------------------------------------------------
     def _start_plane(self) -> None:
         sid = self.spec.stream_id
+        flow = self.report.flow
         for pos in self.overlay.live_positions():
             if not self.overlay.children_of(pos):
                 continue
-            stats = self.report.flow.setdefault(
-                pos, FlowStats(pos, self.spec.credit_limit))
+            stats = flow.get(pos)
+            if stats is None:  # a position's stats outlive its planes
+                stats = flow[pos] = FlowStats(pos, self.spec.credit_limit)
             self._inboxes[pos] = BoundedInbox(
                 self.sim, pos, self.spec.credit_limit, stats=stats)
         for pos in sorted(self._inboxes):
@@ -664,8 +674,10 @@ class Stream:
         while True:
             sender, pkt = yield inbox.get()
             inbox.release()
-            contributors = seen.setdefault(pkt.wave, set())
-            if sender in contributors:
+            contributors = seen.get(pkt.wave)
+            if contributors is None:
+                contributors = seen[pkt.wave] = set()
+            elif sender in contributors:
                 raise StreamError(
                     f"stream {self.spec.stream_id}: duplicate wave "
                     f"{pkt.wave} contribution from position {sender} "
@@ -701,14 +713,16 @@ class Stream:
                     yield sim.timeout(
                         extra * costs.transfer_time(pkt.wire_size()))
             merged = wave.finish()
-            folded = self._folded.setdefault(pos, set())
+            folded = self._folded.get(pkt.wave)
+            if folded is None:
+                folded = self._folded[pkt.wave] = set()
             # a wave a repair re-delivered after this position folded it
             # into its state still flows upward, but the windowed
             # aggregates are left alone -- history is never double-counted
-            if pkt.wave not in folded:
+            if pos not in folded:
                 self.states[pos] = self.filter.update(self.states[pos],
                                                       merged)
-                folded.add(pkt.wave)
+                folded.add(pos)
             tap = self._taps.get(pos)
             if tap is not None:
                 tap.put((pkt.wave, merged))
@@ -746,10 +760,12 @@ class Stream:
                 ) -> Generator[Any, Any, None]:
         """Contribute ``payload`` as leaf ``position``'s wave ``wave``.
 
-        Blocks (credit-based backpressure) while the parent's stream
-        inbox is saturated. The payload is retained until the root banks
-        the merged wave, so a repair mid-flight re-publishes it instead
-        of losing it.
+        Checks and records the contribution at the call, then returns
+        its hop to the parent's stream inbox: run it at once with
+        ``yield from``. The hop blocks (credit-based backpressure) while
+        that inbox is saturated. The payload is retained until the root
+        banks the merged wave, so a repair mid-flight re-publishes it
+        instead of losing it.
         """
         if self.closed:
             raise StreamError(
@@ -761,47 +777,44 @@ class Stream:
         if position in self.overlay._dead:
             raise StreamError(
                 f"leaf position {position} is dead")
-        pending = self._unacked.setdefault(position, {})
-        if wave in pending:
+        pending = self._unacked.get(wave)
+        if pending is None:
+            pending = self._unacked[wave] = {}
+        elif position in pending:
             raise StreamError(
                 f"leaf {position} already published wave {wave}")
-        pending[wave] = payload
+        pending[position] = payload
+        self._publishers.add(position)
         waves = self.report.waves
         if wave not in waves:
             waves[wave] = WaveTiming(wave, t_published=self.sim.now)
         self.report.n_published += 1
-        yield from self._send_from(position, wave, payload)
+        return self._send_from(position, wave, payload, self._epoch)
 
     def _send_from(self, position: int, wave: int, payload: Any,
-                   epoch: Optional[_Epoch] = None):
+                   epoch: _Epoch):
         """One leaf contribution's hop into its parent's stream inbox.
 
-        Epoch-guarded: the send belongs to ``epoch`` (the current one if
-        None); if a repair lands before the commit -- or already did, for
-        a re-publisher spawned by an older repair -- the send is
-        abandoned, because the newest repair's re-publication pass owns
-        every unbanked wave from then on.
+        Epoch-guarded: the send belongs to ``epoch``; if a repair lands
+        before the commit -- or already did, for a re-publisher spawned
+        by an older repair -- the send is abandoned, because the newest
+        repair's re-publication pass owns every unbanked wave from then
+        on.
         """
-        if epoch is None:
-            epoch = self._epoch
         if self._epoch is not epoch:
             return
-        parent = self.overlay._parent[position]
-        inbox = self._inboxes.get(parent)
+        inbox = self._inboxes.get(self.overlay._parent[position])
         if inbox is None:  # parent plane gone (all leaves dead / closed)
             return
         pkt = Packet(self.spec.stream_id, wave, payload, "up")
         t0 = self.sim.now
-        credit = inbox.credit_event()
-        if not credit.triggered:
-            inbox.note_stall_started()
-        yield epoch.wait_credit(credit)
-        inbox.note_stall_ended(t0)
+        yield epoch.wait_credit(inbox.request_credit())
+        # the wait counts also for a send a repair abandons; its credit
+        # then stays outstanding at a torn-down inbox nothing uses again
+        inbox.granted(t0)
         if self._epoch is not epoch:
             return
-        inbox.note_acquired()
-        yield self.sim.timeout(self.overlay.network.transfer_time(
-            pkt, size=pkt.wire_size()))
+        yield self.sim.timeout(self._transfer_time(pkt, size=pkt.wire_size()))
         if self._epoch is not epoch:
             return
         inbox.commit(position, pkt)
@@ -863,18 +876,25 @@ class Stream:
         self.report.n_repairs += 1
         self._teardown_plane()
         dead = self.overlay._dead
-        for registry in (self._unacked, self.states, self._taps,
-                         self._folded):
-            for pos in list(registry):
-                if pos in dead:
-                    del registry[pos]
+        for registry in (self.states, self._taps):
+            for pos in dead.intersection(registry):
+                del registry[pos]
+        self._publishers -= dead
+        # every live publisher's unbanked payloads, in wave order; a
+        # publisher whose waves were all banked gets an empty backlog
+        backlogs: dict[int, list] = {
+            pos: [] for pos in sorted(self._publishers)}
+        for wave in sorted(self._unacked):
+            pending = self._unacked[wave]
+            for pos in dead.intersection(pending):
+                del pending[pos]
+            for pos, payload in pending.items():
+                backlogs[pos].append((wave, payload))
         self._start_plane()
         sid = self.spec.stream_id
         epoch = self._epoch
         n = 0
-        for pos in sorted(self._unacked):
-            backlog = [(w, self._unacked[pos][w])
-                       for w in sorted(self._unacked[pos])]
+        for pos, backlog in backlogs.items():
             for wave, _payload in backlog:
                 wt = self.report.waves.get(wave)
                 if wt is not None:
@@ -928,12 +948,10 @@ class Stream:
         return self.report
 
     def _ack_wave(self, wave: int) -> None:
-        for pending in self._unacked.values():
-            pending.pop(wave, None)
+        self._unacked.pop(wave, None)
         # a banked wave can never be re-delivered, so its fold markers
-        # are no longer needed (keeps the sets bounded on long streams)
-        for folded in self._folded.values():
-            folded.discard(wave)
+        # are no longer needed (keeps the index bounded on long streams)
+        self._folded.pop(wave, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Stream {self.spec.stream_id} "

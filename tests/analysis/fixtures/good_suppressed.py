@@ -20,6 +20,9 @@ class Registry:
     def withdraw(self, entry):
         self.entries.remove(entry)  # simlint: allow[linear-scan] -- cold path
 
+    def group(self, idx, key, entry):
+        idx.setdefault(key, []).append(entry)  # simlint: allow[eager-default]
+
 
 def frozen_measurement(measure):
     import gc

@@ -43,6 +43,16 @@ class TestFixturesFire:
         # explicit set.remove(...) are exempt
         assert len(findings) == 3
 
+    def test_eager_default_needs_hot_flag(self):
+        path = FIXTURES / "bad_eager_default.py"
+        # not a registered hot-path module: the rule is scoped off
+        assert lint_file(path) == []
+        findings = lint_file(path, hot=True)
+        assert rules_fired(findings) == ["eager-default"]
+        # set() / {} / [0, 0] / a set comprehension; a constant, an
+        # existing object and the get-then-build idiom stay quiet
+        assert [f.line for f in findings] == [11, 14, 17, 20]
+
     def test_sweep_pickle(self):
         findings = lint_file(FIXTURES / "bad_sweep_pickle.py")
         assert rules_fired(findings) == ["sweep-pickle"]
@@ -149,8 +159,9 @@ class TestRealTree:
 
     def test_every_rule_has_a_description(self):
         assert set(RULES) == {"wall-clock", "unseeded-random",
-                              "linear-scan", "sweep-pickle", "blocking-io",
-                              "agg-leaves", "gc-policy", "self-closure"}
+                              "linear-scan", "eager-default",
+                              "sweep-pickle", "blocking-io", "agg-leaves",
+                              "gc-policy", "self-closure"}
         assert all(desc for desc in RULES.values())
 
 

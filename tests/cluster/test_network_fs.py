@@ -6,6 +6,7 @@ from repro.cluster import Cluster, ClusterSpec, CostModel, Network, Node
 from repro.cluster.network import message_size
 from repro.cluster.cluster import SharedFilesystem
 from repro.simx import SeededRNG, Simulator
+from repro.tbon import Packet
 from tests.conftest import run_gen
 
 
@@ -27,6 +28,18 @@ class TestMessageSize:
 
     def test_opaque_default(self):
         assert message_size(object()) == 64
+
+    def test_packet_inside_a_tuple_is_sized_as_itself(self):
+        # a packet is an element of the sequence, never a sequence itself
+        pkt = Packet(1, 0, [b"ab", "cd"])
+        assert message_size((3, pkt)) == 16 + 64 + pkt.wire_size()
+
+    def test_dict_subclass_with_wire_size_reports_its_own_size(self):
+        class SizedDict(dict):
+            def wire_size(self):
+                return 4242
+        assert message_size({"a": 1}) == 64
+        assert message_size(SizedDict(a=1)) == 4242
 
 
 class TestNetwork:

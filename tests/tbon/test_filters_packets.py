@@ -41,17 +41,20 @@ class TestRegistryErrorPaths:
     def test_make_filter_rejects_params_for_stateless(self):
         with pytest.raises(KeyError, match="stateless"):
             make_filter("concat", k=3)
-        # a stateless built-in merges and reduces with no state to carry
+        # a stateless built-in merges a wave with no state to carry
         f = make_filter("max")
         assert isinstance(f, StatelessFilter)
-        assert f.merge([4, 2, 9]) == 9
-        assert f.reduce([4, 2, 9], f.initial_state()) == (9, None)
+        merged = f.merge([4, 2, 9])
+        assert merged == 9
+        assert f.update(f.initial_state(), merged) is None
 
     def test_base_filter_reduce_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Filter().reduce([1], None)
+        # a wave's reduction is merge then update, and the base filter
+        # has no fold to merge with
         with pytest.raises(NotImplementedError):
             Filter().merge([1])
+        with pytest.raises(NotImplementedError):
+            Filter().fold(None, 1)
 
 
 class TestStatefulFilterValidation:
@@ -69,7 +72,7 @@ class TestStatefulFilterValidation:
         f = RunningHistogramFilter(window=2)
         state = f.initial_state()
         for _ in range(3):
-            _, state = f.reduce([{"a": 1}], state)
+            state = f.update(state, f.merge([{"a": 1}]))
         assert state["running"] == {"a": 2}  # only the last 2 waves
 
     def test_legacy_faces_are_single_wave(self):
@@ -146,6 +149,24 @@ class TestPacketInvariants:
         pkt = Packet(1, 0, "payload")
         with pytest.raises(AttributeError):
             pkt.wave = 5
+        for name in ("stream_id", "payload", "direction"):
+            with pytest.raises(AttributeError):
+                setattr(pkt, name, None)
+            with pytest.raises(AttributeError):
+                delattr(pkt, name)
+        assert pkt.wave == 0 and pkt.payload == "payload"
+
+    def test_packets_are_values_not_tuples(self):
+        pkt = Packet(1, 0, "payload")
+        # message_size sizes tuples as sequences: a packet must stay one
+        # sized unit
+        assert not isinstance(pkt, tuple)
+        assert pkt == Packet(1, 0, "payload", "up")
+        assert pkt != Packet(1, 0, "payload", "down")
+        assert pkt != Packet(1, 1, "payload")
+        assert hash(pkt) == hash(Packet(1, 0, "payload"))
+        assert repr(pkt) == ("Packet(stream_id=1, wave=0, "
+                             "payload='payload', direction='up')")
 
     def test_wire_size_is_header_plus_payload(self):
         pkt = Packet(1, 0, b"x" * 100)

@@ -350,6 +350,50 @@ class TestStreamRepair:
             assert stream.state_at(pos)["running"] \
                 == {"R": subtree * n_waves}
 
+    def test_repair_restarts_every_publisher_with_nothing_to_resend(
+            self, sim):
+        """Every live leaf that has published gets its own re-publisher,
+        also when the root banked all its waves before the crash: the
+        repair's event count depends on it (each re-publisher starts and
+        ends), however the stream indexes its unbanked payloads."""
+        topo = TBONTopology.balanced(16, fanout=4)
+        _cluster, placement, overlay = _overlay(sim, topo)
+        stream = overlay.open_stream(StreamSpec(9, "concat",
+                                                credit_limit=2))
+        n_waves = 2
+
+        def leaf(pos):
+            for w in range(n_waves):
+                yield from stream.publish(pos, w, [[pos, w]])
+
+        delivered = []
+
+        def subscriber():
+            for _ in range(n_waves):
+                pkt = yield from stream.next_wave()
+                delivered.append(pkt.wave)
+
+        reports = []
+
+        def chaos():
+            yield sim.timeout(5.0)  # long after both waves banked
+            placement[topo.comm_positions()[0]].fail("test")
+            reports.append((yield from overlay.repair()))
+
+        for pos in topo.backends():
+            proc = sim.process(leaf(pos))
+            placement[pos].register_body(proc)
+        sim.process(subscriber())
+        sim.process(chaos())
+        sim.run()
+        assert delivered == [0, 1]
+        republishers = [p for p in stream._procs
+                        if p.name.startswith("stream9-repub:")]
+        assert len(republishers) == 16
+        assert reports[0].n_waves_republished == 0
+        assert stream.report.n_republished == 0
+        assert sim.stats.events == 493
+
     def test_filter_window_state_survives_repair(self, sim):
         """The root's running windowed aggregate keeps accumulating
         across a repair -- stateful filters ride through."""

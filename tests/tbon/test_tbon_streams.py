@@ -100,6 +100,17 @@ class TestFlowControl:
         assert stream.state_at(comm)["running"] == {"R": 5 * subtree}
         assert stream.state_at(0)["running"] == {"R": 5 * 8}
 
+    def test_banked_waves_leave_no_bookkeeping(self, sim):
+        """Unbanked payloads and fold markers are filed by wave, and
+        banking a wave drops its entry in one step: once every wave has
+        banked, the stream holds none, for no leaf and no position."""
+        topo, overlay = _overlay(sim, n_be=8, fanout=4)
+        stream = overlay.open_stream(StreamSpec(
+            3, "histogram", credit_limit=2, window=2))
+        _run_waves(sim, topo, stream, n_waves=5, payload={"R": 1})
+        assert stream._unacked == {}
+        assert stream._folded == {}
+
     def test_taps_observe_merged_waves(self, sim):
         topo, overlay = _overlay(sim, n_be=8, fanout=4)
         stream = overlay.open_stream(StreamSpec(3, "sum", credit_limit=4))
