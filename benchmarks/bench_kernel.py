@@ -6,10 +6,12 @@ The simx scheduling hot path claims two things this file holds it to:
   storms, process completions, bootstraps) bypass the heap through the
   same-time FIFO lanes. On the churn microbench the fast lane must be at
   least ``SPEEDUP_FLOOR`` (3x) faster than the pure-heap scheduler --
-  ``Simulator(fast_lane=False)``, which is the pre-optimization kernel's
-  scheduling algorithm. A second series measures the storm on top of a
-  deep background heap (the 64k-daemon regime, where every bypassed
-  push/pop used to pay O(log heap)).
+  ``Simulator(fast_lane=False)``, whose two lanes are heap lanes: each
+  append pushes the event onto the heap, which is the pre-optimization
+  kernel's scheduling algorithm. Both kernels run the same inline
+  producers, so the ratio measures the lanes alone. A second series
+  measures the storm on top of a deep background heap (the 64k-daemon
+  regime, where every bypassed push/pop used to pay O(log heap)).
 * **64k-daemon reach.** A 65536-daemon fig6 LaunchMON point -- the
   machine size the paper could only extrapolate to -- must complete
   within ``XL_WALL_BUDGET`` wall seconds (it was unreachable before the

@@ -71,6 +71,16 @@ the AST:
     ``Simulator.run()`` pauses while it dispatches. Make the helper
     module-level and pass it what it closed over.
 
+``kernel-private``
+    No use of the kernel's scheduling state -- the attributes
+    ``_enqueue``, ``_fast_urgent``, ``_fast_normal``, ``_heap`` and
+    ``_seq`` -- outside :data:`KERNEL_PACKAGE`. Each kernel producer
+    schedules its own event (a ``seq`` bump, then a lane append or a
+    heap push); a model module that did the same behind the kernel's
+    back would shift every later ``(time, priority, seq)`` key and
+    break trace identity with nothing to show for it. Schedule through
+    ``succeed``/``fail``, ``sim.timeout`` or ``sim.process``.
+
 Suppression: append ``# simlint: allow[rule]`` (or ``allow[r1,r2]``, or
 bare ``# simlint: allow`` for all rules) to the flagged line, ideally
 with a short justification after it. Suppressions are per-line and per
@@ -89,8 +99,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["AGG_AWARE_MODULES", "Finding", "GC_POLICY_OWNER",
-           "HOT_PATH_MODULES", "RULES", "lint_file", "lint_paths",
-           "lint_source", "main"]
+           "HOT_PATH_MODULES", "KERNEL_PRIVATE", "RULES", "lint_file",
+           "lint_paths", "lint_source", "main"]
 
 RULES = {
     "wall-clock": "wall-clock read in simulator-driven code (use sim.now; "
@@ -109,6 +119,8 @@ RULES = {
                  "set_threshold) outside the kernel, which owns it",
     "self-closure": "nested def that refers to its own name (a "
                     "function <-> cell cycle per call)",
+    "kernel-private": "kernel scheduling state (_enqueue/_fast_urgent/"
+                      "_fast_normal/_heap/_seq) used outside repro/simx/",
 }
 
 #: modules the kernel/launch hot path runs through: the places where an
@@ -160,6 +172,15 @@ AGG_AWARE_MODULES = (
 
 #: the one module allowed to set collector policy (the ``gc-policy`` rule)
 GC_POLICY_OWNER = "repro/simx/core.py"
+
+#: the package that owns the kernel's scheduling state (the
+#: ``kernel-private`` rule's exemption)
+KERNEL_PACKAGE = "repro/simx/"
+
+#: the kernel's scheduling attributes: only :data:`KERNEL_PACKAGE` may
+#: touch them
+KERNEL_PRIVATE = frozenset(
+    ("_enqueue", "_fast_urgent", "_fast_normal", "_heap", "_seq"))
 
 _GC_POLICY_CALLS = frozenset(
     f"gc.{fn}" for fn in ("disable", "enable", "freeze", "unfreeze",
@@ -271,12 +292,14 @@ class _ModuleLint(ast.NodeVisitor):
     """One module's lint pass (see the rule catalog in the module doc)."""
 
     def __init__(self, path: str, source_lines: Sequence[str],
-                 hot: bool, agg_aware: bool = False, gc_owner: bool = False):
+                 hot: bool, agg_aware: bool = False, gc_owner: bool = False,
+                 kernel: bool = False):
         self.path = path
         self.source_lines = source_lines
         self.hot = hot
         self.agg_aware = agg_aware
         self.gc_owner = gc_owner
+        self.kernel = kernel
         self.findings: list[Finding] = []
         #: name -> fully dotted origin ("t" -> "time",
         #: "sleep" -> "time.sleep")
@@ -430,6 +453,16 @@ class _ModuleLint(ast.NodeVisitor):
 
         self.generic_visit(node)
 
+    def visit_Attribute(self, node: ast.Attribute) -> None:  # noqa: N802
+        if not self.kernel and node.attr in KERNEL_PRIVATE:
+            self._report(node, "kernel-private",
+                         f".{node.attr} is the kernel's scheduling state; "
+                         f"an event scheduled outside {KERNEL_PACKAGE} "
+                         f"shifts every later (time, priority, seq) key: "
+                         f"use succeed()/fail(), sim.timeout() or "
+                         f"sim.process()")
+        self.generic_visit(node)
+
     def _check_sweep_point(self, node: ast.Call) -> None:
         if not node.args:
             return
@@ -477,7 +510,9 @@ def lint_source(source: str, path: str = "<string>",
                         message=f"cannot parse: {exc.msg}")]
     linter = _ModuleLint(path, source.splitlines(), hot,
                          agg_aware=agg_aware,
-                         gc_owner=_is_hot(Path(path), (GC_POLICY_OWNER,)))
+                         gc_owner=_is_hot(Path(path), (GC_POLICY_OWNER,)),
+                         kernel=(f"/{KERNEL_PACKAGE}"
+                                 in Path(path).resolve().as_posix()))
     linter.visit(tree)
     return sorted(linter.findings, key=lambda f: (f.line, f.col, f.rule))
 

@@ -32,15 +32,32 @@ _OPAQUE_TYPES = frozenset((int, float, type(None), dict))
 
 
 def message_size(message: Any) -> int:
-    """Best-effort byte size of a message for transfer-time computation."""
-    if type(message) in _OPAQUE_TYPES:
+    """Best-effort byte size of a message for transfer-time computation.
+
+    One pass, commonest case first: an exact :class:`Sized` envelope
+    (most of a launch's messages) answers its stored size, an exact
+    ``str`` its length (its UTF-8 length unless it is ASCII), and a
+    tuple or list :data:`SEQ_FRAMING` plus its elements, walked in a
+    loop.
+    """
+    cls = type(message)
+    if cls is Sized:
+        return message._size
+    if cls is str:
+        return len(message) if message.isascii() else len(message.encode())
+    if cls in _OPAQUE_TYPES:
         return 64  # opaque control word: ranks, counters, None, dicts
-    if isinstance(message, (bytes, bytearray, memoryview)):
+    if isinstance(message, (tuple, list)):
+        size = SEQ_FRAMING
+        for item in message:
+            size += message_size(item)
+        return size
+    if isinstance(message, (bytes, bytearray)):
         return len(message)
+    if isinstance(message, memoryview):
+        return message.nbytes  # len() counts elements of its format
     if isinstance(message, str):
         return len(message.encode())
-    if isinstance(message, (tuple, list)):
-        return SEQ_FRAMING + sum(message_size(m) for m in message)
     if hasattr(message, "wire_size"):
         return int(message.wire_size())
     return 64  # opaque control object
@@ -66,7 +83,7 @@ class Sized:
 
     def __init__(self, payload: Any, size: Optional[int] = None):
         self.payload = payload
-        self._size = message_size(payload) if size is None else size
+        self._size = message_size(payload) if size is None else int(size)
 
     def wire_size(self) -> int:
         return self._size

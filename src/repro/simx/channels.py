@@ -22,9 +22,10 @@ all.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Union
 
-from repro.simx.core import NORMAL, URGENT, Event, SimulationError, Simulator
+from repro.simx.core import NORMAL, Event, SimulationError, Simulator
 
 __all__ = ["Channel", "Store"]
 
@@ -66,10 +67,15 @@ class Store:
         return tuple(self._items or ())
 
     def put(self, item: Any) -> Event:
-        ev = Event(self.sim)
+        sim = self.sim
+        ev = Event(sim)
         items = self._items
         if items is None or len(items) < self.capacity:
-            ev.succeed()
+            # accepted: scheduled inline (the event is fresh), and before
+            # the item is handed to a waiting getter
+            ev._value = None
+            sim._seq = ev._seq = sim._seq + 1
+            sim._fast_normal.append(ev)
             self._deliver(item)
         elif self._putters is None:
             self._putters = deque(((ev, item),))
@@ -78,7 +84,8 @@ class Store:
         return ev
 
     def get(self) -> Event:
-        ev = Event(self.sim)
+        sim = self.sim
+        ev = Event(sim)
         items = self._items
         if items is None:
             getters = self._getters
@@ -89,7 +96,10 @@ class Store:
             else:
                 self._getters = deque((getters, ev))
             return ev
-        ev.succeed(items.popleft())
+        # ready: scheduled inline (the event is fresh)
+        ev._value = items.popleft()
+        sim._seq = ev._seq = sim._seq + 1
+        sim._fast_normal.append(ev)
         putters = self._putters
         if putters is not None:
             # the store was full: the oldest blocked put takes the slot
@@ -175,7 +185,9 @@ class _Delivery(Event):
     order: an URGENT zero-delay bootstrap, the latency timeout (which puts
     the message), the put (which fires ``done``) and a trailing completion
     -- five events per message counting ``done``. The first four are this
-    one object, scheduled again each time it fires. Its callbacks are
+    one object, scheduled again each time it fires; each stage schedules
+    the next itself, as the kernel's producers do (a ``seq`` bump, then
+    a lane append or, for the arrival, a heap push). Its callbacks are
     shared module-level tuples, one per stage, so a message in flight
     holds no bound method of itself and allocates no callback list.
     """
@@ -192,26 +204,33 @@ class _Delivery(Event):
         self.msg = msg
         self.delay = delay
         self.done = done
-        sim._enqueue(self, 0.0, URGENT)
+        sim._seq = self._seq = sim._seq + 1
+        sim._fast_urgent.append(self)
 
 
 def _start(d: _Delivery) -> None:
     d.callbacks = _ARRIVE  # type: ignore[assignment]
-    d.sim._enqueue(d, d.delay, NORMAL)
+    sim = d.sim
+    sim._seq = seq = sim._seq + 1
+    heappush(sim._heap, (sim._now + d.delay, NORMAL, seq, d))
 
 
 def _arrive(d: _Delivery) -> None:
     chan = d.chan
     chan.delivered_count += 1
     d.callbacks = _ACCEPTED  # type: ignore[assignment]
-    d.sim._enqueue(d, 0.0, NORMAL)
+    sim = d.sim
+    sim._seq = d._seq = sim._seq + 1
+    sim._fast_normal.append(d)
     chan._store._deliver(d.msg)  # unbounded: the put is accepted at once
 
 
 def _accepted(d: _Delivery) -> None:
     d.done.succeed()
     d.callbacks = ()  # type: ignore[assignment]
-    d.sim._enqueue(d, 0.0, NORMAL)
+    sim = d.sim
+    sim._seq = d._seq = sim._seq + 1
+    sim._fast_normal.append(d)
 
 
 _START = (_start,)

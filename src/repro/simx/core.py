@@ -26,8 +26,17 @@ Zero-delay events are appended to a lane in seq order and can only fire
 while ``now`` is unchanged, so a lane head's implied key is
 ``(now, lane priority, seq)``; the dispatcher pops the minimum of that and
 the heap top, which reproduces the pure-heap order exactly while keeping
-the dominant churn O(1) instead of O(log heap). ``Simulator(fast_lane=
-False)`` routes everything through the heap for differential testing.
+the dominant churn O(1) instead of O(log heap).
+
+Each per-event producer schedules its own event inline, without a call:
+``seq`` is bumped, then the event is appended to its lane (stamped with
+that ``seq``) or pushed onto the heap. ``Simulator(fast_lane=False)``,
+the pure-heap kernel kept for differential testing, differs only in its
+lanes: each is a :class:`_HeapLane`, whose ``append`` pushes
+``(now, priority, seq, event)`` onto the heap and whose length is always
+0, so every producer, the dispatcher and ``peek`` run unchanged.
+``Simulator._enqueue`` remains the one general call, for the cold
+producers (interrupts, kills, conditions).
 
 Memory contract: :meth:`Simulator.run` pauses CPython's cyclic collector
 while it dispatches, so the garbage a run makes must be freed by
@@ -97,8 +106,9 @@ class Event:
     observed by any process raises at ``run()`` time so errors cannot vanish
     silently.
 
-    ``_seq`` is set when the event is scheduled on a same-time lane; an
-    event is scheduled at most once per firing.
+    ``_seq`` is set when the event is scheduled on a same-time lane (a
+    heap lane reads it to build the heap key); an event is scheduled at
+    most once per firing.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exc", "_defused", "_seq")
@@ -125,11 +135,11 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event triggered successfully."""
-        return self.triggered and self._exc is None
+        return self._value is not _PENDING and self._exc is None
 
     @property
     def value(self) -> Any:
-        if not self.triggered:
+        if self._value is _PENDING:
             raise SimulationError("value of untriggered event")
         if self._exc is not None:
             raise self._exc
@@ -148,21 +158,25 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
-        self.sim._enqueue(self, 0.0, NORMAL)
+        sim = self.sim
+        sim._seq = self._seq = sim._seq + 1
+        sim._fast_normal.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception to be thrown into waiters."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exc = exc
         self._value = None
-        self.sim._enqueue(self, 0.0, NORMAL)
+        sim = self.sim
+        sim._seq = self._seq = sim._seq + 1
+        sim._fast_normal.append(self)
         return self
 
     def _run_callbacks(self) -> None:
@@ -187,11 +201,18 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if not delay >= 0:  # NaN too: a NaN key breaks the heap order
             raise SimulationError(f"negative or NaN timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._exc = None
         self._defused = True  # a timeout cannot fail
-        sim._enqueue(self, delay, NORMAL)
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        if delay == 0.0:
+            self._seq = seq
+            sim._fast_normal.append(self)
+        else:
+            heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
 
 
 class _Initialize(Event):
@@ -200,11 +221,13 @@ class _Initialize(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process"):
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = [process._wake]
         self._value = None
+        self._exc = None
         self._defused = True
-        self.callbacks.append(process._wake)  # type: ignore[union-attr]
-        sim._enqueue(self, 0.0, URGENT)
+        sim._seq = self._seq = sim._seq + 1
+        sim._fast_urgent.append(self)
 
 
 class Process(Event):
@@ -232,7 +255,11 @@ class Process(Event):
                  name: str = ""):
         if not hasattr(gen, "throw"):
             raise SimulationError(f"process requires a generator, got {gen!r}")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exc = None
+        self._defused = False
         self._gen = gen
         self._wake: Optional[Callable[[Event], None]] = self._resume
         self.name = name or getattr(gen, "__name__", "process")
@@ -241,7 +268,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> Event:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -334,7 +361,8 @@ class Process(Event):
                 self._target = self._wake = None
                 sim._active_proc = None
                 self._value = stop.value
-                sim._enqueue(self, 0.0, NORMAL)
+                sim._seq = self._seq = sim._seq + 1
+                sim._fast_normal.append(self)
                 return
             except BaseException as exc:
                 self._target = self._wake = None
@@ -343,7 +371,8 @@ class Process(Event):
                 # which would then hold itself through ``_exc``
                 self._exc = exc.with_traceback(exc.__traceback__.tb_next)
                 self._value = None
-                sim._enqueue(self, 0.0, NORMAL)
+                sim._seq = self._seq = sim._seq + 1
+                sim._fast_normal.append(self)
                 return
 
             if not isinstance(next_ev, Event):
@@ -409,7 +438,7 @@ class _Condition(Event):
 
     def _on_child(self, ev: Event) -> None:
         self._remaining -= 1
-        if self.triggered:
+        if self._value is not _PENDING:
             # the condition has already fired (e.g. fail-fast on a sibling),
             # but this child's failure is still *observed* by the condition:
             # defuse it so two same-instant failures cannot crash the run
@@ -552,6 +581,31 @@ class SimStats:
                 f"ev/s={self.events_per_sec():.0f}>")
 
 
+class _HeapLane:
+    """A same-time lane of the pure-heap kernel (``fast_lane=False``).
+
+    ``append`` pushes the event onto the heap under the key a lane head
+    implies, ``(now, priority, seq)``, and the lane always reads as
+    empty, so producers, dispatch and ``peek`` need no second path. It
+    holds the heap list, not the simulator: the simulator holds its
+    lanes, and a lane holding it back would be a cycle that leaves every
+    dropped pure-heap simulator to the cyclic collector.
+    """
+
+    __slots__ = ("_heap", "_priority")
+
+    def __init__(self, heap: list, priority: int):
+        self._heap = heap
+        self._priority = priority
+
+    def append(self, event: Event) -> None:
+        heappush(self._heap,
+                 (event.sim._now, self._priority, event._seq, event))
+
+    def __len__(self) -> int:
+        return 0
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -567,10 +621,13 @@ class Simulator:
         sim.run()
         assert sim.now == 1.5 and proc.value == "done"
 
-    ``fast_lane=False`` disables the same-time FIFO lanes and schedules
-    every event through the heap -- the pre-optimization behaviour, kept so
-    differential tests can prove the fast lane preserves the event order
-    (see the module docstring's determinism contract).
+    ``fast_lane=False`` makes both same-time lanes heap lanes
+    (:class:`_HeapLane`), which schedule every event through the heap --
+    the pre-optimization scheduling algorithm, kept so differential
+    tests can prove the fast lane preserves the event order (see the
+    module docstring's determinism contract). The kernel's producers
+    schedule inline (``seq`` bump, then a lane append or a heap push),
+    so both kernels share every producer and differ only in the lanes.
 
     ``stats`` exposes kernel counters (:class:`SimStats`); setting
     ``trace`` to a callable makes the dispatcher invoke it as
@@ -581,10 +638,14 @@ class Simulator:
     def __init__(self, fast_lane: bool = True) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
-        #: same-time FIFO lanes for zero-delay events (``Event._seq`` set)
-        self._fast_urgent: deque[Event] = deque()
-        self._fast_normal: deque[Event] = deque()
-        self._fast_lane = fast_lane
+        #: same-time FIFO lanes for zero-delay events (``Event._seq``
+        #: set), or heap lanes for the pure-heap kernel
+        if fast_lane:
+            self._fast_urgent = deque()
+            self._fast_normal = deque()
+        else:
+            self._fast_urgent = _HeapLane(self._heap, URGENT)
+            self._fast_normal = _HeapLane(self._heap, NORMAL)
         self._seq = 0
         self._active_proc: Optional[Process] = None
         #: generators of killed processes (see :meth:`Process.kill`): kept
@@ -623,9 +684,11 @@ class Simulator:
 
     # -- scheduling / execution -------------------------------------------
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+        """Schedule ``event`` ``delay`` from now: the general form of what
+        each hot producer does inline, kept for the cold ones."""
         self._seq = seq = self._seq + 1
-        if delay == 0.0 and self._fast_lane:
-            # Same-time fast lane: zero-delay events can only fire while
+        if delay == 0.0:
+            # Same-time lane: zero-delay events can only fire while
             # ``now`` is unchanged, so FIFO append preserves seq order and
             # the dispatcher can treat the lane head as (now, prio, seq).
             event._seq = seq

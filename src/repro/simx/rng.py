@@ -102,7 +102,10 @@ class SeededRNG:
         if base <= 0.0:
             return 0.0
         lo, hi = base * (1.0 - rel), base * (1.0 + rel)
-        return max(0.0, lo + (hi - lo) * self.random())
+        rng = self._rng
+        value = lo + (hi - lo) * (rng.random() if rng is not None
+                                  else self.random())
+        return value if value > 0.0 else 0.0  # NaN clamps to 0.0 too
 
     def randint(self, lo: int, hi: int) -> int:
         return self._generator().randint(lo, hi)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.simlint import (GC_POLICY_OWNER, HOT_PATH_MODULES,
-                                    RULES, Finding, lint_file, lint_paths,
-                                    lint_source, main)
+                                    KERNEL_PRIVATE, RULES, Finding,
+                                    lint_file, lint_paths, lint_source,
+                                    main)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -103,6 +104,25 @@ class TestFixturesFire:
         assert [f.message.split("'")[1] for f in findings] == [
             "walk", "once", "relay", "visit"]
 
+    def test_kernel_private(self):
+        findings = lint_file(FIXTURES / "bad_kernel_private.py")
+        assert rules_fired(findings) == ["kernel-private"]
+        # _enqueue, _fast_urgent, three _seq on one line, _fast_normal
+        # and _heap; the public producers, other private names, a bare
+        # _seq variable and the allowed line stay quiet
+        assert len(findings) == 7
+        assert [f.line for f in findings] == [7, 8, 9, 9, 9, 10, 14]
+        assert {f.message.split()[0][1:] for f in findings} == \
+            set(KERNEL_PRIVATE)
+
+    def test_kernel_private_exempts_the_kernel_package(self):
+        src = "def push(sim, ev):\n    sim._fast_normal.append(ev)\n"
+        for module in ("core", "channels", "resources"):
+            path = f"/r/src/repro/simx/{module}.py"
+            assert lint_source(src, path=path) == []
+        elsewhere = lint_source(src, path="/r/src/repro/tbon/overlay.py")
+        assert rules_fired(elsewhere) == ["kernel-private"]
+
     def test_suppressions_silence_everything(self):
         assert lint_file(FIXTURES / "good_suppressed.py", hot=True) == []
 
@@ -161,7 +181,8 @@ class TestRealTree:
         assert set(RULES) == {"wall-clock", "unseeded-random",
                               "linear-scan", "eager-default",
                               "sweep-pickle", "blocking-io", "agg-leaves",
-                              "gc-policy", "self-closure"}
+                              "gc-policy", "self-closure",
+                              "kernel-private"}
         assert all(desc for desc in RULES.values())
 
 

@@ -1,9 +1,11 @@
 """Tests for Network/Pipe timing and the shared-filesystem model."""
 
+from array import array
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, CostModel, Network, Node
-from repro.cluster.network import message_size
+from repro.cluster.network import Sized, message_size
 from repro.cluster.cluster import SharedFilesystem
 from repro.simx import SeededRNG, Simulator
 from repro.tbon import Packet
@@ -40,6 +42,96 @@ class TestMessageSize:
                 return 4242
         assert message_size({"a": 1}) == 64
         assert message_size(SizedDict(a=1)) == 4242
+
+    def test_memoryview_is_sized_in_bytes(self):
+        # a view's len() counts elements of its format, not bytes
+        view = memoryview(array("d", [0.0] * 4))
+        assert len(view) == 4
+        assert message_size(view) == 32
+        assert message_size((view, b"ab")) == 16 + 32 + 2
+
+
+def _reference_message_size(message):
+    """``message_size`` as it was written before its single-pass form:
+    the reference the fast paths must match."""
+    if type(message) in (int, float, type(None), dict):
+        return 64
+    if isinstance(message, (bytes, bytearray, memoryview)):
+        return len(message)
+    if isinstance(message, str):
+        return len(message.encode())
+    if isinstance(message, (tuple, list)):
+        return 16 + sum(_reference_message_size(m) for m in message)
+    if hasattr(message, "wire_size"):
+        return int(message.wire_size())
+    return 64
+
+
+class _Str(str):
+    pass
+
+
+class _WireDict(dict):
+    def wire_size(self):
+        return 4242
+
+
+class _Opaque:
+    pass
+
+
+def _sizing_corpus():
+    payload = [b"ab", ("cd", 3), ["\u00e9t\u00e9", None]]
+    return [
+        (), [], (b"x",), [1, 2.5, None],
+        (1, (2, [3, ("four", b"five")]), [[], ()]),
+        "", "ascii text", "caf\u00e9", "\u65e5\u672c", "\U0001f600 emoji",
+        _Str("sub"), _Str("s\u00fcb"),
+        b"", b"bytes", bytearray(b"array"), memoryview(b"view"),
+        0, -7, 2 ** 70, 1.5, float("nan"), None, {}, {"k": [1, 2]},
+        _WireDict(a=1), Sized(payload), Sized(b"abc", 99),
+        Packet(1, 0, [b"ab", "cd"]), (3, Packet(2, 1, {"h": 1})),
+        _Opaque(), object(), [_Opaque(), Sized("\u00e9")],
+    ]
+
+
+class TestMessageSizeParity:
+    def test_matches_the_reference_on_the_corpus(self):
+        for message in _sizing_corpus():
+            got = message_size(message)
+            assert got == _reference_message_size(message), message
+            assert type(got) is int, message
+
+
+def _reference_jitter(rng, base, rel):
+    """``SeededRNG.jitter`` as written with ``max()``, over a twin
+    generator."""
+    if base <= 0.0:
+        return 0.0
+    lo, hi = base * (1.0 - rel), base * (1.0 + rel)
+    return max(0.0, lo + (hi - lo) * rng.random())
+
+
+class TestJitterParity:
+    BASES = (0.0, -1.0, 1e-9, 1.0, 1e300, float("inf"), float("nan"))
+    RELS = (0.03, 0.05, 1.5)
+
+    @pytest.mark.parametrize("rel", RELS)
+    def test_matches_max_clamp_from_a_twin_stream(self, rel):
+        stream = SeededRNG(11, f"jitter/{rel}")
+        twin = SeededRNG(11, f"jitter/{rel}")._seeded()
+        drawn = 0
+        # three passes over the bases: the first four draws come from
+        # the draw-ahead tuple, the rest from the kept generator
+        for _ in range(3):
+            for base in self.BASES:
+                got = stream.jitter(base, rel)
+                want = _reference_jitter(twin, base, rel)
+                assert got.hex() == want.hex(), (base, rel)
+                drawn += not base <= 0.0
+        assert drawn > 4 and stream._rng is not None
+        # both streams stand at the same place afterwards
+        assert stream.random() == twin.random()
 
 
 class TestNetwork:

@@ -9,6 +9,7 @@ cycles once they have fired: this file pins both halves of the contract.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -78,9 +79,10 @@ class TestCollectorState:
         assert seen == [True] and gc.isenabled()
 
 
-def _mixed_run(sim):
-    """Processes, delayed channel sends, interrupts, kill(), AllOf/AnyOf
-    and run_bounded (both outcomes) in one run that drains completely."""
+def _mixed_run(sim, kill=True):
+    """Processes, delayed channel sends, interrupts, kill() (unless
+    ``kill`` is false), AllOf/AnyOf and run_bounded (both outcomes) in
+    one run that drains completely."""
     chan = Channel(sim, latency_fn=lambda msg: 0.25, name="wire")
     gate = sim.event()
     outcome = {}
@@ -125,7 +127,8 @@ def _mixed_run(sim):
         early.interrupt("before bootstrap")
         yield sim.timeout(1.0)
         sleepers[0].interrupt("wake")
-        doomed.kill()
+        if kill:
+            doomed.kill()
         done = yield sim.all_of([recv, send])
         outcome["received"] = done[recv]
         yield sim.any_of([sim.timeout(0.3), sim.timeout(0.6)])
@@ -171,3 +174,35 @@ def test_kernel_garbage_is_acyclic():
         if was_enabled:
             gc.enable()
     assert leaked == []
+
+
+@pytest.mark.parametrize("fast_lane", [True, False], ids=["lanes", "heap"])
+def test_a_dropped_simulator_is_freed_by_reference_counting(fast_lane):
+    # a killed process's generator is parked on purpose (see
+    # Process.kill), so this run kills nothing: then dropping the last
+    # reference to the simulator must free every kernel object it made,
+    # under either kernel -- the simulator and its lanes hold no cycle
+    gc.collect()
+    gc.garbage.clear()
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        sim = Simulator(fast_lane=fast_lane)
+        outcome = _mixed_run(sim, kill=False)
+        assert outcome["received"] == [0, 1, 2, 3]
+        assert sim.peek() == float("inf")
+        dropped = weakref.ref(sim)
+        del sim
+        freed_by_refcount = dropped() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(obj).__qualname__ for obj in gc.garbage
+                  if type(obj).__module__.startswith("repro.simx")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []
+    assert freed_by_refcount

@@ -13,7 +13,12 @@ must agree, including for a ``run(until=...)`` that stops with events
 still pending and for bare ``step()`` loops.
 """
 
+from collections import deque
+
 import pytest
+
+from repro.simx import channels as simx_channels
+from repro.simx import core as simx_core
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.simx import Simulator
@@ -161,24 +166,54 @@ class TestStatsParity:
         assert sim.stats.peak_rss_kb > 0
 
 
+class _CountingLane(deque):
+    """A same-time lane that reports every append."""
+
+    def __init__(self, on_append):
+        super().__init__()
+        self.on_append = on_append
+
+    def append(self, event):
+        super().append(event)
+        self.on_append()
+
+
 class PerEnqueueCount:
-    """Counts ``heap_pushes`` and both high waters on every enqueue, by
-    wrapping ``sim._enqueue`` -- the kernel's former way of counting."""
+    """Counts ``heap_pushes`` and both high waters each time an event is
+    scheduled -- the kernel's former way of counting.
 
-    def __init__(self, sim):
+    Scheduling is counted where it lands, whichever producer made it: a
+    lane kernel's deques are swapped for counting ones, and every push
+    the kernel modules make onto ``sim._heap`` goes through a counting
+    ``heappush`` (a pure-heap kernel's lanes push the heap themselves).
+    """
+
+    def __init__(self, sim, monkeypatch):
+        self.sim = sim
         self.heap_pushes = self.heap_high_water = self.live_high_water = 0
-        enqueue = sim._enqueue
+        for attr in ("_fast_urgent", "_fast_normal"):
+            if isinstance(getattr(sim, attr), deque):
+                setattr(sim, attr, _CountingLane(self._note_live))
+        for module in (simx_core, simx_channels):
+            push = getattr(module, "heappush", None)
+            if push is not None:
+                monkeypatch.setattr(module, "heappush",
+                                    self._counting_push(push))
 
-        def counting_enqueue(event, delay, priority):
-            enqueue(event, delay, priority)
-            heap = len(sim._heap)
-            if not (delay == 0.0 and sim._fast_lane):
+    def _counting_push(self, push):
+        def counting_push(heap, entry):
+            push(heap, entry)
+            if heap is self.sim._heap:
                 self.heap_pushes += 1
-                self.heap_high_water = max(self.heap_high_water, heap)
-            live = heap + len(sim._fast_urgent) + len(sim._fast_normal)
-            self.live_high_water = max(self.live_high_water, live)
+                self.heap_high_water = max(self.heap_high_water, len(heap))
+                self._note_live()
+        return counting_push
 
-        sim._enqueue = counting_enqueue
+    def _note_live(self):
+        sim = self.sim
+        live = (len(sim._heap) + len(sim._fast_urgent)
+                + len(sim._fast_normal))
+        self.live_high_water = max(self.live_high_water, live)
 
     def totals(self):
         return (self.heap_pushes, self.heap_high_water,
@@ -190,9 +225,10 @@ class PerEnqueueCount:
     "workload", [_mixed_workload, _mixed_until, _mixed_steps,
                  _stream_workload],
     ids=["drained", "until-pending", "steps", "stream"])
-def test_derived_counters_match_per_enqueue_counting(workload, fast_lane):
+def test_derived_counters_match_per_enqueue_counting(workload, fast_lane,
+                                                    monkeypatch):
     sim = Simulator(fast_lane=fast_lane)
-    recount = PerEnqueueCount(sim)
+    recount = PerEnqueueCount(sim, monkeypatch)
     workload(sim)
     stats = sim.stats
     assert recount.heap_pushes > 0
