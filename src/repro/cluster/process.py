@@ -9,9 +9,9 @@ For the MPIR/APAI substrate a process exposes:
 * ``memory`` -- a symbol-addressed dictionary standing in for the process
   address space (``MPIR_proctable`` etc. live here);
 * ``debug_events`` -- a Store into which the process pushes
-  :class:`DebugEvent` records while traced (the Engine's EventManager polls
-  this, mirroring how LaunchMON waits on the RM process via the OS debugger
-  interface).
+  :class:`DebugEvent` records while traced (the Engine's trace loop waits
+  on this, mirroring how LaunchMON waits on the RM process via the OS
+  debugger interface).
 """
 
 from __future__ import annotations
@@ -62,17 +62,15 @@ class ProcStats:
 class DebugEventType(enum.Enum):
     """Native debug events a traced process can deliver."""
 
-    STOPPED_AT_ENTRY = "stopped-at-entry"
     BREAKPOINT = "breakpoint"
     FORK = "fork"
     EXEC = "exec"
-    SIGNAL = "signal"
     EXITED = "exited"
 
 
 @dataclass
 class DebugEvent:
-    """One native debug event (decoded later by the Engine's EventDecoder)."""
+    """One native debug event, as the Engine's trace loop receives it."""
 
     etype: DebugEventType
     pid: int

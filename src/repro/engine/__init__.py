@@ -7,31 +7,20 @@ launcher's address space, and invokes the RM's efficient daemon-launch
 command. It acts as a proxy between the front end (which generally cannot
 co-locate with the RM process) and the RM itself, speaking LMONP upstream.
 
-Structure mirrors the paper's modular class hierarchy:
-
-* :class:`EventManager` polls the traced RM process via the OS interface;
-* :class:`EventDecoder` converts native debug events into LaunchMON events;
-* :class:`EventHandlerTable` maps LaunchMON events to handlers;
-* :class:`LaunchMONEngine` (the Driver) organizes the loop and the
-  launch/attach/spawn choreography, recording the e0..e11 critical-path
-  timeline of Figure 2 plus per-component times for the Section 4 model.
+:class:`LaunchMONEngine` (the Driver) runs the launch/attach/spawn
+choreography. In launch mode it is one trace loop over the launcher's
+debug events, charging a fixed handling cost per event; it records its
+share of the Figure 2 critical-path timeline (:class:`LaunchTimeline`)
+and the per-component times of the Section 4 model
+(:class:`ComponentTimes`).
 """
 
-from repro.engine.events import LMONEvent, LMONEventType
-from repro.engine.decoder import EventDecoder
-from repro.engine.manager import EventManager
-from repro.engine.handlers import EventHandlerTable
 from repro.engine.timeline import ComponentTimes, LaunchTimeline
 from repro.engine.driver import EngineError, LaunchMONEngine
 
 __all__ = [
     "ComponentTimes",
     "EngineError",
-    "EventDecoder",
-    "EventHandlerTable",
-    "EventManager",
-    "LMONEvent",
-    "LMONEventType",
     "LaunchMONEngine",
     "LaunchTimeline",
 ]

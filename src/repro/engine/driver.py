@@ -3,7 +3,8 @@
 Implements the two acquisition modes of the FE API (Section 3.2) up to the
 point where daemons are spawned; the front-end runtime completes the
 handshake. The engine records the Figure 2 timeline (e1..e6 here; the FE
-adds e0 and e7..e11) and the component times for the Section 4 model.
+adds e0, e7, e10 and e11) and the component times for the Section 4
+model.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Optional
 
 from repro.apps import AppSpec
-from repro.cluster import Cluster, SimProcess
-from repro.engine.decoder import EventDecoder
-from repro.engine.events import LMONEvent, LMONEventType
-from repro.engine.handlers import EventHandlerTable
-from repro.engine.manager import EventManager
+from repro.cluster import Cluster, DebugEventType, SimProcess
 from repro.engine.timeline import ComponentTimes, LaunchTimeline
 from repro.lmonp import FeToEngine, LmonpMessage, LmonpStream, MsgClass
 from repro.mpir import (
@@ -49,10 +46,6 @@ class LaunchMONEngine:
         self.cluster = cluster
         self.rm = rm
         self.sim = cluster.sim
-        self.decoder = EventDecoder()
-        self.handlers = EventHandlerTable(
-            self.sim, cluster.costs.event_handle)
-        self.manager: Optional[EventManager] = None
         self.tracer: Optional[TracedProcess] = None
         self.fe_stream = fe_stream
         self.proc: Optional[SimProcess] = None
@@ -84,59 +77,58 @@ class LaunchMONEngine:
                          daemon_spec: DaemonSpec,
                          context_factory: Callable[..., Any],
                          ) -> Generator[Any, Any, tuple]:
-        """Launch a job under tool control and co-locate daemons (e2..e6)."""
+        """Launch a job under tool control and co-locate daemons (e2..e6).
+
+        The trace loop handles each debug event of the launcher in turn:
+        it charges the engine's handling cost to ``t_trace`` (the paper's
+        tracing term: events x ``event_handle``), then fetches the RPDTAB
+        and spawns the daemons at ``MPIR_Breakpoint``, fails when the
+        launcher exits, and continues the launcher past anything else.
+        """
         sim = self.sim
         job = yield from self.rm.create_launcher(app, alloc)
         self.job = job
         tracer = TracedProcess(job.launcher)
         self.tracer = tracer
-        self.manager = EventManager(tracer)
         yield from tracer.attach()
         yield from tracer.write_symbol(MPIR_BEING_DEBUGGED, 1)
         self.timeline.mark("e2_launcher_started", sim.now)
 
-        results: dict[str, Any] = {}
-
-        def on_spawned(event: LMONEvent) -> Generator[Any, Any, str]:
-            # the paper's key handler: fetch RPDTAB, launch daemons,
-            # forward the table to the front end
-            results["spawned"] = yield from self._fetch_and_spawn(
-                job, daemon_spec, context_factory)
-            return "spawned"
-
-        self.handlers.register(LMONEventType.TASKS_SPAWNED, on_spawned)
-
-        # run the launcher protocol and drive the event loop. The
-        # protocol process is defused: if the launch dies underneath us
-        # (node crash during task spawn), the launcher's exit surfaces
-        # through the debug-event stream as RM_EXITED below -- the
-        # process failure itself must not detonate the simulation
+        # the launcher protocol is defused: if the launch dies underneath
+        # us (node crash during task spawn), the launcher's exit surfaces
+        # as an EXITED debug event below -- the process failure itself
+        # must not detonate the simulation, and becomes the cause of the
+        # engine's error
         launcher_proc = sim.process(self.rm.run_launcher(job),
                                     name=f"{self.rm.name}-launcher")
         launcher_proc.defuse()
+        handle_cost = self.cluster.costs.event_handle
+        times = self.times
         t_run_start = sim.now
         yield from tracer.cont()
         while True:
-            native = yield from self.manager.poll()
-            lmon_event = self.decoder.decode(native)
-            outcome = yield from self.handlers.dispatch(lmon_event)
-            if outcome == "spawned":
+            event = yield from tracer.wait_event()
+            yield sim.timeout(handle_cost)
+            times.t_trace += handle_cost
+            if (event.etype is DebugEventType.BREAKPOINT
+                    and event.detail == "MPIR_Breakpoint"):
                 break
-            if lmon_event.etype in (LMONEventType.RM_EXITED,
-                                    LMONEventType.JOB_ABORTED):
+            if event.etype is DebugEventType.EXITED:
                 raise EngineError(
-                    f"RM launcher failed during launch: {lmon_event.etype}")
+                    "RM launcher failed during launch: launcher exited "
+                    f"with code {event.detail}"
+                ) from launcher_proc.exception
             yield from tracer.cont()
+        rpdtab, daemons, fabric = yield from self._fetch_and_spawn(
+            job, daemon_spec, context_factory)
 
-        self.times.t_trace = self.handlers.trace_time
         # T(job): time from first continue to MPIR_Breakpoint, minus the
         # engine's own tracing overhead interleaved in that window.
         t_job_window = (self.timeline.marks["e3_breakpoint"] - t_run_start)
-        self.times.t_job = max(0.0, t_job_window - self.times.t_trace)
+        times.t_job = max(0.0, t_job_window - times.t_trace)
 
         # let the application run past MPIR_Breakpoint
         yield from tracer.cont()
-        rpdtab, daemons, fabric = results["spawned"]
         yield from self._send_proctab(rpdtab)
         return job, daemons, fabric, rpdtab
 
@@ -151,7 +143,6 @@ class LaunchMONEngine:
         self.job = job
         tracer = TracedProcess(job.launcher)
         self.tracer = tracer
-        self.manager = EventManager(tracer)
         yield from tracer.attach()
         self.timeline.mark("e2_launcher_started", sim.now)
         state = yield from tracer.read_symbol(MPIR_DEBUG_STATE)
@@ -164,18 +155,6 @@ class LaunchMONEngine:
         yield from tracer.cont()
         yield from self._send_proctab(rpdtab)
         return job, daemons, fabric, rpdtab
-
-    # -- middleware launch --------------------------------------------------------
-    def launch_mw(self, alloc: Allocation, spec: DaemonSpec,
-                  context_factory: Callable[..., Any],
-                  topology: Optional[str] = None,
-                  ) -> Generator[Any, Any, tuple]:
-        """Spawn middleware daemons on a dedicated allocation; returns
-        the RM's ``(daemons, fabric, report)``. The spawn is not part of
-        the back-end launch, so ``times`` -- the breakdown of one
-        launchAndSpawn/attachAndSpawn -- does not change."""
-        return (yield from self.rm.spawn_on_allocation(
-            alloc, spec, context_factory, topology=topology))
 
     # -- teardown / control --------------------------------------------------------
     def detach(self) -> Generator[Any, Any, None]:

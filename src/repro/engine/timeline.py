@@ -2,30 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, fields
 
-__all__ = ["ComponentTimes", "LaunchTimeline", "EVENT_NAMES"]
-
-#: The paper's eleven critical-path events of launchAndSpawn (Figure 2).
-EVENT_NAMES = [
-    "e0_client_call",        # client invokes the FE API function
-    "e1_engine_invoked",     # FE invokes the LaunchMON engine
-    "e2_launcher_started",   # engine executes the RM job launcher under control
-    "e3_breakpoint",         # RM stops at MPIR_Breakpoint (job spawned)
-    "e4_rpdtab_fetched",     # engine fetched the RPDTAB
-    "e5_daemon_spawn_req",   # engine invokes the daemon launch
-    "e6_daemons_spawned",    # RM finished spawning daemons
-    "e7_handshake_begin",    # LaunchMON handshaking starts
-    "e8_netsetup_begin",     # master BE starts fabric coordination
-    "e9_netsetup_done",      # inter-daemon network setup complete
-    "e10_ready",             # master sends ready to the front end
-    "e11_returned",          # control returns to the client
-]
+__all__ = ["ComponentTimes", "LaunchTimeline"]
 
 
 class LaunchTimeline:
-    """Ordered event-name -> virtual-time marks for one launch."""
+    """Ordered event-name -> virtual-time marks for one launch.
+
+    The front end and the engine mark the paper's Figure 2 events e0-e7,
+    e10 and e11 (``e0_client_call`` ... ``e11_returned``). The fabric
+    set-up between them (e8-e9) runs inside the daemons and reaches the
+    front end only as the master's reported ``t_setup``.
+    """
 
     def __init__(self) -> None:
         self.marks: dict[str, float] = {}
@@ -38,13 +27,8 @@ class LaunchTimeline:
         return self.marks[b] - self.marks[a]
 
     def total(self) -> float:
-        if "e0_client_call" in self.marks and "e11_returned" in self.marks:
-            return self.span("e0_client_call", "e11_returned")
-        times = sorted(self.marks.values())
-        return times[-1] - times[0] if len(times) > 1 else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.marks)
+        """T(e0, e11): the whole critical path."""
+        return self.span("e0_client_call", "e11_returned")
 
 
 @dataclass

@@ -21,7 +21,8 @@ from repro.fe import ToolFrontEnd
 from repro.launch import LaunchRequest, get_strategy
 from repro.rm import DaemonSpec, SlurmConfig, SlurmRM
 from repro.runner import drive, make_env
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult, idle_context_factory, idle_daemon)
 from repro.experiments.fig3 import measure_launch_and_spawn
 from repro.experiments.sweep import map_grid
 
@@ -146,10 +147,6 @@ def run_ablation_jobsnap_tbon(daemon_counts: Sequence[int] = (64, 256, 512),
     return result
 
 
-def _idle_daemon(ctx):
-    yield ctx.sim.timeout(0)
-
-
 def _a3_point(n: int) -> dict:
     # sequential rsh holding every client open (the MRNet way), then tree
     # rsh; a launch that stopped short has no time
@@ -168,15 +165,10 @@ def _a3_point(n: int) -> dict:
     def native(env=env, app=app):
         job = yield from env.rm.launch_job(app, env.rm.allocate(
             app.nodes_needed()))
-        spec = DaemonSpec("toold", main=_idle_daemon, image_mb=1.0)
-
-        def factory(d, ds, fab):
-            class Ctx:
-                sim = env.sim
-            return Ctx()
-
+        spec = DaemonSpec("toold", main=idle_daemon, image_mb=1.0)
         t0 = env.sim.now
-        yield from env.rm.spawn_daemons(job, spec, factory)
+        yield from env.rm.spawn_daemons(job, spec,
+                                        idle_context_factory(env.sim))
         return env.sim.now - t0
 
     return {"daemons": n, "rsh_sequential": t_rsh["serial-rsh"],

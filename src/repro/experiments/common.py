@@ -1,12 +1,27 @@
-"""Shared experiment result container, audits, and table formatting."""
+"""Shared experiment result container, audits, table formatting and the
+idle daemon body the launch-only experiments spawn."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Optional, Sequence
 
-__all__ = ["ExperimentResult", "fmt", "percentile", "write_json_report"]
+__all__ = ["ExperimentResult", "fmt", "idle_context_factory", "idle_daemon",
+           "percentile", "write_json_report"]
+
+
+def idle_daemon(ctx):
+    """A tool-daemon body that starts and ends: only the launch is timed."""
+    yield ctx.sim.timeout(0)
+
+
+def idle_context_factory(sim) -> Callable[..., Any]:
+    """A daemon-context factory for :func:`idle_daemon`: every daemon it
+    serves gets the one context it holds, which carries only ``sim``."""
+    ctx = SimpleNamespace(sim=sim)
+    return lambda daemon, daemons, fabric: ctx
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -21,7 +21,8 @@ from repro.cluster import ClusterSpec
 from repro.launch import LaunchRequest, get_strategy, strategy_names
 from repro.rm.base import DaemonSpec
 from repro.runner import drive, make_env
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    ExperimentResult, idle_context_factory, idle_daemon)
 from repro.experiments.sweep import map_grid
 
 __all__ = ["DAEMON_IMAGE_MB", "measure_launch_cell", "run_launch_matrix"]
@@ -30,10 +31,6 @@ __all__ = ["DAEMON_IMAGE_MB", "measure_launch_cell", "run_launch_matrix"]
 DAEMON_IMAGE_MB = 15.0
 
 STAGINGS = ("shared-fs", "cache", "broadcast")
-
-
-def _idle_daemon(ctx):
-    yield ctx.sim.timeout(0)
 
 
 def _measure_rsh(env, strategy_name: str, n_daemons: int, image_mb: float,
@@ -57,13 +54,8 @@ def _measure_rsh(env, strategy_name: str, n_daemons: int, image_mb: float,
 
 def _measure_rm_bulk(env, n_daemons: int, image_mb: float,
                      ) -> Generator[Any, Any, tuple]:
-    spec = DaemonSpec("toold", main=_idle_daemon, image_mb=image_mb)
-
-    def factory(d, ds, fab):
-        class Ctx:
-            sim = env.sim
-        return Ctx()
-
+    spec = DaemonSpec("toold", main=idle_daemon, image_mb=image_mb)
+    factory = idle_context_factory(env.sim)
     reports = []
     for _ in range(2):
         alloc = env.rm.allocate(n_daemons)

@@ -211,7 +211,6 @@ class ToolFrontEnd:
 
     def launch_mw_daemons(self, session: LMONSession, mw_spec: DaemonSpec,
                           n_nodes: int, usr_data: Any = None,
-                          topology: Optional[str] = None,
                           ) -> Generator[Any, Any, LMONSession]:
         """``launchMwDaemons``: middleware daemons on a fresh allocation.
 
@@ -234,8 +233,8 @@ class ToolFrontEnd:
         try:
             rendezvous = Store(self.sim)
             factory = self._context_factory(session, rendezvous)
-            new_daemons, fabric, _report = yield from session.engine.launch_mw(
-                alloc, mw_spec, factory, topology=topology)
+            new_daemons, fabric, _report = yield from \
+                self.rm.spawn_on_allocation(alloc, mw_spec, factory)
             mw_stream, _ready = yield from self._handshake(
                 session, "mw", rendezvous, usr_data)
         except BaseException:

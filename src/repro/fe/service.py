@@ -493,7 +493,6 @@ class ToolService(OperationCore):
 
     def submit_mw(self, handle: SessionHandle, mw_spec: DaemonSpec,
                   n_nodes: int, usr_data: Any = None,
-                  topology: Optional[str] = None,
                   body: Optional[Callable[..., Generator]] = None,
                   ) -> SessionHandle:
         """Non-blocking ``launchMwDaemons`` chained after ``handle``.
@@ -507,8 +506,7 @@ class ToolService(OperationCore):
 
         def op() -> Generator[Any, Any, LMONSession]:
             yield from fe.launch_mw_daemons(session, mw_spec, n_nodes,
-                                            usr_data=usr_data,
-                                            topology=topology)
+                                            usr_data=usr_data)
             return session
 
         # the parent is waited on *before* the admission slot is taken, so

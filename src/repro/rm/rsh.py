@@ -94,7 +94,7 @@ class RshRM(ResourceManager):
 
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
                       context_factory: Callable[..., Any],
-                      topology=None) -> Generator[Any, Any, Any]:
+                      ) -> Generator[Any, Any, Any]:
         raise UnsupportedOperation(
             f"{self.name}: no native tool-daemon launch service; "
             f"use an rsh launch strategy (repro.launch) or a capable RM")
@@ -102,7 +102,7 @@ class RshRM(ResourceManager):
 
     def spawn_on_allocation(self, alloc: Allocation, spec: DaemonSpec,
                             context_factory: Callable[..., Any],
-                            topology=None) -> Generator[Any, Any, Any]:
+                            ) -> Generator[Any, Any, Any]:
         raise UnsupportedOperation(
             f"{self.name}: no native middleware launch service")
         yield  # pragma: no cover

@@ -197,30 +197,28 @@ class SlurmRM(ResourceManager):
     # -- daemon launch ---------------------------------------------------------
     def spawn_daemons(self, job: RMJob, spec: DaemonSpec,
                       context_factory: Callable[..., Any],
-                      topology: Optional[str] = None,
                       ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric]]:
         """Co-locate one tool daemon per node of a running job (e5 -> e6)."""
         if job.state not in (JobState.RUNNING, JobState.STOPPED_AT_BREAKPOINT):
             raise RMError(f"job {job.jobid} not launchable-into: {job.state}")
         nodes = [self.cluster.node(h) for h in job.hosts]
         daemons, fabric, _report = yield from self._spawn_set(
-            nodes, spec, context_factory, topology, job)
+            nodes, spec, context_factory, job)
         job.daemons.extend(daemons)
         return daemons, fabric
 
     def spawn_on_allocation(self, alloc: Allocation, spec: DaemonSpec,
                             context_factory: Callable[..., Any],
-                            topology: Optional[str] = None,
                             ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric, LaunchReport]]:
         """Launch middleware daemons onto a dedicated allocation; returns
         ``(daemons, fabric, report)``."""
         return (yield from self._spawn_set(
-            alloc.nodes, spec, context_factory, topology, None))
+            alloc.nodes, spec, context_factory, None))
 
     # -- internals ---------------------------------------------------------------
     def _spawn_set(self, nodes: Sequence[Node], spec: DaemonSpec,
                    context_factory: Callable[..., Any],
-                   topology: Optional[str], job: Optional[RMJob],
+                   job: Optional[RMJob],
                    ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric, LaunchReport]]:
         cfg = self.config
         sim = self.sim
@@ -269,7 +267,7 @@ class SlurmRM(ResourceManager):
                 result.report.outcomes[i] = "lost"
         result.report.n_daemons = len(pairs)
         live_nodes = [node for node, _ in pairs]
-        topo = TreeTopology.make(len(pairs), topology or cfg.iccl_topology)
+        topo = TreeTopology.make(len(pairs), cfg.iccl_topology)
         fabric = ICCLFabric(
             sim, self.cluster.network, live_nodes, topo,
             costs=self.cluster.costs, rng=self.rng,

@@ -1,87 +1,85 @@
-"""Tests for the engine: decoder, handlers, timeline, error paths."""
+"""Tests for the engine: the trace loop, timeline, error paths."""
 
 import pytest
 
 from repro.apps import make_compute_app
-from repro.be import BackEnd
-from repro.cluster.process import DebugEvent, DebugEventType
+from repro.be import BackEnd, minimal_daemon
+from repro.cluster.process import DebugEventType, ProcState
 from repro.engine import (
     ComponentTimes,
-    EventDecoder,
-    EventHandlerTable,
-    LaunchTimeline,
-    LMONEventType,
-    LaunchMONEngine,
     EngineError,
+    LaunchMONEngine,
+    LaunchTimeline,
 )
-from repro.fe import ToolFrontEnd
-from repro.rm import DaemonSpec, JobState, RshRM, UnsupportedOperation
+from repro.fe import SessionState, ToolFrontEnd
+from repro.rm import (DaemonSpec, JobState, RshRM, SlurmRM,
+                      UnsupportedOperation)
 from repro.runner import drive, make_env
-from repro.simx import Simulator
 
 
-class TestEventDecoder:
-    def setup_method(self):
-        self.dec = EventDecoder()
+class UserBreakpointRM(SlurmRM):
+    """A SLURM launcher that first stops at a breakpoint of its own."""
 
-    def test_mpir_breakpoint_is_tasks_spawned(self):
-        ev = DebugEvent(DebugEventType.BREAKPOINT, 1, "MPIR_Breakpoint")
-        assert self.dec.decode(ev).etype is LMONEventType.TASKS_SPAWNED
-
-    def test_other_breakpoint_unknown(self):
-        ev = DebugEvent(DebugEventType.BREAKPOINT, 1, "user_bp")
-        assert self.dec.decode(ev).etype is LMONEventType.UNKNOWN
-
-    def test_fork_exec_exit_mapping(self):
-        assert self.dec.decode(DebugEvent(DebugEventType.FORK, 1)).etype \
-            is LMONEventType.RM_HELPER_FORKED
-        assert self.dec.decode(DebugEvent(DebugEventType.EXEC, 1)).etype \
-            is LMONEventType.RM_EXEC
-        assert self.dec.decode(DebugEvent(DebugEventType.EXITED, 1)).etype \
-            is LMONEventType.RM_EXITED
-
-    def test_signal_is_abort(self):
-        ev = DebugEvent(DebugEventType.SIGNAL, 1, "SIGSEGV")
-        decoded = self.dec.decode(ev)
-        assert decoded.etype is LMONEventType.JOB_ABORTED
-        assert decoded.detail == "SIGSEGV"
+    def run_launcher(self, job):
+        launcher = job.launcher
+        if launcher.state is ProcState.STOPPED:
+            yield launcher.wait_resumed()
+        yield from self._emit_and_wait(
+            launcher, DebugEventType.BREAKPOINT, detail="user_bp")
+        return (yield from super().run_launcher(job))
 
 
-class TestHandlerTable:
-    def test_dispatch_charges_cost_and_counts(self, sim):
-        table = EventHandlerTable(sim, event_handle_cost=0.002)
-        from repro.engine.events import LMONEvent
+def _traced_launch(rm_cls=SlurmRM):
+    """One launchAndSpawn on 4 nodes; returns ``(env, session, tracer)``."""
+    env = make_env(n_compute=4, rm_cls=rm_cls)
+    app = make_compute_app(n_tasks=32, tasks_per_node=8)
+    box = {}
 
-        def driver(sim):
-            yield from table.dispatch(
-                LMONEvent(LMONEventType.RM_HELPER_FORKED))
-            yield from table.dispatch(
-                LMONEvent(LMONEventType.RM_HELPER_FORKED))
+    def tool(env):
+        fe = ToolFrontEnd(env.cluster, env.rm, "t")
+        yield from fe.init()
+        s = box["session"] = fe.create_session()
+        yield from fe.launch_and_spawn(s, app,
+                                       DaemonSpec("d", main=minimal_daemon))
+        box["tracer"] = s.engine.tracer
+        yield from fe.detach(s)
 
-        sim.process(driver(sim))
-        sim.run()
-        assert table.dispatched == 2
-        assert table.trace_time == pytest.approx(0.004)
+    drive(env, tool(env))
+    return env, box["session"], box["tracer"]
 
-    def test_handler_body_not_in_trace_time(self, sim):
-        table = EventHandlerTable(sim, event_handle_cost=0.001)
-        from repro.engine.events import LMONEvent
 
-        def slow_handler(event):
-            yield sim.timeout(1.0)
-            return "done"
+def _handling_sum(env, n_events):
+    """``event_handle`` added once per traced event, as the engine adds it."""
+    total = 0.0
+    for _ in range(n_events):
+        total += env.cluster.costs.event_handle
+    return total
 
-        table.register(LMONEventType.TASKS_SPAWNED, slow_handler)
-        out = {}
 
-        def driver(sim):
-            out["r"] = yield from table.dispatch(
-                LMONEvent(LMONEventType.TASKS_SPAWNED))
+class TestTraceLoop:
+    def test_trace_time_is_the_per_event_sum_of_handling_costs(self):
+        env, session, tracer = _traced_launch()
+        times = session.times
+        # EXEC, ten helper FORKs and MPIR_Breakpoint: Figure 3's 12 events
+        assert tracer.events_seen == 12
+        # the sum of twelve additions, not twelve times the cost
+        assert times.t_trace == _handling_sum(env, tracer.events_seen)
+        # the RPDTAB fetch and the daemon spawn are their own terms
+        assert times.t_rpdtab > 0 and times.t_daemon > 0
 
-        sim.process(driver(sim))
-        sim.run()
-        assert out["r"] == "done"
-        assert table.trace_time == pytest.approx(0.001)
+    def test_other_breakpoint_is_continued_and_charged(self):
+        env, session, tracer = _traced_launch(UserBreakpointRM)
+        assert session.state is SessionState.DETACHED
+        assert tracer.events_seen == 13
+        assert session.times.t_trace == _handling_sum(env,
+                                                      tracer.events_seen)
+        # one more handled event than a plain launch, and the launch
+        # still reaches MPIR_Breakpoint and spawns its daemons
+        _env, plain, _tracer = _traced_launch()
+        assert session.times.t_trace == pytest.approx(
+            plain.times.t_trace + env.cluster.costs.event_handle)
+        assert session.times.t_daemon == pytest.approx(plain.times.t_daemon)
+        assert len(session.daemons) == len(plain.daemons) == 4
 
 
 class TestTimeline:

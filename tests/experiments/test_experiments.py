@@ -1,5 +1,6 @@
 """Tests for the experiment runners: paper-shape assertions at small scale."""
 
+import gc
 from dataclasses import asdict
 
 import pytest
@@ -19,8 +20,10 @@ from repro.experiments import (
     run_streaming,
     run_table1,
 )
+from repro.experiments.ablations import _a3_point
 from repro.experiments.cli import main as cli_main
 from repro.experiments.fig6 import measure_stat_startup
+from repro.experiments.launchmatrix import measure_launch_cell
 from repro.experiments.multitenant import run_tenants_once
 from repro.experiments.resilience import (
     measure_resilient_launch,
@@ -274,6 +277,33 @@ class TestLaunchMatrix:
             tree = self._cell(result, 64, "tree-rsh", staging)
             rm = self._cell(result, 64, "rm-bulk", staging)
             assert seq["total"] > tree["total"] > rm["total"]
+
+    @pytest.mark.parametrize("run_point", [
+        pytest.param(lambda: measure_launch_cell("rm-bulk", "shared-fs", 64),
+                     id="lmx-rm-bulk"),
+        pytest.param(lambda: _a3_point(64), id="A3"),
+    ])
+    def test_rm_bulk_daemons_share_one_context(self, run_point):
+        # a class made per daemon context is cyclic garbage that waits
+        # for the collector Simulator.run() pauses; with the collector
+        # off, 64 daemons (launched twice in an lmx cell) must not leave
+        # a type object apiece
+        def n_types():
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, type))
+
+        run_point()  # warm: first use may build classes once
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            before = n_types()
+            run_point()
+            made = n_types() - before
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert made == 0
 
 
 class TestResilience:

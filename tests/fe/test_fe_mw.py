@@ -7,7 +7,7 @@ from repro.be import BackEnd
 from repro.fe import LMONSession, SessionState, ToolFrontEnd, FrontEndError
 from repro.lmonp import FeToBe, FeToMw, LmonpStream, MsgClass
 from repro.mw import Middleware
-from repro.rm import DaemonSpec
+from repro.rm import DaemonSpec, SlurmConfig
 from repro.runner import drive, make_env
 
 
@@ -75,8 +75,8 @@ class TestSessions:
 
 class TestMiddlewarePath:
     def _run(self, n_app_nodes=2, n_mw_nodes=3, usr_data=None,
-             mw_main=None, topology=None):
-        env = make_env(n_compute=n_app_nodes + n_mw_nodes)
+             mw_main=None, **rm_kwargs):
+        env = make_env(n_compute=n_app_nodes + n_mw_nodes, **rm_kwargs)
         app = make_compute_app(n_tasks=8 * n_app_nodes, tasks_per_node=8)
         box = {}
 
@@ -88,7 +88,7 @@ class TestMiddlewarePath:
                 s, app, DaemonSpec("be_d", main=quiet_be))
             yield from fe.launch_mw_daemons(
                 s, DaemonSpec("mw_d", main=mw_main or quiet_mw),
-                n_nodes=n_mw_nodes, usr_data=usr_data, topology=topology)
+                n_nodes=n_mw_nodes, usr_data=usr_data)
             box["session"] = s
             yield from fe.detach(s)
 
@@ -202,7 +202,9 @@ class TestMiddlewarePath:
         drive(env, tool(env))
 
     def test_mw_flat_topology_override(self):
-        box = self._run(n_mw_nodes=4, topology="flat")
+        # the RM's configured ICCL topology wires the middleware fabric
+        box = self._run(n_mw_nodes=4,
+                        config=SlurmConfig(iccl_topology="flat"))
         fabric = box["session"].mw_fabric
         assert fabric.topology.children[0] == (1, 2, 3)
 

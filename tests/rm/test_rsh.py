@@ -47,8 +47,9 @@ class TestRshJobLaunch:
 
     def test_stopped_task_launch_fails_the_front_end_session(self):
         """Through launchAndSpawn the launcher's exit reaches the engine
-        as RM_EXITED: the launch raises instead of waiting forever, and
-        the session ends FAILED with its nodes released."""
+        as an EXITED debug event: the launch raises instead of waiting
+        forever, from the RM's own reason, and the session ends FAILED
+        with its nodes released."""
         env = make_env(n_compute=2, rm_cls=RshRM)
         app = make_compute_app(n_tasks=4, tasks_per_node=2)
         box = {}
@@ -65,8 +66,12 @@ class TestRshJobLaunch:
             yield from fe.launch_and_spawn(s, app,
                                            DaemonSpec("d", main=_parked))
 
-        with pytest.raises(EngineError, match="RM launcher failed"):
+        with pytest.raises(EngineError, match="RM launcher failed") as info:
             drive(env, tool(env), until=100)
+        cause = info.value.__cause__
+        assert isinstance(cause, RMError)
+        assert str(cause) == ("rsh-only: task launch stopped at 2/4 -- "
+                              "atlas0001: no route to host (node failure)")
         assert box["session"].state is SessionState.FAILED
         job = env.rm.jobs[-1]
         assert job.state is JobState.FAILED
