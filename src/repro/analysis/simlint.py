@@ -81,6 +81,13 @@ the AST:
     break trace identity with nothing to show for it. Schedule through
     ``succeed``/``fail``, ``sim.timeout`` or ``sim.process``.
 
+``clock-write``
+    No assignment to (or deletion of) an attribute named ``now`` outside
+    :data:`KERNEL_PACKAGE`. ``Simulator.now`` is a plain field, read on
+    every hot path, and only the dispatcher advances it; a model module
+    that moved the clock would fire events out of time order. Wait with
+    ``sim.timeout``.
+
 Suppression: append ``# simlint: allow[rule]`` (or ``allow[r1,r2]``, or
 bare ``# simlint: allow`` for all rules) to the flagged line, ideally
 with a short justification after it. Suppressions are per-line and per
@@ -121,6 +128,8 @@ RULES = {
                     "function <-> cell cycle per call)",
     "kernel-private": "kernel scheduling state (_enqueue/_fast_urgent/"
                       "_fast_normal/_heap/_seq) used outside repro/simx/",
+    "clock-write": "assignment to .now (the simulator's clock) outside "
+                   "repro/simx/",
 }
 
 #: modules the kernel/launch hot path runs through: the places where an
@@ -173,8 +182,8 @@ AGG_AWARE_MODULES = (
 #: the one module allowed to set collector policy (the ``gc-policy`` rule)
 GC_POLICY_OWNER = "repro/simx/core.py"
 
-#: the package that owns the kernel's scheduling state (the
-#: ``kernel-private`` rule's exemption)
+#: the package that owns the kernel's scheduling state and its clock (the
+#: ``kernel-private`` and ``clock-write`` rules' exemption)
 KERNEL_PACKAGE = "repro/simx/"
 
 #: the kernel's scheduling attributes: only :data:`KERNEL_PACKAGE` may
@@ -461,6 +470,12 @@ class _ModuleLint(ast.NodeVisitor):
                          f"shifts every later (time, priority, seq) key: "
                          f"use succeed()/fail(), sim.timeout() or "
                          f"sim.process()")
+        if (not self.kernel and node.attr == "now"
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            self._report(node, "clock-write",
+                         f".now is the simulator's clock, which only the "
+                         f"dispatcher in {KERNEL_PACKAGE} advances; wait "
+                         f"with sim.timeout()")
         self.generic_visit(node)
 
     def _check_sweep_point(self, node: ast.Call) -> None:

@@ -60,14 +60,15 @@ class AppSpec:
     def apply_behavior(self, proc: SimProcess, rank: int) -> None:
         """Imprint rank behaviour onto a freshly launched task process."""
         b = self.behavior(rank)
-        proc.set_stack(list(b.call_stack))
+        proc.set_stack(b.call_stack)  # a tuple: shared, not copied
         proc.state = b.state
-        proc.stats.num_threads = b.num_threads
-        proc.stats.vm_hwm_kb = b.vm_hwm_kb
-        proc.stats.vm_rss_kb = b.vm_rss_kb
-        proc.stats.vm_size_kb = b.vm_hwm_kb
-        proc.stats.vm_lck_kb = b.vm_lck_kb
-        proc.stats.utime = b.utime
-        proc.stats.stime = b.stime
-        proc.stats.maj_flt = b.maj_flt
-        proc.stats.program_counter = b.program_counter
+        stats = proc.stats
+        stats.num_threads = b.num_threads
+        stats.vm_hwm_kb = b.vm_hwm_kb
+        stats.vm_rss_kb = b.vm_rss_kb
+        stats.vm_size_kb = b.vm_hwm_kb
+        stats.vm_lck_kb = b.vm_lck_kb
+        stats.utime = b.utime
+        stats.stime = b.stime
+        stats.maj_flt = b.maj_flt
+        stats.program_counter = b.program_counter

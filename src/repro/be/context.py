@@ -9,7 +9,6 @@ everything ``LMON_be_init`` needs, and ``LMON_mw_init`` (as ``MWContext``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.simx import Simulator, Store
@@ -20,32 +19,43 @@ from repro.mpir import RPDTAB, ProcDesc
 __all__ = ["BEContext"]
 
 
-@dataclass
 class BEContext:
     """Per-daemon launch context (the daemon's environment + RM plumbing);
-    a middleware daemon's ``rank`` is its personality handle."""
+    a middleware daemon's ``rank`` is its personality handle.
 
-    sim: Simulator
-    node: Node
-    proc: SimProcess
-    rank: int
-    size: int
-    fabric: ICCLFabric
-    session_key: str
-    #: front-end node (for the master's LMONP connection)
-    fe_node: Node
-    #: rendezvous store the master pushes its connection into
-    fe_rendezvous: Store
-    #: filled by a back end's handshake: this daemon's local task descriptors
-    local_entries: list[ProcDesc] = field(default_factory=list)
-    #: filled by the handshake: (hostname, pid) for every daemon, rank order
-    daemon_table: list[tuple[str, int]] = field(default_factory=list)
-    #: tool data the front end piggybacked on the handshake (decoded)
-    usr_data_init: Any = None
-    #: scratch area for tool state
-    tool_state: dict = field(default_factory=dict)
-    #: filled by a middleware handshake: the target job's full RPDTAB
-    rpdtab: Optional[RPDTAB] = None
+    Slotted, since every launched daemon owns one.
+    """
+
+    __slots__ = ("sim", "node", "proc", "rank", "size", "fabric",
+                 "session_key", "fe_node", "fe_rendezvous", "local_entries",
+                 "daemon_table", "usr_data_init", "tool_state", "rpdtab")
+
+    def __init__(self, sim: Simulator, node: Node, proc: SimProcess,
+                 rank: int, size: int, fabric: ICCLFabric, session_key: str,
+                 fe_node: Node, fe_rendezvous: Store):
+        self.sim = sim
+        self.node = node
+        self.proc = proc
+        self.rank = rank
+        self.size = size
+        self.fabric = fabric
+        self.session_key = session_key
+        #: front-end node (for the master's LMONP connection)
+        self.fe_node = fe_node
+        #: rendezvous store the master pushes its connection into
+        self.fe_rendezvous = fe_rendezvous
+        #: filled by a back end's handshake: this daemon's local task
+        #: descriptors
+        self.local_entries: list[ProcDesc] = []
+        #: filled by the handshake: (hostname, pid) for every daemon, rank
+        #: order
+        self.daemon_table: list[tuple[str, int]] = []
+        #: tool data the front end piggybacked on the handshake (decoded)
+        self.usr_data_init: Any = None
+        #: scratch area for tool state
+        self.tool_state: dict = {}
+        #: filled by a middleware handshake: the target job's full RPDTAB
+        self.rpdtab: Optional[RPDTAB] = None
 
     @property
     def is_master(self) -> bool:

@@ -155,8 +155,10 @@ class ICCLFabric:
         self.per_rec_cost = per_rec_cost
         self.accept_cost = accept_cost
         self._endpoints = [ICCLEndpoint(self, r) for r in range(topology.size)]
-        #: rendezvous stores: child connection announcements to each parent
-        self._conn_store: list[Store] = [Store(sim) for _ in range(topology.size)]
+        #: rendezvous stores: child connection announcements to each
+        #: parent; a leaf (half a binomial tree's ranks) has none
+        self._conn_store: list[Optional[Store]] = [
+            Store(sim) if kids else None for kids in topology.children]
         self.wired_count = 0
 
     @property

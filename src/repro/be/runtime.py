@@ -56,7 +56,13 @@ def _decode_usr_payload(raw: Optional[bytes]) -> Any:
 class DaemonRuntime:
     """Everything a LaunchMON daemon does but share out the handshake's
     PROCTAB (``_distribute``), over one LMONP message class and its type
-    enum (``types``)."""
+    enum (``types``).
+
+    Slotted, like its subclasses: every launched daemon owns one.
+    """
+
+    __slots__ = ("ctx", "ep", "_stream", "_initialized", "t_setup",
+                 "t_collective", "_overlay_endpoint")
 
     msg_class: MsgClass
     types: type
@@ -67,8 +73,12 @@ class DaemonRuntime:
         self.ep: ICCLEndpoint = ctx.fabric.endpoint(ctx.rank)
         self._stream: Optional[LmonpStream] = None
         self._initialized = False
-        #: master-measured phase durations (seconds of virtual time)
-        self.timings: dict[str, float] = {}
+        #: measured phase durations (seconds of virtual time); the
+        #: master reports its own in READY
+        self.t_setup = 0.0
+        self.t_collective = 0.0
+        #: the TBON position bound by :meth:`attach_overlay`
+        self._overlay_endpoint = None
 
     # -- identity ----------------------------------------------------------
     def am_i_master(self) -> bool:
@@ -85,7 +95,7 @@ class DaemonRuntime:
 
         t0 = sim.now
         yield from self.ep.wireup()
-        self.timings["t_setup"] = sim.now - t0
+        self.t_setup = sim.now - t0
 
         # collective: every daemon contributes (hostname, pid)
         t1 = sim.now
@@ -120,10 +130,8 @@ class DaemonRuntime:
         """Master: send READY (e10) with measured phase times piggybacked."""
         yield from self.barrier()
         if self.ctx.is_master:
-            report = {
-                "t_setup": self.timings.get("t_setup", 0.0),
-                "t_collective": self.timings.get("t_collective", 0.0),
-            }
+            report = {"t_setup": self.t_setup,
+                      "t_collective": self.t_collective}
             msg = LmonpMessage(
                 self.msg_class, self.types.READY, num_tasks=self.ctx.size,
                 lmon_payload=LmonpMessage.json_payload(report))
@@ -150,27 +158,26 @@ class DaemonRuntime:
         return ep.overlay.open_stream(spec)
 
     def _require_overlay(self, what: str):
-        ep = getattr(self, "_overlay_endpoint", None)
+        ep = self._overlay_endpoint
         if ep is None:
             raise RuntimeError(
                 f"{what} requires attach_overlay(endpoint) first")
         return ep
 
     # -- collectives (general tool use) ----------------------------------------
+    # each hands back the endpoint's generator itself, so a daemon waiting
+    # in a collective parks no frame of the runtime's
     def barrier(self) -> Generator[Any, Any, None]:
-        yield from self.ep.barrier()
+        return self.ep.barrier()
 
     def broadcast(self, obj: Any = None) -> Generator[Any, Any, Any]:
-        result = yield from self.ep.broadcast(obj)
-        return result
+        return self.ep.broadcast(obj)
 
     def gather(self, obj: Any) -> Generator[Any, Any, Optional[list]]:
-        result = yield from self.ep.gather(obj)
-        return result
+        return self.ep.gather(obj)
 
     def scatter(self, objs=None) -> Generator[Any, Any, Any]:
-        result = yield from self.ep.scatter(objs)
-        return result
+        return self.ep.scatter(objs)
 
     # -- user data to/from the front end -----------------------------------------
     def send_usrdata(self, obj: Any) -> Generator[Any, Any, None]:
@@ -208,6 +215,8 @@ class DaemonRuntime:
 class BackEnd(DaemonRuntime):
     """Per-daemon back-end API object wrapping a :class:`BEContext`."""
 
+    __slots__ = ()
+
     msg_class = MsgClass.FE_BE
     types = FeToBe
     stream_name = "master-be"
@@ -231,19 +240,21 @@ class BackEnd(DaemonRuntime):
             rpdtab = RPDTAB.from_bytes(msg.lmon_payload)
             t2 = sim.now
             hosts = [h for h, _pid in table]
+            # each entry goes on the wire as its (field, value) pairs
             slices = [
-                [tuple(e.__dict__.items()) for e in rpdtab.entries_on(h)]
+                [(("rank", e.rank), ("host_name", e.host_name),
+                  ("executable_name", e.executable_name), ("pid", e.pid))
+                 for e in rpdtab.entries_on(h)]
                 for h in hosts
             ]
             payload = [(s, msg.usr_payload) for s in slices]
             mine, usr_raw = yield from self.ep.scatter(payload)
             # the collective time excludes the front end's share of the
             # handshake window: measured up to HANDSHAKE, then the scatter
-            self.timings["t_collective"] = (
-                (t_connected - t1) + (sim.now - t2))
+            self.t_collective = (t_connected - t1) + (sim.now - t2)
         else:
             mine, usr_raw = yield from self.ep.scatter()
-            self.timings["t_collective"] = sim.now - t1
+            self.t_collective = sim.now - t1
 
         ctx.local_entries = [ProcDesc(**dict(item)) for item in mine]
         ctx.daemon_table = yield from self.ep.broadcast(

@@ -38,7 +38,8 @@ def message_size(message: Any) -> int:
     (most of a launch's messages) answers its stored size, an exact
     ``str`` its length (its UTF-8 length unless it is ASCII), and a
     tuple or list :data:`SEQ_FRAMING` plus its elements, walked in a
-    loop.
+    loop that sizes an element of an exact opaque type or an exact
+    ASCII ``str`` inline and recurses only for the rest.
     """
     cls = type(message)
     if cls is Sized:
@@ -50,7 +51,13 @@ def message_size(message: Any) -> int:
     if isinstance(message, (tuple, list)):
         size = SEQ_FRAMING
         for item in message:
-            size += message_size(item)
+            item_cls = type(item)
+            if item_cls in _OPAQUE_TYPES:
+                size += 64
+            elif item_cls is str and item.isascii():
+                size += len(item)
+            else:
+                size += message_size(item)
         return size
     if isinstance(message, (bytes, bytearray)):
         return len(message)
@@ -118,8 +125,8 @@ class Pipe:
 
     def __init__(self, sim: Simulator, a_name: str, b_name: str,
                  latency_fn):
-        fwd = Channel(sim, latency_fn, name=f"{a_name}->{b_name}")
-        rev = Channel(sim, latency_fn, name=f"{b_name}->{a_name}")
+        fwd = Channel(sim, latency_fn)
+        rev = Channel(sim, latency_fn)
         self.a = PipeEnd(fwd, rev, peer_name=b_name)
         self.b = PipeEnd(rev, fwd, peer_name=a_name)
 

@@ -17,7 +17,7 @@ For the MPIR/APAI substrate a process exposes:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.simx import Event, Simulator, Store
@@ -38,7 +38,6 @@ class ProcState(enum.Enum):
     ZOMBIE = "Z"
 
 
-@dataclass
 class ProcStats:
     """The /proc-derived statistics Jobsnap reports, one record per task.
 
@@ -48,15 +47,19 @@ class ProcStats:
     (user time, system time, major page faults).
     """
 
-    utime: float = 0.0
-    stime: float = 0.0
-    vm_size_kb: int = 0
-    vm_hwm_kb: int = 0
-    vm_rss_kb: int = 0
-    vm_lck_kb: int = 0
-    maj_flt: int = 0
-    num_threads: int = 1
-    program_counter: int = 0x400000
+    __slots__ = ("utime", "stime", "vm_size_kb", "vm_hwm_kb", "vm_rss_kb",
+                 "vm_lck_kb", "maj_flt", "num_threads", "program_counter")
+
+    def __init__(self) -> None:
+        self.utime = 0.0
+        self.stime = 0.0
+        self.vm_size_kb = 0
+        self.vm_hwm_kb = 0
+        self.vm_rss_kb = 0
+        self.vm_lck_kb = 0
+        self.maj_flt = 0
+        self.num_threads = 1
+        self.program_counter = 0x400000
 
 
 class DebugEventType(enum.Enum):
@@ -77,6 +80,10 @@ class DebugEvent:
     detail: Any = None
 
 
+#: the stack of a process no behaviour imprinted: one shared tuple
+_ENTRY_STACK = ("_start", "main")
+
+
 class SimProcess:
     """A process in a node's process table.
 
@@ -86,22 +93,30 @@ class SimProcess:
         symbol name -> value; the MPIR interface reads ``MPIR_proctable``
         and friends from here word-by-word (each read costs virtual time).
     ``call_stack``
-        the current stack trace, innermost frame last; STAT daemons sample
-        this.
+        the current stack trace as a tuple, outermost frame first; STAT
+        daemons sample this.
     ``stats``
         :class:`ProcStats` for /proc reads.
+    ``debug_events``
+        the :class:`~repro.simx.Store` a tracer takes debug events from.
     ``exit_event``
         triggers with the exit code when the process terminates.
 
-    Memory contract: the exit event and the list of resume waiters are
-    made on first use, so a process nothing waits on holds neither until
-    it exits. :meth:`exit` makes its event before triggering it, so every
-    exit still fires exactly one event.
+    Memory contract: a process pays only for the state something uses.
+    The exit event and the list of resume waiters are made on first
+    use, so a process nothing waits on holds neither until it exits.
+    :meth:`exit` makes its event before triggering it, so every exit
+    still fires exactly one event. The debug-event store is made when a
+    tracer first waits on it or the process first emits to one (in a
+    launch, only the traced RM launcher), and :attr:`stats` when a
+    behaviour, a CPU charge or a /proc read first needs it (the
+    application's tasks, not the tool daemons). A process whose stack
+    nothing set shares one entry-point tuple.
     """
 
     __slots__ = ("sim", "node", "pid", "executable", "args", "uid",
-                 "image_mb", "state", "stats", "call_stack", "memory",
-                 "traced_by", "debug_events", "exit_code", "_exit_event",
+                 "image_mb", "state", "call_stack", "memory", "traced_by",
+                 "exit_code", "_stats", "_debug_events", "_exit_event",
                  "_resume_waiters")
 
     def __init__(self, sim: Simulator, node: "Node", pid: int,
@@ -115,12 +130,12 @@ class SimProcess:
         self.uid = uid
         self.image_mb = image_mb
         self.state = ProcState.RUNNING
-        self.stats = ProcStats()
-        self.call_stack: list[str] = ["_start", "main"]
+        self.call_stack: tuple[str, ...] = _ENTRY_STACK
         self.memory: dict[str, Any] = {}
         self.traced_by: Optional[object] = None
-        self.debug_events: Store = Store(sim)
         self.exit_code: Optional[int] = None
+        self._stats: Optional[ProcStats] = None
+        self._debug_events: Optional[Store] = None
         self._exit_event: Optional[Event] = None
         self._resume_waiters: Optional[list[Event]] = None
 
@@ -139,6 +154,20 @@ class SimProcess:
         if ev is None:
             ev = self._exit_event = self.sim.event()
         return ev
+
+    @property
+    def stats(self) -> ProcStats:
+        stats = self._stats
+        if stats is None:
+            stats = self._stats = ProcStats()
+        return stats
+
+    @property
+    def debug_events(self) -> Store:
+        store = self._debug_events
+        if store is None:
+            store = self._debug_events = Store(self.sim)
+        return store
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SimProcess {self.executable} pid={self.pid} on {self.host}>"
@@ -189,9 +218,11 @@ class SimProcess:
     # -- /proc-ish accounting --------------------------------------------------
     def account_cpu(self, user: float = 0.0, system: float = 0.0) -> None:
         """Accumulate CPU time into the /proc counters."""
-        self.stats.utime += user
-        self.stats.stime += system
+        stats = self.stats
+        stats.utime += user
+        stats.stime += system
 
-    def set_stack(self, frames: list[str]) -> None:
-        """Replace the sampled call stack (innermost last)."""
-        self.call_stack = list(frames)
+    def set_stack(self, frames: tuple[str, ...]) -> None:
+        """Replace the sampled call stack (outermost first); stored as a
+        tuple, so a tuple is kept as it is."""
+        self.call_stack = tuple(frames)

@@ -24,12 +24,25 @@ _ENTRY_FIXED = struct.Struct(">Iii")  # pid, host_idx, exe_idx
 
 @dataclass(frozen=True, order=True)
 class ProcDesc:
-    """One MPIR_PROCDESC entry: where one MPI task lives."""
+    """One MPIR_PROCDESC entry: where one MPI task lives.
+
+    Slotted (one per task, so a launch holds many): the fields have no
+    defaults, so the dataclass takes the declared slots. Unpickling and
+    copying set a slotted object's state attribute by attribute, which
+    a frozen class refuses, so ``__reduce__`` rebuilds it through the
+    constructor instead.
+    """
+
+    __slots__ = ("rank", "host_name", "executable_name", "pid")
 
     rank: int
     host_name: str
     executable_name: str
     pid: int
+
+    def __reduce__(self):
+        return (ProcDesc, (self.rank, self.host_name, self.executable_name,
+                           self.pid))
 
 
 class RPDTAB:

@@ -22,6 +22,8 @@ __all__ = ["Middleware"]
 class Middleware(DaemonRuntime):
     """Per-daemon middleware API object wrapping an ``MWContext``."""
 
+    __slots__ = ()
+
     msg_class = MsgClass.FE_MW
     types = FeToMw
     stream_name = "master-mw"
@@ -43,10 +45,10 @@ class Middleware(DaemonRuntime):
             t2 = sim.now
             payload = yield from self.ep.broadcast(
                 (list(table), msg.lmon_payload, msg.usr_payload))
-            self.timings["t_collective"] = (t2 - t1) + (sim.now - t2)
+            self.t_collective = (t2 - t1) + (sim.now - t2)
         else:
             payload = yield from self.ep.broadcast()
-            self.timings["t_collective"] = sim.now - t1
+            self.t_collective = sim.now - t1
         table_all, rpdtab_bytes, usr_raw = payload
         ctx.daemon_table = [tuple(t) for t in table_all]
         ctx.rpdtab = RPDTAB.from_bytes(rpdtab_bytes)

@@ -102,8 +102,7 @@ class LaunchModel:
     # -- per-component terms -------------------------------------------------
     def n_debug_events(self) -> int:
         """Events the engine handles during one traced launch."""
-        # EXEC + (count-3) helper forks + MPIR_Breakpoint
-        return self.slurm.debug_event_count - 1
+        return self.slurm.debug_event_count
 
     def t_trace(self, inp: ModelInputs) -> float:
         if inp.mode != "launch":

@@ -27,7 +27,7 @@ import enum
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator, Optional, Sequence
 
 from repro.simx import Event, SeededRNG, Simulator
@@ -118,14 +118,19 @@ class DaemonSpec:
     uid: str = "user"
 
 
-@dataclass
 class LaunchedDaemon:
-    """One spawned daemon: its process, placement and daemon rank."""
+    """One spawned daemon: its process, placement and daemon rank
+    (slotted: a launch makes one per daemon)."""
 
-    rank: int
-    node: Node
-    proc: SimProcess
-    sim_proc: Optional[object] = None  # the simx.Process running its body
+    __slots__ = ("rank", "node", "proc", "sim_proc")
+
+    def __init__(self, rank: int, node: Node, proc: SimProcess,
+                 sim_proc: Optional[object] = None):
+        self.rank = rank
+        self.node = node
+        self.proc = proc
+        #: the simx.Process running its body
+        self.sim_proc = sim_proc
 
 
 class RMJob:

@@ -76,8 +76,9 @@ class SlurmConfig:
     fabric_per_rec: float = 0.0003
     #: ICCL topology the fabric is wired with
     iccl_topology: str = "binomial"
-    #: debug events a tracer sees for one launch (scale-independent)
-    debug_event_count: int = 13
+    #: debug events a tracer sees for one launch (scale-independent):
+    #: EXEC, ``debug_event_count - 2`` helper FORKs and MPIR_Breakpoint
+    debug_event_count: int = 12
     #: legacy mode: additionally one FORK event per task
     legacy_events: bool = False
 
@@ -141,7 +142,7 @@ class SlurmRM(ResourceManager):
             cfg.ctl_job_setup + cfg.ctl_per_node_job * n))
 
         # a handful of internal helper forks, visible to a tracer
-        for _ in range(max(0, cfg.debug_event_count - 3)):
+        for _ in range(max(0, cfg.debug_event_count - 2)):
             yield from self._emit_and_wait(launcher, DebugEventType.FORK)
 
         # fan-out tree descent to the node daemons

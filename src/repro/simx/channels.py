@@ -2,8 +2,8 @@
 
 :class:`Store` is an unbounded-or-bounded FIFO of Python objects with
 event-returning ``put``/``get`` (the DES analogue of a queue). :class:`Channel`
-wraps a Store with an optional per-message delivery delay, which the cluster
-network layer uses to model link latency.
+is an unbounded Store with an optional per-message delivery delay, which
+the cluster network layer uses to model link latency.
 
 Memory contract: a primitive pays only for what it holds. A Store keeps
 its three FIFOs -- stored items, waiting getters, blocked putters -- as
@@ -12,11 +12,11 @@ first parks something in it and dropped when it drains. A lone waiting
 getter, the usual state of a daemon blocked on its next message, needs
 no deque either: it sits in the getter slot itself, which becomes a
 deque only when a second getter parks. An idle Store is therefore just
-its slots, and an idle Channel just its own slots plus its Store's,
-however many a simulated daemon owns. A put that finds a waiting getter
-hands the item straight over, and a get that finds a stored item takes
-it at once, so the common one-message exchange allocates no queue at
-all.
+its slots, and an idle Channel (a Store with three more slots) one
+object, however many a simulated daemon owns. A put that finds a
+waiting getter hands the item straight over, and a get that finds a
+stored item takes it at once, so the common one-message exchange
+allocates no queue at all.
 """
 
 from __future__ import annotations
@@ -131,25 +131,23 @@ class Store:
         getter.succeed(item)
 
 
-class Channel:
+class Channel(Store):
     """A unidirectional message channel with per-message delivery latency.
 
-    ``send`` is non-blocking for the sender (the message is committed
-    immediately); delivery into the receiver-visible store happens after
-    ``latency_fn(message)`` virtual seconds. With zero latency the channel
-    degenerates to a plain Store.
+    A Channel is the unbounded :class:`Store` its messages are delivered
+    into, so one object per channel: ``send`` is non-blocking for the
+    sender (the message is committed immediately), and delivery into the
+    store happens after ``latency_fn(message)`` virtual seconds.
+    ``recv`` is :meth:`Store.get` and ``pending`` the store's length.
+    With zero latency ``send`` is a plain ``put``.
     """
 
-    __slots__ = ("sim", "name", "_latency_fn", "_store",
-                 "sent_count", "delivered_count")
+    __slots__ = ("_latency_fn", "sent_count", "delivered_count")
 
     def __init__(self, sim: Simulator,
-                 latency_fn: Optional[Callable[[Any], float]] = None,
-                 name: str = ""):
-        self.sim = sim
-        self.name = name
+                 latency_fn: Optional[Callable[[Any], float]] = None):
+        super().__init__(sim)
         self._latency_fn = latency_fn
-        self._store = Store(sim)
         self.sent_count = 0
         self.delivered_count = 0
 
@@ -162,18 +160,17 @@ class Channel:
         self.sent_count += 1
         if delay == 0.0:
             self.delivered_count += 1
-            return self._store.put(message)
+            return self.put(message)
         done = Event(self.sim)
         _Delivery(self, message, delay, done)
         return done
 
-    def recv(self) -> Event:
-        """Event triggering with the next delivered message."""
-        return self._store.get()
+    #: event triggering with the next delivered message
+    recv = Store.get
 
     def pending(self) -> int:
         """Messages delivered but not yet received."""
-        return len(self._store)
+        return len(self)
 
 
 class _Delivery(Event):
@@ -212,7 +209,7 @@ def _start(d: _Delivery) -> None:
     d.callbacks = _ARRIVE  # type: ignore[assignment]
     sim = d.sim
     sim._seq = seq = sim._seq + 1
-    heappush(sim._heap, (sim._now + d.delay, NORMAL, seq, d))
+    heappush(sim._heap, (sim.now + d.delay, NORMAL, seq, d))
 
 
 def _arrive(d: _Delivery) -> None:
@@ -222,7 +219,7 @@ def _arrive(d: _Delivery) -> None:
     sim = d.sim
     sim._seq = d._seq = sim._seq + 1
     sim._fast_normal.append(d)
-    chan._store._deliver(d.msg)  # unbounded: the put is accepted at once
+    chan._deliver(d.msg)  # unbounded: the put is accepted at once
 
 
 def _accepted(d: _Delivery) -> None:

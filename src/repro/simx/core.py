@@ -212,7 +212,7 @@ class Timeout(Event):
             self._seq = seq
             sim._fast_normal.append(self)
         else:
-            heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
+            heappush(sim._heap, (sim.now + delay, NORMAL, seq, self))
 
 
 class _Initialize(Event):
@@ -600,7 +600,7 @@ class _HeapLane:
 
     def append(self, event: Event) -> None:
         heappush(self._heap,
-                 (event.sim._now, self._priority, event._seq, event))
+                 (event.sim.now, self._priority, event._seq, event))
 
     def __len__(self) -> int:
         return 0
@@ -636,7 +636,10 @@ class Simulator:
     """
 
     def __init__(self, fast_lane: bool = True) -> None:
-        self._now = 0.0
+        #: current virtual time (seconds by convention in this project); a
+        #: plain field the kernel alone writes (simlint's ``clock-write``
+        #: rule rejects an assignment to ``.now`` outside ``repro/simx/``)
+        self.now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         #: same-time FIFO lanes for zero-delay events (``Event._seq``
         #: set), or heap lanes for the pure-heap kernel
@@ -656,12 +659,6 @@ class Simulator:
         self.stats = SimStats()
         #: optional per-event hook: trace(time, priority, seq, event)
         self.trace: Optional[Callable[[float, int, int, Event], None]] = None
-
-    # -- time ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time (seconds by convention in this project)."""
-        return self._now
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -697,7 +694,7 @@ class Simulator:
             else:
                 self._fast_urgent.append(event)
         else:
-            heappush(self._heap, (self._now + delay, priority, seq, event))
+            heappush(self._heap, (self.now + delay, priority, seq, event))
 
     def _settle_stats(self) -> None:
         """Derive the enqueue-side counters from the pop counts (see
@@ -724,10 +721,10 @@ class Simulator:
         heap = self._heap
         if heap:
             when, prio, seq, event = heap[0]
-            if lane is None or (when, prio, seq) < (self._now, lane_prio,
+            if lane is None or (when, prio, seq) < (self.now, lane_prio,
                                                     lane[0]._seq):
                 heappop(heap)
-                self._now = when
+                self.now = when
                 return prio, seq, event
         elif lane is None:
             raise SimulationError("step() on an empty schedule")
@@ -738,7 +735,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._fast_urgent or self._fast_normal:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
@@ -748,7 +745,7 @@ class Simulator:
         self.stats.events += 1
         try:
             if self.trace is not None:
-                self.trace(self._now, prio, seq, event)
+                self.trace(self.now, prio, seq, event)
             event._run_callbacks()
         finally:
             self._settle_stats()
@@ -763,10 +760,10 @@ class Simulator:
         are acyclic once fired, so reference counting frees their garbage
         meanwhile. A caller that disabled the collector keeps it disabled.
         """
-        if until is not None and not until >= self._now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
                 f"until={until} is NaN or lies in the past "
-                f"(now={self._now})")
+                f"(now={self.now})")
         # local aliases: this loop is the whole program's hot path
         heap = self._heap
         fast_urgent = self._fast_urgent
@@ -777,7 +774,7 @@ class Simulator:
         fast = stats.fast_events
         heap_hw = stats.heap_high_water
         live_hw = stats.live_high_water
-        now = self._now
+        now = self.now
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -811,7 +808,7 @@ class Simulator:
                     if len(heap) > heap_hw:
                         heap_hw = len(heap)
                     now, prio, seq, event = heappop(heap)
-                    self._now = now
+                    self.now = now
                 else:
                     event = lane.popleft()
                     seq = event._seq
@@ -840,4 +837,4 @@ class Simulator:
                 if rss > stats.peak_rss_kb:
                     stats.peak_rss_kb = rss
         if until is not None:
-            self._now = until
+            self.now = until

@@ -281,13 +281,11 @@ class Overlay:
     # -- plumbing ------------------------------------------------------------
     def _up_channel(self, child_pos: int) -> Channel:
         """The latency channel from ``child_pos`` up to its parent's inbox."""
-        parent = self._parent[child_pos]
-        key = child_pos
-        if key not in self._up_channels:
-            self._up_channels[key] = Channel(
-                self.sim, self._transfer_time,
-                name=f"up:{child_pos}->{parent}")
-        return self._up_channels[key]
+        chan = self._up_channels.get(child_pos)
+        if chan is None:
+            chan = self._up_channels[child_pos] = Channel(
+                self.sim, self._transfer_time)
+        return chan
 
     def _down_store(self, pos: int) -> Store:
         if pos not in self._down_stores:

@@ -123,6 +123,22 @@ class TestFixturesFire:
         elsewhere = lint_source(src, path="/r/src/repro/tbon/overlay.py")
         assert rules_fired(elsewhere) == ["kernel-private"]
 
+    def test_clock_write(self):
+        findings = lint_file(FIXTURES / "bad_clock_write.py")
+        assert rules_fired(findings) == ["clock-write"]
+        # a plain, augmented, chained-attribute, tuple and annotated
+        # assignment and a del; reads, other names and the allowed line
+        # stay quiet
+        assert [f.line for f in findings] == [6, 7, 8, 9, 10, 14]
+
+    def test_clock_write_exempts_the_kernel_package(self):
+        src = "def advance(sim, when):\n    sim.now = when\n"
+        for module in ("core", "channels"):
+            path = f"/r/src/repro/simx/{module}.py"
+            assert lint_source(src, path=path) == []
+        elsewhere = lint_source(src, path="/r/src/repro/rm/base.py")
+        assert rules_fired(elsewhere) == ["clock-write"]
+
     def test_suppressions_silence_everything(self):
         assert lint_file(FIXTURES / "good_suppressed.py", hot=True) == []
 
@@ -182,7 +198,7 @@ class TestRealTree:
                               "linear-scan", "eager-default",
                               "sweep-pickle", "blocking-io", "agg-leaves",
                               "gc-policy", "self-closure",
-                              "kernel-private"}
+                              "kernel-private", "clock-write"}
         assert all(desc for desc in RULES.values())
 
 

@@ -92,6 +92,15 @@ def _sizing_corpus():
         _WireDict(a=1), Sized(payload), Sized(b"abc", 99),
         Packet(1, 0, [b"ab", "cd"]), (3, Packet(2, 1, {"h": 1})),
         _Opaque(), object(), [_Opaque(), Sized("\u00e9")],
+        # sequences mixing the element types the loop sizes inline
+        # (exact opaque types, exact ASCII str) with those it recurses
+        # for (non-ASCII str, str subclasses, bool, bytes, nested)
+        (1, 2.5, None, {}, "ascii", "caf\u00e9", _Str("sub"), b"by"),
+        [("rank", 3), ("host_name", "node001"),
+         ("executable_name", "stat_be"), ("pid", 1234)],
+        ("", True, _Str("s\u00fcb"), {"k": 1}, _WireDict(a=1), 2 ** 70,
+         "\U0001f600", float("inf")),
+        [None, "x" * 1000, 0.0, (["nested", 1], "\u65e5"), [], -1],
     ]
 
 

@@ -12,7 +12,7 @@ from repro.engine import (
     LaunchTimeline,
 )
 from repro.fe import SessionState, ToolFrontEnd
-from repro.rm import (DaemonSpec, JobState, RshRM, SlurmRM,
+from repro.rm import (DaemonSpec, JobState, RshRM, SlurmConfig, SlurmRM,
                       UnsupportedOperation)
 from repro.runner import drive, make_env
 
@@ -66,6 +66,10 @@ class TestTraceLoop:
         assert times.t_trace == _handling_sum(env, tracer.events_seen)
         # the RPDTAB fetch and the daemon spawn are their own terms
         assert times.t_rpdtab > 0 and times.t_daemon > 0
+
+    def test_events_seen_is_the_configured_debug_event_count(self):
+        _env, _session, tracer = _traced_launch()
+        assert tracer.events_seen == SlurmConfig().debug_event_count
 
     def test_other_breakpoint_is_continued_and_charged(self):
         env, session, tracer = _traced_launch(UserBreakpointRM)

@@ -1,5 +1,9 @@
 """Tests for the RPDTAB (MPIR proctable) and its binary codec."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.mpir import ProcDesc, RPDTAB
@@ -92,3 +96,39 @@ class TestCodec:
         assert make_table(8) == make_table(8)
         assert make_table(8) != make_table(9)
         assert make_table(8) != object()
+
+
+class TestProcDesc:
+    """A descriptor is an immutable value, whatever its layout."""
+
+    def test_compares_orders_and_hashes_by_value(self):
+        a = ProcDesc(1, "h", "x", 7)
+        assert a == ProcDesc(1, "h", "x", 7)
+        assert a != ProcDesc(1, "h", "x", 8)
+        assert ProcDesc(0, "z", "z", 9) < a < ProcDesc(1, "h", "x", 8)
+        assert sorted([ProcDesc(2, "h", "x", 3), ProcDesc(0, "h", "x", 1)]) \
+            == [ProcDesc(0, "h", "x", 1), ProcDesc(2, "h", "x", 3)]
+        assert hash(a) == hash(ProcDesc(1, "h", "x", 7))
+        assert len({a, ProcDesc(1, "h", "x", 7)}) == 1
+        assert repr(a) == ("ProcDesc(rank=1, host_name='h', "
+                           "executable_name='x', pid=7)")
+
+    def test_refuses_assignment(self):
+        a = ProcDesc(1, "h", "x", 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.pid = 8
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+            a.extra = 1
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_survives_pickle(self, protocol):
+        a = ProcDesc(3, "nöde", "exé", 42)
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert back == a and type(back) is ProcDesc
+
+    def test_survives_copy(self):
+        a = ProcDesc(3, "h", "x", 42)
+        assert copy.copy(a) == a
+        assert copy.deepcopy(a) == a
+        assert dataclasses.replace(a, pid=43) == ProcDesc(3, "h", "x", 43)

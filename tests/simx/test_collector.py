@@ -83,7 +83,7 @@ def _mixed_run(sim, kill=True):
     """Processes, delayed channel sends, interrupts, kill() (unless
     ``kill`` is false), AllOf/AnyOf and run_bounded (both outcomes) in
     one run that drains completely."""
-    chan = Channel(sim, latency_fn=lambda msg: 0.25, name="wire")
+    chan = Channel(sim, latency_fn=lambda msg: 0.25)
     gate = sim.event()
     outcome = {}
 

@@ -1,6 +1,6 @@
 """Memory guards for the primitives every simulated daemon owns.
 
-An idle :class:`~repro.simx.Channel` (and its Store) holds no queue, nor
+An idle :class:`~repro.simx.Channel` (itself a Store) holds no queue, nor
 does a Store with one waiting getter, and a
 :class:`~repro.simx.SeededRNG` stream holds no generator, undrawn or
 after a few draws, so each stays a few hundred bytes however many a
@@ -25,21 +25,24 @@ from repro.tbon import Overlay, StreamSpec, TBONTopology
 from repro.tools.stat_tool import PrefixTree
 
 #: bytes per idle channel, undrawn stream, stream drawn twice or store
-#: with one waiting getter; on CPython 3.11 these are ~160, ~160, ~310
+#: with one waiting getter; on CPython 3.11 these are ~105, ~160, ~310
 #: and ~225 B, and were ~2.4 KiB (three empty deques), ~2.9 KiB and
 #: ~3.1 KiB (a seeded Mersenne Twister) and ~985 B (a one-getter deque)
-#: before that state became lazy
+#: before that state became lazy (a channel was ~160 B while it wrapped
+#: a Store of its own)
 OBJECT_BOUND_B = 512
 
 #: tracemalloc peak per daemon of a 1024-daemon fig6 LaunchMON launch,
-#: by CPython version: 9.1 KiB on 3.11, 9.0 on 3.12 and 11.5 on 3.9
-#: since the root folds each daemon's prefix tree on arrival and no pump
-#: keeps what it forwarded (11.4, 11.2 and 14.2 while the root held the
-#: whole wave; 17.0 and 19.8 on 3.11 and 3.9 with a generator per drawn
-#: node stream and a deque per waiting getter, ~29 KiB with eager queues
-#: and streams). A version not listed gets the 3.9 bound.
-DAEMON_BOUND_KIB = {(3, 11): 10.25, (3, 12): 10.0}.get(
-    sys.version_info[:2], 12.75)
+#: by CPython version: 7.7 KiB on 3.11, ~7.7 on 3.12 and ~9.3 on 3.9
+#: since the per-daemon records are slotted, a daemon's process makes
+#: its debug-event store and /proc statistics on first use and a
+#: channel is one object (9.1, 8.9 and 11.4 before that; 11.4, 11.2 and
+#: 14.2 while the root held the whole wave; 17.0 and 19.8 on 3.11 and
+#: 3.9 with a generator per drawn node stream and a deque per waiting
+#: getter, ~29 KiB with eager queues and streams). A version not listed
+#: gets the 3.9 bound.
+DAEMON_BOUND_KIB = {(3, 11): 8.6, (3, 12): 8.75}.get(
+    sys.version_info[:2], 10.5)
 
 #: tracemalloc peak of a 32-leaf one-shot wave whose leaves send one at a
 #: time, in payloads: ~3.3 (the running merge, the payload being built

@@ -91,6 +91,10 @@ class RefChannel:
     def pending(self):
         return len(self._store)
 
+    @property
+    def items(self):
+        return self._store.items
+
 
 class _RefDelivery(Event):
     __slots__ = ("chan", "msg", "delay", "done")
@@ -215,7 +219,7 @@ def run_program(program, fast_lane, store_cls, channel_cls):
         sim.step()
         states.append((
             tuple((len(s), s.items) for s in stores),
-            tuple((c.pending(), c._store.items) for c in chans)))
+            tuple((c.pending(), c.items) for c in chans)))
     return trace, received, states
 
 
