@@ -9,7 +9,7 @@ everything ``LMON_be_init`` needs, and ``LMON_mw_init`` (as ``MWContext``).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.simx import Simulator, Store
 from repro.be.iccl import ICCLFabric
@@ -28,7 +28,7 @@ class BEContext:
 
     __slots__ = ("sim", "node", "proc", "rank", "size", "fabric",
                  "session_key", "fe_node", "fe_rendezvous", "local_entries",
-                 "daemon_table", "usr_data_init", "tool_state", "rpdtab")
+                 "daemon_table", "usr_data_init", "rpdtab")
 
     def __init__(self, sim: Simulator, node: Node, proc: SimProcess,
                  rank: int, size: int, fabric: ICCLFabric, session_key: str,
@@ -45,15 +45,13 @@ class BEContext:
         #: rendezvous store the master pushes its connection into
         self.fe_rendezvous = fe_rendezvous
         #: filled by a back end's handshake: this daemon's local task
-        #: descriptors
-        self.local_entries: list[ProcDesc] = []
+        #: descriptors (every daemon shares the empty tuple until then)
+        self.local_entries: Sequence[ProcDesc] = ()
         #: filled by the handshake: (hostname, pid) for every daemon, rank
         #: order
-        self.daemon_table: list[tuple[str, int]] = []
+        self.daemon_table: Sequence[tuple[str, int]] = ()
         #: tool data the front end piggybacked on the handshake (decoded)
         self.usr_data_init: Any = None
-        #: scratch area for tool state
-        self.tool_state: dict = {}
         #: filled by a middleware handshake: the target job's full RPDTAB
         self.rpdtab: Optional[RPDTAB] = None
 

@@ -8,11 +8,11 @@ tool bootstrap (e.g. ship MRNet tree info) with no extra round trips.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.digest import sha256_digest
 from repro.lmonp.header import (
     HEADER_SIZE,
     MsgClass,
@@ -35,7 +35,7 @@ def security_token(session_key: str) -> int:
     launch channels; the in-band check only guards against crossed sessions
     and stray connections.
     """
-    digest = hashlib.sha256(session_key.encode()).digest()
+    digest = sha256_digest(session_key.encode())
     return int.from_bytes(digest[:2], "big")
 
 

@@ -16,13 +16,19 @@ which covers a node stream's few draws in a few hundred bytes. A draw
 past the tuple, or any other method, seeds the generator again, skips
 the values already taken and keeps it from then on. The values drawn
 are those of one generator seeded once, whenever each draw happens.
+
+A stream's seed is the first 8 bytes of the SHA-256 digest of
+``"{seed}:{path}"``. The digest comes from the interpreter's built-in
+module through :func:`repro.digest.sha256_digest`, so no process maps
+OpenSSL to seed its streams.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Optional
+
+from repro.digest import sha256_digest
 
 __all__ = ["SeededRNG"]
 
@@ -49,7 +55,7 @@ class SeededRNG:
 
     def _seeded(self) -> random.Random:
         """A fresh generator at the start of this stream."""
-        digest = hashlib.sha256(f"{self.seed}:{self.path}".encode()).digest()
+        digest = sha256_digest(f"{self.seed}:{self.path}".encode())
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _generator(self) -> random.Random:

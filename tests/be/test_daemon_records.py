@@ -4,13 +4,16 @@ Per-daemon records are slotted, so none carries a ``__dict__``, and a
 tool daemon's process holds no debug-event store and no /proc
 statistics, which only a traced launcher and the application's tasks
 use. The census walks the collector's objects during a 64-daemon fig6
-LaunchMON launch, so it sees records that the launch drops again.
+LaunchMON launch, so it sees records that the launch drops again. A
+daemon's context holds no tool scratch dict, and until its handshake
+fills them its task and daemon tables are one shared empty tuple.
 """
 
 import gc
 
 from repro.be import BackEnd, BEContext
 from repro.cluster import ProcStats
+from repro.fe import ToolFrontEnd
 from repro.experiments.fig6 import measure_stat_startup
 from repro.mpir import ProcDesc
 from repro.rm import LaunchedDaemon
@@ -62,3 +65,34 @@ def test_daemon_records_carry_no_dict_and_daemons_no_unused_extras():
     for d in daemons:
         held = gc.get_referents(d.proc)
         assert not any(isinstance(r, (Store, ProcStats)) for r in held), d
+
+
+def test_a_context_starts_with_shared_empty_tables_and_no_tool_state(
+        monkeypatch):
+    n = 16
+    built = []
+    real = ToolFrontEnd._context_factory
+
+    def recording(fe, session, rendezvous):
+        factory = real(fe, session, rendezvous)
+
+        def build(*args):
+            ctx = factory(*args)
+            built.append((ctx, ctx.local_entries, ctx.daemon_table))
+            return ctx
+        return build
+
+    monkeypatch.setattr(ToolFrontEnd, "_context_factory", recording)
+    box = measure_stat_startup(n, "launchmon", tasks_per_daemon=1)
+    assert box["n_tasks"] == n
+    assert len(built) >= n
+    empty = built[0][1]
+    assert empty == ()
+    for ctx, entries, table in built:
+        assert type(ctx) is BEContext
+        assert not hasattr(ctx, "tool_state")
+        assert entries is empty and table is empty
+    # the handshake replaced both tables of every back end
+    backends = [ctx for ctx, _, _ in built if ctx.local_entries is not empty]
+    assert len(backends) == n
+    assert all(len(ctx.daemon_table) == n for ctx in backends)

@@ -1,5 +1,7 @@
 """Tests for the LMONP wire protocol: header, messages, framing."""
 
+import hashlib
+
 import pytest
 
 from repro.lmonp import (
@@ -116,6 +118,12 @@ class TestSecurity:
 
     def test_token_deterministic(self):
         assert security_token("k") == security_token("k")
+
+    @pytest.mark.parametrize("key", ["", "k", "session-1", "x" * 100,
+                                     "clé-ü/ß", "\U0001f512"])
+    def test_token_is_the_first_two_bytes_of_sha256(self, key):
+        digest = hashlib.sha256(key.encode()).digest()
+        assert security_token(key) == int.from_bytes(digest[:2], "big")
 
     def test_verify_mismatch_raises(self):
         msg = LmonpMessage(MsgClass.FE_BE, FeToBe.READY, sec_chk=5)

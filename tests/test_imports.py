@@ -1,11 +1,14 @@
-"""Import-time contracts: the standard library suffices, and importing one
-experiment loads only that experiment.
+"""Import-time contracts: the standard library suffices, importing one
+experiment loads only that experiment, and no entry point maps OpenSSL
+or the process pool before a run asks for them.
 
-Both run in a fresh interpreter, because this process has already
+Each runs in a fresh interpreter, because this process has already
 imported most of ``repro`` and everything pytest and Hypothesis pull in.
 """
 
 import importlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +103,68 @@ class TestLazyExperimentsPackage:
         assert set(namespace) == EXPERIMENTS_ALL
         for name, obj in namespace.items():
             assert getattr(repro.experiments, name) is obj
+
+
+#: what loading OpenSSL's libcrypto (``hashlib``, ``ssl``) or the process
+#: pool (``multiprocessing``, ``concurrent.futures``) looks like
+OPENSSL = ("_hashlib", "hashlib", "_ssl")
+POOL = ("multiprocessing", "concurrent.futures")
+
+#: what each suite workload imports in its set-up (recovery-mix takes
+#: the ctl harness and the chaos storms), and the CLI
+ENTRY_POINTS = [
+    ("repro.experiments.fig6",),
+    ("repro.experiments.streaming",),
+    ("repro.experiments.fleet",),
+    ("repro.ctl.harness", "repro.fleet.chaos"),
+    ("repro.experiments.cli",),
+]
+
+#: whether this interpreter builds SHA-256 in (``_sha2`` on 3.12+,
+#: ``_sha256`` before); without it only ``hashlib`` has the digest
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
+
+def _loads(name: str, modules) -> bool:
+    return any(m == name or m.startswith(name + ".") for m in modules)
+
+
+@pytest.mark.parametrize("imports", ENTRY_POINTS, ids="+".join)
+def test_an_entry_point_maps_no_openssl_and_no_process_pool(imports):
+    code = "".join(f"import {name}\n" for name in imports)
+    proc = _run_child(code + "print('\\n'.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert imports[0] in loaded
+    heavy = POOL + (OPENSSL if BUILTIN_SHA256 else ("_ssl",))
+    assert [name for name in heavy if _loads(name, loaded)] == []
+
+
+#: streams and session keys whose digests the fallback must reproduce
+DIGEST_CORPUS = """
+from repro.lmonp import security_token
+from repro.simx import SeededRNG
+
+draws = [[SeededRNG(seed).child(name).random() for _ in range(3)]
+         for seed in (0, 1, 2**40)
+         for name in ("net", "node:7/fork", "nœud-ü/ß")]
+tokens = [security_token(key)
+          for key in ("", "session-1", "s" * 100, "clé-ü/ß")]
+"""
+
+
+def test_hashlib_fallback_gives_the_same_seeds_and_tokens():
+    """Without a built-in SHA-256 module, streams and tokens come from
+    ``hashlib`` and do not change."""
+    namespace: dict = {}
+    exec(DIGEST_CORPUS, namespace)
+    code = ('sys.modules["_sha256"] = sys.modules["_sha2"] = None\n'
+            + DIGEST_CORPUS
+            + 'assert "hashlib" in sys.modules\n'
+              'print(json.dumps([draws, tokens]))')
+    proc = _run_child("import json\n" + code)
+    assert proc.returncode == 0, proc.stderr
+    draws, tokens = json.loads(proc.stdout)
+    assert draws == namespace["draws"]
+    assert tokens == namespace["tokens"]
