@@ -46,41 +46,65 @@ See README.md for a tour of both APIs; ROADMAP.md tracks where this
 reproduction is headed and PAPER.md holds the source paper's abstract.
 """
 
-from repro.runner import (
-    ServiceEnv,
-    SimEnv,
-    drive,
-    drive_many,
-    make_env,
-    make_service_env,
-)
-from repro.fe import (
-    LMONSession,
-    SessionHandle,
-    SessionState,
-    ToolFrontEnd,
-    ToolService,
-)
-from repro.be import BackEnd, BEContext
-from repro.mw import Middleware, MWContext
-from repro.rm import (
-    AllocationError,
-    BglMpirunRM,
-    DaemonSpec,
-    ResourceManager,
-    RshRM,
-    SlurmConfig,
-    SlurmRM,
-)
-from repro.cluster import Cluster, ClusterSpec, CostModel, FaultPlan
-from repro.launch import (
-    LaunchPolicy,
-    LaunchReport,
-    LaunchRequest,
-    LaunchStrategy,
-    get_strategy,
-)
-from repro.apps import AppSpec, make_compute_app, make_hang_app, make_io_heavy_app
+import sys
+
+
+def _import(module):
+    """Import *module* by its absolute name and return it; unlike
+    ``importlib.import_module``, ``python -X importtime`` records it."""
+    __import__(module)
+    return sys.modules[module]
+
+
+def _lazy_exports(namespace, table):
+    """Build a package's PEP 562 ``__getattr__`` and ``__dir__``.
+
+    *table* maps each defining module to the public names it provides;
+    a name listed under the package itself is one of its submodules.
+    Nothing is imported until a name is first read, and a resolved name
+    is cached in *namespace* (the package's ``globals()``). ``__dir__``
+    lists the unresolved names too, so ``help()`` still documents them.
+    ``__getattr__.exports`` maps each name to its defining module.
+    """
+    package = namespace["__name__"]
+    exports = {name: module for module, names in table.items()
+               for name in names}
+
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        if module == package:
+            value = _import(f"{package}.{name}")
+        else:
+            value = getattr(_import(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return set(namespace) | set(exports)
+
+    __getattr__.exports = exports
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.runner": ("ServiceEnv", "SimEnv", "drive", "drive_many",
+                     "make_env", "make_service_env"),
+    "repro.fe": ("LMONSession", "SessionHandle", "SessionState",
+                 "ToolFrontEnd", "ToolService"),
+    "repro.be": ("BackEnd", "BEContext"),
+    "repro.mw": ("Middleware", "MWContext"),
+    "repro.rm": ("AllocationError", "BglMpirunRM", "DaemonSpec",
+                 "ResourceManager", "RshRM", "SlurmConfig", "SlurmRM"),
+    "repro.cluster": ("Cluster", "ClusterSpec", "CostModel", "FaultPlan"),
+    "repro.launch": ("LaunchPolicy", "LaunchReport", "LaunchRequest",
+                     "LaunchStrategy", "get_strategy"),
+    "repro.apps": ("AppSpec", "make_compute_app", "make_hang_app",
+                   "make_io_heavy_app"),
+})
 
 __version__ = "1.1.0"
 

@@ -33,16 +33,18 @@ and run in CI; see ``docs/analysis.md`` for the methodology and rule
 catalog.
 """
 
-from repro.analysis.fitting import PowerFit, fit_metric_exponents, fit_power
-from repro.analysis.ladders import LADDERS, Ladder, collect_samples
-from repro.analysis.scalecheck import (
-    CheckResult,
-    Regression,
-    load_baseline,
-    run_check,
-    write_baseline,
-)
-from repro.analysis.simlint import Finding, RULES, lint_paths, lint_source
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.analysis.fitting": ("PowerFit", "fit_metric_exponents",
+                               "fit_power"),
+    "repro.analysis.ladders": ("LADDERS", "Ladder", "collect_samples"),
+    "repro.analysis.scalecheck": ("CheckResult", "Regression",
+                                  "load_baseline", "run_check",
+                                  "write_baseline"),
+    "repro.analysis.simlint": ("Finding", "RULES", "lint_paths",
+                               "lint_source"),
+})
 
 __all__ = [
     "CheckResult",

@@ -7,12 +7,13 @@ give each rank a call stack, /proc statistics and a state so that Jobsnap
 and STAT have realistic distributed state to collect.
 """
 
-from repro.apps.spec import AppSpec, RankBehavior, uniform_behavior
-from repro.apps.scenarios import (
-    make_compute_app,
-    make_hang_app,
-    make_io_heavy_app,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.apps.spec": ("AppSpec", "RankBehavior", "uniform_behavior"),
+    "repro.apps.scenarios": ("make_compute_app", "make_hang_app",
+                             "make_io_heavy_app"),
+})
 
 __all__ = [
     "AppSpec",

@@ -16,9 +16,14 @@ the tool writer the Section 3.3 API surface:
   intended to replace a full TBON.
 """
 
-from repro.be.iccl import ICCLEndpoint, ICCLError, ICCLFabric, TreeTopology
-from repro.be.context import BEContext
-from repro.be.runtime import BackEnd, minimal_daemon
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.be.iccl": ("ICCLEndpoint", "ICCLError", "ICCLFabric",
+                      "TreeTopology"),
+    "repro.be.context": ("BEContext",),
+    "repro.be.runtime": ("BackEnd", "minimal_daemon"),
+})
 
 __all__ = [
     "BEContext",

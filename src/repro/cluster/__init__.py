@@ -30,42 +30,23 @@ calibrated against the paper's measured curves; DESIGN.md Section 2 records
 each substitution.
 """
 
-from repro.cluster.costs import CostModel
-from repro.cluster.process import ProcState, ProcStats, SimProcess, DebugEvent, DebugEventType
-from repro.cluster.node import (
-    ForkError,
-    Node,
-    NodeDown,
-    NodeTaggedError,
-    RemoteExecError,
-)
-from repro.cluster.network import Network, Pipe
-from repro.cluster.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    FlappingLink,
-    FsStall,
-    GossipDelay,
-    GossipDup,
-    GossipLoss,
-    LinkFlap,
-    NetFaultInjector,
-    NetFaultPlan,
-    NetFaultStats,
-    NetLinkDown,
-    NetPartition,
-    NodeCrash,
-    Straggler,
-)
-from repro.cluster.cluster import (
-    Cluster,
-    ClusterSpec,
-    STAGING_MODES,
-    SharedFilesystem,
-    StagingError,
-)
-from repro.cluster import procfs
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.cluster.costs": ("CostModel",),
+    "repro.cluster.process": ("SimProcess", "DebugEvent", "DebugEventType"),
+    "repro.cluster.node": ("ForkError", "Node", "NodeDown",
+                           "NodeTaggedError", "RemoteExecError"),
+    "repro.cluster.network": ("Network",),
+    "repro.cluster.faults": (
+        "FaultInjector", "FaultPlan", "FaultStats", "FlappingLink", "FsStall",
+        "GossipDelay", "GossipDup", "GossipLoss", "LinkFlap",
+        "NetFaultInjector", "NetFaultPlan", "NetFaultStats", "NetLinkDown",
+        "NetPartition", "NodeCrash", "Straggler"),
+    "repro.cluster.cluster": ("Cluster", "ClusterSpec", "STAGING_MODES",
+                              "SharedFilesystem", "StagingError"),
+    "repro.cluster": ("procfs",),
+})
 
 __all__ = [
     "Cluster",

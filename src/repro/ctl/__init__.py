@@ -14,15 +14,20 @@ engine-free through the RM epilogue. ``tests/ctl`` holds the
 crash-restart harness driving randomized kill points against all of it.
 """
 
-from repro.ctl.checkpoint import (CHECKPOINT_VERSION, Checkpoint,
-                                  CheckpointError, CheckpointVersionError,
-                                  QueueRecord, SessionRecord,
-                                  decode_checkpoint, encode_checkpoint)
-from repro.ctl.daemon import ControlPlane, CtlDaemon, CtlSession, DaemonState
-from repro.ctl.errors import CtlError, CtlUnavailable, UnknownToolError
-from repro.ctl.registry import CTL_STREAM_ID, RECIPES, LaunchSpec
-from repro.ctl.restore import RestoreReport, restore, restore_from_store
-from repro.ctl.store import CheckpointStore
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.ctl.checkpoint": ("CHECKPOINT_VERSION", "Checkpoint",
+                             "CheckpointError", "CheckpointVersionError",
+                             "QueueRecord", "SessionRecord",
+                             "decode_checkpoint", "encode_checkpoint"),
+    "repro.ctl.daemon": ("ControlPlane", "CtlDaemon", "CtlSession",
+                         "DaemonState"),
+    "repro.ctl.errors": ("CtlError", "CtlUnavailable", "UnknownToolError"),
+    "repro.ctl.registry": ("CTL_STREAM_ID", "RECIPES", "LaunchSpec"),
+    "repro.ctl.restore": ("RestoreReport", "restore_from_store"),
+    "repro.ctl.store": ("CheckpointStore",),
+})
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -45,6 +50,5 @@ __all__ = [
     "UnknownToolError",
     "decode_checkpoint",
     "encode_checkpoint",
-    "restore",
     "restore_from_store",
 ]

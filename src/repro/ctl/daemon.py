@@ -62,6 +62,7 @@ from repro.ctl.checkpoint import (Checkpoint, QueueRecord, SessionRecord,
                                   encode_checkpoint)
 from repro.ctl.errors import CtlError, CtlUnavailable, UnknownToolError
 from repro.ctl.registry import RECIPES, LaunchSpec
+from repro.ctl.restore import restore_from_store, teardown
 from repro.ctl.store import CheckpointStore
 from repro.fe.service import SessionHandle, ToolService
 from repro.fe.session import LIVE_STATES, LMONSession, SessionState
@@ -160,7 +161,6 @@ class CtlDaemon:
                            f"({self.state.value})")
         self.state = DaemonState.STARTING
         if not self.store.empty:
-            from repro.ctl.restore import restore_from_store
             self.restore_report = restore_from_store(self)
         self.state = DaemonState.RUNNING
         self.started_at = self.sim.now
@@ -222,7 +222,6 @@ class CtlDaemon:
         if session is None:
             raise CtlError(f"ctl{ctl_id} has no bound session yet")
         if cs.adopted:
-            from repro.ctl.restore import teardown
             session.require_state(*LIVE_STATES)
             teardown(self.rm, session.job, session.owned_allocs[::-1], 0)
             session.owned_allocs.clear()

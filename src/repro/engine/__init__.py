@@ -15,8 +15,12 @@ and the per-component times of the Section 4 model
 (:class:`ComponentTimes`).
 """
 
-from repro.engine.timeline import ComponentTimes, LaunchTimeline
-from repro.engine.driver import EngineError, LaunchMONEngine
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.engine.timeline": ("ComponentTimes", "LaunchTimeline"),
+    "repro.engine.driver": ("EngineError", "LaunchMONEngine"),
+})
 
 __all__ = [
     "ComponentTimes",

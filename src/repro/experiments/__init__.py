@@ -36,38 +36,24 @@ one experiment module, e.g. ``repro.experiments.fig6``, loads only what
 that experiment needs, not every experiment's dependencies.
 """
 
-import importlib
+from repro import _lazy_exports
 
-#: public name -> the submodule that defines it
-_SUBMODULES = {
-    "ExperimentResult": "common",
-    "run_ablation_iccl": "ablations",
-    "run_ablation_jobsnap_tbon": "ablations",
-    "run_ablation_launchers": "ablations",
-    "run_ablation_rm_events": "ablations",
-    "run_ctl": "ctlrestart",
-    "run_fig3": "fig3",
-    "run_fig5": "fig5",
-    "run_fig6": "fig6",
-    "run_fleet": "fleet",
-    "run_fleetchaos": "fleetchaos",
-    "run_launch_matrix": "launchmatrix",
-    "run_multitenant": "multitenant",
-    "run_resilience": "resilience",
-    "run_streaming": "streaming",
-    "run_table1": "table1",
-    "percentile": "common",
-}
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.experiments.common": ("ExperimentResult", "percentile"),
+    "repro.experiments.ablations": (
+        "run_ablation_iccl", "run_ablation_jobsnap_tbon",
+        "run_ablation_launchers", "run_ablation_rm_events"),
+    "repro.experiments.ctlrestart": ("run_ctl",),
+    "repro.experiments.fig3": ("run_fig3",),
+    "repro.experiments.fig5": ("run_fig5",),
+    "repro.experiments.fig6": ("run_fig6",),
+    "repro.experiments.fleet": ("run_fleet",),
+    "repro.experiments.fleetchaos": ("run_fleetchaos",),
+    "repro.experiments.launchmatrix": ("run_launch_matrix",),
+    "repro.experiments.multitenant": ("run_multitenant",),
+    "repro.experiments.resilience": ("run_resilience",),
+    "repro.experiments.streaming": ("run_streaming",),
+    "repro.experiments.table1": ("run_table1",),
+})
 
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    try:
-        submodule = _SUBMODULES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
+__all__ = list(__getattr__.exports)

@@ -31,7 +31,6 @@ from repro.runner import drive, make_env
 from repro.simx import AggregationPlan
 from repro.tbon import Overlay, TBONTopology, make_filter
 from repro.tbon.overlay import StreamSpec
-from repro.tools.monitor import run_monitor
 from repro.experiments.common import ExperimentResult
 from repro.experiments.sweep import map_grid
 
@@ -257,6 +256,8 @@ def measure_monitor(n_daemons: int = 16, n_waves: int = 8,
                     credit_limit: int = 4, interval: float = 0.02,
                     tasks_per_daemon: int = 4, seed: int = 1) -> dict:
     """Session-level anchor cell: the monitor tool end-to-end."""
+    from repro.tools.monitor import run_monitor
+
     env = make_env(n_compute=n_daemons, seed=seed)
     app = make_compute_app(n_tasks=n_daemons * tasks_per_daemon,
                            tasks_per_node=tasks_per_daemon)

@@ -33,9 +33,13 @@ daemon set that meets ``min_daemon_fraction`` lands the session in the
 the full state machine and ``docs/failure-modes.md`` for the fault model.
 """
 
-from repro.fe.session import LMONSession, SessionState, StatusCallback
-from repro.fe.api import FrontEndError, ToolFrontEnd
-from repro.fe.service import SessionHandle, ToolService
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.fe.session": ("LMONSession", "SessionState", "StatusCallback"),
+    "repro.fe.api": ("FrontEndError", "ToolFrontEnd"),
+    "repro.fe.service": ("SessionHandle", "ToolService"),
+})
 
 __all__ = [
     "FrontEndError",

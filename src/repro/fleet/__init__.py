@@ -27,33 +27,20 @@ Build a whole fleet with :func:`make_fleet_env`; the ``fleet`` experiment
 (:mod:`repro.experiments.fleet`) sweeps clusters x arrival rate over it.
 """
 
-from repro.fleet.health import ClusterHealth, ClusterState, FleetView
-from repro.fleet.placement import least_loaded
-from repro.fleet.gossip import GossipMesh
-from repro.fleet.member import (
-    ClusterUnavailable,
-    FenceToken,
-    FleetCluster,
-    StaleEpoch,
-)
-from repro.fleet.chaos import (
-    ChaosResult,
-    ChaosScenario,
-    run_fleet_chaos,
-    scenario_for_seed,
-)
-from repro.fleet.frontdoor import (
-    FleetHandle,
-    FleetFrontDoor,
-    FleetUnavailable,
-)
-from repro.fleet.fleet import (
-    Fleet,
-    FleetEnv,
-    audit_fleet,
-    make_fleet_env,
-    make_fleet_member_env,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.fleet.health": ("ClusterHealth", "ClusterState", "FleetView"),
+    "repro.fleet.placement": ("least_loaded",),
+    "repro.fleet.gossip": ("GossipMesh",),
+    "repro.fleet.member": ("ClusterUnavailable", "FenceToken", "StaleEpoch"),
+    "repro.fleet.chaos": ("ChaosResult", "ChaosScenario", "run_fleet_chaos",
+                          "scenario_for_seed"),
+    "repro.fleet.frontdoor": ("FleetHandle", "FleetFrontDoor",
+                              "FleetUnavailable"),
+    "repro.fleet.fleet": ("Fleet", "FleetEnv", "audit_fleet",
+                          "make_fleet_env", "make_fleet_member_env"),
+})
 
 __all__ = [
     "ChaosResult",

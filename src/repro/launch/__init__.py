@@ -15,20 +15,16 @@ drive (``shared-fs`` / ``cache`` / ``broadcast``), and
 :mod:`repro.cluster.faults` for the faults the policy defends against.
 """
 
-from repro.launch.report import LaunchReport, PHASES
-from repro.launch.policy import LaunchPolicy
-from repro.launch.strategy import (
-    LaunchRequest,
-    LaunchResult,
-    LaunchStrategy,
-    LaunchTimeout,
-    RmBulkStrategy,
-    SPAWN_ERRORS,
-    SerialRshStrategy,
-    TreeRshStrategy,
-    get_strategy,
-    strategy_names,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.launch.report": ("LaunchReport", "PHASES"),
+    "repro.launch.policy": ("LaunchPolicy",),
+    "repro.launch.strategy": (
+        "LaunchRequest", "LaunchResult", "LaunchStrategy", "LaunchTimeout",
+        "RmBulkStrategy", "SPAWN_ERRORS", "SerialRshStrategy",
+        "TreeRshStrategy", "get_strategy", "strategy_names"),
+})
 
 __all__ = [
     "LaunchPolicy",

@@ -13,16 +13,15 @@ the simulated transfer-time model, and :class:`FrameDecoder` reassembles
 messages from arbitrary byte chunking (exercised by property-based tests).
 """
 
-from repro.lmonp.header import (
-    HEADER_SIZE,
-    MsgClass,
-    FeToEngine,
-    FeToBe,
-    FeToMw,
-    unpack_header,
-)
-from repro.lmonp.messages import LmonpMessage, ProtocolError, security_token
-from repro.lmonp.transport import FrameDecoder, LmonpStream
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.lmonp.header": ("HEADER_SIZE", "MsgClass", "FeToEngine", "FeToBe",
+                           "FeToMw", "unpack_header"),
+    "repro.lmonp.messages": ("LmonpMessage", "ProtocolError",
+                             "security_token"),
+    "repro.lmonp.transport": ("FrameDecoder", "LmonpStream"),
+})
 
 __all__ = [
     "FeToBe",

@@ -16,17 +16,16 @@ This package provides:
 * MPIR symbol-name constants.
 """
 
-from repro.mpir.rpdtab import ProcDesc, RPDTAB
-from repro.mpir.trace import TraceError, TracedProcess
-from repro.mpir.symbols import (
-    MPIR_BEING_DEBUGGED,
-    MPIR_BREAKPOINT,
-    MPIR_DEBUG_STATE,
-    MPIR_PROCTABLE,
-    MPIR_PROCTABLE_SIZE,
-    MPIR_DEBUG_SPAWNED,
-    MPIR_NULL,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.mpir.rpdtab": ("ProcDesc", "RPDTAB"),
+    "repro.mpir.trace": ("TraceError", "TracedProcess"),
+    "repro.mpir.symbols": ("MPIR_BEING_DEBUGGED", "MPIR_BREAKPOINT",
+                           "MPIR_DEBUG_STATE", "MPIR_PROCTABLE",
+                           "MPIR_PROCTABLE_SIZE", "MPIR_DEBUG_SPAWNED",
+                           "MPIR_NULL"),
+})
 
 __all__ = [
     "MPIR_BEING_DEBUGGED",

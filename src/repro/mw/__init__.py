@@ -11,7 +11,10 @@ piggybacked on the front end's handshake exchanges.
 message class, and ``MWContext`` is :class:`~repro.be.BEContext`.
 """
 
-from repro.be.context import BEContext as MWContext
-from repro.mw.runtime import Middleware
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.mw.runtime": ("MWContext", "Middleware"),
+})
 
 __all__ = ["MWContext", "Middleware"]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro.be.context import BEContext as MWContext
 from repro.be.runtime import DaemonRuntime
 from repro.lmonp import FeToMw, MsgClass
 from repro.mpir import RPDTAB
 
-__all__ = ["Middleware"]
+__all__ = ["MWContext", "Middleware"]
 
 
 class Middleware(DaemonRuntime):

@@ -12,8 +12,12 @@ from measurement sweeps (the paper's methodology: measure at small scale,
 fit, predict upward).
 """
 
-from repro.perfmodel.model import LaunchModel, ModelInputs, StreamModel
-from repro.perfmodel.fit import FittedLine, fit_component_scaling
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.perfmodel.model": ("LaunchModel", "ModelInputs", "StreamModel"),
+    "repro.perfmodel.fit": ("FittedLine", "fit_component_scaling"),
+})
 
 __all__ = ["FittedLine", "LaunchModel", "ModelInputs", "StreamModel",
            "fit_component_scaling"]

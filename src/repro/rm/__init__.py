@@ -31,20 +31,16 @@ holds the condemned nodes, and ``free_nodes()`` refuses to re-allocate
 them -- or any crashed node -- for the rest of the session.
 """
 
-from repro.rm.base import (
-    Allocation,
-    AllocationError,
-    DaemonSpec,
-    JobState,
-    LaunchedDaemon,
-    ResourceManager,
-    RMError,
-    RMJob,
-    UnsupportedOperation,
-)
-from repro.rm.slurm import SlurmConfig, SlurmRM
-from repro.rm.bgl import BglMpirunRM
-from repro.rm.rsh import RshRM
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.rm.base": ("Allocation", "AllocationError", "DaemonSpec",
+                      "JobState", "LaunchedDaemon", "ResourceManager",
+                      "RMError", "RMJob", "UnsupportedOperation"),
+    "repro.rm.slurm": ("SlurmConfig", "SlurmRM"),
+    "repro.rm.bgl": ("BglMpirunRM",),
+    "repro.rm.rsh": ("RshRM",),
+})
 
 __all__ = [
     "Allocation",

@@ -26,12 +26,14 @@ to its :class:`~repro.fe.service.ToolService`, and drives the service's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Sequence, Type
+from typing import Any, Generator, Optional, Sequence, Type, TYPE_CHECKING
 
 from repro.cluster import Cluster, ClusterSpec, CostModel
-from repro.fe.service import ToolService
 from repro.rm import ResourceManager, SlurmRM
 from repro.simx import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fe.service import ToolService
 
 __all__ = ["ServiceEnv", "SimEnv", "drive", "drive_many", "make_env",
            "make_service_env"]
@@ -79,6 +81,8 @@ def make_service_env(n_compute: int = 16,
     ``max_in_flight`` is the service's admission cap (None = admit all;
     the RM's FIFO node queue still applies either way).
     """
+    from repro.fe.service import ToolService
+
     env = make_env(n_compute=n_compute, rm_cls=rm_cls, spec=spec,
                    costs=costs, seed=seed, **rm_kwargs)
     service = ToolService(env.cluster, env.rm, max_in_flight=max_in_flight)

@@ -26,26 +26,18 @@ AggregationPlan, AggregateSubtree
     Hybrid analytic/discrete aggregation plans (:mod:`repro.simx.aggregate`).
 """
 
-from repro.simx.aggregate import (
-    AggregateSubtree,
-    AggregationError,
-    AggregationPlan,
-)
-from repro.simx.core import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimStats,
-    SimulationError,
-    Simulator,
-    Timeout,
-    run_bounded,
-)
-from repro.simx.channels import Channel, Store
-from repro.simx.resources import Resource
-from repro.simx.rng import SeededRNG
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.simx.aggregate": ("AggregateSubtree", "AggregationError",
+                             "AggregationPlan"),
+    "repro.simx.core": ("AllOf", "AnyOf", "Event", "Interrupt", "Process",
+                        "SimStats", "SimulationError", "Simulator",
+                        "Timeout", "run_bounded"),
+    "repro.simx.channels": ("Channel", "Store"),
+    "repro.simx.resources": ("Resource",),
+    "repro.simx.rng": ("SeededRNG",),
+})
 
 __all__ = [
     "AggregateSubtree",

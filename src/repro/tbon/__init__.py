@@ -24,37 +24,21 @@ callers fold into a :class:`~repro.launch.LaunchReport`'s ``t_repair``
 phase -- recovery structure designed into the platform, not bolted on.
 """
 
-from repro.tbon.topology import TBONTopology, TopologyError
-from repro.tbon.filters import (
-    Filter,
-    RankRuns,
-    StatelessFilter,
-    make_filter,
-    stream_filter_names,
-)
-from repro.tbon.flow import (
-    BoundedInbox,
-    FlowStats,
-    STREAM_PHASES,
-    StreamError,
-    StreamReport,
-    WaveTiming,
-)
-from repro.tbon.packets import Packet
-from repro.tbon.overlay import (
-    DEFAULT_CREDIT_LIMIT,
-    Overlay,
-    OverlayEndpoint,
-    RepairReport,
-    Stream,
-    StreamSpec,
-)
-from repro.tbon.startup import (
-    MRNET_PER_BE_HANDSHAKE,
-    StartupFailure,
-    launchmon_startup,
-    native_startup,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.tbon.topology": ("TBONTopology", "TopologyError"),
+    "repro.tbon.filters": ("Filter", "RankRuns", "StatelessFilter",
+                           "make_filter", "stream_filter_names"),
+    "repro.tbon.flow": ("BoundedInbox", "FlowStats", "STREAM_PHASES",
+                        "StreamError", "StreamReport", "WaveTiming"),
+    "repro.tbon.packets": ("Packet",),
+    "repro.tbon.overlay": ("DEFAULT_CREDIT_LIMIT", "Overlay",
+                           "OverlayEndpoint", "RepairReport", "Stream",
+                           "StreamSpec"),
+    "repro.tbon.startup": ("MRNET_PER_BE_HANDSHAKE", "StartupFailure",
+                           "launchmon_startup", "native_startup"),
+})
 
 __all__ = [
     "BoundedInbox",

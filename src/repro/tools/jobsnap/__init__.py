@@ -14,8 +14,13 @@ them and emits the report, then signals *work-done* to the front end
 ours is of the same order.
 """
 
-from repro.tools.jobsnap.tool import JobsnapReport, JobsnapResult, run_jobsnap
-from repro.tools.jobsnap.tbon_variant import run_jobsnap_tbon
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.tools.jobsnap.tool": ("JobsnapReport", "JobsnapResult",
+                                 "run_jobsnap"),
+    "repro.tools.jobsnap.tbon_variant": ("run_jobsnap_tbon",),
+})
 
 __all__ = ["JobsnapReport", "JobsnapResult", "run_jobsnap",
            "run_jobsnap_tbon"]

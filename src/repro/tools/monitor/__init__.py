@@ -10,12 +10,12 @@ running histograms, exact top-k, EWMA rates or call-graph unions,
 depending on the stream's filter.
 """
 
-from repro.tools.monitor.tool import (
-    MONITOR_IMAGE_MB,
-    MonitorResult,
-    run_monitor,
-    sample_payload,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.tools.monitor.tool": ("MONITOR_IMAGE_MB", "MonitorResult",
+                                 "run_monitor", "sample_payload"),
+})
 
 __all__ = ["MONITOR_IMAGE_MB", "MonitorResult", "run_monitor",
            "sample_payload"]

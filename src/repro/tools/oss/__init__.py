@@ -13,12 +13,13 @@ the daemons itself. Table 1's result: APAI access drops from ~34 s (DPCL,
 flat in node count) to ~0.6 s (LaunchMON, also flat).
 """
 
-from repro.tools.oss.dpcl import DpclInfrastructure, DpclError
-from repro.tools.oss.instrumentor import (
-    ApaiAccessResult,
-    DpclInstrumentor,
-    LaunchmonInstrumentor,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.tools.oss.dpcl": ("DpclInfrastructure", "DpclError"),
+    "repro.tools.oss.instrumentor": ("ApaiAccessResult", "DpclInstrumentor",
+                                     "LaunchmonInstrumentor"),
+})
 
 __all__ = [
     "ApaiAccessResult",

@@ -13,12 +13,13 @@ launch versus LaunchMON integration (which also replaces the command-line /
 shared-file distribution of MRNet tree info with an LMONP broadcast).
 """
 
-from repro.tools.stat_tool.prefix_tree import PrefixTree, merge_trees
-from repro.tools.stat_tool.tool import (
-    StatResult,
-    run_stat_launchmon,
-    run_stat_mrnet_native,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.tools.stat_tool.prefix_tree": ("PrefixTree", "merge_trees"),
+    "repro.tools.stat_tool.tool": ("StatResult", "run_stat_launchmon",
+                                   "run_stat_mrnet_native"),
+})
 
 __all__ = [
     "PrefixTree",

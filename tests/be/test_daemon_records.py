@@ -12,7 +12,7 @@ fills them its task and daemon tables are one shared empty tuple.
 import gc
 
 from repro.be import BackEnd, BEContext
-from repro.cluster import ProcStats
+from repro.cluster.process import ProcStats
 from repro.fe import ToolFrontEnd
 from repro.experiments.fig6 import measure_stat_startup
 from repro.mpir import ProcDesc

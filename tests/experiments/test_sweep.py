@@ -71,7 +71,10 @@ class TestCliScaleAndJobs:
         # the CLI passes jobs= to every runner unconditionally
         import inspect
 
-        for name, runner in RUNNERS.items():
+        import repro.experiments
+
+        for name, runner_name in RUNNERS.items():
+            runner = getattr(repro.experiments, runner_name)
             assert "jobs" in inspect.signature(runner).parameters, name
 
     def test_scale_tiers_cover_every_experiment(self):

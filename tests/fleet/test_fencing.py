@@ -20,12 +20,12 @@ from repro.apps import make_compute_app
 from repro.cluster import NetFaultPlan, NetPartition
 from repro.fleet import (
     FenceToken,
-    FleetCluster,
     FleetUnavailable,
     StaleEpoch,
     audit_fleet,
     make_fleet_env,
 )
+from repro.fleet.member import FleetCluster
 from repro.rm import DaemonSpec
 from repro.runner import drive
 from repro.simx import Interrupt, Simulator
