@@ -24,6 +24,10 @@ reproduce the substrate as a deterministic discrete-event model:
   per-fault statistics (``cluster.faults.stats``). Every cluster carries
   an injector; without a plan it runs the empty one, which schedules
   nothing and draws nothing.
+* :mod:`repro.cluster.netfaults` -- the fleet's network weather: a
+  :class:`NetFaultPlan` of partitions, dead or flapping links and gossip
+  loss, delay and duplication, in gossip rounds, which a
+  :class:`NetFaultInjector` turns into per-round verdicts for the mesh.
 
 All timing constants live in :class:`CostModel` (see ``costs.py``) and are
 calibrated against the paper's measured curves; DESIGN.md Section 2 records
@@ -38,11 +42,12 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "repro.cluster.node": ("ForkError", "Node", "NodeDown",
                            "NodeTaggedError", "RemoteExecError"),
     "repro.cluster.network": ("Network",),
-    "repro.cluster.faults": (
-        "FaultInjector", "FaultPlan", "FaultStats", "FlappingLink", "FsStall",
-        "GossipDelay", "GossipDup", "GossipLoss", "LinkFlap",
+    "repro.cluster.faults": ("FaultInjector", "FaultPlan", "FaultStats",
+                             "FsStall", "LinkFlap", "NodeCrash", "Straggler"),
+    "repro.cluster.netfaults": (
+        "FlappingLink", "GossipDelay", "GossipDup", "GossipLoss",
         "NetFaultInjector", "NetFaultPlan", "NetFaultStats", "NetLinkDown",
-        "NetPartition", "NodeCrash", "Straggler"),
+        "NetPartition"),
     "repro.cluster.cluster": ("Cluster", "ClusterSpec", "STAGING_MODES",
                               "SharedFilesystem", "StagingError"),
     "repro.cluster": ("procfs",),

@@ -23,16 +23,16 @@ the sweep's synthetic numbers stay anchored to an end-to-end tool run.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.apps import make_compute_app
 from repro.perfmodel import StreamModel
 from repro.runner import drive, make_env
 from repro.simx import AggregationPlan
 from repro.tbon import Overlay, TBONTopology, make_filter
 from repro.tbon.overlay import StreamSpec
-from repro.experiments.common import ExperimentResult
-from repro.experiments.sweep import map_grid
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.common import ExperimentResult
 
 __all__ = ["measure_monitor", "measure_stream", "run_streaming",
            "synthetic_payload", "synthetic_aggregate_payload",
@@ -256,6 +256,7 @@ def measure_monitor(n_daemons: int = 16, n_waves: int = 8,
                     credit_limit: int = 4, interval: float = 0.02,
                     tasks_per_daemon: int = 4, seed: int = 1) -> dict:
     """Session-level anchor cell: the monitor tool end-to-end."""
+    from repro.apps import make_compute_app
     from repro.tools.monitor import run_monitor
 
     env = make_env(n_compute=n_daemons, seed=seed)
@@ -309,6 +310,9 @@ def run_streaming(leaf_counts: Sequence[int] = (64, 256, 1024),
                   fanout: int = 16,
                   jobs: int = 1, hybrid: bool = False) -> ExperimentResult:
     """The full leaves x filter x window x credit-limit sweep."""
+    from repro.experiments.common import ExperimentResult
+    from repro.experiments.sweep import map_grid
+
     result = ExperimentResult(
         exp_id="str",
         title="Streaming data plane: sustained waves under credit-based "

@@ -39,7 +39,7 @@ from typing import Any, Generator, List, Optional
 from repro.apps import make_compute_app
 from repro.audit import Violation, fleet_violations, total
 from repro.be import minimal_daemon
-from repro.cluster.faults import (
+from repro.cluster.netfaults import (
     FlappingLink,
     GossipDelay,
     GossipDup,

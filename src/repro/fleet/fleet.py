@@ -30,12 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Type
 
 from repro.audit import fleet_violations
-from repro.cluster import (
-    ClusterSpec,
-    CostModel,
-    NetFaultInjector,
-    NetFaultPlan,
-)
+from repro.cluster import ClusterSpec, CostModel
+from repro.cluster.netfaults import NetFaultInjector, NetFaultPlan
 from repro.fe.service import ToolService
 from repro.fleet.frontdoor import FleetFrontDoor, FleetHandle
 from repro.fleet.gossip import GossipMesh

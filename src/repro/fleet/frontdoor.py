@@ -31,7 +31,7 @@ background process that runs only while handles are in flight -- an idle
 fleet's simulation still terminates.
 
 **Partition tolerance** runs in every fleet; the mesh's
-:class:`~repro.cluster.faults.NetFaultInjector` decides what the network
+:class:`~repro.cluster.netfaults.NetFaultInjector` decides what the network
 does (under the empty plan every member is reachable, so only crashes
 drive the quorum rule and fencing):
 
@@ -219,6 +219,9 @@ class FleetFrontDoor(OperationCore):
                    "breaker_trips": 0, "fenced": 0}
             for name in sorted(self._members)}
         self._gossip_proc = None
+        #: length of the done prefix of ``handles`` (a done handle never
+        #: reverts, so the gossip driver's scan resumes here)
+        self._done_prefix = 0
         #: door-local bookkeeping of requests routed but not yet finished,
         #: per member: (count, nodes). Gossip only refreshes every period,
         #: so without this overlay a burst of same-instant submissions
@@ -452,7 +455,12 @@ class FleetFrontDoor(OperationCore):
             self.reconcile()
 
     def _driver_active(self) -> bool:
-        if any(not h.done for h in self.handles):
+        handles = self.handles
+        i = self._done_prefix
+        while i < len(handles) and handles[i].done:
+            i += 1
+        self._done_prefix = i
+        if i < len(handles):
             return True
         if not self._pending_fences:
             return False

@@ -28,13 +28,13 @@ propagates like any other digest entry. A merely-slandered member keeps
 bumping its own version and out-gossips the rumor.
 
 Network weather comes from the mesh's
-:class:`~repro.cluster.faults.NetFaultInjector` (``mesh.netfaults``): a
+:class:`~repro.cluster.netfaults.NetFaultInjector` (``mesh.netfaults``): a
 blocked edge or a lost digest is a missed contact (feeding the same
 suspicion path a crash does -- the listener cannot tell a partition from
 a death, by design), a delayed digest is this round's snapshot merged
 late, and a duplicated digest is merged twice (idempotent by the view's
 merge-by-version). Every pull asks the injector once
-(:meth:`~repro.cluster.faults.NetFaultInjector.pull`); a mesh built
+(:meth:`~repro.cluster.netfaults.NetFaultInjector.pull`); a mesh built
 without a plan carries the empty one, which blocks nothing and draws
 nothing.
 """
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.faults import (
+from repro.cluster.netfaults import (
     PULL_DUPLICATED,
     PULL_MISSED,
     NetFaultInjector,

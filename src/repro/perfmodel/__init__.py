@@ -9,13 +9,15 @@ term in closed form from the same cost constants the simulation uses, so
 experiments can overlay *modeled* and *measured* breakdowns exactly as
 Figure 3 does. :mod:`repro.perfmodel.fit` fits empirical T(op) functions
 from measurement sweeps (the paper's methodology: measure at small scale,
-fit, predict upward).
+fit, predict upward). :class:`StreamModel` (:mod:`repro.perfmodel.stream`)
+predicts a persistent stream's per-wave latency and throughput.
 """
 
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "repro.perfmodel.model": ("LaunchModel", "ModelInputs", "StreamModel"),
+    "repro.perfmodel.model": ("LaunchModel", "ModelInputs"),
+    "repro.perfmodel.stream": ("StreamModel",),
     "repro.perfmodel.fit": ("FittedLine", "fit_component_scaling"),
 })
 

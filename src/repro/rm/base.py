@@ -28,26 +28,24 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, Iterator, Optional, Sequence,
+)
 
 from repro.simx import Event, SeededRNG, Simulator
-from repro.apps import AppSpec
 from repro.cluster import Cluster, Node, SimProcess
-from repro.launch import (
-    LaunchPolicy,
-    LaunchReport,
-    LaunchRequest,
-    LaunchResult,
-    get_strategy,
-)
-from repro.mpir import (
+from repro.launch import LaunchPolicy, LaunchRequest, get_strategy
+from repro.mpir.symbols import (
     MPIR_DEBUG_SPAWNED,
     MPIR_DEBUG_STATE,
     MPIR_PROCTABLE,
     MPIR_PROCTABLE_SIZE,
-    ProcDesc,
-    RPDTAB,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps import AppSpec
+    from repro.launch import LaunchReport, LaunchResult
+    from repro.mpir import RPDTAB, ProcDesc
 
 __all__ = [
     "Allocation",
@@ -177,12 +175,16 @@ class RMJob:
         self.tasks.append(proc)
 
     def _proc_descs(self) -> list[ProcDesc]:
+        from repro.mpir.rpdtab import ProcDesc
+
         return [ProcDesc(rank=i, host_name=t.host,
                          executable_name=t.executable, pid=t.pid)
                 for i, t in enumerate(self.tasks)]
 
     def build_proctable(self) -> RPDTAB:
         """Assemble the RPDTAB from the live task set."""
+        from repro.mpir.rpdtab import RPDTAB
+
         return RPDTAB(self._proc_descs())
 
     def publish_mpir(self) -> None:

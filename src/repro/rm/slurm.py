@@ -29,14 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
 
-from repro.apps import AppSpec
-from repro.be.iccl import ICCLFabric, TreeTopology
 from repro.cluster import Cluster, Node
 from repro.cluster.process import DebugEvent, DebugEventType, ProcState
-from repro.launch import LaunchReport
-from repro.mpir import MPIR_BEING_DEBUGGED
+from repro.mpir.symbols import MPIR_BEING_DEBUGGED
 from repro.rm.base import (
     Allocation,
     DaemonSpec,
@@ -46,6 +43,11 @@ from repro.rm.base import (
     RMError,
     RMJob,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps import AppSpec
+    from repro.be.iccl import ICCLFabric
+    from repro.launch import LaunchReport
 
 __all__ = ["SlurmConfig", "SlurmRM"]
 
@@ -221,6 +223,8 @@ class SlurmRM(ResourceManager):
                    context_factory: Callable[..., Any],
                    job: Optional[RMJob],
                    ) -> Generator[Any, Any, tuple[list[LaunchedDaemon], ICCLFabric, LaunchReport]]:
+        from repro.be.iccl import ICCLFabric, TreeTopology
+
         cfg = self.config
         sim = self.sim
         n = len(nodes)

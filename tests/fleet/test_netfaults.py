@@ -24,7 +24,7 @@ from repro.cluster import (
     NetLinkDown,
     NetPartition,
 )
-from repro.cluster.faults import (
+from repro.cluster.netfaults import (
     NEVER,
     PULL_DUPLICATED,
     PULL_MISSED,

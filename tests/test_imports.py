@@ -80,7 +80,8 @@ class TestLazyExperimentsPackage:
         assert "repro.experiments.fig6" in loaded
         unwanted = [name for name in loaded
                     if name in ("repro.fleet", "repro.ctl",
-                                "repro.experiments.fleetchaos")
+                                "repro.experiments.fleetchaos",
+                                "repro.cluster.netfaults")
                     or name.startswith(("repro.fleet.", "repro.ctl."))]
         assert unwanted == []
 
@@ -259,12 +260,16 @@ def test_an_entry_point_maps_no_openssl_and_no_process_pool(imports):
 
 #: modules a set-up import must not load, because its workload's run
 #: never calls them: a stream runs no front end, LaunchMON engine, tool,
-#: other RM, fleet or ctl; a fleet no chaos storm, other RM or TBON
+#: back end, app, proctable, launch model, sweep table, other RM,
+#: network weather, fleet or ctl; a fleet no chaos storm, other RM or
+#: TBON
 SETUP_SKIPS = [
     ("repro.experiments.streaming",
-     ("repro.engine.driver", "repro.fe", "repro.lmonp", "repro.mpir.trace",
-      "repro.tools", "repro.be.runtime", "repro.rm.bgl", "repro.rm.rsh",
-      "repro.mw", "repro.fleet", "repro.ctl")),
+     ("repro.engine", "repro.fe", "repro.lmonp", "repro.mpir.rpdtab",
+      "repro.mpir.trace", "repro.tools", "repro.be", "repro.apps",
+      "repro.rm.bgl", "repro.rm.rsh", "repro.mw", "repro.fleet",
+      "repro.ctl", "repro.cluster.netfaults", "repro.perfmodel.model",
+      "repro.experiments.common", "repro.experiments.sweep")),
     ("repro.experiments.fleet",
      ("repro.fleet.chaos", "repro.rm.bgl", "repro.rm.rsh", "repro.mw",
       "repro.tbon", "repro.tools")),
